@@ -86,17 +86,9 @@ func main() {
 		pol.Name, *jobs, jc, *workers)
 
 	start := time.Now()
-	clk.Go(master.Run)
+	master.Start()
 	clk.Wait()
 	printReport("Run report (master view)", master.Report(), time.Since(start))
-}
-
-// servePlane is the slice of the control-plane surface serve needs; a
-// single ClusterMaster and a ShardedMaster both provide it.
-type servePlane interface {
-	WaitReady()
-	OpenSession(id string, wf *engine.Workflow) *engine.MasterSession
-	Shutdown()
 }
 
 // serve runs a long-lived cluster master: one fleet, *runs* workflow
@@ -105,20 +97,17 @@ type servePlane interface {
 // frontend router on the master port, one contest shard per shard port.
 func serve(clk vclock.Clock, port engine.Port, shardPorts []engine.Port, pol core.Policy,
 	jc workload.JobConfig, jobs int, seed int64, workers, runs int, rng *rand.Rand) {
-	var master servePlane
+	var master *engine.Plane
 	if len(shardPorts) > 1 {
-		sharded := engine.NewShardedClusterMaster(clk, port, shardPorts, pol.NewAllocator, workers, rng)
+		master = &engine.NewShardedClusterMaster(clk, port, shardPorts, pol.NewAllocator, workers, rng).Plane
 		fmt.Printf("xflow-master: serve mode, %s scheduler, %d contest shards, %d runs x %d jobs (%s), waiting for %d workers…\n",
 			pol.Name, len(shardPorts), runs, jobs, jc, workers)
-		sharded.Start()
-		master = sharded
 	} else {
-		single := engine.NewClusterMaster(clk, port, pol.NewAllocator(), workers, rng)
+		master = &engine.NewClusterMaster(clk, port, pol.NewAllocator(), workers, rng).Plane
 		fmt.Printf("xflow-master: serve mode, %s scheduler, %d runs x %d jobs (%s), waiting for %d workers…\n",
 			pol.Name, runs, jobs, jc, workers)
-		clk.Go(single.Run)
-		master = single
 	}
+	master.Start()
 
 	start := time.Now()
 	clk.Go(func() {

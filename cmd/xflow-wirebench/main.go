@@ -1,11 +1,9 @@
 // Command xflow-wirebench measures wire-protocol throughput with a real
 // deployment: a loopback broker in this process, a cluster master
 // dialing it, and N worker OS processes (re-executions of this binary
-// with -role worker) bidding over TCP. Each fleet size runs once per
-// codec; the binary codec's wall-clock jobs/s and bytes/job become the
-// checked-in wire_w* rows (group "wire" in the BENCH_*.json schema),
-// with the gob run kept as a reference metric so the binary-over-gob
-// speedup is visible in every report.
+// with -role worker) bidding over TCP. Each fleet size's wall-clock
+// jobs/s and bytes/job become the checked-in wire_w* rows (group "wire"
+// in the BENCH_*.json schema).
 //
 // Usage:
 //
@@ -25,7 +23,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -48,18 +45,16 @@ func main() {
 		jobs      = flag.Int("jobs", 800, "jobs per measured run")
 		fleets    = flag.String("fleets", "8,32", "comma-separated worker counts to measure")
 		shardRows = flag.String("shard-ladder", "2,4", "shard counts for the sharded-control-plane rows on the largest fleet (empty = skip)")
-		codecs    = flag.String("codecs", "binary,gob", "codecs to run (drop one to profile the other in isolation)")
-		repeat    = flag.Int("repeat", 2, "runs per (codec, fleet); the fastest is kept")
+		repeat    = flag.Int("repeat", 2, "runs per fleet; the fastest is kept")
 		scale     = flag.Float64("time-scale", 1000, "clock compression factor for the engine clocks")
 		// Eager flush by default: the bid/ack rounds sit on the critical
-		// path, so trading latency for batching slows both codecs down
+		// path, so trading latency for batching slows the fleet down
 		// (server-side drain-batching already coalesces fanout writes).
 		window = flag.Duration("flush-window", 0, "client flush window (0 = flush every frame)")
 
 		// worker-role flags, set by the parent when re-executing itself.
 		brokerAddr = flag.String("broker", "", "worker: broker address")
 		name       = flag.String("name", "", "worker: unique worker name")
-		codecName  = flag.String("codec", "", "worker: wire codec (binary|gob)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a parent-process CPU profile to this path")
 	)
@@ -75,7 +70,7 @@ func main() {
 	}
 
 	if *role == "worker" {
-		runWorker(*brokerAddr, *name, *codecName, *scale, *window)
+		runWorker(*brokerAddr, *name, *scale, *window)
 		return
 	}
 	if *repeat < 1 {
@@ -91,61 +86,33 @@ func main() {
 		sizes = append(sizes, n)
 	}
 
-	runBinary := strings.Contains(*codecs, "binary")
-	runGob := strings.Contains(*codecs, "gob")
-	if !runBinary && !runGob {
-		fatalf("bad -codecs %q", *codecs)
-	}
-
 	file := &perf.File{Schema: perf.Schema, Go: runtime.Version()}
-	for _, w := range sizes {
-		// Interleave the codecs within each repeat so transient machine
-		// load degrades both measurements, not just one block.
-		bin := runResult{elapsed: 1<<63 - 1}
-		gob := runResult{elapsed: 1<<63 - 1}
+	// measure runs one (fleet, shards) configuration -repeat times and
+	// records the fastest as a wire-group row.
+	measure := func(name string, w, shards int) {
+		best := runResult{elapsed: 1<<63 - 1}
 		for i := 0; i < *repeat; i++ {
-			if runBinary {
-				if r := runOnce("binary", w, 1, *jobs, *scale, *window); r.elapsed < bin.elapsed {
-					bin = r
-				}
-			}
-			if runGob {
-				if r := runOnce("gob", w, 1, *jobs, *scale, *window); r.elapsed < gob.elapsed {
-					gob = r
-				}
+			if r := runOnce(w, shards, *jobs, *scale, *window); r.elapsed < best.elapsed {
+				best = r
 			}
 		}
-		if !runBinary {
-			bin = gob // gob-only profiling run: report it in the main columns
-		}
-		binJPS := float64(*jobs) / bin.elapsed.Seconds()
 		res := perf.Result{
-			Name:       fmt.Sprintf("wire_w%d", w),
+			Name:       name,
 			Group:      "wire",
 			Iterations: *jobs,
-			NsPerOp:    float64(bin.elapsed.Nanoseconds()) / float64(*jobs),
+			NsPerOp:    float64(best.elapsed.Nanoseconds()) / float64(*jobs),
 			Metrics: map[string]float64{
-				"wire_jobs_per_sec":  binJPS,
-				"wire_bytes_per_job": float64(bin.bytes) / float64(*jobs),
+				"wire_jobs_per_sec":  float64(*jobs) / best.elapsed.Seconds(),
+				"wire_bytes_per_job": float64(best.bytes) / float64(*jobs),
 			},
 		}
-		if runBinary && runGob {
-			gobJPS := float64(*jobs) / gob.elapsed.Seconds()
-			res.Metrics["gob_jobs_per_sec"] = gobJPS
-			res.Metrics["gob_bytes_per_job"] = float64(gob.bytes) / float64(*jobs)
-			res.Metrics["binary_over_gob_ratio"] = binJPS / gobJPS
-		}
 		file.Results = append(file.Results, res)
-		fmt.Printf("%-12s %12d jobs %14.1f ns/job", res.Name, res.Iterations, res.NsPerOp)
-		keys := make([]string, 0, len(res.Metrics))
-		for k := range res.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("  %s=%.2f", k, res.Metrics[k])
-		}
-		fmt.Println()
+		fmt.Printf("%-16s %8d jobs %14.1f ns/job  wire_bytes_per_job=%.2f  wire_jobs_per_sec=%.2f\n",
+			res.Name, res.Iterations, res.NsPerOp,
+			res.Metrics["wire_bytes_per_job"], res.Metrics["wire_jobs_per_sec"])
+	}
+	for _, w := range sizes {
+		measure(fmt.Sprintf("wire_w%d", w), w, 1)
 	}
 
 	// Sharded-control-plane rows: the largest fleet again, but with the
@@ -154,35 +121,15 @@ func main() {
 	// connections) run on parallel OS threads, so these rows are where a
 	// control-plane-bound fleet shows sharding's throughput win — the
 	// simulated-clock ladder in cmd/xflow-bench can only price the extra
-	// hop, since its kernel serializes every delivery. Binary codec
-	// only: the codec delta is already measured by the wire_w* rows.
-	if runBinary && *shardRows != "" && len(sizes) > 0 {
+	// hop, since its kernel serializes every delivery.
+	if *shardRows != "" && len(sizes) > 0 {
 		w := sizes[len(sizes)-1]
 		for _, s := range strings.Split(*shardRows, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 2 {
 				fatalf("bad -shard-ladder entry %q", s)
 			}
-			best := runResult{elapsed: 1<<63 - 1}
-			for i := 0; i < *repeat; i++ {
-				if r := runOnce("binary", w, n, *jobs, *scale, *window); r.elapsed < best.elapsed {
-					best = r
-				}
-			}
-			res := perf.Result{
-				Name:       fmt.Sprintf("wire_shard_s%d_w%d", n, w),
-				Group:      "wire",
-				Iterations: *jobs,
-				NsPerOp:    float64(best.elapsed.Nanoseconds()) / float64(*jobs),
-				Metrics: map[string]float64{
-					"wire_jobs_per_sec":  float64(*jobs) / best.elapsed.Seconds(),
-					"wire_bytes_per_job": float64(best.bytes) / float64(*jobs),
-				},
-			}
-			file.Results = append(file.Results, res)
-			fmt.Printf("%-16s %8d jobs %14.1f ns/job  wire_bytes_per_job=%.2f  wire_jobs_per_sec=%.2f\n",
-				res.Name, res.Iterations, res.NsPerOp,
-				res.Metrics["wire_bytes_per_job"], res.Metrics["wire_jobs_per_sec"])
+			measure(fmt.Sprintf("wire_shard_s%d_w%d", n, w), w, n)
 		}
 	}
 
@@ -237,7 +184,7 @@ type runResult struct {
 // counters over the same span. shards > 1 replaces the single master
 // with the sharded control plane: the frontend router keeps the master
 // name, and each contest shard dials its own broker connection.
-func runOnce(codec string, workers, shards, jobs int, scale float64, window time.Duration) runResult {
+func runOnce(workers, shards, jobs int, scale float64, window time.Duration) runResult {
 	srv, err := transport.Serve("127.0.0.1:0")
 	if err != nil {
 		fatalf("serve: %v", err)
@@ -254,7 +201,6 @@ func runOnce(codec string, workers, shards, jobs int, scale float64, window time
 			"-role=worker",
 			"-broker="+srv.Addr(),
 			fmt.Sprintf("-name=w%03d", i),
-			"-codec="+codec,
 			fmt.Sprintf("-time-scale=%g", scale),
 			fmt.Sprintf("-flush-window=%s", window),
 		)
@@ -267,7 +213,7 @@ func runOnce(codec string, workers, shards, jobs int, scale float64, window time
 
 	clk := vclock.NewScaledReal(scale)
 	port, err := transport.DialOptions(srv.Addr(), engine.MasterName, 0, clk,
-		transport.Options{Codec: codec, FlushWindow: window})
+		transport.Options{FlushWindow: window})
 	if err != nil {
 		fatalf("dial: %v", err)
 	}
@@ -277,32 +223,24 @@ func runOnce(codec string, workers, shards, jobs int, scale float64, window time
 	if !ok {
 		fatalf("bidding policy unavailable")
 	}
-	type plane interface {
-		WaitReady()
-		OpenSession(id string, wf *engine.Workflow) *engine.MasterSession
-		Shutdown()
-	}
-	var master plane
+	var master *engine.Plane
 	if shards > 1 {
 		var shardPorts []engine.Port
 		for i := 0; i < shards; i++ {
 			sp, err := transport.DialOptions(srv.Addr(), engine.ShardName(i), 0, clk,
-				transport.Options{Codec: codec, FlushWindow: window})
+				transport.Options{FlushWindow: window})
 			if err != nil {
 				fatalf("dial shard: %v", err)
 			}
 			defer sp.Close()
 			shardPorts = append(shardPorts, sp)
 		}
-		sharded := engine.NewShardedClusterMaster(clk, port, shardPorts,
-			pol.NewAllocator, workers, rand.New(rand.NewSource(1)))
-		sharded.Start()
-		master = sharded
+		master = &engine.NewShardedClusterMaster(clk, port, shardPorts,
+			pol.NewAllocator, workers, rand.New(rand.NewSource(1))).Plane
 	} else {
-		single := engine.NewClusterMaster(clk, port, pol.NewAllocator(), workers, rand.New(rand.NewSource(1)))
-		clk.Go(single.Run)
-		master = single
+		master = &engine.NewClusterMaster(clk, port, pol.NewAllocator(), workers, rand.New(rand.NewSource(1))).Plane
 	}
+	master.Start()
 
 	done := make(chan runResult, 1)
 	clk.Go(func() {
@@ -331,7 +269,7 @@ func runOnce(codec string, workers, shards, jobs int, scale float64, window time
 			if rep != nil {
 				got = rep.JobsCompleted
 			}
-			fatalf("%s w=%d: completed %d/%d jobs", codec, workers, got, jobs)
+			fatalf("w=%d s=%d: completed %d/%d jobs", workers, shards, got, jobs)
 		}
 		done <- runResult{
 			elapsed: elapsed,
@@ -368,7 +306,7 @@ func waitProc(cmd *exec.Cmd) {
 // runWorker is the spawned-process role: one bidding worker with fast,
 // noise-free hardware and a cache big enough that repeat keys hit, so
 // the fleet's wall time stays wire-bound.
-func runWorker(broker, name, codec string, scale float64, window time.Duration) {
+func runWorker(broker, name string, scale float64, window time.Duration) {
 	if broker == "" || name == "" {
 		fatalf("worker role requires -broker and -name")
 	}
@@ -378,7 +316,7 @@ func runWorker(broker, name, codec string, scale float64, window time.Duration) 
 	}
 	clk := vclock.NewScaledReal(scale)
 	port, err := transport.DialOptions(broker, name, 0, clk,
-		transport.Options{Codec: codec, FlushWindow: window})
+		transport.Options{FlushWindow: window})
 	if err != nil {
 		fatalf("worker %s: dial: %v", name, err)
 	}

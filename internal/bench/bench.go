@@ -253,8 +253,7 @@ func benchServeSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := make(chan error, 1)
-	c.Start()
-	clk.Go(func() {
+	c.Start(func() {
 		err := func() error {
 			c.WaitReady()
 			for i := 0; i < b.N; i++ {

@@ -82,11 +82,9 @@ type Cluster struct {
 	clk vclock.Clock
 	bus *broker.Broker
 	// plane drives the control plane: the single master itself, or the
-	// sharded frontend. master is the plane when unsharded, nil when
-	// Shards > 1.
-	plane  controlPlane
-	master *Master
-	cfg    ClusterConfig
+	// sharded frontend.
+	plane controlPlane
+	cfg   ClusterConfig
 	// defaultWF is the workflow joiners inherit when a job carries no
 	// session tag; nil outside batch mode.
 	defaultWF *Workflow
@@ -131,10 +129,10 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 		bus.SetDropFunc(cfg.DropFunc)
 	}
 	masterEp := bus.Register(MasterName, cfg.MasterLink)
-	var master *Master
 	var plane controlPlane
 	var defaultWF *Workflow
-	if cfg.Shards > 1 {
+	switch {
+	case cfg.Shards > 1:
 		// Shard endpoints register right after the master's, before any
 		// worker, so their mailbox creation order is deterministic.
 		shardPorts := make([]Port, cfg.Shards)
@@ -142,21 +140,23 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 			shardPorts[i] = bus.Register(ShardName(i), cfg.MasterLink)
 		}
 		if batch != nil {
-			plane = newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator,
-				batch.wf, batch.arrivals, len(cfg.Workers), rng)
-			defaultWF = batch.wf
+			// The frontend owns the arrival schedule and termination
+			// detection; the parts never see Arrivals — the router
+			// partitions each job as it fires.
+			sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator,
+				batch.wf, len(cfg.Workers), false, rng)
+			sm.armBatch(batch.arrivals)
+			plane, defaultWF = sm, batch.wf
 		} else {
 			plane = NewShardedClusterMaster(clk, masterEp, shardPorts,
 				cfg.NewAllocator, len(cfg.Workers), rng)
 		}
-	} else if batch != nil {
-		master = newMaster(clk, masterEp, cfg.Allocator, batch.wf,
+	case batch != nil:
+		plane = NewMaster(clk, masterEp, cfg.Allocator, batch.wf,
 			batch.arrivals, len(cfg.Workers), rng)
 		defaultWF = batch.wf
-		plane = master
-	} else {
-		master = NewClusterMaster(clk, masterEp, cfg.Allocator, len(cfg.Workers), rng)
-		plane = master
+	default:
+		plane = NewClusterMaster(clk, masterEp, cfg.Allocator, len(cfg.Workers), rng)
 	}
 	plane.setTracer(cfg.Tracer)
 
@@ -164,7 +164,6 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 		clk:       clk,
 		bus:       bus,
 		plane:     plane,
-		master:    master,
 		cfg:       cfg,
 		defaultWF: defaultWF,
 		wfs:       make(map[string]*Workflow),
@@ -174,18 +173,23 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 		if st == nil {
 			return nil, errors.New("engine: nil worker state")
 		}
-		ep := bus.Register(st.Spec.Name, st.Spec.Link)
-		w := newWorker(clk, ep, defaultWF, st, cfg.Hub, cfg.NewAgent(st))
-		w.SetWorkflowResolver(c.workflowFor)
-		// Construction is single-threaded, but members/order are
-		// mu-guarded everywhere else; holding the lock here keeps the
-		// ownership rule uniform (and loopowned-checkable) at no cost.
-		c.mu.Lock()
-		c.members[w.name] = &clusterMember{st: st, w: w, before: snapshotWorker(st)}
-		c.order = append(c.order, w.name)
-		c.mu.Unlock()
+		c.addMember(st)
 	}
 	return c, nil
+}
+
+// addMember registers st's endpoint, builds its worker node, and books
+// it as a member; it reports whether the cluster is already running
+// (the caller then starts the node itself).
+func (c *Cluster) addMember(st *WorkerState) (w *Worker, running bool) {
+	ep := c.bus.Register(st.Spec.Name, st.Spec.Link)
+	w = newWorker(c.clk, ep, c.defaultWF, st, c.cfg.Hub, c.cfg.NewAgent(st))
+	w.SetWorkflowResolver(c.workflowFor)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.members[w.name] = &clusterMember{st: st, w: w, before: snapshotWorker(st)}
+	c.order = append(c.order, w.name)
+	return w, c.started
 }
 
 // NewCluster builds a long-lived cluster runtime. Nothing runs until
@@ -197,15 +201,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // Clock returns the cluster's time source.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
 
-// Master returns the cluster's master, for callers that need direct
-// access (readiness waits, low-level injection in tests). Nil on a
-// sharded cluster, whose control plane has no single master.
-func (c *Cluster) Master() *Master { return c.master }
-
-// Start launches the master and the initial fleet. All start-up happens
-// inside one tracked goroutine so a simulated clock never observes the
-// half-built system as idle (see Run). Start returns immediately.
-func (c *Cluster) Start() {
+// Start launches the control plane and the initial fleet, then runs
+// driver — all on one clock-tracked start-up goroutine, so a simulated
+// clock never observes the half-built system as idle. It returns
+// immediately; a nil driver starts the fleet only (batch runs, whose
+// arrival timers keep the simulation alive).
+//
+// Rule: on a simulated clock, whatever drives the cluster (WaitReady,
+// Open/Submit, Drain, Stop) goes in driver or in goroutines driver
+// spawns. There is no other way to start a cluster precisely because a
+// goroutine registered with clk.Go after Start returned races the
+// fleet: if every node parks in its inbox first, the Sim sees all
+// goroutines blocked with no timer pending and declares deadlock.
+func (c *Cluster) Start(driver func()) {
 	c.mu.Lock()
 	if c.started {
 		c.mu.Unlock()
@@ -215,20 +223,18 @@ func (c *Cluster) Start() {
 	initial := append([]string(nil), c.order...)
 	c.mu.Unlock()
 	c.clk.Go(func() {
-		for _, loop := range c.plane.loops() {
-			c.clk.Go(loop)
-		}
+		c.plane.Start()
 		for _, name := range initial {
-			c.mu.Lock()
-			mem := c.members[name]
-			c.mu.Unlock()
-			mem.w.start()
+			c.worker(name).start()
+		}
+		if driver != nil {
+			driver()
 		}
 	})
 }
 
 // WaitReady blocks until the initial fleet has registered (cluster mode
-// only; see Master.WaitReady). Call from a clock-tracked goroutine on a
+// only; see Plane.WaitReady). Call from a clock-tracked goroutine on a
 // simulated clock.
 func (c *Cluster) WaitReady() { c.plane.WaitReady() }
 
@@ -259,21 +265,11 @@ func (c *Cluster) Join(st *WorkerState) (*Worker, error) {
 	if st == nil {
 		return nil, errors.New("engine: nil worker state")
 	}
-	c.mu.Lock()
-	if _, dup := c.members[st.Spec.Name]; dup {
-		c.mu.Unlock()
+	if c.worker(st.Spec.Name) != nil {
 		return nil, fmt.Errorf("engine: join duplicates worker %q", st.Spec.Name)
 	}
-	c.mu.Unlock()
-	ep := c.bus.Register(st.Spec.Name, st.Spec.Link)
-	w := newWorker(c.clk, ep, c.defaultWF, st, c.cfg.Hub, c.cfg.NewAgent(st))
-	w.SetWorkflowResolver(c.workflowFor)
-	c.mu.Lock()
-	c.members[w.name] = &clusterMember{st: st, w: w, before: snapshotWorker(st)}
-	c.order = append(c.order, w.name)
-	started := c.started
-	c.mu.Unlock()
-	if started {
+	w, running := c.addMember(st)
+	if running {
 		w.start()
 	}
 	return w, nil

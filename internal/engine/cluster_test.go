@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +24,28 @@ func namedWorkflow(name, prefix string) *engine.Workflow {
 		},
 	})
 	return wf
+}
+
+// biddingPlane returns the bidding cluster config for a control plane of
+// the given shape: the single master for shards <= 1, else that many
+// contest shards behind the frontend router.
+func biddingPlane(shards int, cfg engine.ClusterConfig) engine.ClusterConfig {
+	cfg.NewAgent = func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() }
+	if shards > 1 {
+		cfg.Shards = shards
+		cfg.NewAllocator = func() engine.Allocator { return core.NewBidding() }
+	} else {
+		cfg.Allocator = core.NewBidding()
+	}
+	return cfg
+}
+
+// forEachPlane runs a cluster scenario once on the single master and
+// once on a two-shard plane: the elastic protocol must hold on both.
+func forEachPlane(t *testing.T, scenario func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { scenario(t, shards) })
+	}
 }
 
 // TestClusterElasticLifecycle drives the long-lived runtime end to end:
@@ -50,10 +73,8 @@ func TestClusterElasticLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	c.Start()
-
 	var repA, repB *engine.Report
-	clk.Go(func() {
+	c.Start(func() {
 		c.WaitReady()
 		sessA, err := c.Open("alpha", namedWorkflow("alpha", "A:"))
 		if err != nil {
@@ -150,26 +171,26 @@ func redispatchEvents(trace *engine.TraceLog) []engine.TraceEvent {
 // TestClusterDrainWhileContestInFlight drains a worker while a bid
 // window for freshly submitted jobs is still open. The drained worker
 // must win none of the racing contests, every job must still complete
-// exactly once, and the rescueStranded invariant must hold end to end:
+// exactly once, and the rescue invariant must hold end to end:
 // the session's Redispatched counter equals the trace's redispatch
 // events, and each such event names the departed worker.
 func TestClusterDrainWhileContestInFlight(t *testing.T) {
+	forEachPlane(t, testClusterDrainWhileContestInFlight)
+}
+
+func testClusterDrainWhileContestInFlight(t *testing.T, shards int) {
 	clk := vclock.NewSim()
 	trace := engine.NewTraceLog()
-	c, err := engine.NewCluster(engine.ClusterConfig{
-		Clock:     clk,
-		Workers:   testCluster(3, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Tracer:    trace,
-	})
+	c, err := engine.NewCluster(biddingPlane(shards, engine.ClusterConfig{
+		Clock:   clk,
+		Workers: testCluster(3, 20, 100, 0),
+		Tracer:  trace,
+	}))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	c.Start()
-
 	var rep *engine.Report
-	clk.Go(func() {
+	c.Start(func() {
 		c.WaitReady()
 		sess, err := c.Open("drain-race", namedWorkflow("drain-race", "D:"))
 		if err != nil {
@@ -215,7 +236,7 @@ func TestClusterDrainWhileContestInFlight(t *testing.T) {
 			t.Errorf("job %s finished %d times, want exactly once", id, finishes[id])
 		}
 	}
-	// The rescueStranded accounting invariant: every redispatch in the
+	// The rescue accounting invariant: every redispatch in the
 	// trace is attributed to the one departed worker, and the session
 	// counter agrees with the trace.
 	redis := redispatchEvents(trace)
@@ -235,6 +256,10 @@ func TestClusterDrainWhileContestInFlight(t *testing.T) {
 // Every stranded job must be redispatched to the survivors and complete
 // exactly once, with the Redispatched counter matching the trace.
 func TestClusterJoinImmediatelyLeave(t *testing.T) {
+	forEachPlane(t, testClusterJoinImmediatelyLeave)
+}
+
+func testClusterJoinImmediatelyLeave(t *testing.T, shards int) {
 	clk := vclock.NewSim()
 	trace := engine.NewTraceLog()
 	joiner := engine.NewWorkerState(engine.WorkerSpec{
@@ -245,20 +270,16 @@ func TestClusterJoinImmediatelyLeave(t *testing.T) {
 	}, nil)
 	joiner.Cache.Put("hotJ", 50)
 
-	c, err := engine.NewCluster(engine.ClusterConfig{
-		Clock:     clk,
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Tracer:    trace,
-	})
+	c, err := engine.NewCluster(biddingPlane(shards, engine.ClusterConfig{
+		Clock:   clk,
+		Workers: testCluster(2, 20, 100, 0),
+		Tracer:  trace,
+	}))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	c.Start()
-
 	var rep *engine.Report
-	clk.Go(func() {
+	c.Start(func() {
 		c.WaitReady()
 		sess, err := c.Open("join-leave", namedWorkflow("join-leave", "J:"))
 		if err != nil {
@@ -314,6 +335,89 @@ func TestClusterJoinImmediatelyLeave(t *testing.T) {
 		if ev.Node != "wj" {
 			t.Errorf("redispatch of %s attributed to %q, want the departed wj", ev.JobID, ev.Node)
 		}
+	}
+}
+
+// membershipLines extracts every membership line of a cluster digest:
+// one for a single master; the router's plus one per shard part on a
+// sharded plane.
+func membershipLines(digest string) []string {
+	var out []string
+	for _, line := range strings.Split(digest, "\n") {
+		if strings.HasPrefix(line, "members ") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestMembershipViewIdenticalAcrossPlanes runs one scripted join / kill
+// / drain sequence through a single master and a two-shard plane and
+// samples the membership digest after every step. Both planes run the
+// same membership component over the same events, so every view — the
+// single master's, the router's, each shard part's — must render the
+// same line at every sample.
+func TestMembershipViewIdenticalAcrossPlanes(t *testing.T) {
+	script := func(shards int) []string {
+		clk := vclock.NewSim()
+		c, err := engine.NewCluster(biddingPlane(shards, engine.ClusterConfig{
+			Clock:   clk,
+			Workers: testCluster(3, 20, 100, 0),
+		}))
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		var samples []string
+		sample := func(step string) {
+			// Let the step's messages land; the plane loops are parked in
+			// their inboxes again when the driver wakes.
+			clk.Sleep(time.Second)
+			lines := membershipLines(c.StateDigest())
+			want := 1
+			if shards > 1 {
+				want = 1 + shards // the router's and one per part
+			}
+			if len(lines) != want {
+				t.Errorf("shards=%d %s: %d membership lines, want %d", shards, step, len(lines), want)
+				return
+			}
+			for _, l := range lines[1:] {
+				if l != lines[0] {
+					t.Errorf("shards=%d %s: a shard part's view drifted from the router's:\n %s\n %s", shards, step, lines[0], l)
+				}
+			}
+			samples = append(samples, step+": "+lines[0])
+		}
+		c.Start(func() {
+			c.WaitReady()
+			sample("formed")
+			joiner := engine.NewWorkerState(engine.WorkerSpec{Name: "wj",
+				Net: netsim.Speed{BaseMBps: 20}, RW: netsim.Speed{BaseMBps: 100}, Seed: 9}, nil)
+			if _, err := c.Join(joiner); err != nil {
+				t.Errorf("Join: %v", err)
+			}
+			sample("join wj")
+			c.Leave("w0")
+			sample("kill w0")
+			c.Drain("w1")
+			sample("drain w1")
+			c.Stop()
+		})
+		c.Wait()
+		samples = append(samples, "stopped: "+membershipLines(c.StateDigest())[0])
+		return samples
+	}
+	single, sharded := script(1), script(2)
+	if len(single) != 5 {
+		t.Fatalf("script sampled %d steps, want 5: %v", len(single), single)
+	}
+	for i := range single {
+		if single[i] != sharded[i] {
+			t.Errorf("membership views diverge:\n shards=1 %s\n shards=2 %s", single[i], sharded[i])
+		}
+	}
+	if want := "kill w0: members ready=true exp=3 workers=w2,w1,wj dead=w0 drains="; single[2] != want {
+		t.Errorf("after the kill:\n got  %s\n want %s", single[2], want)
 	}
 }
 

@@ -26,22 +26,17 @@ type StateDigester interface {
 	StateDigest() string
 }
 
-// StateDigest renders the master's protocol state: flags, live set,
-// per-job records, per-session accounting, pending drains, and the
-// allocator's own digest. The checker calls it only at quiescent
-// points, when the master loop is parked in its inbox receive.
+// StateDigest renders the master's protocol state: flags, membership
+// (live set, tombstones, pending drains), per-job records, per-session
+// accounting, and the allocator's own digest. The checker calls it only
+// at quiescent points, when the master loop is parked in its inbox
+// receive.
 //
 //xflow:goroutine master-loop
 func (m *Master) StateDigest() string {
 	var b strings.Builder
-	dead := make([]string, 0, len(m.dead))
-	for w := range m.dead {
-		dead = append(dead, w)
-	}
-	sort.Strings(dead)
-	fmt.Fprintf(&b, "master ready=%t finished=%t aborted=%t next=%d exp=%d workers=%s dead=%s\n",
-		m.ready, m.finished, m.aborted, m.nextID, m.expectedWorkers,
-		strings.Join(m.workers, ","), strings.Join(dead, ","))
+	fmt.Fprintf(&b, "master finished=%t aborted=%t next=%d\n", m.finished, m.aborted, m.nextID)
+	m.digest(&b)
 	for _, id := range m.order {
 		rec := m.records[id]
 		fmt.Fprintf(&b, "rec %s %s %s\n", id, rec.Status, rec.Worker)
@@ -49,16 +44,6 @@ func (m *Master) StateDigest() string {
 	writeSession(&b, m.def)
 	for _, s := range m.sessionList {
 		writeSession(&b, s)
-	}
-	if len(m.drains) > 0 {
-		names := make([]string, 0, len(m.drains))
-		for w := range m.drains {
-			names = append(names, w)
-		}
-		sort.Strings(names)
-		for _, w := range names {
-			fmt.Fprintf(&b, "drain %s acks=%d\n", w, len(m.drains[w]))
-		}
 	}
 	if d, ok := m.alloc.(StateDigester); ok {
 		b.WriteString(d.StateDigest())

@@ -149,7 +149,7 @@ func TestMasterDispatchAcceptsEveryKind(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sim := vclock.NewSim()
 			bus := broker.New(sim)
-			m := newMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, dispatchWorkflow(), nil, 1, nil)
+			m := NewMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, dispatchWorkflow(), nil, 1, nil)
 			m.onRegister("w1")
 			m.inject(m.def, &Job{ID: "j1", Stream: "jobs", DataSizeMB: 1})
 
@@ -202,9 +202,14 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 			}, nil)
 			w := newWorker(sim, bus.Register("w1", 0), dispatchWorkflow(), st, nil, idleAgent{})
 
-			sim.Go(w.commsLoop)
-			master.Send("w1", payload)
-			master.Send("w1", MsgStop{})
+			// One tracked goroutine starts the loop and sends: were the sends
+			// issued from this untracked one, the loop could park first and
+			// the Sim would see every goroutine blocked with no timer pending.
+			sim.Go(func() {
+				sim.Go(w.commsLoop)
+				master.Send("w1", payload)
+				master.Send("w1", MsgStop{})
+			})
 			sim.Wait()
 
 			w.mu.Lock()

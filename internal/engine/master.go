@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"time"
 
@@ -14,35 +13,26 @@ import (
 // Master is the coordinating node: it injects arrivals, mediates
 // allocation through its Allocator, tracks every job's status and
 // timestamps (the paper's master record), and detects workflow
-// completion. It runs as a single actor goroutine over its broker inbox.
+// completion. It runs as a single actor goroutine over its broker inbox
+// — the shared Plane core — and adds the job records, contests, and the
+// AllocCtx surface on top.
 //
-// A master runs in one of two modes. Batch mode (newMaster/NewMaster)
-// owns a single implicit session whose arrivals are known up front; the
-// actor loop exits when that session completes. Cluster mode
+// A master runs in one of two modes. Batch mode (NewMaster) owns a
+// single implicit session whose arrivals are known up front; the actor
+// loop exits when that session completes. Cluster mode
 // (NewClusterMaster) has no built-in workflow: sessions are opened and
 // fed explicitly, workers join and leave while the loop runs, and the
 // loop exits only on Shutdown. All per-workflow state lives in session
 // values either way — batch mode is just the one-session special case.
 type Master struct {
-	clk             vclock.Clock
-	ep              Port
-	alloc           Allocator
-	arrivals        []Arrival
-	expectedWorkers int
-	rng             *rand.Rand
-	tracer          Tracer
-	// labeled is non-nil only under a model-checking chooser (see
-	// vclock.ActiveLabeled); the master's self-timers then carry labels.
-	labeled *vclock.Sim
+	Plane
+	alloc  Allocator
+	rng    *rand.Rand
+	tracer Tracer
 	// staleBidBug re-introduces the PR-2 stale dead-worker-bid bug (a
 	// bid from a dead worker may win its contest). Test-only: it exists
 	// so the model checker's counterexample path stays demonstrable.
 	staleBidBug bool
-	// muteStop suppresses the fleet-wide MsgStop publish on this
-	// master's shutdown paths. The sharded control plane sets it on
-	// every shard part: the frontend router owns the single stop
-	// broadcast, and N extra publishes would stop workers early.
-	muteStop bool
 	// settle, when non-nil, replaces local re-injection of downstream
 	// jobs with a notice to the sharded frontend: every terminal job is
 	// reported (together with the task's NewJobs) so the router can
@@ -56,12 +46,6 @@ type Master struct {
 	traceShard int
 	traceSeq   int
 
-	// autoStop distinguishes batch mode (exit when the default session
-	// completes) from cluster mode (run until Shutdown).
-	autoStop bool
-	// def is the batch session; in cluster mode it is a sink for events
-	// about unknown jobs and is never settled.
-	def *session
 	// sessions maps open session IDs; sessionList keeps deterministic
 	// insertion order for shutdown flushes.
 	sessions    map[string]*session //xflow:owned master-loop
@@ -70,75 +54,54 @@ type Master struct {
 	// counters raised from inside allocator callbacks (CountFallback)
 	// land on the right session.
 	cur *session //xflow:owned master-loop
-	// ready flips once the initial expectedWorkers quorum registered;
-	// registrations after that are mid-run joins.
-	ready    bool //xflow:owned master-loop
-	readyAck vclock.Mailbox
-	// drains holds the acks to deliver when each draining worker's
-	// MsgLeave arrives.
-	drains map[string][]vclock.Mailbox //xflow:owned master-loop
 
-	records   map[string]*JobRecord //xflow:owned master-loop
-	order     []string              //xflow:owned master-loop
-	workers   []string              //xflow:owned master-loop
-	workerSet map[string]bool       //xflow:owned master-loop
-	// dead tombstones every worker that has died or left, so a
-	// registration that was in flight when its sender was declared dead
-	// cannot resurrect it. Found by the model checker: a kill landing
-	// before the victim's MsgRegister arrived let the corpse register,
-	// win a zero-bid fallback assignment, and strand the job forever
-	// (fuzzing never sees this — generated kills deliberately stay clear
-	// of the registration handshake).
-	dead   map[string]bool //xflow:owned master-loop
-	nextID int             //xflow:owned master-loop
-
-	aborted  bool
-	finished bool
+	records map[string]*JobRecord //xflow:owned master-loop
+	order   []string              //xflow:owned master-loop
+	nextID  int                   //xflow:owned master-loop
 }
 
-// newMaster wires a batch-mode master; the cluster runner starts it with
-// Go. The caller owns rng's seeding — the master never touches the
-// global math/rand generator, so identically-seeded runs replay
-// identically. A nil rng falls back to a seed-0 source rather than
-// crashing.
+// newMaster wires a cluster-mode master: no built-in workflow beyond
+// the default session's wf (set on batch masters and batch shard
+// parts), running until Shutdown. The caller owns rng's seeding — the
+// master never touches the global math/rand generator, so
+// identically-seeded runs replay identically. A nil rng falls back to a
+// seed-0 source rather than crashing.
 //
 //xflow:goroutine master-loop
-func newMaster(clk vclock.Clock, ep Port, alloc Allocator, wf *Workflow,
-	arrivals []Arrival, expectedWorkers int, rng *rand.Rand) *Master {
+func newMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
+	expectedWorkers int, ready bool, rng *rand.Rand) *Master {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
 	m := &Master{
-		clk:             clk,
-		labeled:         vclock.ActiveLabeled(clk),
-		ep:              ep,
-		alloc:           alloc,
-		arrivals:        arrivals,
-		expectedWorkers: expectedWorkers,
-		rng:             rng,
-		autoStop:        true,
-		def:             &session{wf: wf, arrivalsLeft: len(arrivals)},
-		sessions:        make(map[string]*session),
-		drains:          make(map[string][]vclock.Mailbox),
-		// Sized for the input stream; tasks that emit downstream jobs
-		// grow them past this, but the common case never rehashes.
-		records:   make(map[string]*JobRecord, len(arrivals)),
-		order:     make([]string, 0, len(arrivals)),
-		workerSet: make(map[string]bool),
-		dead:      make(map[string]bool),
+		Plane:    newPlane(clk, port, wf, expectedWorkers, ready),
+		alloc:    alloc,
+		rng:      rng,
+		sessions: make(map[string]*session),
+		records:  make(map[string]*JobRecord),
 	}
 	m.cur = m.def
+	m.bind(m.handle)
 	return m
 }
 
-// NewMaster wires a master over an arbitrary Port — the entry point for
-// distributed deployments where the broker lives in another process. For
-// single-process runs prefer Run, which assembles everything. The
-// seeded rng drives every random allocation decision; thread it from
-// the deployment's experiment seed.
+// NewMaster wires a batch-mode master over an arbitrary Port — the
+// entry point for distributed deployments where the broker lives in
+// another process. For single-process runs prefer Run, which assembles
+// everything. The seeded rng drives every random allocation decision;
+// thread it from the deployment's experiment seed. Start the loop with
+// Start (or run it on a clock-tracked goroutine with Run).
+//
+//xflow:goroutine master-loop
 func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 	arrivals []Arrival, expectedWorkers int, rng *rand.Rand) *Master {
-	return newMaster(clk, port, alloc, wf, arrivals, expectedWorkers, rng)
+	m := newMaster(clk, port, alloc, wf, expectedWorkers, false, rng)
+	// Sized for the input stream; tasks that emit downstream jobs grow
+	// them past this, but the common case never rehashes.
+	m.records = make(map[string]*JobRecord, len(arrivals))
+	m.order = make([]string, 0, len(arrivals))
+	m.armBatch(arrivals)
+	return m
 }
 
 // NewClusterMaster wires a long-lived master with no built-in workflow:
@@ -147,47 +110,16 @@ func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 // sessions start flowing (zero means "ready immediately"); workers
 // registering after the quorum are mid-run joins and are announced to
 // the allocator via WorkerJoined.
-//
-//xflow:goroutine master-loop
 func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 	expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, nil, nil, expectedWorkers, rng)
-	m.autoStop = false
-	m.ready = expectedWorkers == 0
-	m.readyAck = clk.NewMailbox("master:ready")
-	if m.ready {
-		m.readyAck.Send(struct{}{})
-	}
+	m := newMaster(clk, port, alloc, nil, expectedWorkers, expectedWorkers == 0, rng)
+	m.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return m
 }
 
-// WaitReady blocks until the initial worker quorum has registered. On a
-// simulated clock it must be called from a clock-tracked goroutine. It
-// is single-shot: one caller owns the readiness signal.
-func (m *Master) WaitReady() {
-	if m.readyAck != nil {
-		m.readyAck.Recv()
-	}
-}
-
-// Shutdown stops a cluster-mode master: the loop publishes MsgStop to
-// the fleet, flushes a report to every session still waiting, and exits.
-// Safe to call from any goroutine.
-func (m *Master) Shutdown() { m.Inject(msgShutdown{}) }
-
-// Drain asks a worker to finish its queued jobs and leave the fleet. The
-// worker is removed from the live set immediately — it wins no further
-// contests — and the returned mailbox receives one value once its
-// MsgLeave has been processed. Safe to call from any goroutine; on a
-// simulated clock, receive on a clock-tracked goroutine.
-func (m *Master) Drain(worker string) vclock.Mailbox {
-	ack := m.clk.NewMailbox("drain:" + worker)
-	m.Inject(msgDrainStart{worker: worker, ack: ack})
-	return ack
-}
-
 // Run executes the master actor loop until the workflow completes; it
-// must run on a clock-tracked goroutine (clk.Go).
+// must run on a clock-tracked goroutine (clk.Go). Start does exactly
+// that.
 func (m *Master) Run() { m.run() }
 
 // Report builds the master's half of a run report (timings, statuses,
@@ -196,8 +128,11 @@ func (m *Master) Run() { m.run() }
 // the worker processes.
 //
 //xflow:goroutine master-loop
-func (m *Master) Report() *Report {
-	s := m.def
+func (m *Master) Report() *Report { return m.report(m.def) }
+
+// report builds session s's report. The batch session owns every
+// record; a cluster session's record map is filtered to its own jobs.
+func (m *Master) report(s *session) *Report {
 	rep := &Report{
 		Allocator:     m.alloc.Name(),
 		Start:         s.startTime,
@@ -217,37 +152,12 @@ func (m *Master) Report() *Report {
 		allocLatency:  s.allocLatency,
 		allocCount:    s.allocCount,
 	}
-	if s.allocCount > 0 {
-		rep.MeanAllocLatency = s.allocLatency / time.Duration(s.allocCount)
-	}
-	return rep
-}
-
-// sessionReport builds a per-session report on a cluster-mode master,
-// with the record map filtered to the session's own jobs.
-func (m *Master) sessionReport(s *session) *Report {
-	rep := &Report{
-		Allocator:     m.alloc.Name(),
-		Start:         s.startTime,
-		End:           s.endTime,
-		Makespan:      s.endTime.Sub(s.startTime),
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failures,
-		Redispatched:  s.redispatched,
-		Results:       s.results,
-		Offers:        s.offers,
-		Rejections:    s.rejections,
-		Contests:      s.contests,
-		ContestMsgs:   s.contestMsgs,
-		Bids:          s.bids,
-		Fallbacks:     s.fallbacks,
-		Records:       make(map[string]*JobRecord),
-		allocLatency:  s.allocLatency,
-		allocCount:    s.allocCount,
-	}
-	for _, id := range m.order {
-		if rec := m.records[id]; rec.sess == s {
-			rep.Records[id] = rec
+	if s != m.def {
+		rep.Records = make(map[string]*JobRecord)
+		for _, id := range m.order {
+			if rec := m.records[id]; rec.sess == s {
+				rep.Records[id] = rec
+			}
 		}
 	}
 	if s.allocCount > 0 {
@@ -256,31 +166,9 @@ func (m *Master) sessionReport(s *session) *Report {
 	return rep
 }
 
-// Inject delivers a payload into the master's actor loop from outside
-// (fault-injection hooks, tests). Safe to call from any goroutine.
-func (m *Master) Inject(payload any) {
-	m.ep.Inbox().Send(&broker.Envelope{From: m.ep.Name(), To: m.ep.Name(), Payload: payload})
-}
-
-// run is the master actor loop. It returns when the workflow completes.
+// handle is the master's dispatch switch, run by the Plane loop.
 //
 //xflow:goroutine master-loop
-func (m *Master) run() {
-	for {
-		v, ok := m.ep.Inbox().Recv()
-		if !ok {
-			return
-		}
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			continue
-		}
-		if done := m.handle(env); done {
-			return
-		}
-	}
-}
-
 func (m *Master) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
 	switch msg := env.Payload.(type) {
@@ -295,7 +183,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// the contest: the assignment would go to a closed endpoint and the
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
-		if m.workerSet[msg.Worker] || m.staleBidBug {
+		if m.live(msg.Worker) || m.staleBidBug {
 			m.sessFor(msg.JobID).bids++
 			m.alloc.BidReceived(m, msg)
 		}
@@ -315,7 +203,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case MsgReject:
 		m.onReject(msg)
 	case MsgRequestJob:
-		if m.workerSet[msg.Worker] {
+		if m.live(msg.Worker) {
 			m.alloc.WorkerIdle(m, msg)
 		}
 	case MsgEmit:
@@ -327,7 +215,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case MsgTick:
 		m.alloc.Tick(m, msg.Token)
 	case MsgCacheEvict:
-		if m.workerSet[msg.Worker] {
+		if m.live(msg.Worker) {
 			m.alloc.CacheEvicted(m, msg.Worker, msg.Keys)
 		}
 	case MsgWorkerDead:
@@ -347,24 +235,20 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case msgDrainStart:
 		m.onDrainStart(msg)
 	case msgShutdown:
-		m.finished = true
-		m.def.endTime = m.clk.Now()
-		if !m.muteStop {
-			m.ep.Publish(TopicControl, MsgStop{})
-		}
-		m.flushWaiters()
-		return true
+		return m.stop(false)
 	case msgAbort:
-		m.aborted = true
-		m.finished = true
-		m.def.endTime = m.clk.Now()
-		if !m.muteStop {
-			m.ep.Publish(TopicControl, MsgStop{})
-		}
-		m.flushWaiters()
-		return true
+		return m.stop(true)
 	}
 	return m.maybeFinish()
+}
+
+// stop ends a master on shutdown or abort: halt, then flush a final
+// report to every open session and pending drain ack so no caller
+// blocks across it.
+func (m *Master) stop(abort bool) bool {
+	m.halt(abort)
+	m.flushWaiters()
+	return true
 }
 
 // sessFor resolves a job ID to its session (the batch session for
@@ -402,9 +286,8 @@ func (m *Master) addSession(s *session) {
 	m.cur = s
 }
 
-// flushWaiters delivers final reports to every open session and pending
-// drain ack so no caller blocks across a shutdown or abort. Iteration
-// orders are deterministic (insertion order; sorted drain names).
+// flushWaiters delivers final reports to every open session (in
+// insertion order) and releases every pending drain ack.
 func (m *Master) flushWaiters() {
 	for _, s := range m.sessionList {
 		if s.finished {
@@ -413,85 +296,19 @@ func (m *Master) flushWaiters() {
 		s.finished = true
 		s.endTime = m.clk.Now()
 		if s.done != nil {
-			s.done.Send(m.sessionReport(s))
+			s.done.Send(m.report(s))
 		}
 	}
-	if len(m.drains) == 0 {
-		return
-	}
-	names := make([]string, 0, len(m.drains))
-	for w := range m.drains {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		for _, ack := range m.drains[w] {
-			if ack != nil {
-				ack.Send(w)
-			}
-		}
-		delete(m.drains, w)
-	}
+	m.flushDrains()
 }
 
 func (m *Master) onRegister(worker string) {
-	if m.dead[worker] {
-		// The worker died before its registration arrived; acking it
-		// would add a corpse to the live set, and every job it then won
-		// would strand (its death was already processed — no later
-		// MsgWorkerDead will rescue them).
+	if m.tombstoned(worker) {
 		return
 	}
 	m.ep.Send(worker, MsgRegisterAck{})
-	if m.workerSet[worker] {
-		return
-	}
-	late := m.ready
-	m.workerSet[worker] = true
-	m.workers = append(m.workers, worker)
-	if late {
-		// Mid-run join: the fleet already formed, so announce the
-		// newcomer to the allocator before it can win any work.
+	if m.admit(worker) {
 		m.alloc.WorkerJoined(m, worker)
-		return
-	}
-	if len(m.workers) >= m.expectedWorkers {
-		m.becomeReady()
-	}
-}
-
-// shrinkQuorum lowers the fleet-formation bar by one expected worker —
-// called when a worker dies or drains away before the fleet formed, so
-// the remaining registrations can still complete the quorum instead of
-// waiting forever for one that can never arrive. After ready it is a
-// no-op (the quorum has served its purpose).
-func (m *Master) shrinkQuorum() {
-	if m.ready {
-		return
-	}
-	m.expectedWorkers--
-	if len(m.workers) >= m.expectedWorkers {
-		m.becomeReady()
-	}
-}
-
-// becomeReady settles fleet formation: the initial quorum is present
-// (or has stopped being reachable — a worker that dies before
-// registering shrinks the quorum rather than stalling it forever).
-func (m *Master) becomeReady() {
-	m.ready = true
-	if m.readyAck != nil {
-		m.readyAck.Send(struct{}{})
-	}
-	if m.autoStop {
-		// Batch mode: the workflow starts now.
-		s := m.def
-		s.started = true
-		s.startTime = m.clk.Now()
-		for _, arr := range m.arrivals {
-			arr := arr
-			m.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { m.Inject(MsgInject{Job: arr.Job}) })
-		}
 	}
 }
 
@@ -588,44 +405,8 @@ func (m *Master) onJobDone(msg MsgJobDone) {
 }
 
 func (m *Master) onWorkerDead(worker string) {
-	first := !m.dead[worker]
-	m.dead[worker] = true
-	if !m.workerSet[worker] {
-		// Died before its registration arrived (which onRegister will now
-		// refuse): an expected initial worker that can never register must
-		// also stop holding up the quorum.
-		if first {
-			m.shrinkQuorum()
-		}
-		return
-	}
-	delete(m.workerSet, worker)
-	for i, w := range m.workers {
-		if w == worker {
-			m.workers = append(m.workers[:i], m.workers[i+1:]...)
-			break
-		}
-	}
-	// A pre-ready death un-counts a registration the quorum had already
-	// banked, so the bar drops with it.
-	m.shrinkQuorum()
-	var inflight []*Job
-	for _, id := range m.order {
-		rec := m.records[id]
-		if rec.Worker == worker && rec.Status != StatusFinished && rec.Status != StatusPending {
-			rec.Status = StatusPending
-			rec.Worker = ""
-			rec.sess.redispatched++
-			inflight = append(inflight, rec.Job)
-		}
-	}
-	for _, job := range inflight {
-		m.trace(TraceRedispatch, job.ID, worker)
-	}
-	m.alloc.WorkerLost(m, worker, inflight)
-	for _, job := range inflight {
-		m.sessFor(job.ID)
-		m.alloc.JobReady(m, job)
+	if m.lose(worker) {
+		m.rescue(worker, true)
 	}
 }
 
@@ -635,59 +416,28 @@ func (m *Master) onWorkerDead(worker string) {
 // leave. Assignments already sent ride the same FIFO broker route as
 // MsgDrain, so they land in the worker's queue before it closes.
 func (m *Master) onDrainStart(msg msgDrainStart) {
-	if !m.workerSet[msg.worker] {
-		// Unknown, dead, or already draining: nothing to wait for unless a
-		// drain is in fact in flight for this name.
-		if msg.ack != nil {
-			if _, pending := m.drains[msg.worker]; pending {
-				m.drains[msg.worker] = append(m.drains[msg.worker], msg.ack)
-			} else {
-				msg.ack.Send(msg.worker)
-			}
-		}
-		return
+	if m.startDrain(msg.worker, msg.ack) {
+		m.alloc.WorkerLost(m, msg.worker, nil)
+		m.ep.Send(msg.worker, MsgDrain{})
 	}
-	delete(m.workerSet, msg.worker)
-	for i, w := range m.workers {
-		if w == msg.worker {
-			m.workers = append(m.workers[:i], m.workers[i+1:]...)
-			break
-		}
-	}
-	// A drain racing fleet formation un-counts a banked registration the
-	// same way a pre-ready death does.
-	m.shrinkQuorum()
-	m.drains[msg.worker] = append(m.drains[msg.worker], msg.ack)
-	m.alloc.WorkerLost(m, msg.worker, nil)
-	m.ep.Send(msg.worker, MsgDrain{})
 }
 
 // onLeave settles a worker's departure. A leave without a preceding
-// drain is a voluntary immediate exit and is handled like a death
-// (queued jobs redispatched); after a drain the queue completed, but any
-// record still attributed to the worker (an assignment that a delay
-// spike reordered past the drain) is rescued so no job is lost.
+// drain is handled like a death (queued jobs redispatched); after a
+// drain the queue completed, but any record still attributed to the
+// worker (an assignment that a delay spike reordered past the drain) is
+// rescued so no job is lost.
 func (m *Master) onLeave(worker string) {
-	if m.workerSet[worker] {
-		m.onWorkerDead(worker)
-	} else {
-		m.rescueStranded(worker)
-	}
-	acks, ok := m.drains[worker]
-	if !ok {
-		return
-	}
-	delete(m.drains, worker)
-	for _, ack := range acks {
-		if ack != nil {
-			ack.Send(worker)
-		}
-	}
+	m.rescue(worker, m.leave(worker))
+	m.releaseDrain(worker)
 }
 
-// rescueStranded redispatches any unfinished record still attributed to
-// a worker that is no longer a member.
-func (m *Master) rescueStranded(worker string) {
+// rescue redispatches every unfinished record still attributed to a
+// worker that is no longer a member. wasLive marks a death (or undrained
+// leave): the allocator then hears WorkerLost with the in-flight jobs
+// before they re-enter allocation; a drained worker's loss was already
+// announced when its drain started.
+func (m *Master) rescue(worker string, wasLive bool) {
 	var inflight []*Job
 	for _, id := range m.order {
 		rec := m.records[id]
@@ -700,6 +450,9 @@ func (m *Master) rescueStranded(worker string) {
 	}
 	for _, job := range inflight {
 		m.trace(TraceRedispatch, job.ID, worker)
+	}
+	if wasLive {
+		m.alloc.WorkerLost(m, worker, inflight)
 	}
 	for _, job := range inflight {
 		m.sessFor(job.ID)
@@ -713,11 +466,7 @@ func (m *Master) maybeFinish() bool {
 		if !s.started || s.arrivalsLeft > 0 || s.outstanding > 0 {
 			return false
 		}
-		m.finished = true
-		s.endTime = m.clk.Now()
-		if !m.muteStop {
-			m.ep.Publish(TopicControl, MsgStop{})
-		}
+		m.halt(false)
 		return true
 	}
 	// Cluster mode: the loop never stops by itself, but the session the
@@ -726,7 +475,7 @@ func (m *Master) maybeFinish() bool {
 		s.finished = true
 		s.endTime = m.clk.Now()
 		if s.done != nil {
-			s.done.Send(m.sessionReport(s))
+			s.done.Send(m.report(s))
 		}
 	}
 	return false
@@ -746,30 +495,12 @@ func formatJobID(n int) string {
 	return string(id)
 }
 
-// done reports whether the master's actor loop has terminated (normally
-// or by abort). Callers must synchronize with the loop's exit first —
-// Run reads it only after the clock's Wait returned.
-func (m *Master) done() bool { return m.finished }
-
-// Aborted reports whether the run was cut short by its Deadline.
-func (m *Master) Aborted() bool { return m.aborted }
-
 // --- AllocCtx implementation -------------------------------------------
+//
+// Workers is the embedded membership's.
 
 // Clock implements AllocCtx.
 func (m *Master) Clock() vclock.Clock { return m.clk }
-
-// Workers implements AllocCtx. It returns a copy: onWorkerDead splices
-// the internal slice in place, so handing out the alias would let a
-// death mutate a list an allocator captured earlier (e.g. a contest's
-// expected-bidder set shrinking underneath it).
-//
-//xflow:goroutine master-loop
-func (m *Master) Workers() []string {
-	out := make([]string, len(m.workers))
-	copy(out, m.workers)
-	return out
-}
 
 // Job implements AllocCtx.
 //
@@ -899,7 +630,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 	}
 	live := workers[:0:0]
 	for _, w := range workers {
-		if m.workerSet[w] {
+		if m.live(w) {
 			live = append(live, w)
 		}
 	}
@@ -934,18 +665,6 @@ func (m *Master) ScheduleBidWindow(jobID string, d time.Duration) {
 // ScheduleTick implements AllocCtx.
 func (m *Master) ScheduleTick(token string, d time.Duration) {
 	m.afterFunc(d, "tick "+token, func() { m.Inject(MsgTick{Token: token}) })
-}
-
-// afterFunc schedules f on the master's clock, labeling the event with
-// the master as its conflict domain when a model-checking chooser is
-// active — the master's self-timers only ever Inject back into its own
-// loop, so they commute with deliveries to other nodes.
-func (m *Master) afterFunc(d time.Duration, detail string, f func()) {
-	if m.labeled != nil {
-		m.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
-		return
-	}
-	m.clk.AfterFunc(d, f)
 }
 
 // Rand implements AllocCtx.

@@ -20,7 +20,7 @@ func (stubAlloc) JobReady(AllocCtx, *Job) {}
 func TestWorkersReturnsCopy(t *testing.T) {
 	sim := vclock.NewSim()
 	bus := broker.New(sim)
-	m := newMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, NewWorkflow("t"), nil, 3, nil)
+	m := NewMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, NewWorkflow("t"), nil, 3, nil)
 
 	for _, w := range []string{"w0", "w1", "w2"} {
 		m.onRegister(w)

@@ -19,7 +19,7 @@ const (
 const MasterName = "master"
 
 // The message types below form the wire protocol between master and
-// workers. They are plain exported structs so the TCP transport can gob-
+// workers. They are plain exported structs so the wire package can
 // encode them unchanged.
 
 // MsgRegister announces a worker to the master. Workers re-send it on

@@ -1,0 +1,448 @@
+package engine
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"crossflow/internal/broker"
+	"crossflow/internal/vclock"
+)
+
+// Plane is the control-plane core every master-side actor embeds: the
+// single Master, each contest shard, and the sharded frontend router
+// all run this one actor shell (endpoint, receive loop, self-injection,
+// labeled self-timers, lifecycle) over this one fleet-membership state
+// machine. What the embedding type adds is its dispatch switch — job
+// records and contests on a Master, routing on the ShardedMaster.
+type Plane struct {
+	clk vclock.Clock
+	ep  Port
+	// labeled is non-nil only under a model-checking chooser (see
+	// vclock.ActiveLabeled); the plane's self-timers then carry labels.
+	labeled *vclock.Sim
+	// dispatch is the embedding type's message switch; it reports true
+	// when the loop should exit.
+	dispatch func(env *broker.Envelope) (done bool)
+	// loops lists every actor loop Start spawns: the plane's own, then
+	// (on a sharded frontend) one per shard part.
+	loops []func()
+
+	// autoStop distinguishes batch mode (armBatch: the loop exits when
+	// the batch session completes) from cluster mode (run until
+	// Shutdown).
+	autoStop bool
+	// def is the batch session; in cluster mode it is a sink for events
+	// about unknown jobs and is never settled.
+	def *session
+	// muteStop suppresses the fleet-wide MsgStop publish when the plane
+	// halts. The sharded control plane sets it on every shard part: the
+	// frontend router owns the single stop broadcast, and N extra
+	// publishes would stop workers early.
+	muteStop bool
+
+	membership
+
+	// aborted and finished are read from outside only after the loop
+	// has exited (Run reads them once the clock's Wait returned).
+	aborted  bool
+	finished bool
+}
+
+// newPlane wires the core over a port. ready is the initial formation
+// state (a cluster plane expecting no workers starts formed). The
+// caller must bind the dispatch switch once the embedding value has its
+// final address.
+func newPlane(clk vclock.Clock, ep Port, wf *Workflow, expectedWorkers int, ready bool) Plane {
+	return Plane{
+		clk:        clk,
+		ep:         ep,
+		labeled:    vclock.ActiveLabeled(clk),
+		def:        &session{wf: wf},
+		membership: newMembership(expectedWorkers, ready),
+	}
+}
+
+// bind installs the embedding type's dispatch switch and registers the
+// plane's own loop for Start.
+func (p *Plane) bind(dispatch func(env *broker.Envelope) bool) {
+	p.dispatch = dispatch
+	p.loops = append(p.loops, p.run)
+}
+
+// armBatch turns the plane into a one-shot batch run: the arrival
+// schedule starts when the fleet forms, and the embedding type stops
+// the loop once the batch session completes.
+func (p *Plane) armBatch(arrivals []Arrival) {
+	p.autoStop = true
+	p.def.arrivalsLeft = len(arrivals)
+	p.onReady = func() {
+		p.def.started = true
+		p.def.startTime = p.clk.Now()
+		for _, arr := range arrivals {
+			p.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { p.Inject(MsgInject{Job: arr.Job}) })
+		}
+	}
+}
+
+// Start launches the plane's actor loops on clock-tracked goroutines. A
+// sharded plane needs all N+1 loops running before workers register; a
+// single master has just its own.
+func (p *Plane) Start() {
+	for _, loop := range p.loops {
+		p.clk.Go(loop)
+	}
+}
+
+// run is the actor loop. It returns when dispatch reports the plane
+// done or the inbox closes.
+func (p *Plane) run() {
+	for {
+		v, ok := p.ep.Inbox().Recv()
+		if !ok {
+			return
+		}
+		env, ok := v.(*broker.Envelope)
+		if !ok {
+			continue
+		}
+		if p.dispatch(env) {
+			return
+		}
+	}
+}
+
+// Inject delivers a payload into the plane's actor loop from outside
+// (session feeds, fault-injection hooks, tests). Safe to call from any
+// goroutine.
+func (p *Plane) Inject(payload any) {
+	p.ep.Inbox().Send(&broker.Envelope{From: p.ep.Name(), To: p.ep.Name(), Payload: payload})
+}
+
+// afterFunc schedules f on the plane's clock, labeling the event with
+// the master as its conflict domain when a model-checking chooser is
+// active — a plane's self-timers only ever Inject back into its own
+// loop, and the whole control plane (router plus parts, which only ever
+// receive through the router or their own self-timers) forms one
+// conflict domain under MasterName, so they commute with deliveries to
+// other nodes.
+func (p *Plane) afterFunc(d time.Duration, detail string, f func()) {
+	if p.labeled != nil {
+		p.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
+		return
+	}
+	p.clk.AfterFunc(d, f)
+}
+
+// WaitReady blocks until the initial worker quorum has registered. On a
+// simulated clock it must be called from a clock-tracked goroutine. It
+// is single-shot: one caller owns the readiness signal.
+func (p *Plane) WaitReady() {
+	if p.readyAck != nil {
+		p.readyAck.Recv()
+	}
+}
+
+// Shutdown stops a cluster-mode plane: the loop publishes MsgStop to
+// the fleet, flushes a report to every session still waiting, and exits.
+// Safe to call from any goroutine.
+func (p *Plane) Shutdown() { p.Inject(msgShutdown{}) }
+
+// Drain asks a worker to finish its queued jobs and leave the fleet. The
+// worker is removed from the live set immediately — it wins no further
+// contests — and the returned mailbox receives one value once its
+// MsgLeave has been processed. Safe to call from any goroutine; on a
+// simulated clock, receive on a clock-tracked goroutine.
+func (p *Plane) Drain(worker string) vclock.Mailbox {
+	ack := p.clk.NewMailbox("drain:" + worker)
+	p.Inject(msgDrainStart{worker: worker, ack: ack})
+	return ack
+}
+
+// OpenSession opens a streaming workflow session on a cluster-mode
+// plane. id must be unique among open sessions; wf consumes the jobs.
+// On a sharded plane the session is transparently partitioned: every
+// submitted job routes to its key's shard, and Wait returns the merged
+// per-shard report. Safe to call from any goroutine.
+func (p *Plane) OpenSession(id string, wf *Workflow) *MasterSession {
+	s := &session{id: id, wf: wf, feedOpen: true, done: p.clk.NewMailbox("session:" + id)}
+	p.Inject(msgOpenSession{s: s})
+	return &MasterSession{m: p, s: s}
+}
+
+// halt ends the plane's run: it is marked finished (and aborted, when a
+// Deadline cut it short), the batch span closes, and the fleet is told
+// to stop.
+func (p *Plane) halt(abort bool) {
+	if abort {
+		p.aborted = true
+	}
+	p.finished = true
+	p.def.endTime = p.clk.Now()
+	if !p.muteStop {
+		p.ep.Publish(TopicControl, MsgStop{})
+	}
+}
+
+// done reports whether the actor loop has terminated (normally or by
+// abort). Callers must synchronize with the loop's exit first — Run
+// reads it only after the clock's Wait returned.
+func (p *Plane) done() bool { return p.finished }
+
+// Aborted reports whether the run was cut short by its Deadline.
+func (p *Plane) Aborted() bool { return p.aborted }
+
+// membership is the fleet-membership state machine of a control plane:
+// quorum formation, the live set, death tombstones, and pending drains.
+// A Master keeps one for its own contests; the sharded frontend keeps
+// one to run formation, the registration tombstone and drain acks
+// before fanning membership events out to its parts — the same code
+// over the same events, so the two views cannot drift.
+type membership struct {
+	// workers is the live set in registration order; workerSet indexes
+	// it.
+	workers   []string        //xflow:owned plane-loop
+	workerSet map[string]bool //xflow:owned plane-loop
+	// dead tombstones every worker that has died or left, so a
+	// registration that was in flight when its sender was declared dead
+	// cannot resurrect it. Found by the model checker: a kill landing
+	// before the victim's MsgRegister arrived let the corpse register,
+	// win a zero-bid fallback assignment, and strand the job forever
+	// (fuzzing never sees this — generated kills deliberately stay clear
+	// of the registration handshake).
+	dead map[string]bool //xflow:owned plane-loop
+	// drains holds the acks to deliver when each draining worker's
+	// MsgLeave arrives.
+	drains map[string][]vclock.Mailbox //xflow:owned plane-loop
+	// expectedWorkers is the initial quorum; ready flips once it has
+	// registered (or stopped being reachable). Registrations after that
+	// are mid-run joins.
+	expectedWorkers int  //xflow:owned plane-loop
+	ready           bool //xflow:owned plane-loop
+	// readyAck, when non-nil, receives one value as the fleet forms.
+	readyAck vclock.Mailbox
+	// onReady, when non-nil, runs as the fleet forms (a batch plane
+	// starts its arrival schedule here).
+	onReady func()
+}
+
+//xflow:goroutine plane-loop
+func newMembership(expectedWorkers int, ready bool) membership {
+	return membership{
+		workerSet:       make(map[string]bool),
+		dead:            make(map[string]bool),
+		drains:          make(map[string][]vclock.Mailbox),
+		expectedWorkers: expectedWorkers,
+		ready:           ready,
+	}
+}
+
+// signalReady routes fleet formation to ack, for WaitReady callers; a
+// fleet that is already formed signals at once.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) signalReady(ack vclock.Mailbox) {
+	ms.readyAck = ack
+	if ms.ready {
+		ack.Send(struct{}{})
+	}
+}
+
+// live reports whether worker is in the live set — traffic from anyone
+// else (dead, draining, never registered) must not influence allocation.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) live(worker string) bool { return ms.workerSet[worker] }
+
+// Workers returns a copy of the live set in registration order (it
+// implements AllocCtx on a Master): deaths splice the internal slice in
+// place, so handing out the alias would let one mutate a list an
+// allocator captured earlier (e.g. a contest's expected-bidder set
+// shrinking underneath it).
+//
+//xflow:goroutine plane-loop
+func (ms *membership) Workers() []string {
+	out := make([]string, len(ms.workers))
+	copy(out, ms.workers)
+	return out
+}
+
+// tombstoned reports that worker's registration must be refused: it
+// died before the registration arrived, and acking it would add a corpse
+// to the live set whose every won job would strand (its death was
+// already processed — no later MsgWorkerDead will rescue them).
+//
+//xflow:goroutine plane-loop
+func (ms *membership) tombstoned(worker string) bool { return ms.dead[worker] }
+
+// admit adds a registering worker (already checked against tombstoned
+// and acked) to the live set; re-registrations are no-ops. It reports
+// true for a mid-run join — the fleet had already formed, so the caller
+// must announce the newcomer before it can win any work. Before that,
+// the registration counts toward the quorum.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) admit(worker string) (joined bool) {
+	if ms.workerSet[worker] {
+		return false
+	}
+	late := ms.ready
+	ms.workerSet[worker] = true
+	ms.workers = append(ms.workers, worker)
+	if late {
+		return true
+	}
+	ms.checkQuorum()
+	return false
+}
+
+// checkQuorum settles fleet formation: the initial quorum is present,
+// or has stopped being reachable (see shrinkQuorum).
+func (ms *membership) checkQuorum() {
+	if ms.ready || len(ms.workers) < ms.expectedWorkers {
+		return
+	}
+	ms.ready = true
+	if ms.readyAck != nil {
+		ms.readyAck.Send(struct{}{})
+	}
+	if ms.onReady != nil {
+		ms.onReady()
+	}
+}
+
+// shrinkQuorum lowers the fleet-formation bar by one expected worker —
+// called when a worker dies or drains away before the fleet formed, so
+// the remaining registrations can still complete the quorum instead of
+// waiting forever for one that can never arrive. After ready it is a
+// no-op (the quorum has served its purpose).
+func (ms *membership) shrinkQuorum() {
+	if ms.ready {
+		return
+	}
+	ms.expectedWorkers--
+	ms.checkQuorum()
+}
+
+// remove splices worker out of the live set. A pre-ready removal
+// un-counts a registration the quorum had already banked, so the bar
+// drops with it.
+func (ms *membership) remove(worker string) {
+	delete(ms.workerSet, worker)
+	for i, w := range ms.workers {
+		if w == worker {
+			ms.workers = append(ms.workers[:i], ms.workers[i+1:]...)
+			break
+		}
+	}
+	ms.shrinkQuorum()
+}
+
+// lose tombstones a dead worker and reports whether it was live (and
+// its in-flight jobs therefore need rescuing). A worker that died
+// before its registration arrived (which tombstoned will now refuse)
+// was never live, but as an expected initial worker that can never
+// register it must also stop holding up the quorum.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) lose(worker string) (wasLive bool) {
+	first := !ms.dead[worker]
+	ms.dead[worker] = true
+	if !ms.workerSet[worker] {
+		if first {
+			ms.shrinkQuorum()
+		}
+		return false
+	}
+	ms.remove(worker)
+	return true
+}
+
+// leave settles the membership half of a worker's goodbye and reports
+// whether it was still live. A leave without a preceding drain is a
+// voluntary immediate exit and is handled like a death; after a drain
+// the worker is already out of the live set and is not tombstoned, so
+// its name may rejoin. The caller releases the drain acks
+// (releaseDrain) once it has rescued the worker's records.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) leave(worker string) (wasLive bool) {
+	return ms.workerSet[worker] && ms.lose(worker)
+}
+
+// startDrain removes worker from the live set — it wins no further
+// contests — and banks ack for its MsgLeave. It reports false when
+// there is nothing to start: the worker is unknown, dead, or already
+// draining, and ack is then settled at once unless a drain is in fact
+// in flight for the name. A drain racing fleet formation un-counts a
+// banked registration the same way a pre-ready death does.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) startDrain(worker string, ack vclock.Mailbox) bool {
+	if !ms.workerSet[worker] {
+		if ack != nil {
+			if _, pending := ms.drains[worker]; pending {
+				ms.drains[worker] = append(ms.drains[worker], ack)
+			} else {
+				ack.Send(worker)
+			}
+		}
+		return false
+	}
+	ms.remove(worker)
+	ms.drains[worker] = append(ms.drains[worker], ack)
+	return true
+}
+
+// releaseDrain delivers the acks banked for worker's drain, if any.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) releaseDrain(worker string) {
+	acks, ok := ms.drains[worker]
+	if !ok {
+		return
+	}
+	delete(ms.drains, worker)
+	for _, ack := range acks {
+		if ack != nil {
+			ack.Send(worker)
+		}
+	}
+}
+
+// flushDrains releases every pending drain, in sorted name order, so no
+// caller blocks across a shutdown or abort.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) flushDrains() {
+	for _, w := range sortedKeys(ms.drains) {
+		ms.releaseDrain(w)
+	}
+}
+
+// digest renders the membership state as one line of the model
+// checker's fingerprint. A Master and a sharded frontend fed the same
+// membership events render the same line.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) digest(b *strings.Builder) {
+	fmt.Fprintf(b, "members ready=%t exp=%d workers=%s dead=%s drains=",
+		ms.ready, ms.expectedWorkers, strings.Join(ms.workers, ","),
+		strings.Join(sortedKeys(ms.dead), ","))
+	for _, w := range sortedKeys(ms.drains) {
+		fmt.Fprintf(b, "%s:%d,", w, len(ms.drains[w]))
+	}
+	b.WriteByte('\n')
+}
+
+// sortedKeys returns m's keys in sorted order — map iteration must
+// never leak into ack delivery order or a digest.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -46,7 +46,7 @@ func TestRescueStrandedRedispatches(t *testing.T) {
 	sim := vclock.NewSim()
 	bus := broker.New(sim)
 	alloc := &recAlloc{}
-	m := newMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
+	m := NewMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
 	trace := NewTraceLog()
 	m.tracer = trace
 
@@ -121,7 +121,7 @@ func TestLeaveWithoutDrainRedispatchesAsDeath(t *testing.T) {
 	sim := vclock.NewSim()
 	bus := broker.New(sim)
 	alloc := &recAlloc{}
-	m := newMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
+	m := NewMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
 
 	m.onRegister("w0")
 	m.onRegister("w1")

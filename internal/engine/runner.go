@@ -102,16 +102,6 @@ func Run(cfg Config) (*Report, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("engine: no workers configured")
 	}
-	if cfg.Shards > 1 {
-		if cfg.NewAllocator == nil {
-			return nil, errors.New("engine: sharded run needs an allocator factory")
-		}
-	} else if cfg.Allocator == nil {
-		return nil, errors.New("engine: no allocator configured")
-	}
-	if cfg.NewAgent == nil {
-		return nil, errors.New("engine: no agent factory configured")
-	}
 	if cfg.Workflow == nil {
 		return nil, errors.New("engine: no workflow configured")
 	}
@@ -258,11 +248,9 @@ func Run(cfg Config) (*Report, error) {
 		sim.SetDeadlockHandler(func(waiting []string) { deadlockWaiting = waiting })
 	}
 
-	// All start-up happens inside one tracked goroutine: the simulated
-	// clock counts it as runnable, so it can never observe a half-built
-	// system as idle and misdiagnose a deadlock while the (untracked)
-	// caller is still wiring nodes up.
-	c.Start()
+	// No driver: the arrival and fault timers scheduled above are what
+	// keep a simulated clock from seeing the parked fleet as deadlocked.
+	c.Start(nil)
 	clk.Wait()
 
 	// A deadlock after the master finished (a worker's stop signal lost

@@ -51,30 +51,15 @@ type session struct {
 	done vclock.Mailbox
 }
 
-// sessionHost is the control-plane side of a MasterSession: both the
-// single Master and the sharded frontend router accept session traffic
-// through their Inject entry point.
-type sessionHost interface {
-	Inject(payload any)
-}
-
 // MasterSession is one workflow's streaming submission feed on a
-// long-lived master (single or sharded): Submit jobs while the feed is
-// open, Close it, then Wait for the per-session report. Feeds on the
-// same master share the fleet without cross-talk — every job is stamped
-// with its session and routed back to it on completion.
+// long-lived control plane (single or sharded; see Plane.OpenSession):
+// Submit jobs while the feed is open, Close it, then Wait for the
+// per-session report. Feeds on the same plane share the fleet without
+// cross-talk — every job is stamped with its session and routed back to
+// it on completion.
 type MasterSession struct {
-	m sessionHost
+	m *Plane
 	s *session
-}
-
-// OpenSession opens a streaming workflow session on a cluster-mode
-// master. id must be unique among open sessions; wf consumes the jobs.
-// Safe to call from any goroutine.
-func (m *Master) OpenSession(id string, wf *Workflow) *MasterSession {
-	s := &session{id: id, wf: wf, feedOpen: true, done: m.clk.NewMailbox("session:" + id)}
-	m.Inject(msgOpenSession{s: s})
-	return &MasterSession{m: m, s: s}
 }
 
 // ID returns the session's name.

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -21,25 +20,23 @@ func ShardName(i int) string { return MasterName + "#" + strconv.Itoa(i) }
 
 // controlPlane is the master-side surface Cluster drives: either a
 // single Master (the historical shape, byte-identical behavior) or a
-// ShardedMaster frontend with its N contest shard parts.
+// ShardedMaster frontend with its N contest shard parts. The actor
+// half is the shared Plane core both embed; only the report, the
+// digest, and the test hooks differ.
 type controlPlane interface {
-	loops() []func()
+	Start()
 	WaitReady()
 	Shutdown()
 	Drain(worker string) vclock.Mailbox
 	Inject(payload any)
-	Report() *Report
+	OpenSession(id string, wf *Workflow) *MasterSession
 	Aborted() bool
 	done() bool
+	Report() *Report
 	StateDigest() string
-	OpenSession(id string, wf *Workflow) *MasterSession
 	setTracer(t Tracer)
 	setStaleBidBug(on bool)
 }
-
-// loops returns the actor loops Cluster.Start must spawn — for a single
-// master, just its own.
-func (m *Master) loops() []func() { return []func(){m.run} }
 
 func (m *Master) setTracer(t Tracer)     { m.tracer = t }
 func (m *Master) setStaleBidBug(on bool) { m.staleBidBug = on }
@@ -74,7 +71,8 @@ type routerSession struct {
 // DataKey, forwards job-keyed protocol traffic (bids, accepts, rejects,
 // completions) to the owning shard, fans membership events out to every
 // shard, and merges the per-shard Reports back into the single view
-// callers of an unsharded master would have seen.
+// callers of an unsharded master would have seen. The actor shell and
+// the membership state machine are the same Plane core the parts run.
 //
 // The router forwards by writing straight into a part's inbox — shard
 // parts live in the router's process, so no forwarded message is ever
@@ -83,124 +81,64 @@ type routerSession struct {
 // simulated part sends through the broker so its delivery shares the
 // deterministic route-skew timing of all protocol traffic.
 type ShardedMaster struct {
-	clk     vclock.Clock
-	ep      Port
-	parts   []*Master
-	labeled *vclock.Sim
-
-	arrivals        []Arrival
-	expectedWorkers int
-	// autoStop distinguishes batch mode (stop when every routed job has
-	// settled) from cluster mode (run until Shutdown).
-	autoStop bool
+	Plane
+	parts []*Master
 
 	jobShard    map[string]int            //xflow:owned router-loop
 	nextID      int                       //xflow:owned router-loop
 	sessions    map[string]*routerSession //xflow:owned router-loop
 	sessionList []*routerSession          //xflow:owned router-loop
-	// def is the batch-mode default session's accounting (and the sink
-	// for traffic about unknown sessions, mirroring Master.def).
-	def      *routerSession //xflow:owned router-loop
-	ready    bool           //xflow:owned router-loop
-	readyAck vclock.Mailbox
-	workers  []string //xflow:owned router-loop
-	// workerSet and dead mirror the unsharded master's membership view:
-	// the router needs its own copy to run quorum formation, drain acks,
-	// and the dead-worker registration tombstone before fan-out.
-	workerSet map[string]bool             //xflow:owned router-loop
-	dead      map[string]bool             //xflow:owned router-loop
-	drains    map[string][]vclock.Mailbox //xflow:owned router-loop
-
-	arrivalsLeft int  //xflow:owned router-loop
-	started      bool //xflow:owned router-loop
-	// defStart and defEnd bound the batch run; like aborted/finished they
-	// are read by Report only after the plane has quiesced, so they stay
-	// outside the router-loop ownership domain.
-	defStart time.Time
-	defEnd   time.Time
-
-	aborted  bool
-	finished bool
+	// defRoute is the routed/settled accounting of the batch session
+	// (and the sink for traffic about unknown sessions, like Plane.def).
+	defRoute *routerSession //xflow:owned router-loop
 }
 
-// newShardPart builds one contest shard: a long-lived master loop with
-// its fleet-stop publish muted (the frontend owns the single broadcast)
-// and terminal jobs reported back to the frontend instead of re-injected
-// locally. shard is the part's 0-based ordinal, used to stamp trace
-// events with a deterministic tie-break ordinal.
+// newShardedMaster wires a sharded plane: the frontend router on port
+// and one contest shard per shard port. Each part is a long-lived
+// master loop with its fleet-stop publish muted (the frontend owns the
+// single broadcast) and terminal jobs reported back to the frontend
+// instead of re-injected locally; it runs wf (nil on a cluster plane)
+// on its own allocator and rng stream, drawn from rng in shard order so
+// the whole plane stays a pure function of the seed.
 //
-//xflow:goroutine master-loop
-func newShardPart(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
-	expectedWorkers int, ready bool, shard int, rng *rand.Rand) *Master {
-	p := newMaster(clk, port, alloc, wf, nil, expectedWorkers, rng)
-	p.autoStop = false
-	p.muteStop = true
-	p.ready = ready
-	p.traceShard = shard + 1
-	return p
-}
-
-// newShardedPlane wires the frontend router over already-built parts
-// and installs each part's settle hook. On a simulated broker the hook
-// sends the notice through the broker (deterministic route-skew timing,
-// and a partitioned shard's notices are lost exactly like its other
-// sends); on any other port — the TCP transport, whose wire codec does
-// not carry internal messages — it injects straight into the router's
-// inbox, which is correct because parts always share the router's
-// process.
+// On a simulated broker the settle hook sends the notice through the
+// broker (deterministic route-skew timing, and a partitioned shard's
+// notices are lost exactly like its other sends); on any other port —
+// the TCP transport, whose wire format does not carry internal
+// messages — it injects straight into the router's inbox, which is
+// correct because parts always share the router's process.
 //
 //xflow:goroutine router-loop
-func newShardedPlane(clk vclock.Clock, ep Port, parts []*Master,
-	arrivals []Arrival, expectedWorkers int, autoStop bool) *ShardedMaster {
-	sm := &ShardedMaster{
-		clk:             clk,
-		ep:              ep,
-		parts:           parts,
-		labeled:         vclock.ActiveLabeled(clk),
-		arrivals:        arrivals,
-		arrivalsLeft:    len(arrivals),
-		expectedWorkers: expectedWorkers,
-		autoStop:        autoStop,
-		jobShard:        make(map[string]int, len(arrivals)),
-		sessions:        make(map[string]*routerSession),
-		def:             &routerSession{},
-		workerSet:       make(map[string]bool),
-		dead:            make(map[string]bool),
-		drains:          make(map[string][]vclock.Mailbox),
+func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
+	newAlloc func() Allocator, wf *Workflow, expectedWorkers int, ready bool, rng *rand.Rand) *ShardedMaster {
+	if rng == nil {
+		rng = rand.New(rand.NewSource(0))
 	}
-	routerName := ep.Name()
-	for _, p := range parts {
-		p := p
+	sm := &ShardedMaster{
+		Plane:    newPlane(clk, port, nil, expectedWorkers, ready),
+		parts:    make([]*Master, len(shardPorts)),
+		jobShard: make(map[string]int),
+		sessions: make(map[string]*routerSession),
+		defRoute: &routerSession{},
+	}
+	sm.bind(sm.handle)
+	for i, sp := range shardPorts {
+		partRng := rand.New(rand.NewSource(rng.Int63()))
+		p := newMaster(clk, sp, newAlloc(), wf, expectedWorkers, ready, partRng)
+		p.muteStop = true
+		p.traceShard = i + 1
 		p.settle = func(jobID string, s *session, newJobs []*Job) {
 			msg := msgShardSettled{JobID: jobID, Sess: s.id, NewJobs: newJobs}
-			if _, sim := p.ep.(*broker.Endpoint); sim {
-				p.ep.Send(routerName, msg)
+			if _, sim := sp.(*broker.Endpoint); sim {
+				sp.Send(port.Name(), msg)
 				return
 			}
 			sm.Inject(msg)
 		}
+		sm.parts[i] = p
+		sm.loops = append(sm.loops, p.run)
 	}
 	return sm
-}
-
-// newShardedMaster wires a batch-mode sharded plane: the frontend owns
-// the arrival schedule and termination detection; every part runs the
-// shared workflow on its own allocator and rng stream (drawn from rng
-// in shard order, so the whole plane stays a pure function of the seed).
-//
-//xflow:goroutine router-loop
-func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
-	newAlloc func() Allocator, wf *Workflow, arrivals []Arrival,
-	expectedWorkers int, rng *rand.Rand) *ShardedMaster {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0))
-	}
-	parts := make([]*Master, len(shardPorts))
-	for i, sp := range shardPorts {
-		partRng := rand.New(rand.NewSource(rng.Int63()))
-		parts[i] = newShardPart(clk, sp, newAlloc(), wf, expectedWorkers, false, i, partRng)
-	}
-	return newShardedPlane(clk, port, parts, arrivals, expectedWorkers, true)
 }
 
 // NewShardedClusterMaster wires a long-lived sharded control plane over
@@ -211,82 +149,11 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
 // Sessions opened on the returned plane are transparently partitioned
 // and their reports merged. cmd/xflow-master's -shards serve mode uses
 // this over the TCP transport; in-process runs go through Config.Shards.
-//
-//xflow:goroutine router-loop
 func NewShardedClusterMaster(clk vclock.Clock, port Port, shardPorts []Port,
 	newAlloc func() Allocator, expectedWorkers int, rng *rand.Rand) *ShardedMaster {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0))
-	}
-	ready := expectedWorkers == 0
-	parts := make([]*Master, len(shardPorts))
-	for i, sp := range shardPorts {
-		partRng := rand.New(rand.NewSource(rng.Int63()))
-		parts[i] = newShardPart(clk, sp, newAlloc(), nil, expectedWorkers, ready, i, partRng)
-	}
-	sm := newShardedPlane(clk, port, parts, nil, expectedWorkers, false)
-	sm.ready = ready
-	sm.readyAck = clk.NewMailbox(port.Name() + ":ready")
-	if sm.ready {
-		sm.readyAck.Send(struct{}{})
-	}
+	sm := newShardedMaster(clk, port, shardPorts, newAlloc, nil, expectedWorkers, expectedWorkers == 0, rng)
+	sm.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return sm
-}
-
-// Shards returns how many contest shards the plane runs.
-func (sm *ShardedMaster) Shards() int { return len(sm.parts) }
-
-// WaitReady blocks until the initial worker quorum has registered (see
-// Master.WaitReady).
-func (sm *ShardedMaster) WaitReady() {
-	if sm.readyAck != nil {
-		sm.readyAck.Recv()
-	}
-}
-
-// Shutdown stops the plane: the frontend publishes the single MsgStop,
-// quiesces every shard loop, and exits. Safe from any goroutine.
-func (sm *ShardedMaster) Shutdown() { sm.Inject(msgShutdown{}) }
-
-// Drain asks a worker to finish its queued jobs and leave the fleet;
-// the returned mailbox receives one value once its goodbye is processed
-// (see Master.Drain).
-func (sm *ShardedMaster) Drain(worker string) vclock.Mailbox {
-	ack := sm.clk.NewMailbox("drain:" + worker)
-	sm.Inject(msgDrainStart{worker: worker, ack: ack})
-	return ack
-}
-
-// Inject delivers a payload into the frontend's actor loop from outside.
-// Safe to call from any goroutine.
-func (sm *ShardedMaster) Inject(payload any) {
-	sm.ep.Inbox().Send(&broker.Envelope{From: sm.ep.Name(), To: sm.ep.Name(), Payload: payload})
-}
-
-// Run executes the frontend router loop until the plane stops; the
-// shard part loops must be running too (see loops). It must run on a
-// clock-tracked goroutine.
-func (sm *ShardedMaster) Run() { sm.run() }
-
-// Start launches the frontend router loop and every shard part loop on
-// clock-tracked goroutines. It is the sharded counterpart of the
-// clk.Go(master.Run) idiom a single cluster master uses — a sharded
-// plane needs all N+1 loops running before workers register.
-func (sm *ShardedMaster) Start() {
-	for _, fn := range sm.loops() {
-		sm.clk.Go(fn)
-	}
-}
-
-// loops returns the router loop plus one loop per shard part, in shard
-// order.
-func (sm *ShardedMaster) loops() []func() {
-	fns := make([]func(), 0, len(sm.parts)+1)
-	fns = append(fns, sm.run)
-	for _, p := range sm.parts {
-		fns = append(fns, p.run)
-	}
-	return fns
 }
 
 func (sm *ShardedMaster) setTracer(t Tracer) {
@@ -301,22 +168,6 @@ func (sm *ShardedMaster) setStaleBidBug(on bool) {
 	}
 }
 
-// OpenSession opens a streaming workflow session on the sharded plane.
-// The session is transparently partitioned: every submitted job routes
-// to its key's shard, and Wait returns the merged per-shard report.
-func (sm *ShardedMaster) OpenSession(id string, wf *Workflow) *MasterSession {
-	s := &session{id: id, wf: wf, feedOpen: true, done: sm.clk.NewMailbox("session:" + id)}
-	sm.Inject(msgOpenSession{s: s})
-	return &MasterSession{m: sm, s: s}
-}
-
-// Aborted reports whether the plane was cut short by a run Deadline.
-func (sm *ShardedMaster) Aborted() bool { return sm.aborted }
-
-// done reports whether the frontend loop has terminated (see
-// Master.done).
-func (sm *ShardedMaster) done() bool { return sm.finished }
-
 // Report merges the per-shard batch reports into the plane-wide view,
 // with the frontend's own start/end times bounding the makespan (parts
 // never settle their default sessions themselves).
@@ -326,8 +177,8 @@ func (sm *ShardedMaster) Report() *Report {
 		reports = append(reports, p.Report())
 	}
 	rep := mergeReports(reports)
-	rep.Start = sm.defStart
-	rep.End = sm.defEnd
+	rep.Start = sm.def.startTime
+	rep.End = sm.def.endTime
 	rep.Makespan = rep.End.Sub(rep.Start)
 	return rep
 }
@@ -373,25 +224,10 @@ func mergeReports(reports []*Report) *Report {
 	return merged
 }
 
-// run is the frontend router actor loop.
+// handle is the frontend router's dispatch switch, run by the Plane
+// loop.
 //
 //xflow:goroutine router-loop
-func (sm *ShardedMaster) run() {
-	for {
-		v, ok := sm.ep.Inbox().Recv()
-		if !ok {
-			return
-		}
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			continue
-		}
-		if done := sm.handle(env); done {
-			return
-		}
-	}
-}
-
 func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
 	switch msg := env.Payload.(type) {
@@ -399,8 +235,8 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	case MsgRegister:
 		sm.onRegister(env, msg)
 	case MsgInject:
-		sm.arrivalsLeft--
-		sm.routeJob(sm.def, msg.Job)
+		sm.def.arrivalsLeft--
+		sm.routeJob(sm.defRoute, msg.Job)
 	case MsgBid:
 		sm.routeByJob(env, msg.JobID)
 	case MsgAccept:
@@ -418,9 +254,17 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	case MsgCacheEvict:
 		sm.onCacheEvict(env, msg)
 	case MsgWorkerDead:
-		sm.onWorkerDead(env, msg.Worker)
+		// Unconditional fan-out: rescuing inflight jobs must reach even a
+		// partitioned shard, exactly as a single master's self-injected
+		// death cannot be lost.
+		sm.fanOut(sm.control(sm.parts[0], msg))
+		sm.lose(msg.Worker)
 	case MsgLeave:
-		sm.onLeave(env, msg.Worker)
+		// Every part rescues the records it owns; the frontend settles
+		// the drain acks.
+		sm.fanOut(env)
+		sm.leave(msg.Worker)
+		sm.releaseDrain(msg.Worker)
 	case msgOpenSession:
 		sm.addSession(msg.s)
 	case msgSubmit:
@@ -434,7 +278,13 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 			sm.maybeCloseParts(rs)
 		}
 	case msgDrainStart:
-		sm.onDrainStart(msg)
+		// The frontend keeps the caller's ack and forwards an ack-less
+		// drain to every part; each part removes the worker from
+		// contention and tells it to drain (the worker's drain entry is
+		// idempotent).
+		if sm.startDrain(msg.worker, msg.ack) {
+			sm.fanOut(sm.control(sm.parts[0], msgDrainStart{worker: msg.worker}))
+		}
 	case msgShutdown:
 		return sm.stop(false)
 	case msgAbort:
@@ -475,8 +325,6 @@ func (sm *ShardedMaster) control(part *Master, payload any) *broker.Envelope {
 // routeJob assigns the job an ID (mirroring Master.inject's numbering),
 // stamps its session, picks the owning shard by content hash of its
 // data key, and hands it to that part as an in-process emit.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) routeJob(rs *routerSession, job *Job) {
 	if job.ID == "" {
 		job.ID = formatJobID(sm.nextID)
@@ -498,8 +346,6 @@ func (sm *ShardedMaster) routeJob(rs *routerSession, job *Job) {
 // completions) to the job's owning shard; traffic about jobs the plane
 // never routed is dropped, like an unsharded master ignoring an unknown
 // job ID.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) routeByJob(env *broker.Envelope, jobID string) {
 	shard, ok := sm.jobShard[jobID]
 	if !ok {
@@ -508,63 +354,15 @@ func (sm *ShardedMaster) routeByJob(env *broker.Envelope, jobID string) {
 	sm.forward(sm.parts[shard], env)
 }
 
-// onRegister mirrors the unsharded master's membership logic (tombstone
-// refusal, quorum formation) and fans the registration out to every
-// part, which each ack it — the worker's registration loop is
-// idempotent under duplicate acks.
-//
-//xflow:goroutine router-loop
+// onRegister runs the shared admission protocol and fans the
+// registration out to every part, which each ack it — the worker's
+// registration loop is idempotent under duplicate acks.
 func (sm *ShardedMaster) onRegister(env *broker.Envelope, msg MsgRegister) {
-	if sm.dead[msg.Worker] {
-		return // tombstoned: see Master.onRegister
+	if sm.tombstoned(msg.Worker) {
+		return
 	}
 	sm.fanOut(env)
-	if sm.workerSet[msg.Worker] {
-		return
-	}
-	late := sm.ready
-	sm.workerSet[msg.Worker] = true
-	sm.workers = append(sm.workers, msg.Worker)
-	if late {
-		return
-	}
-	if len(sm.workers) >= sm.expectedWorkers {
-		sm.becomeReady()
-	}
-}
-
-// shrinkQuorum mirrors Master.shrinkQuorum for the frontend's own
-// fleet-formation bar.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) shrinkQuorum() {
-	if sm.ready {
-		return
-	}
-	sm.expectedWorkers--
-	if len(sm.workers) >= sm.expectedWorkers {
-		sm.becomeReady()
-	}
-}
-
-// becomeReady settles fleet formation on the frontend; in batch mode it
-// also starts the arrival schedule (the parts never see Arrivals — the
-// router owns the stream and partitions each job as it fires).
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) becomeReady() {
-	sm.ready = true
-	if sm.readyAck != nil {
-		sm.readyAck.Send(struct{}{})
-	}
-	if sm.autoStop {
-		sm.started = true
-		sm.defStart = sm.clk.Now()
-		for _, arr := range sm.arrivals {
-			arr := arr
-			sm.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { sm.Inject(MsgInject{Job: arr.Job}) })
-		}
-	}
+	sm.admit(msg.Worker)
 }
 
 // onRequestJob fans an idle worker's pull out to every shard. Pulls
@@ -576,22 +374,17 @@ func (sm *ShardedMaster) becomeReady() {
 // unoffered jobs). With fan-out each shard serves or parks the pull
 // independently; shards answering NoWork are deduplicated by the
 // worker's pull-retry coalescing (Worker.RequestWorkAfter).
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) onRequestJob(env *broker.Envelope, msg MsgRequestJob) {
-	if !sm.workerSet[msg.Worker] {
-		return
+	if sm.live(msg.Worker) {
+		sm.fanOut(env)
 	}
-	sm.fanOut(env)
 }
 
 // onCacheEvict splits an eviction notice by key ownership and forwards
 // each slice to its shard, so every locindex only ever sees its own
 // partition's keys.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
-	if !sm.workerSet[msg.Worker] {
+	if !sm.live(msg.Worker) {
 		return
 	}
 	byShard := make([][]string, len(sm.parts))
@@ -612,104 +405,21 @@ func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
 	}
 }
 
-// onWorkerDead fans the death out (unconditionally — rescuing inflight
-// jobs must reach even a partitioned shard, exactly as a single master's
-// self-injected death cannot be lost) and updates the frontend's own
-// membership mirror.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) onWorkerDead(env *broker.Envelope, worker string) {
-	sm.fanOut(sm.control(sm.parts[0], MsgWorkerDead{Worker: worker}))
-	first := !sm.dead[worker]
-	sm.dead[worker] = true
-	if !sm.workerSet[worker] {
-		if first {
-			sm.shrinkQuorum()
-		}
-		return
-	}
-	sm.removeWorker(worker)
-	sm.shrinkQuorum()
-}
-
-// onLeave fans a worker's goodbye out to every part (each rescues the
-// records it owns) and settles the frontend's drain acks.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) onLeave(env *broker.Envelope, worker string) {
-	sm.fanOut(env)
-	if sm.workerSet[worker] {
-		sm.dead[worker] = true
-		sm.removeWorker(worker)
-		sm.shrinkQuorum()
-	}
-	acks, ok := sm.drains[worker]
-	if !ok {
-		return
-	}
-	delete(sm.drains, worker)
-	for _, ack := range acks {
-		if ack != nil {
-			ack.Send(worker)
-		}
-	}
-}
-
-// removeWorker splices worker out of the frontend's live set.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) removeWorker(worker string) {
-	delete(sm.workerSet, worker)
-	for i, w := range sm.workers {
-		if w == worker {
-			sm.workers = append(sm.workers[:i], sm.workers[i+1:]...)
-			break
-		}
-	}
-}
-
-// onDrainStart mirrors Master.onDrainStart on the frontend — the
-// frontend keeps the caller's ack and forwards an ack-less drain to
-// every part; each part removes the worker from contention and tells it
-// to drain (the worker's drain entry is idempotent).
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) onDrainStart(msg msgDrainStart) {
-	if !sm.workerSet[msg.worker] {
-		if msg.ack != nil {
-			if _, pending := sm.drains[msg.worker]; pending {
-				sm.drains[msg.worker] = append(sm.drains[msg.worker], msg.ack)
-			} else {
-				msg.ack.Send(msg.worker)
-			}
-		}
-		return
-	}
-	sm.removeWorker(msg.worker)
-	sm.shrinkQuorum()
-	sm.drains[msg.worker] = append(sm.drains[msg.worker], msg.ack)
-	sm.fanOut(sm.control(sm.parts[0], msgDrainStart{worker: msg.worker, ack: nil}))
-}
-
 // sessionByID resolves a session name to its frontend bookkeeping,
 // falling back to the default session like Master.sessionByID.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) sessionByID(id string) *routerSession {
 	if id != "" {
 		if rs, ok := sm.sessions[id]; ok {
 			return rs
 		}
 	}
-	return sm.def
+	return sm.defRoute
 }
 
 // addSession registers an explicitly-opened session on the frontend:
 // one subsession per shard is opened on the parts, and a clock-tracked
 // merger is spawned to combine their reports into the user's Wait.
 // Idempotent, so a feed's first Submit can race its Open harmlessly.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) addSession(s *session) *routerSession {
 	if rs, ok := sm.sessions[s.id]; ok {
 		return rs
@@ -759,8 +469,6 @@ func (sm *ShardedMaster) startMerger(rs *routerSession) {
 // onSettled books one terminal job, routes the downstream jobs it
 // produced (each to its own key's shard), and re-checks whether the
 // session's feed close can now propagate.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) onSettled(msg msgShardSettled) {
 	rs := sm.sessionByID(msg.Sess)
 	rs.settled++
@@ -776,10 +484,8 @@ func (sm *ShardedMaster) onSettled(msg msgShardSettled) {
 // fan more downstream work out. Closing earlier would let a subsession
 // with an empty queue finish while a sibling shard's job was still
 // about to emit work for it.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) maybeCloseParts(rs *routerSession) {
-	if rs == sm.def || !rs.userClosed || rs.closed || rs.routed != rs.settled {
+	if rs == sm.defRoute || !rs.userClosed || rs.closed || rs.routed != rs.settled {
 		return
 	}
 	rs.closed = true
@@ -790,35 +496,20 @@ func (sm *ShardedMaster) maybeCloseParts(rs *routerSession) {
 
 // maybeFinish implements batch termination on the frontend: the arrival
 // schedule ran dry and every routed job settled, so the plane is done.
-//
-//xflow:goroutine router-loop
 func (sm *ShardedMaster) maybeFinish() bool {
-	if !sm.autoStop {
-		return false
-	}
-	if !sm.started || sm.arrivalsLeft > 0 || sm.def.routed != sm.def.settled {
+	if !sm.autoStop || !sm.def.started || sm.def.arrivalsLeft > 0 || sm.defRoute.routed != sm.defRoute.settled {
 		return false
 	}
 	return sm.stop(false)
 }
 
-// stop ends the frontend loop: it marks the plane finished, publishes
-// the single fleet-wide MsgStop, quiesces every part loop with a direct
-// shutdown (their own stop publish is muted), and flushes the
-// frontend's pending drain acks. Part shutdown also flushes every
-// subsession, which completes the session mergers.
-//
-//xflow:goroutine router-loop
+// stop ends the frontend loop: it halts the plane (publishing the single
+// fleet-wide MsgStop), quiesces every part loop with a direct shutdown
+// (their own stop publish is muted), and releases the frontend's
+// pending drain acks. Part shutdown also flushes every subsession,
+// which completes the session mergers.
 func (sm *ShardedMaster) stop(abort bool) bool {
-	if sm.finished {
-		return true
-	}
-	if abort {
-		sm.aborted = true
-	}
-	sm.finished = true
-	sm.defEnd = sm.clk.Now()
-	sm.ep.Publish(TopicControl, MsgStop{})
+	sm.halt(abort)
 	var payload any = msgShutdown{}
 	if abort {
 		payload = msgAbort{}
@@ -826,45 +517,8 @@ func (sm *ShardedMaster) stop(abort bool) bool {
 	for _, p := range sm.parts {
 		sm.forward(p, sm.control(p, payload))
 	}
-	sm.flushWaiters()
+	sm.flushDrains()
 	return true
-}
-
-// flushWaiters settles the frontend's pending drain acks (sessions are
-// flushed by the parts themselves as their shutdown lands).
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) flushWaiters() {
-	if len(sm.drains) == 0 {
-		return
-	}
-	names := make([]string, 0, len(sm.drains))
-	for w := range sm.drains {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		for _, ack := range sm.drains[w] {
-			if ack != nil {
-				ack.Send(w)
-			}
-		}
-		delete(sm.drains, w)
-	}
-}
-
-// afterFunc schedules f on the frontend's clock, labeled with the
-// master's conflict domain when a model-checking chooser is active —
-// the frontend's self-timers only ever Inject back into its own loop,
-// and the whole control plane (router plus parts, which only ever
-// receive through the router or their own self-timers) forms one
-// conflict domain under MasterName.
-func (sm *ShardedMaster) afterFunc(d time.Duration, detail string, f func()) {
-	if sm.labeled != nil {
-		sm.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
-		return
-	}
-	sm.clk.AfterFunc(d, f)
 }
 
 // StateDigest renders the frontend's routing state plus every part's
@@ -873,15 +527,10 @@ func (sm *ShardedMaster) afterFunc(d time.Duration, detail string, f func()) {
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) StateDigest() string {
 	var b strings.Builder
-	deads := make([]string, 0, len(sm.dead))
-	for w := range sm.dead {
-		deads = append(deads, w)
-	}
-	sort.Strings(deads)
-	fmt.Fprintf(&b, "router ready=%t finished=%t aborted=%t next=%d exp=%d shards=%d workers=%s dead=%s\n",
-		sm.ready, sm.finished, sm.aborted, sm.nextID, sm.expectedWorkers,
-		len(sm.parts), strings.Join(sm.workers, ","), strings.Join(deads, ","))
-	fmt.Fprintf(&b, "rsess def routed=%d settled=%d\n", sm.def.routed, sm.def.settled)
+	fmt.Fprintf(&b, "router finished=%t aborted=%t next=%d shards=%d\n",
+		sm.finished, sm.aborted, sm.nextID, len(sm.parts))
+	sm.digest(&b)
+	fmt.Fprintf(&b, "rsess def routed=%d settled=%d\n", sm.defRoute.routed, sm.defRoute.settled)
 	for _, rs := range sm.sessionList {
 		fmt.Fprintf(&b, "rsess %q routed=%d settled=%d closed=%t/%t\n",
 			rs.id, rs.routed, rs.settled, rs.userClosed, rs.closed)

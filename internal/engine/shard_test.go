@@ -145,9 +145,8 @@ func TestShardedClusterSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	c.Start()
 	var repA, repB *engine.Report
-	clk.Go(func() {
+	c.Start(func() {
 		c.WaitReady()
 		for i := 0; i < 8; i++ {
 			sessA.Submit(&engine.Job{Stream: "work", DataKey: fmt.Sprintf("a%d", i), DataSizeMB: 10})

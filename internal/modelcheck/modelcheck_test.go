@@ -48,7 +48,8 @@ func TestExhaustsFaultFree(t *testing.T) {
 // enabled at every point of the protocol, including before its
 // registration arrives — and still expects clean exhaustion. This
 // config is what flushed out the register-after-death resurrection and
-// the pre-ready quorum stall (see Master.shrinkQuorum and Master.dead).
+// the pre-ready quorum stall (see the engine's membership.shrinkQuorum
+// and membership.dead).
 func TestExhaustsWithKill(t *testing.T) {
 	pol := policy(t, "bidding")
 	sc := BoundedScenario(Bounds{Workers: 2, Jobs: 1, Kill: "w1"}, pol)

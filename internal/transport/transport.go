@@ -4,17 +4,15 @@
 // (one instance per worker, one for the master, one for the messaging
 // infrastructure).
 //
-// The frame-level encoding lives in internal/wire behind a Codec seam.
-// The binary codec (length-prefixed, fixed per-message encoders) is the
-// default; the previous release's gob stream remains available for one
-// release of compatibility, negotiated per connection by the wire
-// header. Clients open with a hello frame naming their endpoint;
-// afterwards they exchange sends, publishes, subscriptions and
-// deliveries. Publish is acknowledged with the subscriber count so the
-// bidding master knows how many bids to expect, exactly as the
-// in-process broker reports it.
+// The frame-level encoding lives in internal/wire: length-prefixed
+// binary frames with fixed per-message encoders, behind a versioned
+// connection header both ends open with. Clients follow the header
+// with a hello frame naming their endpoint; afterwards they exchange
+// sends, publishes, subscriptions and deliveries. Publish is
+// acknowledged with the subscriber count so the bidding master knows
+// how many bids to expect, exactly as the in-process broker reports it.
 //
-// Three throughput mechanisms sit on top of the codec. Writers are
+// Three throughput mechanisms sit on top of the encoding. Writers are
 // buffered, and ack-bearing frames (publish, multicast, hello,
 // deregister) always flush immediately so request latency never waits
 // on batching; fire-and-forget frames batch adaptively — a send issued
@@ -23,16 +21,16 @@
 // with the burst's last reply, which sees an empty inbox and flushes
 // inline. The server's delivery pump drains each endpoint's mailbox
 // before flushing, batching fan-out deliveries without adding any
-// latency. And on the binary codec a fanned-out envelope (topic
-// publish, targeted multicast) is encoded once and the same bytes
-// written to every subscriber connection.
+// latency. And a fanned-out envelope (topic publish, targeted
+// multicast) is encoded once and the same bytes written to every
+// subscriber connection.
 package transport
 
 import (
 	"bufio"
 	"fmt"
+	"log"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,17 +45,13 @@ import (
 // server's reached-count acknowledgement before giving up with 0.
 const DefaultAckTimeout = 10 * time.Second
 
-// codecEnv names the environment variable that overrides the default
-// codec for clients that don't set Options.Codec — the hook CI uses to
-// run the same smoke test once per codec.
-const codecEnv = "XFLOW_WIRE_CODEC"
-
 // Options tunes a client connection. The zero value is the deployment
-// default: binary codec (or $XFLOW_WIRE_CODEC when set), 10s ack
-// timeout, adaptive flushing.
+// default: 10s ack timeout, adaptive flushing.
 type Options struct {
-	// Codec names the wire codec ("binary" or "gob"). Empty uses
-	// $XFLOW_WIRE_CODEC, falling back to binary.
+	// Codec selects nothing: there is one wire encoding. The field
+	// survives only because the frozen benchmark module sets it; it
+	// accepts "" and "binary", anything else is a Dial error, and it is
+	// removed with the next benchmark PR.
 	Codec string
 
 	// AckTimeout bounds the wait for publish/multicast acks; 0 means
@@ -76,14 +70,6 @@ type Options struct {
 	FlushWindow time.Duration
 }
 
-func (o Options) codec() (wire.Codec, error) {
-	name := o.Codec
-	if name == "" {
-		name = os.Getenv(codecEnv)
-	}
-	return wire.ByName(name)
-}
-
 func (o Options) ackTimeout() time.Duration {
 	if o.AckTimeout > 0 {
 		return o.AckTimeout
@@ -93,8 +79,7 @@ func (o Options) ackTimeout() time.Duration {
 
 // Register makes a payload type encodable on the wire; applications call
 // it for their own job payload and result types (gob.Register rules
-// apply — the binary codec carries unknown payload types as embedded gob
-// values).
+// apply — unknown payload types travel as embedded gob values).
 func Register(v any) { wire.Register(v) }
 
 // WireStats counts raw connection traffic on a server, hello headers and
@@ -125,17 +110,14 @@ type Server struct {
 
 	// cacheMu guards encCache, the per-envelope encoded-body cache that
 	// lets a fanout encode once and write the same bytes to every
-	// subscriber connection (binary codec only; gob streams are
-	// stateful and must re-encode per connection).
+	// subscriber connection.
 	cacheMu  sync.Mutex
 	encCache map[*broker.Envelope][]byte
 }
 
 // Serve starts a broker server on addr (e.g. ":7070"). The broker runs
 // on a real-time clock; per-endpoint link latencies declared in hello
-// frames are honoured on top of actual network latency. The codec is
-// negotiated per connection, so one server carries binary and legacy
-// gob clients side by side.
+// frames are honoured on top of actual network latency.
 func Serve(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -215,7 +197,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// deliveryBody returns the encoded binary frame body for a delivery,
+// deliveryBody returns the encoded frame body for a delivery,
 // sharing the encoding across connections when the envelope itself is
 // shared (fanouts leave To empty; direct sends carry a unique envelope
 // and skip the cache).
@@ -251,20 +233,19 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	cc := countingConn{Conn: conn, in: &s.bytesIn, out: &s.bytesOut}
 	br := bufio.NewReaderSize(cc, 32<<10)
-	codec, err := wire.ReadHeader(br)
-	if err != nil {
+	if err := wire.ExpectHeader(br); err != nil {
+		// Not a peer of this protocol (a pre-header gob client, a stray
+		// HTTP request): refuse it rather than misparse its bytes.
+		log.Printf("transport: refusing connection from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	binary := codec.Name() == wire.CodecBinary
-	if binary {
-		// Echo the header before any frame so the client's codec
-		// verification completes without waiting on server traffic.
-		if err := wire.WriteHeader(cc, codec); err != nil {
-			return
-		}
+	// Echo the header before any frame so the client's verification
+	// completes without waiting on server traffic.
+	if err := wire.WriteHeader(cc); err != nil {
+		return
 	}
-	enc := codec.NewEncoder(cc)
-	dec := codec.NewDecoder(br)
+	enc := wire.NewEncoder(cc)
+	dec := wire.NewDecoder(br)
 	var encMu sync.Mutex
 
 	var hello wire.Frame
@@ -279,12 +260,10 @@ func (s *Server) handle(conn net.Conn) {
 		ep = s.bus.Register(hello.Name, hello.Link)
 	}
 
-	// writeDelivery encodes one delivery; on the binary codec a shared
-	// envelope is encoded once and its bytes reused on every
-	// connection. A payload that cannot be encoded drops that delivery
-	// (binary) — the at-most-once discipline — while a gob encode error
-	// is indistinguishable from a dead stream and tears the connection
-	// down, as before.
+	// writeDelivery encodes one delivery; a shared envelope is encoded
+	// once and its bytes reused on every connection. A payload that
+	// cannot be encoded drops that delivery — the at-most-once
+	// discipline.
 	writeDelivery := func(v any) bool {
 		env, ok := v.(*broker.Envelope)
 		if !ok {
@@ -292,14 +271,11 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		encMu.Lock()
 		defer encMu.Unlock()
-		if binary {
-			body, err := s.deliveryBody(env)
-			if err != nil {
-				return true
-			}
-			return enc.EncodeRaw(body) == nil
+		body, err := s.deliveryBody(env)
+		if err != nil {
+			return true
 		}
-		return enc.Encode(&wire.Frame{Kind: wire.KindDelivery, Env: *env}) == nil
+		return enc.EncodeRaw(body) == nil
 	}
 	flush := func() bool {
 		encMu.Lock()
@@ -394,12 +370,11 @@ type Client struct {
 	name        string
 	conn        net.Conn
 	inbox       vclock.Mailbox
-	codecName   string
 	ackTimeout  time.Duration
 	flushWindow time.Duration
 
 	mu           sync.Mutex
-	enc          wire.Encoder
+	enc          *wire.Encoder
 	seq          uint64
 	acks         map[uint64]chan int
 	closed       bool
@@ -416,9 +391,8 @@ func Dial(addr, name string, link time.Duration, clk vclock.Clock) (*Client, err
 
 // DialOptions is Dial with explicit connection options.
 func DialOptions(addr, name string, link time.Duration, clk vclock.Clock, opts Options) (*Client, error) {
-	codec, err := opts.codec()
-	if err != nil {
-		return nil, err
+	if opts.Codec != "" && opts.Codec != "binary" {
+		return nil, fmt.Errorf("transport: unknown codec %q", opts.Codec)
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -428,39 +402,30 @@ func DialOptions(addr, name string, link time.Duration, clk vclock.Clock, opts O
 		name:        name,
 		conn:        conn,
 		inbox:       clk.NewMailbox("inbox:" + name),
-		codecName:   codec.Name(),
 		ackTimeout:  opts.ackTimeout(),
 		flushWindow: opts.FlushWindow,
-		enc:         codec.NewEncoder(conn),
+		enc:         wire.NewEncoder(conn),
 		acks:        make(map[uint64]chan int),
 	}
-	binary := codec.Name() == wire.CodecBinary
-	if binary {
-		if err := wire.WriteHeader(conn, codec); err != nil {
-			_ = conn.Close()
-			return nil, fmt.Errorf("transport: header: %w", err)
-		}
+	if err := wire.WriteHeader(conn); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("transport: header: %w", err)
 	}
 	if err := c.encode(&wire.Frame{Kind: wire.KindHello, Name: name, Link: link}, true); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: hello: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 32<<10)
-	if binary {
-		// The server must echo the header before its first frame; a
-		// peer that doesn't is a pre-header gob server — fail loudly at
-		// connect instead of corrupting a stream.
-		if err := wire.ExpectHeader(br); err != nil {
-			_ = conn.Close()
-			return nil, fmt.Errorf("transport: %w", err)
-		}
+	// The server must echo the header before its first frame; a peer
+	// that doesn't is not a broker of this protocol — fail loudly at
+	// connect instead of corrupting a stream.
+	if err := wire.ExpectHeader(br); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	go c.recvLoop(codec.NewDecoder(br))
+	go c.recvLoop(wire.NewDecoder(br))
 	return c, nil
 }
-
-// Codec reports the negotiated codec name.
-func (c *Client) Codec() string { return c.codecName }
 
 // defaultSafetyFlush bounds how long a deferred frame may sit in the
 // write buffer when adaptive batching skipped its flush and no later
@@ -559,7 +524,7 @@ func (c *Client) ackFuture(f *wire.Frame) func() int {
 	}
 }
 
-func (c *Client) recvLoop(dec wire.Decoder) {
+func (c *Client) recvLoop(dec *wire.Decoder) {
 	for {
 		var f wire.Frame
 		if err := dec.Decode(&f); err != nil {

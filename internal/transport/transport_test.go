@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +17,7 @@ import (
 	"crossflow/internal/engine"
 	"crossflow/internal/netsim"
 	"crossflow/internal/vclock"
+	"crossflow/internal/wire"
 )
 
 // waitRegistered blocks until the server has processed the endpoints'
@@ -249,7 +254,7 @@ func TestServerEndpointReconnect(t *testing.T) {
 }
 
 // TestWireRoundTripAllMessages pushes every engine protocol message
-// through a live connection, guarding the gob registrations.
+// through a live connection, guarding the fixed encoders end to end.
 func TestWireRoundTripAllMessages(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -311,74 +316,96 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// TestCodecNegotiationMixedClients runs one server with a legacy gob
-// client (the previous release's opening bytes: no header) and a binary
-// client side by side: the server must pick each connection's codec
-// from its first bytes, and frames must flow between the two codecs.
-func TestCodecNegotiationMixedClients(t *testing.T) {
+// TestServerRefusesNonBinaryPeers opens raw connections that do not
+// start with the XFW header — the previous release's headerless gob
+// hello, a stray HTTP request, a peer that hangs up mid-header, a
+// future protocol version. Each must be closed without a byte written
+// back, without registering an endpoint name or leaving its handler
+// goroutine behind, and the server must keep serving real clients.
+func TestServerRefusesNonBinaryPeers(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	clk := vclock.NewReal()
 
-	old, err := DialOptions(srv.Addr(), "old", 0, clk, Options{Codec: "gob"})
-	if err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&wire.Frame{Kind: wire.KindHello, Name: "old"}); err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	neu, err := DialOptions(srv.Addr(), "new", 0, clk, Options{Codec: "binary"})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"legacy gob hello", legacy.Bytes()},
+		{"http request", []byte("GET / HTTP/1.1\r\nHost: broker\r\n\r\n")},
+		{"two bytes then EOF", []byte{'X', 'F'}},
+		{"wrong version", []byte{'X', 'F', 'W', wire.Version + 1, 'b'}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.opening); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// EOF, or a reset when the server closed with our bytes unread.
+			n, err := conn.Read(make([]byte, 16))
+			var nerr net.Error
+			if n != 0 || err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+				t.Fatalf("server answered a non-XFW opening: %d bytes, err %v", n, err)
+			}
+		})
 	}
-	defer neu.Close()
-	if old.Codec() != "gob" || neu.Codec() != "binary" {
-		t.Fatalf("codecs = %q, %q", old.Codec(), neu.Codec())
-	}
-	waitRegistered(t, srv, "old", "new")
 
-	// gob → binary and binary → gob, including a topic fanout that
-	// reaches both codecs from one shared envelope.
-	if !old.Send("new", engine.MsgRegister{Worker: "old"}) {
-		t.Fatal("gob→binary send failed")
-	}
-	if v, ok, timedOut := neu.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-		t.Fatal("gob→binary delivery never arrived")
-	} else if v.(*broker.Envelope).Payload.(engine.MsgRegister).Worker != "old" {
-		t.Fatalf("payload mangled: %#v", v)
-	}
-	if !neu.Send("old", engine.MsgAccept{JobID: "j", Worker: "new"}) {
-		t.Fatal("binary→gob send failed")
-	}
-	if v, ok, timedOut := old.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-		t.Fatal("binary→gob delivery never arrived")
-	} else if v.(*broker.Envelope).Payload.(engine.MsgAccept).Worker != "new" {
-		t.Fatalf("payload mangled: %#v", v)
-	}
-
-	old.Subscribe("mixed")
-	neu.Subscribe("mixed")
-	pub, err := Dial(srv.Addr(), "pub", 0, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	n := 0
-	for time.Now().Before(deadline) {
-		if n = pub.Publish("mixed", engine.MsgStop{}); n == 2 {
+	for {
+		srv.mu.Lock()
+		open := len(srv.conns)
+		srv.mu.Unlock()
+		if open == 0 {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n != 2 {
-		t.Fatalf("fanout reached %d, want 2", n)
-	}
-	for _, c := range []*Client{old, neu} {
-		if _, ok, timedOut := c.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-			t.Errorf("%s client missed the fanout", c.Codec())
+		if time.Now().After(deadline) {
+			t.Fatalf("%d refused connections still have a live handler", open)
 		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := srv.bus.Lookup("old"); ok {
+		t.Error("the refused gob hello registered its endpoint name")
+	}
+
+	clk := vclock.NewReal()
+	a, err := Dial(srv.Addr(), "a", 0, clk)
+	if err != nil {
+		t.Fatalf("server stopped serving after refusals: %v", err)
+	}
+	defer a.Close()
+	b, err := Dial(srv.Addr(), "b", 0, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	waitRegistered(t, srv, "a", "b")
+	a.Send("b", engine.MsgStop{})
+	if _, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
+		t.Error("delivery between real clients failed after refusals")
+	}
+}
+
+// TestDialRejectsUnknownCodec: Options.Codec no longer selects anything;
+// a name other than "binary" fails before any connection is made.
+func TestDialRejectsUnknownCodec(t *testing.T) {
+	clk := vclock.NewReal()
+	// Nothing listens here: the error must come from validation.
+	if _, err := DialOptions("127.0.0.1:0", "x", 0, clk, Options{Codec: "gob"}); err == nil || !strings.Contains(err.Error(), "codec") {
+		t.Fatalf("Dial with Codec gob: err = %v, want an unknown-codec error", err)
 	}
 }
 

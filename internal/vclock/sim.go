@@ -289,8 +289,13 @@ func (s *Sim) deadlockLocked() {
 		}()
 		return
 	}
-	panic(fmt.Sprintf("vclock: simulation deadlock: %d goroutines blocked with no pending timers: %v",
-		s.waiters, waiting))
+	msg := fmt.Sprintf("vclock: simulation deadlock: %d goroutines blocked with no pending timers: %v",
+		s.waiters, waiting)
+	// Panic without the clock lock: the unwinding goroutine's deferred
+	// exit takes it again, and holding it here turns the report into a
+	// silent hang until the test binary's timeout.
+	s.mu.Unlock()
+	panic(msg)
 }
 
 // SetDeadlockHandler installs h to be called instead of panicking when

@@ -19,30 +19,23 @@ const MaxFrame = 8 << 20
 // cannot drive the decoder into unbounded recursion.
 const maxValueDepth = 32
 
-// Binary is the hand-rolled length-prefixed codec. Frames are
-// stateless byte strings — see AppendFrame — framed on the stream as a
-// little-endian uint32 body length followed by the body.
-type Binary struct{}
-
-// Name implements Codec.
-func (Binary) Name() string { return CodecBinary }
-
-// NewEncoder implements Codec.
-func (Binary) NewEncoder(w io.Writer) Encoder {
-	return &binaryEncoder{bw: bufio.NewWriterSize(w, 32<<10)}
-}
-
-// NewDecoder implements Codec.
-func (Binary) NewDecoder(r *bufio.Reader) Decoder {
-	return &binaryDecoder{r: r}
-}
-
-type binaryEncoder struct {
+// Encoder writes frames to one side of a connection, each framed on
+// the stream as a little-endian uint32 body length followed by the body
+// (see AppendFrame). It buffers: a frame is on the wire only after
+// Flush. Encoders are not safe for concurrent use; callers serialize
+// (the transport holds a per-connection write lock).
+type Encoder struct {
 	bw      *bufio.Writer
 	scratch []byte
 }
 
-func (e *binaryEncoder) Encode(f *Frame) error {
+// NewEncoder returns an Encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{bw: bufio.NewWriterSize(w, 32<<10)}
+}
+
+// Encode appends one frame to the write buffer.
+func (e *Encoder) Encode(f *Frame) error {
 	body, err := AppendFrame(e.scratch[:0], f)
 	if err != nil {
 		return err
@@ -51,7 +44,9 @@ func (e *binaryEncoder) Encode(f *Frame) error {
 	return e.EncodeRaw(body)
 }
 
-func (e *binaryEncoder) EncodeRaw(body []byte) error {
+// EncodeRaw appends a pre-encoded frame body produced by AppendFrame —
+// the shared-envelope fanout path.
+func (e *Encoder) EncodeRaw(body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(body))
 	}
@@ -64,15 +59,23 @@ func (e *binaryEncoder) EncodeRaw(body []byte) error {
 	return err
 }
 
-func (e *binaryEncoder) Flush() error  { return e.bw.Flush() }
-func (e *binaryEncoder) Buffered() int { return e.bw.Buffered() }
+// Flush writes the buffer to the connection.
+func (e *Encoder) Flush() error { return e.bw.Flush() }
 
-type binaryDecoder struct {
+// Buffered reports the bytes waiting for a Flush.
+func (e *Encoder) Buffered() int { return e.bw.Buffered() }
+
+// Decoder reads frames from one side of a connection.
+type Decoder struct {
 	r   *bufio.Reader
 	buf []byte
 }
 
-func (d *binaryDecoder) Decode(f *Frame) error {
+// NewDecoder returns a Decoder reading from r.
+func NewDecoder(r *bufio.Reader) *Decoder { return &Decoder{r: r} }
+
+// Decode reads one length-prefixed frame into f.
+func (d *Decoder) Decode(f *Frame) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return err

@@ -64,6 +64,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		stream = binary.LittleEndian.AppendUint32(stream, uint32(len(body)))
 		stream = append(stream, body...)
 		var fr3 Frame
-		_ = Binary{}.NewDecoder(bufio.NewReader(bytes.NewReader(stream))).Decode(&fr3)
+		_ = NewDecoder(bufio.NewReader(bytes.NewReader(stream))).Decode(&fr3)
 	})
 }

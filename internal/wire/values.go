@@ -50,10 +50,9 @@ const (
 )
 
 // Register makes an application payload type encodable on the wire.
-// The binary codec carries such values as embedded gob blobs (each
-// self-describing, so no per-connection state); the gob codec uses the
-// registration directly. Engine protocol messages need no
-// registration — they have fixed binary encoders.
+// Such values travel as embedded gob blobs (each self-describing, so no
+// per-connection state). Engine protocol messages need no registration
+// — they have fixed binary encoders.
 func Register(v any) { gob.Register(v) }
 
 // appendValue appends one tagged payload value.

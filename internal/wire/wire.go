@@ -1,29 +1,18 @@
 // Package wire defines the frame-level encoding of the TCP transport:
-// the Frame shape both ends exchange, the Codec seam that selects an
-// encoding, and the versioned connection header that negotiates one per
-// connection.
+// the Frame shape both ends exchange, its length-prefixed binary
+// encoding, and the versioned connection header both ends open with.
 //
-// Two codecs exist. The binary codec is the deployment default: a
-// hand-rolled length-prefixed format with fixed encoders for every
-// engine protocol message, so the hot wire path (bid requests fanning
-// out, bids streaming back, assignments going out) pays no reflection
-// and no per-connection type-descriptor state. Because binary frames
-// are stateless byte strings, a fanout can encode an envelope once and
-// write the same bytes to every subscriber connection. The gob codec is
-// the previous release's reflective stream, retained behind the same
-// seam for one release so old clients interoperate with new servers
-// (and new clients can be pinned to gob against old servers).
+// The encoding is hand-rolled: fixed encoders for every engine protocol
+// message, so the hot wire path (bid requests fanning out, bids
+// streaming back, assignments going out) pays no reflection and no
+// per-connection type-descriptor state. Because frames are stateless
+// byte strings, a fanout can encode an envelope once and write the same
+// bytes to every subscriber connection.
 //
-// Negotiation: a binary client opens its connection with the 5-byte
-// header "XFW" + version + codec id before its hello frame, and the
-// server echoes the same header back before its first frame. A gob
-// client sends no header — its first bytes are the gob stream itself,
-// which is how pre-header clients have always opened — so a server
-// peeks: header present → declared codec, absent → gob. The header
-// bytes can never begin a gob stream of this protocol (a gob stream
-// opens with a type-descriptor message whose length byte never equals
-// 'X' for the frame type), so the peek is unambiguous in practice and
-// is locked in by tests.
+// A client opens its connection with the 5-byte header "XFW" + version
+// + codec id before its hello frame, and the server echoes the same
+// header back before its first frame. A peer that opens with anything
+// else is refused (ExpectHeader) rather than misparsed.
 package wire
 
 import (
@@ -35,8 +24,7 @@ import (
 	"crossflow/internal/broker"
 )
 
-// Frame kinds. The numeric values are wire format: the gob compat path
-// depends on them matching the previous release, so entries are
+// Frame kinds. The numeric values are wire format, so entries are
 // append-only.
 const (
 	KindHello byte = iota + 1
@@ -69,64 +57,12 @@ type Frame struct {
 	Payload any
 }
 
-// Encoder writes frames to one side of a connection. Implementations
-// buffer: a frame is on the wire only after Flush. Encoders are not
-// safe for concurrent use; callers serialize (the transport holds a
-// per-connection write lock).
-type Encoder interface {
-	// Encode appends one frame to the write buffer.
-	Encode(f *Frame) error
-	// EncodeRaw appends a pre-encoded frame produced by AppendFrame —
-	// the shared-envelope fanout path. Codecs that keep per-connection
-	// stream state (gob) cannot accept raw bytes and return ErrNoRaw;
-	// callers fall back to Encode.
-	EncodeRaw(body []byte) error
-	// Flush writes the buffer to the connection.
-	Flush() error
-	// Buffered reports the bytes waiting for a Flush.
-	Buffered() int
-}
-
-// Decoder reads frames from one side of a connection.
-type Decoder interface {
-	Decode(f *Frame) error
-}
-
-// ErrNoRaw is returned by EncodeRaw on codecs without a stateless frame
-// encoding.
-var ErrNoRaw = fmt.Errorf("wire: codec does not support pre-encoded frames")
-
-// Codec names, as carried in the connection header and configuration.
-const (
-	CodecGob    = "gob"
-	CodecBinary = "binary"
-)
-
-// Codec builds the encoder/decoder pair for one connection side.
-type Codec interface {
-	Name() string
-	NewEncoder(w io.Writer) Encoder
-	NewDecoder(r *bufio.Reader) Decoder
-}
-
-// ByName returns the named codec. The empty name resolves to the
-// binary codec (the deployment default).
-func ByName(name string) (Codec, error) {
-	switch name {
-	case CodecBinary, "":
-		return Binary{}, nil
-	case CodecGob:
-		return Gob{}, nil
-	}
-	return nil, fmt.Errorf("wire: unknown codec %q", name)
-}
-
 // Connection header: magic, protocol version, codec id.
 const (
 	// headerLen is the full header size: 3 magic bytes, 1 version, 1
 	// codec id.
 	headerLen = 5
-	// Version is the wire-protocol version named in the header. A server
+	// Version is the wire-protocol version named in the header. A peer
 	// refuses a header with a version it does not know, so a future
 	// incompatible format change fails loudly at connect instead of
 	// corrupting a stream.
@@ -137,62 +73,31 @@ const (
 
 var magic = [3]byte{'X', 'F', 'W'}
 
-// WriteHeader writes the connection header declaring codec c.
-func WriteHeader(w io.Writer, c Codec) error {
-	id := codecIDBinary
-	if c.Name() != CodecBinary {
-		return fmt.Errorf("wire: codec %q does not use a connection header", c.Name())
-	}
-	_, err := w.Write([]byte{magic[0], magic[1], magic[2], Version, id})
+// WriteHeader writes the connection header.
+func WriteHeader(w io.Writer) error {
+	_, err := w.Write([]byte{magic[0], magic[1], magic[2], Version, codecIDBinary})
 	return err
 }
 
-// ReadHeader peeks br for a connection header. If one is present it is
-// consumed and the declared codec returned; if absent the reader is
-// left untouched and the gob codec returned (a headerless peer is a
-// previous-release gob speaker). A header with an unknown version or
-// codec id is an error: the connection cannot be interpreted.
-func ReadHeader(br *bufio.Reader) (Codec, error) {
-	peek, err := br.Peek(headerLen)
-	if err != nil {
-		// Too short to hold a header: let the gob decoder report the
-		// truncation on its own terms.
-		if len(peek) < headerLen {
-			return Gob{}, nil
-		}
-		return nil, err
-	}
-	if peek[0] != magic[0] || peek[1] != magic[1] || peek[2] != magic[2] {
-		return Gob{}, nil
-	}
-	if _, err := br.Discard(headerLen); err != nil {
-		return nil, err
-	}
-	if peek[3] != Version {
-		return nil, fmt.Errorf("wire: unsupported protocol version %d (want %d)", peek[3], Version)
-	}
-	if peek[4] != codecIDBinary {
-		return nil, fmt.Errorf("wire: unknown codec id %q in connection header", peek[4])
-	}
-	return Binary{}, nil
-}
-
-// ExpectHeader reads and verifies the server's echoed header on a
-// binary client connection. A peer that starts with anything else is
-// not a binary-capable server.
+// ExpectHeader reads and verifies the peer's connection header: the
+// server calls it on a fresh connection, the client on the server's
+// echo. A peer that starts with anything else — a pre-header gob
+// speaker, a stray HTTP request, a truncated or wrong-version header —
+// does not speak this protocol, and the connection cannot be
+// interpreted.
 func ExpectHeader(br *bufio.Reader) error {
 	var buf [headerLen]byte
 	if _, err := io.ReadFull(br, buf[:]); err != nil {
 		return fmt.Errorf("wire: reading connection header: %w", err)
 	}
 	if buf[0] != magic[0] || buf[1] != magic[1] || buf[2] != magic[2] {
-		return fmt.Errorf("wire: peer did not echo the binary header (legacy gob server?)")
+		return fmt.Errorf("wire: peer opened with %q, not the XFW connection header", buf[:3])
 	}
 	if buf[3] != Version {
 		return fmt.Errorf("wire: peer speaks protocol version %d (want %d)", buf[3], Version)
 	}
 	if buf[4] != codecIDBinary {
-		return fmt.Errorf("wire: peer chose unknown codec id %q", buf[4])
+		return fmt.Errorf("wire: unknown codec id %q in connection header", buf[4])
 	}
 	return nil
 }

@@ -226,46 +226,44 @@ func TestGobFallbackPayload(t *testing.T) {
 // encoder/decoder pair, checking the length-prefixed stream layer and
 // that nothing hits the wire before Flush.
 func TestStreamRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{Binary{}, Gob{}} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			var buf bytes.Buffer
-			enc := codec.NewEncoder(&buf)
-			sent := []Frame{
-				{Kind: KindHello, Name: "w1", Link: time.Millisecond},
-				{Kind: KindPublish, Seq: 1, Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}},
-				{Kind: KindSend, To: "master", Payload: engine.MsgBid{JobID: "j", Worker: "w1", Estimate: time.Second}},
+	t.Run("binary", func(t *testing.T) {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		sent := []Frame{
+			{Kind: KindHello, Name: "w1", Link: time.Millisecond},
+			{Kind: KindPublish, Seq: 1, Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}},
+			{Kind: KindSend, To: "master", Payload: engine.MsgBid{JobID: "j", Worker: "w1", Estimate: time.Second}},
+		}
+		for _, f := range sent {
+			if err := enc.Encode(&f); err != nil {
+				t.Fatalf("Encode: %v", err)
 			}
-			for _, f := range sent {
-				if err := enc.Encode(&f); err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%d bytes on the wire before Flush", buf.Len())
+		}
+		if enc.Buffered() == 0 {
+			t.Fatal("Buffered() = 0 with three frames pending")
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		dec := NewDecoder(bufio.NewReader(&buf))
+		for i, want := range sent {
+			var got Frame
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("Decode[%d]: %v", i, err)
 			}
-			if buf.Len() != 0 {
-				t.Fatalf("%d bytes on the wire before Flush", buf.Len())
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("frame %d mismatch:\n sent %#v\n got  %#v", i, want, got)
 			}
-			if enc.Buffered() == 0 {
-				t.Fatal("Buffered() = 0 with three frames pending")
-			}
-			if err := enc.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
-			}
-			dec := codec.NewDecoder(bufio.NewReader(&buf))
-			for i, want := range sent {
-				var got Frame
-				if err := dec.Decode(&got); err != nil {
-					t.Fatalf("Decode[%d]: %v", i, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("frame %d mismatch:\n sent %#v\n got  %#v", i, want, got)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestEncodeRawSharedBody checks the fanout path: one AppendFrame body
 // written through EncodeRaw on two encoders decodes identically on
-// both, and the gob codec refuses raw bodies with ErrNoRaw.
+// both.
 func TestEncodeRawSharedBody(t *testing.T) {
 	env := broker.Envelope{From: "master", Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}, SentAt: time.Unix(100, 0)}
 	body, err := AppendFrame(nil, &Frame{Kind: KindDelivery, Env: env})
@@ -274,7 +272,7 @@ func TestEncodeRawSharedBody(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		var buf bytes.Buffer
-		enc := Binary{}.NewEncoder(&buf)
+		enc := NewEncoder(&buf)
 		if err := enc.EncodeRaw(body); err != nil {
 			t.Fatalf("EncodeRaw: %v", err)
 		}
@@ -282,29 +280,25 @@ func TestEncodeRawSharedBody(t *testing.T) {
 			t.Fatalf("Flush: %v", err)
 		}
 		var got Frame
-		if err := (Binary{}).NewDecoder(bufio.NewReader(&buf)).Decode(&got); err != nil {
+		if err := NewDecoder(bufio.NewReader(&buf)).Decode(&got); err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
 		if !reflect.DeepEqual(got.Env, env) {
 			t.Fatalf("envelope mismatch: %#v", got.Env)
 		}
 	}
-	var buf bytes.Buffer
-	if err := (Gob{}).NewEncoder(&buf).EncodeRaw(body); err != ErrNoRaw {
-		t.Fatalf("gob EncodeRaw error = %v, want ErrNoRaw", err)
-	}
 }
 
-// --- negotiation ------------------------------------------------------------
+// --- connection header ------------------------------------------------------
 
-// TestNegotiationBinaryClient: a header-bearing connection negotiates
-// the binary codec and the following frames decode.
+// TestNegotiationBinaryClient: a header-bearing connection is accepted
+// and the following frames decode.
 func TestNegotiationBinaryClient(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHeader(&buf, Binary{}); err != nil {
+	if err := WriteHeader(&buf); err != nil {
 		t.Fatalf("WriteHeader: %v", err)
 	}
-	enc := Binary{}.NewEncoder(&buf)
+	enc := NewEncoder(&buf)
 	if err := enc.Encode(&Frame{Kind: KindHello, Name: "w1"}); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -312,15 +306,11 @@ func TestNegotiationBinaryClient(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	br := bufio.NewReader(&buf)
-	codec, err := ReadHeader(br)
-	if err != nil {
-		t.Fatalf("ReadHeader: %v", err)
-	}
-	if codec.Name() != CodecBinary {
-		t.Fatalf("negotiated %q, want binary", codec.Name())
+	if err := ExpectHeader(br); err != nil {
+		t.Fatalf("ExpectHeader: %v", err)
 	}
 	var hello Frame
-	if err := codec.NewDecoder(br).Decode(&hello); err != nil {
+	if err := NewDecoder(br).Decode(&hello); err != nil {
 		t.Fatalf("Decode hello: %v", err)
 	}
 	if hello.Kind != KindHello || hello.Name != "w1" {
@@ -328,62 +318,41 @@ func TestNegotiationBinaryClient(t *testing.T) {
 	}
 }
 
-// TestNegotiationLegacyGobClient: a headerless connection — the
-// previous release's opening bytes — negotiates gob and the stream
-// decodes intact (the peek must not consume anything).
-func TestNegotiationLegacyGobClient(t *testing.T) {
-	var buf bytes.Buffer
-	enc := Gob{}.NewEncoder(&buf)
-	if err := enc.Encode(&Frame{Kind: KindHello, Name: "old-worker", Link: time.Millisecond}); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	br := bufio.NewReader(&buf)
-	codec, err := ReadHeader(br)
-	if err != nil {
-		t.Fatalf("ReadHeader: %v", err)
-	}
-	if codec.Name() != CodecGob {
-		t.Fatalf("negotiated %q, want gob", codec.Name())
-	}
-	var hello Frame
-	if err := codec.NewDecoder(br).Decode(&hello); err != nil {
-		t.Fatalf("Decode hello after peek: %v", err)
-	}
-	if hello.Name != "old-worker" {
-		t.Fatalf("hello = %#v", hello)
-	}
-}
-
 func TestNegotiationRejectsUnknownVersion(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{'X', 'F', 'W', Version + 1, codecIDBinary})
-	if _, err := ReadHeader(bufio.NewReader(buf)); err == nil {
-		t.Fatal("ReadHeader accepted an unknown protocol version")
+	if err := ExpectHeader(bufio.NewReader(buf)); err == nil {
+		t.Fatal("ExpectHeader accepted an unknown protocol version")
 	}
 	buf = bytes.NewBuffer([]byte{'X', 'F', 'W', Version, 'z'})
-	if _, err := ReadHeader(bufio.NewReader(buf)); err == nil {
-		t.Fatal("ReadHeader accepted an unknown codec id")
+	if err := ExpectHeader(bufio.NewReader(buf)); err == nil {
+		t.Fatal("ExpectHeader accepted an unknown codec id")
 	}
 }
 
+// TestExpectHeader: only the exact header opens a connection. Every
+// other opening — the previous release's headerless gob stream, a stray
+// HTTP client, a peer that hangs up mid-header — is an error, never a
+// fallback.
 func TestExpectHeader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHeader(&buf, Binary{}); err != nil {
-		t.Fatalf("WriteHeader: %v", err)
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&Frame{Kind: KindHello, Name: "old-worker"}); err != nil {
+		t.Fatalf("encoding legacy gob hello: %v", err)
 	}
-	if err := ExpectHeader(bufio.NewReader(&buf)); err != nil {
-		t.Fatalf("ExpectHeader on echoed header: %v", err)
-	}
-	// A gob server never echoes the header; its first bytes are the gob
-	// stream, and the client must fail loudly rather than misparse.
-	var gobBuf bytes.Buffer
-	genc := Gob{}.NewEncoder(&gobBuf)
-	_ = genc.Encode(&Frame{Kind: KindDelivery})
-	_ = genc.Flush()
-	if err := ExpectHeader(bufio.NewReader(&gobBuf)); err == nil {
-		t.Fatal("ExpectHeader accepted a gob stream")
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+		ok      bool
+	}{
+		{"header", []byte{'X', 'F', 'W', Version, codecIDBinary}, true},
+		{"legacy gob stream", legacy.Bytes(), false},
+		{"http request", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), false},
+		{"two bytes then EOF", []byte{'X', 'F'}, false},
+		{"empty", nil, false},
+	} {
+		err := ExpectHeader(bufio.NewReader(bytes.NewReader(tc.opening)))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ExpectHeader error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -392,7 +361,7 @@ func TestExpectHeader(t *testing.T) {
 func TestDecodeRejectsOversizeFrame(t *testing.T) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
-	dec := Binary{}.NewDecoder(bufio.NewReader(bytes.NewReader(hdr[:])))
+	dec := NewDecoder(bufio.NewReader(bytes.NewReader(hdr[:])))
 	var f Frame
 	if err := dec.Decode(&f); err == nil {
 		t.Fatal("Decode accepted a frame beyond MaxFrame")
@@ -424,39 +393,5 @@ func TestParseBoundsCollectionCounts(t *testing.T) {
 	body = append(body, 1, 'x', vNil, 0, 0, 0) // filler
 	if err := ParseFrame(body, &Frame{}); err == nil {
 		t.Fatal("ParseFrame accepted a collection count beyond the input size")
-	}
-}
-
-// TestGobStreamCompat: the current Frame gob-decodes bytes produced by
-// the previous release's frame struct (same field set minus Targets) —
-// gob matches by field name, which is what the one-release compat
-// window relies on. The old shape is replicated locally.
-func TestGobStreamCompat(t *testing.T) {
-	type frame struct { // the previous release's wire struct
-		Kind    byte
-		Seq     uint64
-		Name    string
-		To      string
-		Topic   string
-		Link    time.Duration
-		Count   int
-		Env     broker.Envelope
-		Payload any
-	}
-	var buf bytes.Buffer
-	genc := gob.NewEncoder(&buf)
-	old := frame{Kind: KindPublish, Seq: 3, Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}}
-	if err := genc.Encode(old); err != nil {
-		t.Fatalf("encoding old-shape frame: %v", err)
-	}
-	var got Frame
-	if err := (Gob{}).NewDecoder(bufio.NewReader(&buf)).Decode(&got); err != nil {
-		t.Fatalf("decoding old-shape frame with new codec: %v", err)
-	}
-	if got.Kind != KindPublish || got.Seq != 3 || got.Topic != "xflow.bids" {
-		t.Fatalf("frame = %#v", got)
-	}
-	if !reflect.DeepEqual(got.Payload, old.Payload) {
-		t.Fatalf("payload = %#v", got.Payload)
 	}
 }
