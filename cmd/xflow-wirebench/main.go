@@ -47,10 +47,6 @@ func main() {
 		shardRows = flag.String("shard-ladder", "2,4", "shard counts for the sharded-control-plane rows on the largest fleet (empty = skip)")
 		repeat    = flag.Int("repeat", 2, "runs per fleet; the fastest is kept")
 		scale     = flag.Float64("time-scale", 1000, "clock compression factor for the engine clocks")
-		// Eager flush by default: the bid/ack rounds sit on the critical
-		// path, so trading latency for batching slows the fleet down
-		// (server-side drain-batching already coalesces fanout writes).
-		window = flag.Duration("flush-window", 0, "client flush window (0 = flush every frame)")
 
 		// worker-role flags, set by the parent when re-executing itself.
 		brokerAddr = flag.String("broker", "", "worker: broker address")
@@ -70,7 +66,7 @@ func main() {
 	}
 
 	if *role == "worker" {
-		runWorker(*brokerAddr, *name, *scale, *window)
+		runWorker(*brokerAddr, *name, *scale)
 		return
 	}
 	if *repeat < 1 {
@@ -92,7 +88,7 @@ func main() {
 	measure := func(name string, w, shards int) {
 		best := runResult{elapsed: 1<<63 - 1}
 		for i := 0; i < *repeat; i++ {
-			if r := runOnce(w, shards, *jobs, *scale, *window); r.elapsed < best.elapsed {
+			if r := runOnce(w, shards, *jobs, *scale); r.elapsed < best.elapsed {
 				best = r
 			}
 		}
@@ -184,7 +180,7 @@ type runResult struct {
 // counters over the same span. shards > 1 replaces the single master
 // with the sharded control plane: the frontend router keeps the master
 // name, and each contest shard dials its own broker connection.
-func runOnce(workers, shards, jobs int, scale float64, window time.Duration) runResult {
+func runOnce(workers, shards, jobs int, scale float64) runResult {
 	srv, err := transport.Serve("127.0.0.1:0")
 	if err != nil {
 		fatalf("serve: %v", err)
@@ -202,7 +198,6 @@ func runOnce(workers, shards, jobs int, scale float64, window time.Duration) run
 			"-broker="+srv.Addr(),
 			fmt.Sprintf("-name=w%03d", i),
 			fmt.Sprintf("-time-scale=%g", scale),
-			fmt.Sprintf("-flush-window=%s", window),
 		)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -212,8 +207,7 @@ func runOnce(workers, shards, jobs int, scale float64, window time.Duration) run
 	}
 
 	clk := vclock.NewScaledReal(scale)
-	port, err := transport.DialOptions(srv.Addr(), engine.MasterName, 0, clk,
-		transport.Options{FlushWindow: window})
+	port, err := transport.Dial(srv.Addr(), engine.MasterName, 0, clk)
 	if err != nil {
 		fatalf("dial: %v", err)
 	}
@@ -227,8 +221,7 @@ func runOnce(workers, shards, jobs int, scale float64, window time.Duration) run
 	if shards > 1 {
 		var shardPorts []engine.Port
 		for i := 0; i < shards; i++ {
-			sp, err := transport.DialOptions(srv.Addr(), engine.ShardName(i), 0, clk,
-				transport.Options{FlushWindow: window})
+			sp, err := transport.Dial(srv.Addr(), engine.ShardName(i), 0, clk)
 			if err != nil {
 				fatalf("dial shard: %v", err)
 			}
@@ -306,7 +299,7 @@ func waitProc(cmd *exec.Cmd) {
 // runWorker is the spawned-process role: one bidding worker with fast,
 // noise-free hardware and a cache big enough that repeat keys hit, so
 // the fleet's wall time stays wire-bound.
-func runWorker(broker, name string, scale float64, window time.Duration) {
+func runWorker(broker, name string, scale float64) {
 	if broker == "" || name == "" {
 		fatalf("worker role requires -broker and -name")
 	}
@@ -315,8 +308,7 @@ func runWorker(broker, name string, scale float64, window time.Duration) {
 		seed = seed*31 + int64(c)
 	}
 	clk := vclock.NewScaledReal(scale)
-	port, err := transport.DialOptions(broker, name, 0, clk,
-		transport.Options{FlushWindow: window})
+	port, err := transport.Dial(broker, name, 0, clk)
 	if err != nil {
 		fatalf("worker %s: dial: %v", name, err)
 	}

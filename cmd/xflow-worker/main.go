@@ -49,7 +49,7 @@ func main() {
 	}
 
 	clk := vclock.NewScaledReal(*scale)
-	// A long-lived worker must survive broker restarts: the auto client
+	// A long-lived worker must survive broker restarts: a DialAuto client
 	// redials with capped exponential backoff and re-registers with the
 	// master (which idempotently re-acks a known name) on every
 	// reconnect, instead of exiting on the first dropped TCP connection.
@@ -60,7 +60,7 @@ func main() {
 	}
 	defer port.Close()
 	workerName := *name
-	port.SetOnReconnect(func(p *transport.AutoClient) {
+	port.SetOnReconnect(func(p *transport.Client) {
 		fmt.Fprintf(os.Stderr, "xflow-worker: %s reconnected to broker (attempt %d), re-registering\n",
 			workerName, p.Reconnects())
 		p.Send(engine.MasterName, engine.MsgRegister{Worker: workerName})

@@ -7,20 +7,16 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"crossflow/internal/engine"
 )
 
-// DefaultBidWindow is the paper's bidding threshold: "The master waits
-// for workers to make submissions within one second".
-const DefaultBidWindow = time.Second
-
 // BiddingAllocator is the master side of the Bidding Scheduler
 // (Listing 1): publish each incoming job for bidding, collect bids until
 // every active worker answered or the window expires, and assign the job
-// to the lowest bidder — or to an arbitrary worker if nobody bid.
+// to the lowest bidder — or to an arbitrary worker if nobody bid. The
+// auction itself is the contest book's; this policy asks everyone.
 type BiddingAllocator struct {
 	engine.NopAllocator
 	// Window overrides the bidding threshold; zero means
@@ -34,13 +30,7 @@ type BiddingAllocator struct {
 	// one that answered earlier.
 	FastLocalClose bool
 
-	contests map[string]*contest
-}
-
-type contest struct {
-	expected int
-	bids     []engine.MsgBid
-	closed   bool
+	book contestBook
 }
 
 // NewBidding returns a Bidding allocator with the paper's one-second
@@ -55,149 +45,52 @@ func (b *BiddingAllocator) Name() string {
 	return "bidding"
 }
 
-func (b *BiddingAllocator) window() time.Duration {
-	if b.Window > 0 {
-		return b.Window
-	}
-	return DefaultBidWindow
-}
-
 // JobReady implements engine.Allocator: sendJob (Listing 1, lines 1–4).
-// On a pipelined port, reached is engine.ContestUnsized: the contest
-// opens without knowing its fleet size and is resized by ContestSized
-// when the publish ack lands — bids arriving in between are collected
-// as usual, overlapping the ack round-trip.
 func (b *BiddingAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
-	if b.contests == nil {
-		b.contests = make(map[string]*contest)
-	}
-	reached := ctx.PublishBidRequest(job.ID)
-	b.contests[job.ID] = &contest{expected: reached}
-	ctx.ScheduleBidWindow(job.ID, b.window())
-	if reached == 0 {
-		// Nobody to bid: fall through to the arbitrary-assignment path
-		// when the window fires (there may be no workers at all yet).
-		return
-	}
+	b.book.broadcast(ctx, job.ID, b.Window)
 }
 
 // ContestSized implements the engine's pipelined-publish hook: the
-// reached count of an open unsized contest resolved. If every reached
-// worker has already bid, the contest closes now; a count of 0 keeps
-// the original no-fleet semantics (wait for the window, then assign
-// arbitrarily). A worker that died between the publish and this event
-// is still counted in reached — its missing bid holds the contest open
-// until the window expires, which is the same guarantee the
-// synchronous path gives for workers dying after the count returned.
+// reached count of an open unsized contest resolved.
 func (b *BiddingAllocator) ContestSized(ctx engine.AllocCtx, jobID string, reached int) {
-	c := b.contests[jobID]
-	if c == nil || c.closed {
-		return
-	}
-	c.expected = reached
-	if reached > 0 && len(c.bids) >= reached {
-		b.close(ctx, jobID, c)
+	if b.book.sized(jobID, reached) {
+		b.settle(ctx, jobID)
 	}
 }
 
 // BidReceived implements engine.Allocator: receiveBid (Listing 1,
-// lines 6–15).
+// lines 6–15). An unsized contest can only fast-close on a local bid;
+// the full-fleet arm waits for the count.
 func (b *BiddingAllocator) BidReceived(ctx engine.AllocCtx, bid engine.MsgBid) {
-	c := b.contests[bid.JobID]
-	if c == nil || c.closed {
-		return // late bid for a closed contest
-	}
-	c.bids = append(c.bids, bid)
-	// An unsized contest (expected < 0, count still in flight) can only
-	// fast-close on a local bid; the full-fleet arm waits for the count.
-	sized := c.expected >= 0
-	if (sized && len(c.bids) >= c.expected) || (b.FastLocalClose && bid.Local) {
-		b.close(ctx, bid.JobID, c)
+	if open, full := b.book.bid(bid); open && (full || (b.FastLocalClose && bid.Local)) {
+		b.settle(ctx, bid.JobID)
 	}
 }
 
 // BidWindowExpired implements engine.Allocator: the threshold arm of
 // biddingFinished (Listing 1, line 30).
 func (b *BiddingAllocator) BidWindowExpired(ctx engine.AllocCtx, jobID string) {
-	c := b.contests[jobID]
-	if c == nil || c.closed {
-		return
-	}
-	b.close(ctx, jobID, c)
+	b.settle(ctx, jobID)
 }
 
-// WorkerLost implements engine.Allocator: scrub the dead worker from
-// every open contest. Its submitted bids must not win (the assignment
-// would target a closed endpoint and strand the job — the master only
-// redispatches jobs that were assigned *before* the death), and its
-// unanswered bid requests must no longer hold a contest open. A contest
-// whose remaining expectations are all met closes immediately.
-//
-// Found by simtest fuzzing: a worker killed between bidding and the
-// contest close left its winning bid in place, and the job it "won"
-// never ran (seed 438).
+// WorkerLost implements engine.Allocator: the dead worker leaves every
+// open contest, and those it was the last to hold open close.
 func (b *BiddingAllocator) WorkerLost(ctx engine.AllocCtx, worker string, inflight []*engine.Job) {
-	// Scrub in job-ID order: one death can close several contests, and
-	// map-iteration order must not decide the order their assignments
-	// (and fallback random draws) happen in.
-	open := make([]string, 0, len(b.contests))
-	for jobID := range b.contests {
-		open = append(open, jobID)
-	}
-	sort.Strings(open)
-	for _, jobID := range open {
-		c := b.contests[jobID]
-		kept := c.bids[:0]
-		for _, bid := range c.bids {
-			if bid.Worker != worker {
-				kept = append(kept, bid)
-			}
-		}
-		c.bids = kept
-		// The dead worker was one of the publish's recipients whether or
-		// not it had answered yet; the contest no longer waits for it.
-		if c.expected > 0 {
-			c.expected--
-		}
-		if c.expected > 0 && len(c.bids) >= c.expected {
-			b.close(ctx, jobID, c)
-		}
+	for _, jobID := range b.book.scrub(worker) {
+		b.settle(ctx, jobID)
 	}
 }
 
-// close concludes a contest: getPreferredWorker + sendToWorker
-// (Listing 1, lines 17–27), with the arbitrary-node fallback when no
-// bids arrived in time.
-func (b *BiddingAllocator) close(ctx engine.AllocCtx, jobID string, c *contest) {
-	c.closed = true
-	delete(b.contests, jobID)
-	if len(c.bids) == 0 {
-		workers := ctx.Workers()
-		if len(workers) == 0 {
-			// No workers at all: retry a full contest shortly.
-			ctx.ScheduleBidWindow(jobID, b.window())
-			b.contests[jobID] = &contest{expected: 0}
-			return
-		}
-		if m, ok := ctx.(interface{ CountFallback() }); ok {
-			m.CountFallback()
-		}
-		ctx.Assign(jobID, workers[ctx.Rand().Intn(len(workers))], 0)
-		return
+// settle concludes a contest with sendToWorker (Listing 1, line 26).
+func (b *BiddingAllocator) settle(ctx engine.AllocCtx, jobID string) {
+	if worker, cost, ok := b.book.settle(ctx, jobID, b.Window); ok {
+		ctx.Assign(jobID, worker, cost)
 	}
-	sort.SliceStable(c.bids, func(i, j int) bool {
-		if c.bids[i].Estimate != c.bids[j].Estimate {
-			return c.bids[i].Estimate < c.bids[j].Estimate
-		}
-		return c.bids[i].Worker < c.bids[j].Worker
-	})
-	win := c.bids[0]
-	ctx.Assign(jobID, win.Worker, win.JobCost)
 }
 
 // OpenContests reports how many contests are currently open (for tests
 // and diagnostics).
-func (b *BiddingAllocator) OpenContests() int { return len(b.contests) }
+func (b *BiddingAllocator) OpenContests() int { return len(b.book.open) }
 
 // BiddingAgent is the worker side of the Bidding Scheduler (Listing 2):
 // on every bid request, estimate current workload plus the job's

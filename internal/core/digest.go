@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"crossflow/internal/engine"
 )
 
 // State digests for the model checker (internal/modelcheck): each
@@ -18,10 +16,7 @@ import (
 // StateDigest implements engine.StateDigester.
 func (b *BiddingAllocator) StateDigest() string {
 	var out strings.Builder
-	writeContests(&out, contestIDs(b.contests), func(id string) (int, map[string]bool, []engine.MsgBid) {
-		c := b.contests[id]
-		return c.expected, nil, c.bids
-	})
+	b.book.digest(&out)
 	return out.String()
 }
 
@@ -29,10 +24,7 @@ func (b *BiddingAllocator) StateDigest() string {
 func (b *TopKAllocator) StateDigest() string {
 	b.init()
 	var out strings.Builder
-	writeContests(&out, contestIDs(b.contests), func(id string) (int, map[string]bool, []engine.MsgBid) {
-		c := b.contests[id]
-		return c.expected, c.targets, c.bids
-	})
+	b.book.digest(&out)
 	ids := make([]string, 0, len(b.assignedCost))
 	for id := range b.assignedCost {
 		ids = append(ids, id)
@@ -45,31 +37,21 @@ func (b *TopKAllocator) StateDigest() string {
 	return out.String()
 }
 
-// contestIDs returns a contest map's job IDs in sorted order.
-func contestIDs[V any](m map[string]V) []string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// writeContests renders each open contest: expectation, target set
-// (nil for broadcast), and bids in arrival order.
-func writeContests(out *strings.Builder, ids []string, get func(id string) (int, map[string]bool, []engine.MsgBid)) {
-	for _, id := range ids {
-		expected, targets, bids := get(id)
-		fmt.Fprintf(out, "contest %s exp=%d", id, expected)
-		if targets != nil {
-			names := make([]string, 0, len(targets))
-			for w := range targets {
+// digest renders each open contest: expectation, target set (nil for
+// broadcast), and bids in arrival order.
+func (k *contestBook) digest(out *strings.Builder) {
+	for _, id := range k.ids() {
+		c := k.open[id]
+		fmt.Fprintf(out, "contest %s exp=%d", id, c.expected)
+		if c.targets != nil {
+			names := make([]string, 0, len(c.targets))
+			for w := range c.targets {
 				names = append(names, w)
 			}
 			sort.Strings(names)
 			fmt.Fprintf(out, " targets=%s", strings.Join(names, ","))
 		}
-		for _, bid := range bids {
+		for _, bid := range c.bids {
 			fmt.Fprintf(out, " bid=%s:%d:%d:%t", bid.Worker, bid.Estimate, bid.JobCost, bid.Local)
 		}
 		out.WriteByte('\n')

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"crossflow/internal/engine"
@@ -11,8 +10,9 @@ import (
 // Candidate-set sizing for the scalable bidding policy. A contest
 // targets at most DefaultTopKHolders workers the index believes hold
 // the job's data, plus a power-of-two-choices sample of
-// DefaultTopKSample lightly-loaded workers so cold keys still get a
-// small, cheap contest and hot holders get load competition.
+// DefaultTopKSample lightly-loaded workers (one more when the index has
+// no holder at all) so cold keys still get a small, cheap contest and
+// hot holders get load competition.
 const (
 	DefaultTopKHolders = 3
 	DefaultTopKSample  = 2
@@ -37,28 +37,13 @@ type TopKAllocator struct {
 	// Window overrides the bidding threshold; zero means
 	// DefaultBidWindow.
 	Window time.Duration
-	// Holders caps how many indexed holders a contest targets; zero
-	// means DefaultTopKHolders.
-	Holders int
-	// Sample is how many lightly-loaded extra candidates each contest
-	// draws by power-of-two-choices; zero means DefaultTopKSample.
-	Sample int
 
-	index    *locindex.Index
-	contests map[string]*topkContest
+	index *locindex.Index
+	book  contestBook
 	// assignedCost remembers the believed cost charged to a worker at
 	// assignment so JobFinished can release exactly that much from the
 	// load sketch.
 	assignedCost map[string]time.Duration
-}
-
-type topkContest struct {
-	expected int
-	// targets is the candidate set of a targeted contest; nil for a
-	// broadcast (fallback) contest, which accepts bids from anyone.
-	targets map[string]bool
-	bids    []engine.MsgBid
-	closed  bool
 }
 
 // NewTopK returns a scalable bidding allocator with the default
@@ -68,31 +53,9 @@ func NewTopK() *TopKAllocator { return &TopKAllocator{} }
 // Name implements engine.Allocator.
 func (b *TopKAllocator) Name() string { return "bidding-topk" }
 
-func (b *TopKAllocator) window() time.Duration {
-	if b.Window > 0 {
-		return b.Window
-	}
-	return DefaultBidWindow
-}
-
-func (b *TopKAllocator) holders() int {
-	if b.Holders > 0 {
-		return b.Holders
-	}
-	return DefaultTopKHolders
-}
-
-func (b *TopKAllocator) sample() int {
-	if b.Sample > 0 {
-		return b.Sample
-	}
-	return DefaultTopKSample
-}
-
 func (b *TopKAllocator) init() {
 	if b.index == nil {
 		b.index = locindex.New(0)
-		b.contests = make(map[string]*topkContest)
 		b.assignedCost = make(map[string]time.Duration)
 	}
 }
@@ -101,28 +64,21 @@ func (b *TopKAllocator) init() {
 func (b *TopKAllocator) Index() *locindex.Index { b.init(); return b.index }
 
 // OpenContests reports how many contests are currently open.
-func (b *TopKAllocator) OpenContests() int { return len(b.contests) }
+func (b *TopKAllocator) OpenContests() int { return len(b.book.open) }
 
 // JobReady implements engine.Allocator: plan a candidate set and open a
-// targeted contest for the job.
+// targeted contest for the job. An empty or fully-dead candidate set
+// opens a broadcast contest instead, so the job cannot starve on a
+// stale index.
 func (b *TopKAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
 	b.init()
-	cands := b.candidates(ctx, job)
-	if len(cands) > 0 {
+	if cands := b.candidates(ctx, job); len(cands) > 0 {
 		if reached := ctx.PublishBidRequestTo(job.ID, cands); reached > 0 {
-			targets := make(map[string]bool, len(cands))
-			for _, w := range cands {
-				targets[w] = true
-			}
-			b.contests[job.ID] = &topkContest{expected: reached, targets: targets}
-			ctx.ScheduleBidWindow(job.ID, b.window())
+			b.book.start(ctx, job.ID, reached, cands, b.Window)
 			return
 		}
 	}
-	// Empty or fully-dead candidate set: open a broadcast contest so the
-	// job cannot starve on a stale index (same protocol as plain
-	// bidding, including the retry when no workers exist yet).
-	b.openBroadcast(ctx, job.ID)
+	b.book.broadcast(ctx, job.ID, b.Window)
 }
 
 // candidates plans a contest's target set: the lightest-loaded indexed
@@ -130,28 +86,21 @@ func (b *TopKAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
 // sample of the fleet. The result is deterministic given the index
 // state and the master's seeded random source.
 func (b *TopKAllocator) candidates(ctx engine.AllocCtx, job *engine.Job) []string {
-	cands := b.index.Holders(job.DataKey, b.holders())
+	cands := b.index.Holders(job.DataKey, DefaultTopKHolders)
 	exclude := make(map[string]bool, len(cands))
 	for _, w := range cands {
 		exclude[w] = true
 	}
 	// Top up with lightly-loaded workers: load competition for hot
 	// holders, and a non-empty candidate set for cold keys.
-	want := b.sample()
+	want := DefaultTopKSample
 	if len(cands) == 0 {
 		// No locality hint at all — draw a slightly wider net so the
 		// contest still compares a few queues.
-		want = b.sample() + 1
+		want++
 	}
 	cands = append(cands, b.index.SampleLight(ctx.Rand(), ctx.Workers(), want, exclude)...)
 	return cands
-}
-
-// openBroadcast opens (or reopens) a whole-fleet contest for the job.
-func (b *TopKAllocator) openBroadcast(ctx engine.AllocCtx, jobID string) {
-	reached := ctx.PublishBidRequest(jobID)
-	b.contests[jobID] = &topkContest{expected: reached}
-	ctx.ScheduleBidWindow(jobID, b.window())
 }
 
 // BidReceived implements engine.Allocator. Every bid — even a late one
@@ -171,69 +120,21 @@ func (b *TopKAllocator) BidReceived(ctx engine.AllocCtx, bid engine.MsgBid) {
 	}
 	b.index.SetLoad(bid.Worker, bid.Estimate-bid.JobCost)
 
-	c := b.contests[bid.JobID]
-	if c == nil || c.closed {
-		return
-	}
-	// A targeted contest only accepts bids from its candidate set: a
-	// straggler bid from an earlier (pre-redispatch) round must not win
-	// a contest that never asked that worker.
-	if c.targets != nil && !c.targets[bid.Worker] {
-		return
-	}
-	c.bids = append(c.bids, bid)
-	if len(c.bids) >= c.expected {
-		b.close(ctx, bid.JobID, c)
+	if _, full := b.book.bid(bid); full {
+		b.settle(ctx, bid.JobID)
 	}
 }
 
 // BidWindowExpired implements engine.Allocator.
 func (b *TopKAllocator) BidWindowExpired(ctx engine.AllocCtx, jobID string) {
-	c := b.contests[jobID]
-	if c == nil || c.closed {
-		return
-	}
-	b.close(ctx, jobID, c)
+	b.settle(ctx, jobID)
 }
 
-// close concludes a contest. With bids, the lowest estimate wins
-// (ties by worker name, same as plain bidding) and the index records
-// the winner as a committed holder. A targeted contest that got no
-// bids reopens as a broadcast fallback; a broadcast contest that got no
-// bids assigns arbitrarily (or retries when the fleet is empty).
-func (b *TopKAllocator) close(ctx engine.AllocCtx, jobID string, c *topkContest) {
-	c.closed = true
-	delete(b.contests, jobID)
-	if len(c.bids) == 0 {
-		if c.targets != nil {
-			// All candidates timed out or died: accounted fallback to the
-			// whole fleet.
-			if m, ok := ctx.(interface{ CountFallback() }); ok {
-				m.CountFallback()
-			}
-			b.openBroadcast(ctx, jobID)
-			return
-		}
-		workers := ctx.Workers()
-		if len(workers) == 0 {
-			ctx.ScheduleBidWindow(jobID, b.window())
-			b.contests[jobID] = &topkContest{expected: 0}
-			return
-		}
-		if m, ok := ctx.(interface{ CountFallback() }); ok {
-			m.CountFallback()
-		}
-		b.assign(ctx, jobID, workers[ctx.Rand().Intn(len(workers))], 0)
-		return
+// settle concludes a contest; the winner goes through assign.
+func (b *TopKAllocator) settle(ctx engine.AllocCtx, jobID string) {
+	if worker, cost, ok := b.book.settle(ctx, jobID, b.Window); ok {
+		b.assign(ctx, jobID, worker, cost)
 	}
-	sort.SliceStable(c.bids, func(i, j int) bool {
-		if c.bids[i].Estimate != c.bids[j].Estimate {
-			return c.bids[i].Estimate < c.bids[j].Estimate
-		}
-		return c.bids[i].Worker < c.bids[j].Worker
-	})
-	win := c.bids[0]
-	b.assign(ctx, jobID, win.Worker, win.JobCost)
 }
 
 // assign allocates and updates the index: the winner commits to fetch
@@ -269,35 +170,12 @@ func (b *TopKAllocator) CacheEvicted(ctx engine.AllocCtx, worker string, keys []
 }
 
 // WorkerLost implements engine.Allocator: scrub the dead worker from
-// the index and from every open contest, exactly as plain bidding does
-// — its bids must not win, and contests must not wait for it. For a
-// targeted contest the expectation drops only if the dead worker was
-// actually a candidate.
+// the index and from every open contest, exactly as plain bidding does.
 func (b *TopKAllocator) WorkerLost(ctx engine.AllocCtx, worker string, inflight []*engine.Job) {
 	b.init()
 	b.index.RemoveWorker(worker)
-	open := make([]string, 0, len(b.contests))
-	for jobID := range b.contests {
-		open = append(open, jobID)
-	}
-	sort.Strings(open)
-	for _, jobID := range open {
-		c := b.contests[jobID]
-		kept := c.bids[:0]
-		for _, bid := range c.bids {
-			if bid.Worker != worker {
-				kept = append(kept, bid)
-			}
-		}
-		c.bids = kept
-		if c.targets == nil || c.targets[worker] {
-			if c.expected > 0 {
-				c.expected--
-			}
-		}
-		if c.expected > 0 && len(c.bids) >= c.expected {
-			b.close(ctx, jobID, c)
-		}
+	for _, jobID := range b.book.scrub(worker) {
+		b.settle(ctx, jobID)
 	}
 }
 

@@ -53,14 +53,6 @@ type ClusterConfig struct {
 	Tracer Tracer
 }
 
-// batchSpec is the extra state of a batch (one-shot) run on top of the
-// cluster runtime: the single workflow and its pre-scheduled arrivals.
-// Run passes one; NewCluster passes nil.
-type batchSpec struct {
-	wf       *Workflow
-	arrivals []Arrival
-}
-
 // clusterMember is one worker's runtime record: its persistent state,
 // the live node, and the counter snapshot taken when it entered the
 // cluster (so per-run report deltas survive state reuse).
@@ -81,10 +73,13 @@ type clusterMember struct {
 type Cluster struct {
 	clk vclock.Clock
 	bus *broker.Broker
-	// plane drives the control plane: the single master itself, or the
-	// sharded frontend.
-	plane controlPlane
-	cfg   ClusterConfig
+	// plane is the control-plane core of the single master or of the
+	// sharded frontend; report and digest are the two things those do
+	// differently.
+	plane  *Plane
+	report func() *Report
+	digest func() string
+	cfg    ClusterConfig
 	// defaultWF is the workflow joiners inherit when a job carries no
 	// session tag; nil outside batch mode.
 	defaultWF *Workflow
@@ -96,13 +91,15 @@ type Cluster struct {
 	started bool                      //xflow:owned mu=mu
 }
 
-// newCluster assembles the shared substrate of both modes. The
-// construction order (clock, rng, broker, master endpoint, master,
-// tracer, then one Register+newWorker per worker in input order) is
-// load-bearing: mailbox and endpoint creation order is part of the
-// deterministic replay surface, so batch runs built here are
-// bit-compatible with the historical Run.
-func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
+// newCluster assembles the shared substrate of both modes: batch is
+// Run's Config, whose Workflow, Arrivals and StaleBidBug make the plane
+// a one-shot batch run, and nil for NewCluster. The construction order
+// (clock, rng, broker, master endpoint, master, then one
+// Register+NewWorker per worker in input order) is load-bearing:
+// mailbox and endpoint creation order is part of the deterministic
+// replay surface, so batch runs built here are bit-compatible with the
+// historical Run.
+func newCluster(cfg ClusterConfig, batch *Config) (*Cluster, error) {
 	if cfg.Shards > 1 {
 		if cfg.NewAllocator == nil {
 			return nil, errors.New("engine: sharded cluster needs an allocator factory")
@@ -129,45 +126,41 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 		bus.SetDropFunc(cfg.DropFunc)
 	}
 	masterEp := bus.Register(MasterName, cfg.MasterLink)
-	var plane controlPlane
-	var defaultWF *Workflow
-	switch {
-	case cfg.Shards > 1:
+	c := &Cluster{
+		clk:     clk,
+		bus:     bus,
+		cfg:     cfg,
+		wfs:     make(map[string]*Workflow),
+		members: make(map[string]*clusterMember, len(cfg.Workers)),
+	}
+	// A batch plane forms when its fleet registers and then runs the
+	// arrival schedule; a cluster plane expecting nobody starts formed.
+	ready, staleBidBug := len(cfg.Workers) == 0, false
+	if batch != nil {
+		c.defaultWF, ready, staleBidBug = batch.Workflow, false, batch.StaleBidBug
+	}
+	if cfg.Shards > 1 {
 		// Shard endpoints register right after the master's, before any
-		// worker, so their mailbox creation order is deterministic.
+		// worker, so their mailbox creation order is deterministic. The
+		// frontend owns the arrival schedule and termination detection;
+		// the parts never see Arrivals — the router partitions each job
+		// as it fires.
 		shardPorts := make([]Port, cfg.Shards)
 		for i := range shardPorts {
 			shardPorts[i] = bus.Register(ShardName(i), cfg.MasterLink)
 		}
-		if batch != nil {
-			// The frontend owns the arrival schedule and termination
-			// detection; the parts never see Arrivals — the router
-			// partitions each job as it fires.
-			sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator,
-				batch.wf, len(cfg.Workers), false, rng)
-			sm.armBatch(batch.arrivals)
-			plane, defaultWF = sm, batch.wf
-		} else {
-			plane = NewShardedClusterMaster(clk, masterEp, shardPorts,
-				cfg.NewAllocator, len(cfg.Workers), rng)
-		}
-	case batch != nil:
-		plane = NewMaster(clk, masterEp, cfg.Allocator, batch.wf,
-			batch.arrivals, len(cfg.Workers), rng)
-		defaultWF = batch.wf
-	default:
-		plane = NewClusterMaster(clk, masterEp, cfg.Allocator, len(cfg.Workers), rng)
+		sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator, c.defaultWF,
+			len(cfg.Workers), ready, rng, cfg.Tracer, staleBidBug)
+		c.plane, c.report, c.digest = &sm.Plane, sm.Report, sm.StateDigest
+	} else {
+		m := newMaster(clk, masterEp, cfg.Allocator, c.defaultWF,
+			len(cfg.Workers), ready, rng, cfg.Tracer, staleBidBug)
+		c.plane, c.report, c.digest = &m.Plane, m.Report, m.StateDigest
 	}
-	plane.setTracer(cfg.Tracer)
-
-	c := &Cluster{
-		clk:       clk,
-		bus:       bus,
-		plane:     plane,
-		cfg:       cfg,
-		defaultWF: defaultWF,
-		wfs:       make(map[string]*Workflow),
-		members:   make(map[string]*clusterMember, len(cfg.Workers)),
+	if batch != nil {
+		c.plane.armBatch(batch.Arrivals)
+	} else {
+		c.plane.signalReady(clk.NewMailbox(MasterName + ":ready"))
 	}
 	for _, st := range cfg.Workers {
 		if st == nil {
@@ -183,7 +176,7 @@ func newCluster(cfg ClusterConfig, batch *batchSpec) (*Cluster, error) {
 // (the caller then starts the node itself).
 func (c *Cluster) addMember(st *WorkerState) (w *Worker, running bool) {
 	ep := c.bus.Register(st.Spec.Name, st.Spec.Link)
-	w = newWorker(c.clk, ep, c.defaultWF, st, c.cfg.Hub, c.cfg.NewAgent(st))
+	w = NewWorker(c.clk, ep, c.defaultWF, st, c.cfg.Hub, c.cfg.NewAgent(st))
 	w.SetWorkflowResolver(c.workflowFor)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,7 +218,7 @@ func (c *Cluster) Start(driver func()) {
 	c.clk.Go(func() {
 		c.plane.Start()
 		for _, name := range initial {
-			c.worker(name).start()
+			c.worker(name).Start()
 		}
 		if driver != nil {
 			driver()
@@ -270,7 +263,7 @@ func (c *Cluster) Join(st *WorkerState) (*Worker, error) {
 	}
 	w, running := c.addMember(st)
 	if running {
-		w.start()
+		w.Start()
 	}
 	return w, nil
 }

@@ -96,7 +96,7 @@ func (w *Worker) StateDigest() string {
 // still state.
 func (c *Cluster) StateDigest() string {
 	var b strings.Builder
-	b.WriteString(c.plane.StateDigest())
+	b.WriteString(c.digest())
 	c.mu.Lock()
 	order := append([]string(nil), c.order...)
 	c.mu.Unlock()

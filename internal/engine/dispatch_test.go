@@ -200,7 +200,7 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 				RW:   netsim.Speed{BaseMBps: 100},
 				Seed: 1,
 			}, nil)
-			w := newWorker(sim, bus.Register("w1", 0), dispatchWorkflow(), st, nil, idleAgent{})
+			w := NewWorker(sim, bus.Register("w1", 0), dispatchWorkflow(), st, nil, idleAgent{})
 
 			// One tracked goroutine starts the loop and sends: were the sends
 			// issued from this untracked one, the loop could park first and

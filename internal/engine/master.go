@@ -65,20 +65,23 @@ type Master struct {
 // parts), running until Shutdown. The caller owns rng's seeding — the
 // master never touches the global math/rand generator, so
 // identically-seeded runs replay identically. A nil rng falls back to a
-// seed-0 source rather than crashing.
+// seed-0 source rather than crashing. tracer may be nil; staleBidBug is
+// the test-only switch documented on the field.
 //
 //xflow:goroutine master-loop
 func newMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
-	expectedWorkers int, ready bool, rng *rand.Rand) *Master {
+	expectedWorkers int, ready bool, rng *rand.Rand, tracer Tracer, staleBidBug bool) *Master {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
 	m := &Master{
-		Plane:    newPlane(clk, port, wf, expectedWorkers, ready),
-		alloc:    alloc,
-		rng:      rng,
-		sessions: make(map[string]*session),
-		records:  make(map[string]*JobRecord),
+		Plane:       newPlane(clk, port, wf, expectedWorkers, ready),
+		alloc:       alloc,
+		rng:         rng,
+		tracer:      tracer,
+		staleBidBug: staleBidBug,
+		sessions:    make(map[string]*session),
+		records:     make(map[string]*JobRecord),
 	}
 	m.cur = m.def
 	m.bind(m.handle)
@@ -95,11 +98,7 @@ func newMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 //xflow:goroutine master-loop
 func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 	arrivals []Arrival, expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, wf, expectedWorkers, false, rng)
-	// Sized for the input stream; tasks that emit downstream jobs grow
-	// them past this, but the common case never rehashes.
-	m.records = make(map[string]*JobRecord, len(arrivals))
-	m.order = make([]string, 0, len(arrivals))
+	m := newMaster(clk, port, alloc, wf, expectedWorkers, false, rng, nil, false)
 	m.armBatch(arrivals)
 	return m
 }
@@ -112,7 +111,7 @@ func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 // the allocator via WorkerJoined.
 func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 	expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, nil, expectedWorkers, expectedWorkers == 0, rng)
+	m := newMaster(clk, port, alloc, nil, expectedWorkers, expectedWorkers == 0, rng, nil, false)
 	m.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return m
 }

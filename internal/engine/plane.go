@@ -44,8 +44,9 @@ type Plane struct {
 
 	membership
 
-	// aborted and finished are read from outside only after the loop
-	// has exited (Run reads them once the clock's Wait returned).
+	// finished marks the loop terminated and aborted that a Deadline cut
+	// it short; both are read from outside only after the loop has
+	// exited (Run reads them once the clock's Wait returned).
 	aborted  bool
 	finished bool
 }
@@ -184,14 +185,6 @@ func (p *Plane) halt(abort bool) {
 		p.ep.Publish(TopicControl, MsgStop{})
 	}
 }
-
-// done reports whether the actor loop has terminated (normally or by
-// abort). Callers must synchronize with the loop's exit first — Run
-// reads it only after the clock's Wait returned.
-func (p *Plane) done() bool { return p.finished }
-
-// Aborted reports whether the run was cut short by its Deadline.
-func (p *Plane) Aborted() bool { return p.aborted }
 
 // membership is the fleet-membership state machine of a control plane:
 // quorum formation, the live set, death tombstones, and pending drains.

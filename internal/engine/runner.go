@@ -119,12 +119,11 @@ func Run(cfg Config) (*Report, error) {
 		DelayFunc:    cfg.DelayFunc,
 		DropFunc:     cfg.DropFunc,
 		Tracer:       cfg.Tracer,
-	}, &batchSpec{wf: cfg.Workflow, arrivals: cfg.Arrivals})
+	}, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	clk, plane := c.clk, c.plane
-	plane.setStaleBidBug(cfg.StaleBidBug)
 	if cfg.Probe != nil {
 		cfg.Probe(c)
 	}
@@ -257,11 +256,11 @@ func Run(cfg Config) (*Report, error) {
 	// to a partition) strands that worker's goroutine but the run itself
 	// concluded; only an unfinished master makes the deadlock the run's
 	// outcome.
-	if sim, ok := clk.(*vclock.Sim); ok && sim.Deadlocked() && !plane.done() {
+	if sim, ok := clk.(*vclock.Sim); ok && sim.Deadlocked() && !plane.finished {
 		return nil, fmt.Errorf("%w (blocked: %v)", ErrDeadlocked, deadlockWaiting)
 	}
 
-	rep := plane.Report()
+	rep := c.report()
 	addWorker := func(st *WorkerState, before workerSnapshot, w *Worker) {
 		wr := diffWorker(st, before)
 		if w != nil {
@@ -289,7 +288,7 @@ func Run(cfg Config) (*Report, error) {
 	for _, jr := range joiners {
 		addWorker(jr.st, jr.before, jr.w)
 	}
-	if plane.Aborted() {
+	if plane.aborted {
 		return rep, fmt.Errorf("%w (%v of simulated time, %d/%d jobs completed)",
 			ErrDeadlineExceeded, cfg.Deadline, rep.JobsCompleted, len(cfg.Arrivals))
 	}

@@ -18,29 +18,6 @@ import (
 // never need to know the plane is sharded.
 func ShardName(i int) string { return MasterName + "#" + strconv.Itoa(i) }
 
-// controlPlane is the master-side surface Cluster drives: either a
-// single Master (the historical shape, byte-identical behavior) or a
-// ShardedMaster frontend with its N contest shard parts. The actor
-// half is the shared Plane core both embed; only the report, the
-// digest, and the test hooks differ.
-type controlPlane interface {
-	Start()
-	WaitReady()
-	Shutdown()
-	Drain(worker string) vclock.Mailbox
-	Inject(payload any)
-	OpenSession(id string, wf *Workflow) *MasterSession
-	Aborted() bool
-	done() bool
-	Report() *Report
-	StateDigest() string
-	setTracer(t Tracer)
-	setStaleBidBug(on bool)
-}
-
-func (m *Master) setTracer(t Tracer)     { m.tracer = t }
-func (m *Master) setStaleBidBug(on bool) { m.staleBidBug = on }
-
 // routerSession is the frontend's bookkeeping for one open session: the
 // user-facing session value, the per-shard subsessions, and the
 // routed/settled accounting that decides when the feed close may be
@@ -106,11 +83,12 @@ type ShardedMaster struct {
 // notices are lost exactly like its other sends); on any other port —
 // the TCP transport, whose wire format does not carry internal
 // messages — it injects straight into the router's inbox, which is
-// correct because parts always share the router's process.
+// correct because parts always share the router's process. tracer and
+// staleBidBug go to every part; the router itself allocates nothing.
 //
 //xflow:goroutine router-loop
-func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
-	newAlloc func() Allocator, wf *Workflow, expectedWorkers int, ready bool, rng *rand.Rand) *ShardedMaster {
+func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc func() Allocator,
+	wf *Workflow, expectedWorkers int, ready bool, rng *rand.Rand, tracer Tracer, staleBidBug bool) *ShardedMaster {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
@@ -124,7 +102,7 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
 	sm.bind(sm.handle)
 	for i, sp := range shardPorts {
 		partRng := rand.New(rand.NewSource(rng.Int63()))
-		p := newMaster(clk, sp, newAlloc(), wf, expectedWorkers, ready, partRng)
+		p := newMaster(clk, sp, newAlloc(), wf, expectedWorkers, ready, partRng, tracer, staleBidBug)
 		p.muteStop = true
 		p.traceShard = i + 1
 		p.settle = func(jobID string, s *session, newJobs []*Job) {
@@ -151,21 +129,9 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port,
 // this over the TCP transport; in-process runs go through Config.Shards.
 func NewShardedClusterMaster(clk vclock.Clock, port Port, shardPorts []Port,
 	newAlloc func() Allocator, expectedWorkers int, rng *rand.Rand) *ShardedMaster {
-	sm := newShardedMaster(clk, port, shardPorts, newAlloc, nil, expectedWorkers, expectedWorkers == 0, rng)
+	sm := newShardedMaster(clk, port, shardPorts, newAlloc, nil, expectedWorkers, expectedWorkers == 0, rng, nil, false)
 	sm.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return sm
-}
-
-func (sm *ShardedMaster) setTracer(t Tracer) {
-	for _, p := range sm.parts {
-		p.tracer = t
-	}
-}
-
-func (sm *ShardedMaster) setStaleBidBug(on bool) {
-	for _, p := range sm.parts {
-		p.staleBidBug = on
-	}
 }
 
 // Report merges the per-shard batch reports into the plane-wide view,

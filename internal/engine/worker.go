@@ -165,8 +165,10 @@ func (s staticCosts) ProcessEstimate(sizeMB float64) time.Duration {
 func (staticCosts) ObserveTransfer(float64, time.Duration) {}
 func (staticCosts) ObserveProcess(float64, time.Duration)  {}
 
-// newWorker wires a worker over existing persistent state.
-func newWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
+// NewWorker wires a worker over existing persistent state and an
+// arbitrary Port — in-process broker endpoint or TCP client alike. hub
+// may be nil when the workflow's tasks never call SearchHub.
+func NewWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
 	hub *gitsim.Hub, agent Agent) *Worker {
 	return &Worker{
 		name:        st.Spec.Name,
@@ -188,14 +190,6 @@ func newWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
 	}
 }
 
-// NewWorker wires a worker over an arbitrary Port — the entry point for
-// distributed deployments. hub may be nil when the workflow's tasks
-// never call SearchHub.
-func NewWorker(clk vclock.Clock, port Port, wf *Workflow, st *WorkerState,
-	hub *gitsim.Hub, agent Agent) *Worker {
-	return newWorker(clk, port, wf, st, hub, agent)
-}
-
 // SetWorkflowResolver installs a session→workflow lookup for fleets
 // that host several workflows at once (see Cluster). Set it before
 // Start. Jobs whose Session the resolver knows run under the returned
@@ -210,15 +204,12 @@ func (w *Worker) Registered() bool {
 	return w.registered
 }
 
-// Start registers with the master and launches the worker's goroutines.
-// It returns immediately; the goroutines run until a stop message
-// arrives or the port's inbox closes.
-func (w *Worker) Start() { w.start() }
-
-// start registers with the master and launches the comms and executor
-// goroutines. The policy agent starts once the master acknowledges the
-// registration, so its first pull cannot be lost to start-up ordering.
-func (w *Worker) start() {
+// Start registers with the master and launches the comms and executor
+// goroutines. It returns immediately; the goroutines run until a stop
+// message arrives or the port's inbox closes. The policy agent starts
+// once the master acknowledges the registration, so its first pull
+// cannot be lost to start-up ordering.
+func (w *Worker) Start() {
 	w.ep.Subscribe(TopicBids)
 	w.ep.Subscribe(TopicControl)
 	w.register()

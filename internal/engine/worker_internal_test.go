@@ -20,7 +20,7 @@ func testWorker(t *testing.T) (*Worker, *vclock.Sim) {
 		RW:   netsim.Speed{BaseMBps: 100},
 		Seed: 1,
 	}, nil)
-	w := newWorker(sim, nopPort{clk: sim}, NewWorkflow("wf"), st, nil, nil)
+	w := NewWorker(sim, nopPort{clk: sim}, NewWorkflow("wf"), st, nil, nil)
 	return w, sim
 }
 

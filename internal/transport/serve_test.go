@@ -230,8 +230,8 @@ func TestServeShardedTCP(t *testing.T) {
 	}
 }
 
-// TestAutoClientReconnects drops the broker out from under an
-// AutoClient and verifies it redials with backoff, replays its
+// TestAutoClientReconnects drops the broker out from under a DialAuto
+// client and verifies it redials with backoff, replays its
 // subscriptions, runs the reconnect hook, and resumes delivery.
 func TestAutoClientReconnects(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
@@ -248,7 +248,7 @@ func TestAutoClientReconnects(t *testing.T) {
 	defer a.Close()
 	a.Subscribe("news")
 	hooked := make(chan struct{}, 4)
-	a.SetOnReconnect(func(*AutoClient) { hooked <- struct{}{} })
+	a.SetOnReconnect(func(*Client) { hooked <- struct{}{} })
 	waitRegistered(t, srv, "node")
 
 	// Kill the broker; the client must start redialing instead of dying.
@@ -293,6 +293,34 @@ func TestAutoClientReconnects(t *testing.T) {
 	}
 	if _, isStop := v.(*broker.Envelope).Payload.(engine.MsgStop); !isStop {
 		t.Errorf("unexpected payload %T", v.(*broker.Envelope).Payload)
+	}
+}
+
+// TestAutoClientDeregisterStaysGone: a redialing client that leaves
+// gracefully must not treat its own teardown as a drop to recover from —
+// a redial's hello would re-register the name it just freed.
+func TestAutoClientDeregisterStaysGone(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	a, err := DialAuto(srv.Addr(), "node", 0, vclock.NewReal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRegistered(t, srv, "node")
+	a.Deregister()
+	if _, ok := a.Inbox().Recv(); ok {
+		t.Error("inbox still open after Deregister")
+	}
+	// Past the first redial attempt (immediate) and the second (100ms).
+	time.Sleep(250 * time.Millisecond)
+	if _, ok := srv.bus.Lookup("node"); ok {
+		t.Error("deregistered name is back on the broker")
+	}
+	if n := a.Reconnects(); n != 0 {
+		t.Errorf("Reconnects = %d after a graceful leave", n)
 	}
 }
 

@@ -28,9 +28,12 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
+	"errors"
 	"fmt"
 	"log"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +49,7 @@ import (
 const DefaultAckTimeout = 10 * time.Second
 
 // Options tunes a client connection. The zero value is the deployment
-// default: 10s ack timeout, adaptive flushing.
+// default: 10s ack timeout.
 type Options struct {
 	// Codec selects nothing: there is one wire encoding. The field
 	// survives only because the frozen benchmark module sets it; it
@@ -57,30 +60,7 @@ type Options struct {
 	// AckTimeout bounds the wait for publish/multicast acks; 0 means
 	// DefaultAckTimeout. Tests shorten it to keep failure paths fast.
 	AckTimeout time.Duration
-
-	// FlushWindow, when positive, delays the flush of every
-	// fire-and-forget frame (sends, subscriptions) by up to this long so
-	// bursts batch into one write. Zero selects adaptive flushing: a
-	// frame flushes inline when the inbox is idle and defers (bounded by
-	// a short safety timer) when more deliveries are queued behind it.
-	// Ack-bearing frames always flush immediately, so publish latency
-	// never regresses. The window is wall-clock time: leave it zero
-	// under compressed-clock tests, where a microsecond of real delay is
-	// milliseconds of simulated time.
-	FlushWindow time.Duration
 }
-
-func (o Options) ackTimeout() time.Duration {
-	if o.AckTimeout > 0 {
-		return o.AckTimeout
-	}
-	return DefaultAckTimeout
-}
-
-// Register makes a payload type encodable on the wire; applications call
-// it for their own job payload and result types (gob.Register rules
-// apply — unknown payload types travel as embedded gob values).
-func Register(v any) { wire.Register(v) }
 
 // WireStats counts raw connection traffic on a server, hello headers and
 // length prefixes included. The wire benchmark divides deltas by jobs
@@ -104,6 +84,9 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]bool
+	// seats holds one entry per registered endpoint name; claim and
+	// release change a seat's owner only under mu.
+	seats map[string]*seat
 
 	bytesIn  atomic.Uint64
 	bytesOut atomic.Uint64
@@ -113,6 +96,24 @@ type Server struct {
 	// subscriber connection.
 	cacheMu  sync.Mutex
 	encCache map[*broker.Envelope][]byte
+}
+
+// seat is one endpoint name on the server: the broker endpoint, whose
+// inbox a single delivery pump drains for as long as the name stays
+// registered, and the connection that currently owns it. The newest
+// connection to say hello for a name is the owner; nil means the
+// endpoint is parked disconnected.
+type seat struct {
+	ep    *broker.Endpoint
+	owner atomic.Pointer[peer]
+}
+
+// peer is the write half of one client connection, shared by the
+// connection's read loop (acks) and its seat's delivery pump.
+type peer struct {
+	conn net.Conn
+	mu   sync.Mutex
+	enc  *wire.Encoder
 }
 
 // Serve starts a broker server on addr (e.g. ":7070"). The broker runs
@@ -127,6 +128,7 @@ func Serve(addr string) (*Server, error) {
 		bus:      broker.New(vclock.NewReal()),
 		ln:       ln,
 		conns:    make(map[net.Conn]bool),
+		seats:    make(map[string]*seat),
 		encCache: make(map[*broker.Envelope][]byte),
 	}
 	// The TCP links in front of this bus already provide propagation
@@ -146,13 +148,17 @@ func (s *Server) WireStats() WireStats {
 	return WireStats{BytesIn: s.bytesIn.Load(), BytesOut: s.bytesOut.Load()}
 }
 
-// Close stops the server and drops all connections.
+// Close stops the server, drops all connections, and closes every
+// endpoint inbox so the delivery pumps exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
+	}
+	for _, st := range s.seats {
+		st.ep.Inbox().Close()
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
@@ -224,6 +230,108 @@ func (s *Server) deliveryBody(env *broker.Envelope) ([]byte, error) {
 	return body, nil
 }
 
+// claim makes p the owner of name's seat, registering the endpoint and
+// starting its delivery pump on first contact. Taking over from a
+// connection that is still up closes it: its read loop then exits as a
+// non-owner and leaves the endpoint alone.
+func (s *Server) claim(name string, link time.Duration, p *peer) *seat {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.seats[name]
+	if st == nil {
+		// Owned before it is reachable: the pump drops what it finds
+		// while a seat has no owner.
+		st = &seat{}
+		st.owner.Store(p)
+		st.ep = s.bus.Register(name, link)
+		s.seats[name] = st
+		if s.closed {
+			st.ep.Inbox().Close() // a hello that raced Close: its pump exits at once
+		}
+		go s.pump(st)
+		return st
+	}
+	if old := st.owner.Swap(p); old != nil {
+		_ = old.conn.Close()
+	}
+	st.ep.Reconnect()
+	return st
+}
+
+// release ends p's ownership of st when its connection is done: the
+// endpoint is parked disconnected, or on a graceful leave its name is
+// freed for future joiners. A connection that was taken over owns
+// nothing any more, so its exit changes nothing.
+func (s *Server) release(st *seat, p *peer, deregister bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !st.owner.CompareAndSwap(p, nil) {
+		return
+	}
+	if !deregister {
+		st.ep.Disconnect()
+		return
+	}
+	delete(s.seats, st.ep.Name())
+	st.ep.Inbox().Close()
+	st.ep.Deregister()
+}
+
+// pump writes st's deliveries to whichever connection owns the seat,
+// draining the mailbox before each flush so a fan-out wave goes down
+// the socket as a handful of writes instead of one per frame. It runs
+// until the inbox closes (deregistration or server shutdown). What
+// arrives while no connection owns the seat is lost, and a payload that
+// cannot be encoded drops that delivery — the at-most-once discipline.
+func (s *Server) pump(st *seat) {
+	inbox := st.ep.Inbox()
+	write := func(p *peer, v any) bool {
+		env, ok := v.(*broker.Envelope)
+		if !ok {
+			return true
+		}
+		body, err := s.deliveryBody(env)
+		if err != nil {
+			return true
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.enc.EncodeRaw(body) == nil
+	}
+	// The encoder's buffer flushes itself when a long wave fills it.
+	wave := func(p *peer, v any) bool {
+		for more := true; more; v, more = inbox.TryRecv() {
+			if !write(p, v) {
+				return false
+			}
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.enc.Flush() == nil
+	}
+	for {
+		v, ok := inbox.Recv()
+		if !ok {
+			return
+		}
+		if p := st.owner.Load(); p != nil && !wave(p, v) {
+			_ = p.conn.Close() // its read loop notices and releases the seat
+		}
+	}
+}
+
+// ack answers a publish or multicast with its reached count. Acks flush
+// immediately: the client is blocked (or holding a pipelined future) on
+// this count.
+func (p *peer) ack(seq uint64, count int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.enc.Encode(&wire.Frame{Kind: wire.KindPubAck, Seq: seq, Count: count}); err != nil {
+		return false
+	}
+	return p.enc.Flush() == nil
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -244,110 +352,31 @@ func (s *Server) handle(conn net.Conn) {
 	if err := wire.WriteHeader(cc); err != nil {
 		return
 	}
-	enc := wire.NewEncoder(cc)
 	dec := wire.NewDecoder(br)
-	var encMu sync.Mutex
-
 	var hello wire.Frame
 	if err := dec.Decode(&hello); err != nil || hello.Kind != wire.KindHello || hello.Name == "" {
 		return
 	}
-	ep, ok := s.bus.Lookup(hello.Name)
-	if ok {
-		// Reconnect of a known endpoint name: resume delivery.
-		ep.Reconnect()
-	} else {
-		ep = s.bus.Register(hello.Name, hello.Link)
-	}
-
-	// writeDelivery encodes one delivery; a shared envelope is encoded
-	// once and its bytes reused on every connection. A payload that
-	// cannot be encoded drops that delivery — the at-most-once
-	// discipline.
-	writeDelivery := func(v any) bool {
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			return true
-		}
-		encMu.Lock()
-		defer encMu.Unlock()
-		body, err := s.deliveryBody(env)
-		if err != nil {
-			return true
-		}
-		return enc.EncodeRaw(body) == nil
-	}
-	flush := func() bool {
-		encMu.Lock()
-		defer encMu.Unlock()
-		return enc.Flush() == nil
-	}
-
-	// Pump deliveries to the client, draining the mailbox before each
-	// flush so a fan-out wave goes down the socket as a handful of
-	// writes instead of one per frame.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			v, ok := ep.Inbox().Recv()
-			if !ok {
-				return
-			}
-			if !writeDelivery(v) {
-				return
-			}
-			for {
-				v2, ok2 := ep.Inbox().TryRecv()
-				if !ok2 {
-					break
-				}
-				if !writeDelivery(v2) {
-					return
-				}
-				encMu.Lock()
-				full := enc.Buffered() >= 32<<10
-				encMu.Unlock()
-				if full && !flush() {
-					return
-				}
-			}
-			if !flush() {
-				return
-			}
-		}
-	}()
-
-	writeAck := func(seq uint64, count int) bool {
-		encMu.Lock()
-		defer encMu.Unlock()
-		if err := enc.Encode(&wire.Frame{Kind: wire.KindPubAck, Seq: seq, Count: count}); err != nil {
-			return false
-		}
-		// Acks flush immediately: the client is blocked (or holding a
-		// pipelined future) on this count.
-		return enc.Flush() == nil
-	}
-
+	p := &peer{conn: conn, enc: wire.NewEncoder(cc)}
+	st := s.claim(hello.Name, hello.Link, p)
+	// A graceful leave frees the name; any other exit parks it.
+	deregister := false
+	defer func() { s.release(st, p, deregister) }()
+	ep := st.ep
 	for {
 		var f wire.Frame
 		if err := dec.Decode(&f); err != nil {
-			ep.Disconnect()
 			return
 		}
 		switch f.Kind {
 		case wire.KindSend:
 			ep.Send(f.To, f.Payload)
 		case wire.KindPublish:
-			n := ep.Publish(f.Topic, f.Payload)
-			if !writeAck(f.Seq, n) {
-				ep.Disconnect()
+			if !p.ack(f.Seq, ep.Publish(f.Topic, f.Payload)) {
 				return
 			}
 		case wire.KindSendMulti:
-			n := ep.SendMulti(f.Targets, f.Payload)
-			if !writeAck(f.Seq, n) {
-				ep.Disconnect()
+			if !p.ack(f.Seq, ep.SendMulti(f.Targets, f.Payload)) {
 				return
 			}
 		case wire.KindSubscribe:
@@ -355,31 +384,49 @@ func (s *Server) handle(conn net.Conn) {
 		case wire.KindUnsubscribe:
 			ep.Unsubscribe(f.Topic)
 		case wire.KindDeregister:
-			// Graceful leave: free the endpoint name for future joiners
-			// instead of parking it disconnected.
-			ep.Inbox().Close()
-			ep.Deregister()
+			deregister = true
 			return
 		}
 	}
 }
 
 // Client is a remote endpoint: it implements engine.Port over a TCP
-// connection to a Server.
+// connection to a Server. Its inbox belongs to the client, not to the
+// connection, so a client dialed with DialAuto rides out a dropped
+// connection or a broker restart: deliveries pause, the client redials
+// with capped exponential backoff, replays its subscriptions, and the
+// engine's comms loop sees only a burst of lost messages — the failure
+// model the master's retry paths already cover. A client from Dial or
+// DialOptions closes, inbox included, when its connection drops.
 type Client struct {
-	name        string
-	conn        net.Conn
-	inbox       vclock.Mailbox
-	ackTimeout  time.Duration
-	flushWindow time.Duration
+	name       string
+	addr       string
+	link       time.Duration
+	inbox      vclock.Mailbox
+	ackTimeout time.Duration
+	redial     bool
 
-	mu           sync.Mutex
+	mu   sync.Mutex
+	conn net.Conn
+	// enc is nil while a redialing client is between connections; writes
+	// then fail like writes on a closed client.
 	enc          *wire.Encoder
 	seq          uint64
 	acks         map[uint64]chan int
 	closed       bool
 	flushPending bool
+	topics       map[string]bool
+	onReconnect  func(*Client)
+	reconnects   int
 }
+
+// Backoff bounds for DialAuto's redial loop.
+const (
+	reconnectInitialBackoff = 100 * time.Millisecond
+	reconnectMaxBackoff     = 5 * time.Second
+)
+
+var errClosed = errors.New("transport: client closed")
 
 // Dial connects to a broker server with default Options and registers
 // the named endpoint. The inbox is created on clk, so the engine's
@@ -389,29 +436,65 @@ func Dial(addr, name string, link time.Duration, clk vclock.Clock) (*Client, err
 	return DialOptions(addr, name, link, clk, Options{})
 }
 
+// DialAuto is Dial for long-lived nodes: the initial dial must succeed,
+// and every later connection loss starts the redial loop instead of
+// closing the client.
+func DialAuto(addr, name string, link time.Duration, clk vclock.Clock) (*Client, error) {
+	return dial(addr, name, link, clk, Options{}, true)
+}
+
 // DialOptions is Dial with explicit connection options.
 func DialOptions(addr, name string, link time.Duration, clk vclock.Clock, opts Options) (*Client, error) {
+	return dial(addr, name, link, clk, opts, false)
+}
+
+func dial(addr, name string, link time.Duration, clk vclock.Clock, opts Options, redial bool) (*Client, error) {
 	if opts.Codec != "" && opts.Codec != "binary" {
 		return nil, fmt.Errorf("transport: unknown codec %q", opts.Codec)
 	}
-	conn, err := net.Dial("tcp", addr)
+	c := &Client{
+		name:       name,
+		addr:       addr,
+		link:       link,
+		inbox:      clk.NewMailbox("inbox:" + name),
+		ackTimeout: cmp.Or(opts.AckTimeout, DefaultAckTimeout),
+		redial:     redial,
+		acks:       make(map[uint64]chan int),
+		topics:     make(map[string]bool),
+	}
+	dec, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		name:        name,
-		conn:        conn,
-		inbox:       clk.NewMailbox("inbox:" + name),
-		ackTimeout:  opts.ackTimeout(),
-		flushWindow: opts.FlushWindow,
-		enc:         wire.NewEncoder(conn),
-		acks:        make(map[uint64]chan int),
+	go c.recvLoop(dec)
+	return c, nil
+}
+
+// connect dials the server, completes the header and hello exchange,
+// and installs the connection as the client's current one.
+func (c *Client) connect() (*wire.Decoder, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		// No hello after Close: it would re-register a name that
+		// Deregister just freed.
+		return nil, errClosed
 	}
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return nil, err
+	}
+	enc := wire.NewEncoder(conn)
 	if err := wire.WriteHeader(conn); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: header: %w", err)
 	}
-	if err := c.encode(&wire.Frame{Kind: wire.KindHello, Name: name, Link: link}, true); err != nil {
+	err = enc.Encode(&wire.Frame{Kind: wire.KindHello, Name: c.name, Link: c.link})
+	if err == nil {
+		err = enc.Flush()
+	}
+	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: hello: %w", err)
 	}
@@ -423,14 +506,37 @@ func DialOptions(addr, name string, link time.Duration, clk vclock.Clock, opts O
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	go c.recvLoop(wire.NewDecoder(br))
-	return c, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		_ = conn.Close()
+		return nil, errClosed
+	}
+	c.conn, c.enc = conn, enc
+	return wire.NewDecoder(br), nil
 }
 
-// defaultSafetyFlush bounds how long a deferred frame may sit in the
-// write buffer when adaptive batching skipped its flush and no later
-// write came along to carry it out.
-const defaultSafetyFlush = 200 * time.Microsecond
+// SetOnReconnect installs a hook run after every successful redial,
+// once subscriptions have been replayed. A worker uses it to re-send
+// MsgRegister (the master idempotently re-acks known names). Set it
+// before the first drop can happen.
+func (c *Client) SetOnReconnect(f func(*Client)) {
+	c.mu.Lock()
+	c.onReconnect = f
+	c.mu.Unlock()
+}
+
+// Reconnects reports how many times the client has redialed.
+func (c *Client) Reconnects() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reconnects
+}
+
+// safetyFlush bounds how long a deferred frame may sit in the write
+// buffer when adaptive batching skipped its flush and no later write
+// came along to carry it out.
+const safetyFlush = 200 * time.Microsecond
 
 // encode writes one frame. Urgent (ack-bearing) frames always flush
 // inline. For the rest the client batches adaptively: a frame written
@@ -439,45 +545,34 @@ const defaultSafetyFlush = 200 * time.Microsecond
 // the bytes ride along with it. The last reply of a burst sees an empty
 // inbox and flushes inline, keeping request/reply latency at zero; the
 // safety timer covers bursts whose remaining deliveries produce no
-// further writes. A positive FlushWindow disables the inline path and
-// defers every non-urgent flush by that window.
+// further writes.
 func (c *Client) encode(f *wire.Frame, urgent bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("transport: client closed")
+	if c.closed || c.enc == nil {
+		return errClosed
 	}
 	if err := c.enc.Encode(f); err != nil {
 		return err
 	}
-	if urgent || (c.flushWindow <= 0 && c.inbox.Len() == 0) {
+	if urgent || c.inbox.Len() == 0 {
 		return c.enc.Flush()
 	}
-	c.scheduleFlushLocked()
+	if !c.flushPending {
+		c.flushPending = true
+		// Wall clock: this is deployment plumbing, not simulation.
+		time.AfterFunc(safetyFlush, c.flushDeferred)
+	}
 	return nil
 }
 
-// scheduleFlushLocked arms the delayed flush if it isn't already armed.
-// Callers hold c.mu. The timer runs on wall clock: this file is real
-// deployment plumbing, not simulation (see Options.FlushWindow).
-func (c *Client) scheduleFlushLocked() {
-	if c.flushPending {
-		return
+func (c *Client) flushDeferred() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flushPending = false
+	if !c.closed && c.enc != nil {
+		_ = c.enc.Flush() // a dead connection surfaces in recvLoop
 	}
-	c.flushPending = true
-	w := c.flushWindow
-	if w <= 0 {
-		w = defaultSafetyFlush
-	}
-	time.AfterFunc(w, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.flushPending = false
-		if c.closed {
-			return
-		}
-		_ = c.enc.Flush()
-	})
 }
 
 // ackFuture writes an ack-bearing frame (publish or multicast) and
@@ -488,7 +583,7 @@ func (c *Client) scheduleFlushLocked() {
 func (c *Client) ackFuture(f *wire.Frame) func() int {
 	zero := func() int { return 0 }
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.enc == nil {
 		c.mu.Unlock()
 		return zero
 	}
@@ -509,13 +604,15 @@ func (c *Client) ackFuture(f *wire.Frame) func() int {
 	c.mu.Unlock()
 	timeout := c.ackTimeout
 	return func() int {
+		// Stopped on the ack path: under go.mod's pre-1.23 timer
+		// semantics an abandoned timer stays in the runtime heap until it
+		// fires, ten seconds of publishes at a time.
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
 		select {
-		case n, ok := <-ch:
-			if !ok {
-				return 0 // client closed while waiting
-			}
-			return n
-		case <-time.After(timeout):
+		case n := <-ch:
+			return n // 0 from a closed channel: the connection dropped
+		case <-timer.C:
 			c.mu.Lock()
 			delete(c.acks, seq)
 			c.mu.Unlock()
@@ -524,11 +621,12 @@ func (c *Client) ackFuture(f *wire.Frame) func() int {
 	}
 }
 
+// recvLoop reads one connection until it fails.
 func (c *Client) recvLoop(dec *wire.Decoder) {
 	for {
 		var f wire.Frame
 		if err := dec.Decode(&f); err != nil {
-			_ = c.Close()
+			c.connLost()
 			return
 		}
 		switch f.Kind {
@@ -547,21 +645,82 @@ func (c *Client) recvLoop(dec *wire.Decoder) {
 	}
 }
 
-// Close tears the connection down and closes the inbox.
-func (c *Client) Close() error {
+// connLost runs on the goroutine whose connection just failed. A plain
+// client closes. A redialing one fails the acks in flight, dials until
+// it is connected again or closed, hands the new connection to a fresh
+// recvLoop, and then replays subscriptions (in sorted order) and runs
+// the reconnect hook. Sends during the outage are dropped — the same
+// at-most-once discipline as every other path in the system.
+func (c *Client) connLost() {
+	if !c.redial {
+		_ = c.Close()
+		return
+	}
+	c.mu.Lock()
+	_ = c.conn.Close()
+	c.enc = nil
+	c.failAcksLocked()
+	c.mu.Unlock()
+	for backoff := reconnectInitialBackoff; ; backoff = min(2*backoff, reconnectMaxBackoff) {
+		dec, err := c.connect()
+		if err == nil {
+			go c.recvLoop(dec)
+			break
+		}
+		if errors.Is(err, errClosed) {
+			return
+		}
+		time.Sleep(backoff) // wall clock by design: this exists only in real deployments
+	}
+	c.mu.Lock()
+	c.reconnects++
+	topics := make([]string, 0, len(c.topics))
+	for t := range c.topics {
+		topics = append(topics, t)
+	}
+	hook := c.onReconnect
+	c.mu.Unlock()
+	sort.Strings(topics)
+	for _, t := range topics {
+		_ = c.encode(&wire.Frame{Kind: wire.KindSubscribe, Topic: t}, false)
+	}
+	if hook != nil {
+		hook(c)
+	}
+}
+
+// failAcksLocked wakes every publish or multicast still waiting for its
+// ack with a count of 0. Callers hold c.mu.
+func (c *Client) failAcksLocked() {
+	for seq, ch := range c.acks {
+		close(ch)
+		delete(c.acks, seq)
+	}
+}
+
+// Close tears the client down for good: the inbox closes and a
+// redialing client stops redialing.
+func (c *Client) Close() error { return c.shutdown(nil) }
+
+// shutdown closes the client, first sending farewell if there is one.
+// The frame goes out under the same lock hold that marks the client
+// closed: the server answers a deregister by closing the connection,
+// and a redialing client must already know that drop is its own doing.
+func (c *Client) shutdown(farewell *wire.Frame) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	for seq, ch := range c.acks {
-		close(ch)
-		delete(c.acks, seq)
+	if farewell != nil && c.enc != nil && c.enc.Encode(farewell) == nil {
+		_ = c.enc.Flush() // best effort: the name is parked, not freed, if this fails
 	}
+	c.failAcksLocked()
+	conn := c.conn
 	c.mu.Unlock()
 	c.inbox.Close()
-	return c.conn.Close()
+	return conn.Close()
 }
 
 // Name implements engine.Port.
@@ -571,7 +730,7 @@ func (c *Client) Name() string { return c.name }
 func (c *Client) Inbox() vclock.Mailbox { return c.inbox }
 
 // Send implements engine.Port. Delivery is asynchronous; false means the
-// local connection is already closed.
+// client is closed or between connections.
 func (c *Client) Send(to string, payload any) bool {
 	return c.encode(&wire.Frame{Kind: wire.KindSend, To: to, Payload: payload}, false) == nil
 }
@@ -597,23 +756,29 @@ func (c *Client) SendMulti(targets []string, payload any) int {
 	return c.ackFuture(&wire.Frame{Kind: wire.KindSendMulti, Targets: targets, Payload: payload})()
 }
 
-// Subscribe implements engine.Port. An encode failure means the
-// connection is already broken; recvLoop closes the client, so the
-// error carries no extra information here.
+// Subscribe implements engine.Port and records the topic for replay
+// after a reconnect. An encode failure means the connection is already
+// broken; recvLoop deals with that, so the error carries no extra
+// information here.
 func (c *Client) Subscribe(topic string) {
+	c.mu.Lock()
+	c.topics[topic] = true
+	c.mu.Unlock()
 	_ = c.encode(&wire.Frame{Kind: wire.KindSubscribe, Topic: topic}, false)
 }
 
-// Unsubscribe stops topic deliveries.
+// Unsubscribe stops topic deliveries and drops the replay record.
 func (c *Client) Unsubscribe(topic string) {
+	c.mu.Lock()
+	delete(c.topics, topic)
+	c.mu.Unlock()
 	_ = c.encode(&wire.Frame{Kind: wire.KindUnsubscribe, Topic: topic}, false)
 }
 
 // Deregister frees the endpoint name on the broker (the graceful-leave
-// half of the engine's drain protocol) and tears the connection down.
+// half of the engine's drain protocol) and tears the client down.
 func (c *Client) Deregister() {
-	_ = c.encode(&wire.Frame{Kind: wire.KindDeregister}, true)
-	_ = c.Close()
+	_ = c.shutdown(&wire.Frame{Kind: wire.KindDeregister})
 }
 
 // Interface checks.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
@@ -566,16 +567,18 @@ func TestAckMapNoLeakOnEncodeFailure(t *testing.T) {
 	}
 }
 
-// TestFlushWindowStillDelivers: with a flush window configured,
-// fire-and-forget sends coalesce but must still arrive.
-func TestFlushWindowStillDelivers(t *testing.T) {
+// TestDeferredSendArrivesBySafetyFlush: a send issued while deliveries
+// are queued in the inbox is taken for one reply of a burst and skips
+// its flush. When no later write comes along to carry it out, the
+// safety timer must.
+func TestDeferredSendArrivesBySafetyFlush(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	clk := vclock.NewReal()
-	a, err := DialOptions(srv.Addr(), "a", 0, clk, Options{FlushWindow: 200 * time.Microsecond})
+	a, err := Dial(srv.Addr(), "a", 0, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,17 +589,110 @@ func TestFlushWindowStillDelivers(t *testing.T) {
 	}
 	defer b.Close()
 	waitRegistered(t, srv, "a", "b")
-	for i := 0; i < 50; i++ {
-		if !a.Send("b", engine.MsgAccept{JobID: fmt.Sprintf("j%d", i), Worker: "a"}) {
-			t.Fatalf("send %d failed", i)
-		}
+
+	// Park one delivery in a's inbox and never read it: every send from
+	// a now sees a non-empty inbox.
+	if !b.Send("a", engine.MsgStop{}) {
+		t.Fatal("priming send failed")
 	}
-	for i := 0; i < 50; i++ {
-		if _, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-			t.Fatalf("windowed send %d never arrived", i)
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Inbox().Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("priming delivery never arrived")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	if !a.Send("b", engine.MsgAccept{JobID: "j", Worker: "a"}) {
+		t.Fatal("send failed")
+	}
+	if _, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
+		t.Fatal("deferred send never arrived")
 	}
 	if stats := srv.WireStats(); stats.BytesIn == 0 || stats.BytesOut == 0 {
 		t.Errorf("WireStats = %+v, want nonzero traffic", stats)
+	}
+}
+
+// TestTakeoverKeepsEndpointUp redials a name while its first connection
+// is still up, over raw conns so the test controls when each one dies:
+// the second connection owns the endpoint from its hello on, the server
+// closes the first, and the first's teardown must not mark the endpoint
+// down under the second.
+func TestTakeoverKeepsEndpointUp(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hello := func() (net.Conn, *wire.Decoder) {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := wire.NewEncoder(conn)
+		if err := wire.WriteHeader(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindHello, Name: "node"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		if err := wire.ExpectHeader(br); err != nil {
+			t.Fatal(err)
+		}
+		return conn, wire.NewDecoder(br)
+	}
+	first, firstDec := hello()
+	defer first.Close()
+	waitRegistered(t, srv, "node")
+	second, secondDec := hello()
+	defer second.Close()
+
+	// Taking over closes the older connection from the server side.
+	_ = first.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var f wire.Frame
+	if err := firstDec.Decode(&f); err == nil {
+		t.Fatalf("first connection still served after takeover: got %+v", f)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server never closed the taken-over connection")
+	}
+	// Kill the first for good measure and give its handler time to exit.
+	first.Close()
+	time.Sleep(50 * time.Millisecond)
+
+	ep, ok := srv.bus.Lookup("node")
+	if !ok {
+		t.Fatal("endpoint vanished")
+	}
+	if ep.Down() {
+		t.Fatal("older connection's teardown marked the endpoint down under its new owner")
+	}
+	other, err := Dial(srv.Addr(), "other", 0, vclock.NewReal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	// Every send must arrive, the first included: no pump of the old
+	// connection may be left behind to swallow a delivery.
+	_ = second.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("j%d", i)
+		if !other.Send("node", engine.MsgAccept{JobID: id, Worker: "other"}) {
+			t.Fatalf("send %d refused: endpoint treated as down", i)
+		}
+		var got wire.Frame
+		if err := secondDec.Decode(&got); err != nil {
+			t.Fatalf("send %d never reached the second connection: %v", i, err)
+		}
+		if acc, ok := got.Env.Payload.(engine.MsgAccept); got.Kind != wire.KindDelivery || !ok || acc.JobID != id {
+			t.Fatalf("send %d: got %+v", i, got)
+		}
+	}
+	if ep.Down() {
+		t.Error("endpoint went down after the takeover settled")
 	}
 }
