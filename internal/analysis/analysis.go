@@ -13,6 +13,8 @@
 //   - no blocking operation happens while holding a mutex (a deadlock
 //     the discrete-event clock turns fatal: time cannot advance while a
 //     tracked goroutine is blocked outside the clock),
+//   - a handler served run-to-completion by the clock (Clock.Serve)
+//     never itself waits on the clock,
 //   - errors are not silently dropped inside internal packages.
 //
 // Each invariant is checked by one Analyzer. The driver (Check) loads
@@ -134,6 +136,7 @@ func All() []*Analyzer {
 		MapOrder,
 		MsgExhaustive,
 		LoopOwned,
+		ServedBlock,
 	}
 }
 

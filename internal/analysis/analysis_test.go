@@ -84,6 +84,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{MapOrder, "maporder", ModulePath + "/internal/engine"},
 		{MsgExhaustive, "msgexhaustive", ModulePath + "/internal/engine"},
 		{LoopOwned, "loopowned", ModulePath + "/internal/engine"},
+		{ServedBlock, "servedblock", ModulePath + "/internal/engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

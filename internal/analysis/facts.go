@@ -346,7 +346,9 @@ type callGraph struct {
 
 // spawnCallees lists the method names whose function-typed arguments
 // run on a different goroutine (vclock.Clock.Go / AfterFunc and the
-// stdlib time equivalents).
+// stdlib time equivalents). Clock.Serve is not among them: its handler
+// is a loop's body, not a goroutine beside it (see LoopOwned and
+// ServedBlock).
 var spawnCallees = map[string]bool{"Go": true, "AfterFunc": true}
 
 // CallGraph returns the package call graph, computed once.

@@ -23,7 +23,11 @@ import (
 // handed to Clock.Go or AfterFunc runs concurrently with its creator,
 // so it never inherits the creator's domain and must qualify on its own
 // (in practice by locking the mutex, as the worker's requeue timer
-// does).
+// does). A handler handed to Clock.Serve is the opposite case — it is
+// the loop — so Serve is deliberately not a spawn edge: a method
+// handler is a domain entry like any other (it carries its own
+// //xflow:goroutine annotation), and a literal handler is vetted in the
+// context of the function that installs it.
 //
 // The mutex rule is function-granular: a context qualifies when it
 // contains a <recv>.<field>.Lock() or RLock() call. That is coarser

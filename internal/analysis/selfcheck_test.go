@@ -16,7 +16,7 @@ func TestModuleIsClean(t *testing.T) {
 	for _, a := range All() {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"maporder", "msgexhaustive", "loopowned"} {
+	for _, want := range []string{"maporder", "msgexhaustive", "loopowned", "servedblock"} {
 		if !names[want] {
 			t.Fatalf("analyzer %q missing from All()", want)
 		}

@@ -57,6 +57,15 @@ func (l *loop) goLeak() {
 	}()
 }
 
+// serveOutside installs a consumer from outside the looper domain: the
+// handler inherits its creator's context, which has no claim on state.
+func (l *loop) serveOutside() {
+	l.clk.Serve(2, func(v any, ok bool) bool {
+		l.state++ // want loopowned
+		return !ok
+	})
+}
+
 // neither: both-annotated field accessed with neither domain nor lock.
 func (l *loop) neither() {
 	l.both++ // want loopowned

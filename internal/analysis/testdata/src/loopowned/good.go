@@ -38,6 +38,28 @@ func newLoop() *loop {
 	return l
 }
 
+// Serve mirrors vclock.Clock.Serve. It is not a spawn: the consumer it
+// installs is the loop itself, so a literal handler is vetted in the
+// domain of the function that installs it, and a method handler is an
+// ordinary domain entry.
+func (clock) Serve(mb int, handle func(v any, ok bool) bool) {}
+
+//xflow:goroutine looper
+func (l *loop) startServed() {
+	l.clk.Serve(0, func(v any, ok bool) bool {
+		l.state++
+		return !ok
+	})
+	l.clk.Serve(1, l.serve)
+}
+
+//xflow:goroutine looper
+func (l *loop) serve(v any, ok bool) bool {
+	l.state = 5
+	l.helper()
+	return !ok
+}
+
 // unowned fields stay unchecked everywhere.
 func (l *loop) freeAccess() clock {
 	return l.clk

@@ -45,8 +45,10 @@ func Suite() []Spec {
 		{"vclock_sleep_events", "kernel", benchSleepEvents},
 		{"vclock_mailbox_pingpong", "kernel", benchMailboxPingPong},
 		{"vclock_afterfunc_timers", "kernel", benchAfterFuncTimers},
+		{"vclock_sendafter", "kernel", benchSendAfter},
 		{"broker_direct_send", "kernel", benchDirectSend},
 		{"broker_publish_fanout", "kernel", benchPublishFanout},
+		{"broker_deliver_sim", "kernel", benchDeliverSim},
 		{"storage_cache_put_access", "kernel", benchCachePutAccess},
 		{"engine_throughput", "engine", benchEngineThroughput},
 		{"serve_w50", "engine", benchServeSteadyState},
@@ -87,17 +89,22 @@ func benchMailboxPingPong(b *testing.B) {
 	s := vclock.NewSim()
 	a, c := s.NewMailbox("a"), s.NewMailbox("b")
 	b.ReportAllocs()
+	// One tracked driver starts both sides: started from this untracked
+	// goroutine, the receiver could park before the sender registered
+	// and the clock would report a deadlock.
 	s.Go(func() {
-		for i := 0; i < b.N; i++ {
-			v, _ := a.Recv()
-			c.Send(v)
-		}
-	})
-	s.Go(func() {
-		for i := 0; i < b.N; i++ {
-			a.Send(i)
-			c.Recv()
-		}
+		s.Go(func() {
+			for i := 0; i < b.N; i++ {
+				v, _ := a.Recv()
+				c.Send(v)
+			}
+		})
+		s.Go(func() {
+			for i := 0; i < b.N; i++ {
+				a.Send(i)
+				c.Recv()
+			}
+		})
 	})
 	s.Wait()
 }
@@ -111,6 +118,23 @@ func benchAfterFuncTimers(b *testing.B) {
 			done := s.NewMailbox("t")
 			s.AfterFunc(time.Second, func() { done.Send(struct{}{}) })
 			done.Recv()
+		}
+	})
+	s.Wait()
+}
+
+// benchSendAfter measures the message path's primitive: one timed
+// delivery into a parked receiver's mailbox. The AfterFunc+Send pair it
+// replaced on that path is vclock_afterfunc_timers.
+func benchSendAfter(b *testing.B) {
+	s := vclock.NewSim()
+	mb := s.NewMailbox("t")
+	msg := &struct{}{}
+	b.ReportAllocs()
+	s.Go(func() {
+		for i := 0; i < b.N; i++ {
+			s.SendAfter(time.Second, mb, msg)
+			mb.Recv()
 		}
 	})
 	s.Wait()
@@ -154,6 +178,34 @@ func benchPublishFanout(b *testing.B) {
 		}
 	})
 	sim.Wait()
+}
+
+// benchDeliverSim measures the broker's timed delivery path at fleet
+// width: one publish to 500 subscribers over 1ms links — 500 clock
+// events — received by one goroutine. ns/op is per publish; the
+// ns_per_delivery metric is the number sim_fleet_w500 pays 1000 times a
+// job.
+func benchDeliverSim(b *testing.B) {
+	const fleet = 500
+	sim := vclock.NewSim()
+	bus := broker.New(sim)
+	master := bus.Register("master", time.Millisecond)
+	subs := make([]*broker.Endpoint, fleet)
+	for i := range subs {
+		subs[i] = bus.Register(fmt.Sprintf("w%04d", i), time.Millisecond)
+		subs[i].Subscribe("bids")
+	}
+	b.ReportAllocs()
+	sim.Go(func() {
+		for i := 0; i < b.N; i++ {
+			master.Publish("bids", i)
+			for _, s := range subs {
+				s.Inbox().Recv()
+			}
+		}
+	})
+	sim.Wait()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fleet), "ns_per_delivery")
 }
 
 // benchCachePutAccess measures the hot path of worker execution: one

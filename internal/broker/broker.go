@@ -386,17 +386,19 @@ func (b *Broker) sendMulti(from *Endpoint, targets []string, payload any) int {
 	return n
 }
 
-// deliver places env in dst's inbox after delay d of clock time.
+// deliver places env in dst's inbox after delay d of clock time: one
+// SendAfter clock event per delivery, labeled for the model checker
+// when it is listening.
 func (b *Broker) deliver(dst *Endpoint, env *Envelope, d time.Duration) {
 	if d <= 0 {
 		dst.inbox.Send(env)
 		return
 	}
 	if b.labeled != nil {
-		b.labeled.AfterFuncLabeled(d, deliveryLabel(env, dst.name), func() { dst.inbox.Send(env) })
+		b.labeled.SendAfterLabeled(d, deliveryLabel(env, dst.name), dst.inbox, env)
 		return
 	}
-	b.clk.AfterFunc(d, func() { dst.inbox.Send(env) })
+	b.clk.SendAfter(d, dst.inbox, env)
 }
 
 // deliveryLabel describes one in-flight delivery to the model checker.

@@ -1,11 +1,26 @@
 package broker
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"crossflow/internal/vclock"
 )
+
+// startAll starts every actor from one tracked driver goroutine. The
+// test goroutine is untracked: calling sim.Go once per actor lets an
+// early receiver park before its sender is registered, and the clock
+// then reports a deadlock at 00:00:00.000 — but only under CPU
+// contention (the race PR 14 fixed in engine's Cluster.Start).
+func startAll(sim *vclock.Sim, actors ...func()) {
+	sim.Go(func() {
+		for _, a := range actors {
+			sim.Go(a)
+		}
+	})
+}
 
 func TestDirectSendArrivesAfterLinkLatency(t *testing.T) {
 	sim := vclock.NewSim()
@@ -14,10 +29,9 @@ func TestDirectSendArrivesAfterLinkLatency(t *testing.T) {
 	c := b.Register("c", 40*time.Millisecond)
 	var at time.Time
 	var env Envelope
-	sim.Go(func() {
+	startAll(sim, func() {
 		a.Send("c", "ping")
-	})
-	sim.Go(func() {
+	}, func() {
 		v, ok := c.Inbox().Recv()
 		if !ok {
 			t.Error("inbox closed")
@@ -153,8 +167,7 @@ func TestCustomDelayFunc(t *testing.T) {
 	a := b.Register("a", 0)
 	c := b.Register("c", 0)
 	var at time.Time
-	sim.Go(func() { a.Send("c", 1) })
-	sim.Go(func() {
+	startAll(sim, func() { a.Send("c", 1) }, func() {
 		c.Inbox().Recv()
 		at = sim.Now()
 	})
@@ -201,12 +214,11 @@ func TestMessageOrderingPreservedPerLink(t *testing.T) {
 	c := b.Register("c", 3*time.Millisecond)
 	const n = 50
 	var got []int
-	sim.Go(func() {
+	startAll(sim, func() {
 		for i := 0; i < n; i++ {
 			a.Send("c", i)
 		}
-	})
-	sim.Go(func() {
+	}, func() {
 		for i := 0; i < n; i++ {
 			v, _ := c.Inbox().Recv()
 			got = append(got, v.(*Envelope).Payload.(int))
@@ -249,15 +261,14 @@ func TestDropFuncLosesDirectSends(t *testing.T) {
 		return env.Payload.(int)%2 == 1 // lose odd payloads
 	})
 	var reported int
-	sim.Go(func() {
+	var got []int
+	startAll(sim, func() {
 		for i := 0; i < 6; i++ {
 			if a.Send("c", i) {
 				reported++
 			}
 		}
-	})
-	var got []int
-	sim.Go(func() {
+	}, func() {
 		for i := 0; i < 3; i++ {
 			v, _ := c.Inbox().Recv()
 			got = append(got, v.(*Envelope).Payload.(int))
@@ -277,8 +288,7 @@ func TestDropFuncLosesDirectSends(t *testing.T) {
 	}
 	b.SetDropFunc(nil) // restores lossless delivery
 	var okAfter bool
-	sim.Go(func() { okAfter = a.Send("c", 7) })
-	sim.Go(func() { c.Inbox().Recv() })
+	startAll(sim, func() { okAfter = a.Send("c", 7) }, func() { c.Inbox().Recv() })
 	sim.Wait()
 	if !okAfter {
 		t.Error("delivery still lossy after SetDropFunc(nil)")
@@ -348,12 +358,12 @@ func TestSendMultiReachesNamedTargetsOnly(t *testing.T) {
 
 	var n int
 	got := make(map[string]Envelope)
-	sim.Go(func() {
+	actors := []func(){func() {
 		n = src.SendMulti([]string{"w1", "w2", "ghost"}, "req")
-	})
+	}}
 	for _, ep := range []*Endpoint{w1, w2} {
 		ep := ep
-		sim.Go(func() {
+		actors = append(actors, func() {
 			v, ok := ep.Inbox().Recv()
 			if !ok {
 				t.Error("inbox closed")
@@ -362,6 +372,7 @@ func TestSendMultiReachesNamedTargetsOnly(t *testing.T) {
 			got[ep.Name()] = *v.(*Envelope)
 		})
 	}
+	startAll(sim, actors...)
 	sim.Wait()
 	if n != 2 {
 		t.Errorf("SendMulti = %d, want 2 (ghost skipped)", n)
@@ -407,5 +418,38 @@ func TestSendMultiRespectsDownAndDrop(t *testing.T) {
 	sim.Wait()
 	if n != 0 {
 		t.Errorf("down sender SendMulti = %d, want 0", n)
+	}
+}
+
+// TestWidePublishSpawnsNoGoroutine pins the delivery path's cost model:
+// every fanout target is one clock event, so a 500-subscriber publish on
+// a simulated clock creates no goroutine at all.
+func TestWidePublishSpawnsNoGoroutine(t *testing.T) {
+	const subs = 500
+	sim := vclock.NewSim()
+	b := New(sim)
+	pub := b.Register("pub", time.Millisecond)
+	eps := make([]*Endpoint, subs)
+	for i := range eps {
+		eps[i] = b.Register(fmt.Sprintf("w%03d", i), time.Millisecond)
+		eps[i].Subscribe("bids")
+	}
+	var n, peak int
+	sim.Go(func() {
+		base := runtime.NumGoroutine()
+		n = pub.Publish("bids", "req")
+		for _, ep := range eps {
+			ep.Inbox().Recv()
+			if g := runtime.NumGoroutine() - base; g > peak {
+				peak = g
+			}
+		}
+	})
+	sim.Wait()
+	if n != subs {
+		t.Fatalf("Publish reached %d/%d subscribers", n, subs)
+	}
+	if peak > 0 {
+		t.Errorf("a %d-subscriber publish raised the goroutine count by %d, want 0", subs, peak)
 	}
 }

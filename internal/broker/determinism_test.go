@@ -90,9 +90,11 @@ func TestPublishDeliveryScheduleMatchesReference(t *testing.T) {
 		}
 		var mu sync.Mutex
 		arrivals := make(map[string]time.Time, n)
+		var count int
+		actors := []func(){func() { count = pub.Publish("jobs", "payload") }}
 		for _, s := range subs {
 			s := s
-			sim.Go(func() {
+			actors = append(actors, func() {
 				if _, ok := s.Inbox().Recv(); !ok {
 					return
 				}
@@ -102,8 +104,7 @@ func TestPublishDeliveryScheduleMatchesReference(t *testing.T) {
 				mu.Unlock()
 			})
 		}
-		var count int
-		sim.Go(func() { count = pub.Publish("jobs", "payload") })
+		startAll(sim, actors...)
 		sim.Wait()
 		if count != n {
 			t.Fatalf("seed %d: Publish reached %d/%d subscribers", seed, count, n)

@@ -141,6 +141,10 @@ func (m msgShardSettled) EventDetail() string {
 	return fmt.Sprintf("shard-settled %s sess=%q new=%d", m.JobID, m.Sess, len(m.NewJobs))
 }
 
+func (msgRegisterRetry) EventDetail() string { return "register-retry" }
+func (m msgBidReady) EventDetail() string    { return "bid-ready " + m.bid.JobID }
+func (m msgPullRetry) EventDetail() string   { return fmt.Sprintf("pull-retry strikes=%d", m.strikes) }
+
 func (m MsgBid) EventDetail() string {
 	return fmt.Sprintf("bid %s %s est=%d job=%d local=%t", m.JobID, m.Worker, m.Estimate, m.JobCost, m.Local)
 }

@@ -184,6 +184,9 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 		MsgOffer{Job: &Job{ID: "o1", Stream: "jobs", DataSizeMB: 1}},
 		MsgNoWork{Backoff: time.Second},
 		MsgDrain{},
+		msgRegisterRetry{},
+		msgBidReady{bid: MsgBid{JobID: "b1", Worker: "w1", Estimate: time.Second}},
+		msgPullRetry{strikes: 1},
 		MsgStop{},
 	}
 	checkTableComplete(t, declaredKinds(t), "worker", payloads)

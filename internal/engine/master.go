@@ -13,8 +13,8 @@ import (
 // Master is the coordinating node: it injects arrivals, mediates
 // allocation through its Allocator, tracks every job's status and
 // timestamps (the paper's master record), and detects workflow
-// completion. It runs as a single actor goroutine over its broker inbox
-// — the shared Plane core — and adds the job records, contests, and the
+// completion. It runs as a single actor over its broker inbox — the
+// shared Plane core — and adds the job records, contests, and the
 // AllocCtx surface on top.
 //
 // A master runs in one of two modes. Batch mode (NewMaster) owns a
@@ -116,9 +116,9 @@ func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 	return m
 }
 
-// Run executes the master actor loop until the workflow completes; it
-// must run on a clock-tracked goroutine (clk.Go). Start does exactly
-// that.
+// Run executes the master actor as a blocking loop until the workflow
+// completes, for a caller that owns the goroutine; it must run on a
+// clock-tracked goroutine (clk.Go). Use Start or Run, not both.
 func (m *Master) Run() { m.run() }
 
 // Report builds the master's half of a run report (timings, statuses,
@@ -658,12 +658,12 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 
 // ScheduleBidWindow implements AllocCtx.
 func (m *Master) ScheduleBidWindow(jobID string, d time.Duration) {
-	m.afterFunc(d, "bidwindow "+jobID, func() { m.Inject(MsgBidWindowExpired{JobID: jobID}) })
+	m.injectAfter(d, "bidwindow "+jobID, MsgBidWindowExpired{JobID: jobID})
 }
 
 // ScheduleTick implements AllocCtx.
 func (m *Master) ScheduleTick(token string, d time.Duration) {
-	m.afterFunc(d, "tick "+token, func() { m.Inject(MsgTick{Token: token}) })
+	m.injectAfter(d, "tick "+token, MsgTick{Token: token})
 }
 
 // Rand implements AllocCtx.

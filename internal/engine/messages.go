@@ -215,6 +215,27 @@ type MsgWorkerDead struct {
 	Worker string
 }
 
+// The three kinds below are a worker's timers: self-messages scheduled
+// into its own inbox (Worker.selfAfter) and handled by the comms loop
+// like any delivery. They never cross the broker.
+
+// msgRegisterRetry re-announces an unacknowledged worker on its
+// heartbeat.
+//
+//xflow:msg worker
+type msgRegisterRetry struct{}
+
+// msgBidReady ends the worker's bid-computation delay (§5's bidding
+// thread): the bid it carries is submitted.
+//
+//xflow:msg worker
+type msgBidReady struct{ bid MsgBid }
+
+// msgPullRetry re-pulls for work after an empty pull's backoff.
+//
+//xflow:msg worker
+type msgPullRetry struct{ strikes int }
+
 // msgAbort is the master's self-message injected when a run's Deadline
 // expires: the master stops waiting for outstanding work, publishes the
 // stop signal, and Run reports ErrDeadlineExceeded. It never crosses the

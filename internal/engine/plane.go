@@ -12,10 +12,11 @@ import (
 
 // Plane is the control-plane core every master-side actor embeds: the
 // single Master, each contest shard, and the sharded frontend router
-// all run this one actor shell (endpoint, receive loop, self-injection,
-// labeled self-timers, lifecycle) over this one fleet-membership state
-// machine. What the embedding type adds is its dispatch switch — job
-// records and contests on a Master, routing on the ShardedMaster.
+// all run this one actor shell (endpoint, inbox consumer,
+// self-injection, labeled self-timers, lifecycle) over this one
+// fleet-membership state machine. What the embedding type adds is its
+// dispatch switch — job records and contests on a Master, routing on
+// the ShardedMaster.
 type Plane struct {
 	clk vclock.Clock
 	ep  Port
@@ -23,11 +24,13 @@ type Plane struct {
 	// vclock.ActiveLabeled); the plane's self-timers then carry labels.
 	labeled *vclock.Sim
 	// dispatch is the embedding type's message switch; it reports true
-	// when the loop should exit.
+	// when the plane is done. It is served run-to-completion (see
+	// Start), so nothing it reaches may block on the clock: work that
+	// must wait goes on a clk.Go goroutine that injects its result.
 	dispatch func(env *broker.Envelope) (done bool)
-	// loops lists every actor loop Start spawns: the plane's own, then
-	// (on a sharded frontend) one per shard part.
-	loops []func()
+	// served lists every plane Start serves: this one, then (on a
+	// sharded frontend) one per shard part.
+	served []*Plane
 
 	// autoStop distinguishes batch mode (armBatch: the loop exits when
 	// the batch session completes) from cluster mode (run until
@@ -66,10 +69,10 @@ func newPlane(clk vclock.Clock, ep Port, wf *Workflow, expectedWorkers int, read
 }
 
 // bind installs the embedding type's dispatch switch and registers the
-// plane's own loop for Start.
+// plane itself for Start.
 func (p *Plane) bind(dispatch func(env *broker.Envelope) bool) {
 	p.dispatch = dispatch
-	p.loops = append(p.loops, p.run)
+	p.served = append(p.served, p)
 }
 
 // armBatch turns the plane into a one-shot batch run: the arrival
@@ -82,58 +85,69 @@ func (p *Plane) armBatch(arrivals []Arrival) {
 		p.def.started = true
 		p.def.startTime = p.clk.Now()
 		for _, arr := range arrivals {
-			p.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { p.Inject(MsgInject{Job: arr.Job}) })
+			p.injectAfter(arr.At, "arrival "+arr.Job.ID, MsgInject{Job: arr.Job})
 		}
 	}
 }
 
-// Start launches the plane's actor loops on clock-tracked goroutines. A
-// sharded plane needs all N+1 loops running before workers register; a
-// single master has just its own.
+// Start makes every plane's dispatch the consumer of its inbox
+// (Clock.Serve): on the wall clock one receive-loop goroutine each, on
+// a simulated clock no goroutine at all — a delivery is dispatched on
+// the goroutine advancing the clock. A sharded plane needs all N+1
+// consumers in place before workers register; a single master has just
+// its own.
 func (p *Plane) Start() {
-	for _, loop := range p.loops {
-		p.clk.Go(loop)
+	for _, q := range p.served {
+		p.clk.Serve(q.ep.Inbox(), q.serve)
 	}
 }
 
-// run is the actor loop. It returns when dispatch reports the plane
-// done or the inbox closes.
+// serve consumes one inbox item: it reports the plane done when
+// dispatch does or the inbox has closed.
+func (p *Plane) serve(v any, ok bool) (done bool) {
+	if !ok {
+		return true
+	}
+	env, ok := v.(*broker.Envelope)
+	return ok && p.dispatch(env)
+}
+
+// run is serve as a blocking loop, for a caller that owns the
+// goroutine (Master.Run).
 func (p *Plane) run() {
 	for {
-		v, ok := p.ep.Inbox().Recv()
-		if !ok {
-			return
-		}
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			continue
-		}
-		if p.dispatch(env) {
+		if p.serve(p.ep.Inbox().Recv()) {
 			return
 		}
 	}
+}
+
+// selfEnvelope wraps a payload the plane addresses to itself.
+func (p *Plane) selfEnvelope(payload any) *broker.Envelope {
+	return &broker.Envelope{From: p.ep.Name(), To: p.ep.Name(), Payload: payload}
 }
 
 // Inject delivers a payload into the plane's actor loop from outside
 // (session feeds, fault-injection hooks, tests). Safe to call from any
 // goroutine.
 func (p *Plane) Inject(payload any) {
-	p.ep.Inbox().Send(&broker.Envelope{From: p.ep.Name(), To: p.ep.Name(), Payload: payload})
+	p.ep.Inbox().Send(p.selfEnvelope(payload))
 }
 
-// afterFunc schedules f on the plane's clock, labeling the event with
-// the master as its conflict domain when a model-checking chooser is
-// active — a plane's self-timers only ever Inject back into its own
-// loop, and the whole control plane (router plus parts, which only ever
-// receive through the router or their own self-timers) forms one
-// conflict domain under MasterName, so they commute with deliveries to
-// other nodes.
-func (p *Plane) afterFunc(d time.Duration, detail string, f func()) {
+// injectAfter is Inject d from now: the plane's self-timers (arrival
+// schedule, bid windows, ticks). Under a model-checking chooser the
+// event is labeled with the master as its conflict domain — a plane's
+// self-timers only ever land in its own inbox, and the whole control
+// plane (router plus parts, which only ever receive through the router
+// or their own self-timers) forms one conflict domain under MasterName,
+// so they commute with deliveries to other nodes.
+func (p *Plane) injectAfter(d time.Duration, detail string, payload any) {
+	env := p.selfEnvelope(payload)
 	if p.labeled != nil {
-		p.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
+		p.labeled.SendAfterLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, p.ep.Inbox(), env)
 		return
 	}
-	p.clk.AfterFunc(d, f)
+	p.clk.SendAfter(d, p.ep.Inbox(), env)
 }
 
 // WaitReady blocks until the initial worker quorum has registered. On a

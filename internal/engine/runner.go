@@ -261,6 +261,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	rep := c.report()
+	rep.Workers = make([]WorkerReport, 0, len(cfg.Workers)+len(joiners))
 	addWorker := func(st *WorkerState, before workerSnapshot, w *Worker) {
 		wr := diffWorker(st, before)
 		if w != nil {

@@ -114,7 +114,7 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc f
 			sm.Inject(msg)
 		}
 		sm.parts[i] = p
-		sm.loops = append(sm.loops, p.run)
+		sm.served = append(sm.served, &p.Plane)
 	}
 	return sm
 }

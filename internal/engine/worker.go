@@ -229,19 +229,23 @@ func (w *Worker) register() {
 	}
 	w.ep.Send(MasterName, MsgRegister{Worker: w.name})
 	if w.heartbeat > 0 {
-		w.afterFunc(w.heartbeat, w.name+" register-retry", w.register)
+		w.selfAfter(w.heartbeat, w.name+" register-retry", msgRegisterRetry{})
 	}
 }
 
-// afterFunc schedules f on the worker's clock, labeling the event when
-// a model-checking chooser is active. Worker timers send messages, so
-// they conflict with everything (empty Node).
-func (w *Worker) afterFunc(d time.Duration, detail string, f func()) {
+// selfAfter delivers payload to the worker's own inbox after d: its
+// timers are messages to the comms loop, so a timer firing costs what
+// any delivery costs and a dead worker's closed inbox drops it. The
+// event is labeled when a model-checking chooser is active; what the
+// comms loop does with it sends messages, so it conflicts with
+// everything (empty Node).
+func (w *Worker) selfAfter(d time.Duration, detail string, payload any) {
+	env := &broker.Envelope{From: w.name, To: w.name, Payload: payload}
 	if w.labeled != nil {
-		w.labeled.AfterFuncLabeled(d, vclock.EventLabel{Detail: detail}, f)
+		w.labeled.SendAfterLabeled(d, vclock.EventLabel{Detail: detail}, w.ep.Inbox(), env)
 		return
 	}
-	w.clk.AfterFunc(d, f)
+	w.clk.SendAfter(d, w.ep.Inbox(), env)
 }
 
 func (w *Worker) commsLoop() {
@@ -282,6 +286,15 @@ func (w *Worker) commsLoop() {
 			w.agent.OnNoWork(w, msg.Backoff)
 		case MsgDrain:
 			w.beginDrain()
+		case msgRegisterRetry:
+			w.register()
+		case msgBidReady:
+			w.sendBid(msg.bid)
+		case msgPullRetry:
+			w.mu.Lock()
+			w.pullArmed = false
+			w.mu.Unlock()
+			w.RequestWork(msg.strikes)
 		case MsgStop:
 			w.shutdown()
 			return
@@ -564,19 +577,19 @@ func (w *Worker) JobDataLocal(job *Job) bool {
 // job-only component of the estimate (see MsgBid.JobCost); local flags a
 // data-local bid (see MsgBid.Local).
 func (w *Worker) SubmitBid(jobID string, estimate, jobCost time.Duration, local bool) {
-	send := func() {
-		// Forget the origin with the bid: a losing worker hears nothing
-		// more about the job, and a winning one gets an MsgAssign that
-		// re-records it.
-		w.ep.Send(w.originOf(jobID, true), MsgBid{
-			JobID: jobID, Worker: w.name, Estimate: estimate, JobCost: jobCost, Local: local,
-		})
-	}
+	bid := MsgBid{JobID: jobID, Worker: w.name, Estimate: estimate, JobCost: jobCost, Local: local}
 	if w.bidDelay <= 0 {
-		send()
+		w.sendBid(bid)
 		return
 	}
-	w.afterFunc(w.bidDelay, w.name+" bid "+jobID, send)
+	w.selfAfter(w.bidDelay, w.name+" bid "+jobID, msgBidReady{bid: bid})
+}
+
+// sendBid submits a computed bid and forgets the job's origin with it:
+// a losing worker hears nothing more about the job, and a winning one
+// gets an MsgAssign that re-records it.
+func (w *Worker) sendBid(bid MsgBid) {
+	w.ep.Send(w.originOf(bid.JobID, true), bid)
 }
 
 // AcceptOffer takes an offered job into the local queue and notifies the
@@ -620,15 +633,7 @@ func (w *Worker) RequestWorkAfter(d time.Duration, strikes int) {
 	if armed {
 		return // a retry is already scheduled; don't multiply the pull rate
 	}
-	w.afterFunc(d, w.name+" pull", func() {
-		w.mu.Lock()
-		w.pullArmed = false
-		dead := w.killed
-		w.mu.Unlock()
-		if !dead {
-			w.RequestWork(strikes)
-		}
-	})
+	w.selfAfter(d, w.name+" pull", msgPullRetry{strikes: strikes})
 }
 
 // JobsDone returns how many jobs this worker has completed.

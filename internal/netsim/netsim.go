@@ -44,32 +44,13 @@ type Speed struct {
 	DriftPhase float64
 }
 
-// sample draws the actual instantaneous speed at time t.
-func (s Speed) sample(t time.Time, rng *rand.Rand) float64 {
-	v := s.BaseMBps
-	if s.DriftAmp != 0 {
-		period := s.DriftPeriod
-		if period <= 0 {
-			period = time.Hour
-		}
-		phase := 2*math.Pi*float64(t.Sub(vclock.Epoch))/float64(period) + s.DriftPhase
-		v *= 1 + s.DriftAmp*math.Sin(phase)
-	}
-	if s.NoiseAmp != 0 {
-		v *= 1 + s.NoiseAmp*(2*rng.Float64()-1)
-	}
-	if v < 1e-9 {
-		v = 1e-9 // a stalled link still makes progress, eventually
-	}
-	return v
-}
-
 // Link is one node's connection to the world: a download channel and a
 // local read/write channel, with accounting. Link is safe for concurrent
 // use, although each simulated worker normally drives its own.
 type Link struct {
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	seed int64
+	rng  *rand.Rand // nil until the first noisy sample
 
 	net Speed
 	rw  Speed
@@ -83,10 +64,37 @@ type Link struct {
 // from a deterministic stream seeded with seed.
 func NewLink(network, readwrite Speed, seed int64) *Link {
 	return &Link{
-		rng: rand.New(rand.NewSource(seed)),
-		net: network,
-		rw:  readwrite,
+		seed: seed,
+		net:  network,
+		rw:   readwrite,
 	}
+}
+
+// sample draws channel s's actual instantaneous speed at time t. The
+// caller holds l.mu.
+func (l *Link) sample(s Speed, t time.Time) float64 {
+	v := s.BaseMBps
+	if s.DriftAmp != 0 {
+		period := s.DriftPeriod
+		if period <= 0 {
+			period = time.Hour
+		}
+		phase := 2*math.Pi*float64(t.Sub(vclock.Epoch))/float64(period) + s.DriftPhase
+		v *= 1 + s.DriftAmp*math.Sin(phase)
+	}
+	if s.NoiseAmp != 0 {
+		if l.rng == nil {
+			// Seeded on the first noisy sample: the source is ~5 KB, and a
+			// noise-free link (every big-fleet worker) never draws from it.
+			// Same seed, so the stream is the one an eager seeding gave.
+			l.rng = rand.New(rand.NewSource(l.seed))
+		}
+		v *= 1 + s.NoiseAmp*(2*l.rng.Float64()-1)
+	}
+	if v < 1e-9 {
+		v = 1e-9 // a stalled link still makes progress, eventually
+	}
+	return v
 }
 
 // NominalNetMBps returns the nominal download speed, the value a
@@ -102,7 +110,7 @@ func (l *Link) NominalRWMBps() float64 { return l.rw.BaseMBps }
 func (l *Link) TransferTime(sizeMB float64, t time.Time) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	speed := l.net.sample(t, l.rng)
+	speed := l.sample(l.net, t)
 	l.downloadedMB += sizeMB
 	l.downloads++
 	return durationFor(sizeMB, speed)
@@ -113,7 +121,7 @@ func (l *Link) TransferTime(sizeMB float64, t time.Time) time.Duration {
 func (l *Link) ProcessTime(sizeMB float64, t time.Time) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	speed := l.rw.sample(t, l.rng)
+	speed := l.sample(l.rw, t)
 	l.processedMB += sizeMB
 	return durationFor(sizeMB, speed)
 }
@@ -124,7 +132,7 @@ func (l *Link) ProcessTime(sizeMB float64, t time.Time) time.Duration {
 func (l *Link) ProbeNetMBps(t time.Time) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.net.sample(t, l.rng)
+	return l.sample(l.net, t)
 }
 
 // ProbeRWMBps samples the actual read/write speed at time t without
@@ -132,7 +140,7 @@ func (l *Link) ProbeNetMBps(t time.Time) float64 {
 func (l *Link) ProbeRWMBps(t time.Time) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.rw.sample(t, l.rng)
+	return l.sample(l.rw, t)
 }
 
 // PeekTransferTime is TransferTime without accounting or noise: the time

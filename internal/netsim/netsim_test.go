@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +64,30 @@ func TestNoiseIsDeterministicPerSeed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.TransferTime(50, vclock.Epoch) != b.TransferTime(50, vclock.Epoch) {
 			t.Fatal("same seed produced different noise streams")
+		}
+	}
+}
+
+// TestNoiseStreamSeededOnFirstNoisySample: a noise-free link never
+// builds its random source, and a noisy one draws exactly the stream an
+// eagerly seeded source gives — noise-free samples in between consume
+// nothing.
+func TestNoiseStreamSeededOnFirstNoisySample(t *testing.T) {
+	quiet := NewLink(flatSpeed(100), flatSpeed(400), 7)
+	quiet.TransferTime(50, vclock.Epoch)
+	quiet.ProcessTime(50, vclock.Epoch)
+	quiet.ProbeNetMBps(vclock.Epoch)
+	if quiet.rng != nil {
+		t.Error("a noise-free link seeded its random source")
+	}
+
+	noisy := NewLink(Speed{BaseMBps: 100, NoiseAmp: 0.3}, flatSpeed(400), 7)
+	ref := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ {
+		noisy.ProcessTime(50, vclock.Epoch) // noise-free channel: no draw
+		want := durationFor(50, 100*(1+0.3*(2*ref.Float64()-1)))
+		if got := noisy.TransferTime(50, vclock.Epoch); got != want {
+			t.Fatalf("draw %d: transfer took %v, eager-seeded stream gives %v", i, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -256,5 +257,72 @@ func TestGoldenFigure3CellDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(r1, "allocator bidding") {
 		t.Errorf("report serialization missing allocator line:\n%s", r1)
+	}
+}
+
+// sameSeedGolden holds the first transcript TestSameSeedTraceAcrossCPUs
+// produced per configuration, so that `go test -cpu 1,2,4` — which
+// re-runs the test in this process once per GOMAXPROCS — compares the
+// runs with each other and not only with themselves.
+var sameSeedGolden = map[string]string{}
+
+// TestSameSeedTraceAcrossCPUs is the determinism regression for the
+// goroutine-free message path: on every route the kernel has — clock
+// deliveries handled on the advancing goroutine, direct sends into a
+// served inbox (the sharded router's forwards, fault injection) on
+// drain goroutines, worker self-timers (bid delay, pull retry, register
+// retry) — the same seed must give the same trace and report however
+// many Ps run it. CI runs it at -cpu 1,2,4.
+func TestSameSeedTraceAcrossCPUs(t *testing.T) {
+	sc := &Scenario{Seed: 77, Deadline: 10 * time.Minute}
+	for i := 0; i < 5; i++ {
+		sc.Workers = append(sc.Workers, WorkerCfg{
+			Name:      "w" + string(rune('0'+i)),
+			NetMBps:   20 + 10*float64(i),
+			RWMBps:    80 + 20*float64(i),
+			NoiseAmp:  0.2,
+			CacheMB:   300,
+			Link:      time.Duration(1+i) * time.Millisecond,
+			BidDelay:  time.Duration(5*i) * time.Millisecond, // w0 bids inline, the rest by self-timer
+			Heartbeat: 200 * time.Millisecond,
+			Seed:      int64(100 + i),
+		})
+	}
+	for j := 0; j < 24; j++ {
+		sc.Jobs = append(sc.Jobs, JobCfg{
+			ID:     "j" + string(rune('a'+j)),
+			At:     time.Duration(j/6) * 300 * time.Millisecond, // bursts of six at one instant
+			Key:    "key-" + string(rune('0'+j%5)),
+			SizeMB: 40,
+		})
+	}
+	sc.Faults.Kills = []KillFault{{Worker: "w3", At: 2500 * time.Millisecond}}
+	sc.Faults.Drains = []DrainFault{{Worker: "w1", At: 1200 * time.Millisecond}}
+
+	for _, shards := range []int{0, 2} {
+		for _, name := range []string{"bidding", "bidding-topk", "matchmaking"} {
+			pol, ok := core.PolicyByName(name)
+			if !ok {
+				t.Fatalf("unknown policy %q", name)
+			}
+			sc.Shards = shards
+			key := name + "/" + string(rune('0'+shards))
+			for rerun := 0; rerun < 3; rerun++ {
+				r := Execute(sc, pol)
+				if r.Err != nil {
+					t.Fatalf("%s: %v", key, r.Err)
+				}
+				got := FormatTrace(r.Events) + FormatReport(r.Report)
+				want, seen := sameSeedGolden[key]
+				if !seen {
+					sameSeedGolden[key] = got
+					continue
+				}
+				if got != want {
+					t.Fatalf("%s: same seed, different run (rerun %d, GOMAXPROCS %d):\n%s",
+						key, rerun, runtime.GOMAXPROCS(0), firstDiff(want, got))
+				}
+			}
+		}
 	}
 }

@@ -25,13 +25,15 @@ func BenchmarkSimParallelSleepers(b *testing.B) {
 	s := NewSim()
 	b.ReportAllocs()
 	per := b.N/gophers + 1
-	for g := 0; g < gophers; g++ {
-		s.Go(func() {
+	sleepers := make([]func(), gophers)
+	for g := range sleepers {
+		sleepers[g] = func() {
 			for i := 0; i < per; i++ {
 				s.Sleep(time.Second)
 			}
-		})
+		}
 	}
+	startAll(s, sleepers...)
 	s.Wait()
 }
 
@@ -41,13 +43,12 @@ func BenchmarkSimMailboxPingPong(b *testing.B) {
 	s := NewSim()
 	a, c := s.NewMailbox("a"), s.NewMailbox("b")
 	b.ReportAllocs()
-	s.Go(func() {
+	startAll(s, func() {
 		for i := 0; i < b.N; i++ {
 			v, _ := a.Recv()
 			c.Send(v)
 		}
-	})
-	s.Go(func() {
+	}, func() {
 		for i := 0; i < b.N; i++ {
 			a.Send(i)
 			c.Recv()

@@ -117,6 +117,13 @@ func (s *Sim) AfterFuncLabeled(d time.Duration, label EventLabel, f func()) *Tim
 	return &Timer{sim: s, af: af}
 }
 
+// SendAfterLabeled is SendAfter with an event label: the delivery is
+// the same clock event, so a chooser sees the same enabled sets whether
+// a message travels labeled or not.
+func (s *Sim) SendAfterLabeled(d time.Duration, label EventLabel, mb Mailbox, v any) {
+	s.sendAfter(d, mb, v, &label)
+}
+
 // chooseLocked builds the enabled set and asks the chooser which event
 // fires next, releasing the clock lock around the call. The caller has
 // already purged stale events and checked the heap is non-empty.
@@ -296,6 +303,8 @@ func (k timerKind) String() string {
 		return "timeout"
 	case evChan:
 		return "after"
+	case evSend:
+		return "send"
 	default:
 		return "func"
 	}

@@ -39,7 +39,16 @@ type Clock interface {
 
 	// AfterFunc schedules f to run in its own goroutine after d has
 	// elapsed. The returned Timer can cancel the call before it fires.
+	// It is the primitive for callbacks that may block or must be
+	// cancellable; a fire-and-forget message wants SendAfter.
 	AfterFunc(d time.Duration, f func()) *Timer
+
+	// SendAfter delivers v to mb once d has elapsed, exactly as
+	// mb.Send(v) would at that instant: a mailbox closed by then drops
+	// it. mb must belong to this clock. On a simulated clock the
+	// delivery is a plain clock event — no goroutine, no Timer — which
+	// is what makes it the message path's primitive.
+	SendAfter(d time.Duration, mb Mailbox, v any)
 
 	// Since returns the clock time elapsed since t.
 	Since(t time.Time) time.Duration
@@ -51,6 +60,20 @@ type Clock interface {
 	// Go starts fn as a goroutine tracked by this clock. On a simulated
 	// clock, only tracked goroutines may call Sleep or Mailbox.Recv.
 	Go(fn func())
+
+	// Serve makes handle the consumer of mb (a mailbox of this clock):
+	// it is called once per message in arrival order with ok=true, one
+	// call at a time, and once with ok=false when the mailbox has been
+	// closed and drained. Returning done=true ends consumption; later
+	// messages stay queued. Serve returns immediately, and replaces
+	// Recv on mb — a served mailbox must not also be received from.
+	//
+	// Contract: handle never blocks on the clock (no Sleep, Recv,
+	// RecvTimeout or WaitTime). On a simulated clock there is no
+	// consumer goroutine to park: a message delivered by a clock event
+	// is handled run-to-completion on the goroutine advancing the
+	// clock. Work that must wait goes on a goroutine started with Go.
+	Serve(mb Mailbox, handle func(v any, ok bool) (done bool))
 
 	// Wait blocks the caller until every goroutine started with Go has
 	// exited (and, on a simulated clock, no timers remain). It returns

@@ -135,7 +135,7 @@ func TestSleepWakeOrderOnTiedDeadlines(t *testing.T) {
 func TestRecvTimeoutAfterWaiterReuse(t *testing.T) {
 	s := NewSim()
 	mb := s.NewMailbox("m")
-	s.Go(func() {
+	startAll(s, func() {
 		// First receive: sender beats a long timeout, so the stale timeout
 		// event stays queued.
 		v, ok, timedOut := mb.RecvTimeout(time.Hour)
@@ -148,8 +148,7 @@ func TestRecvTimeoutAfterWaiterReuse(t *testing.T) {
 		if !ok || timedOut || v.(int) != 2 {
 			t.Errorf("second recv = (%v, %v, %v), want (2, true, false)", v, ok, timedOut)
 		}
-	})
-	s.Go(func() {
+	}, func() {
 		mb.Send(1)
 		s.Sleep(90 * time.Minute) // past the first, stale deadline
 		mb.Send(2)

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -99,6 +100,19 @@ type simMailbox struct {
 	queue   ring
 	waitq   []*mbWaiter
 	closed  bool
+
+	// Served mode (Sim.Serve): handle consumes the mailbox instead of a
+	// goroutine parked in Recv. serving marks a drain in progress —
+	// inline on the goroutine advancing the clock, or on a drain
+	// goroutine — during which arrivals queue behind it; stopped marks
+	// consumption over (handle returned done, or saw the close). An
+	// idle consumer holds one clock waiter under idleTag, exactly as the
+	// parked receive loop it replaces did: idle with nothing pending is
+	// still a deadlock, and Wait still waits for it.
+	handle  func(v any, ok bool) (done bool)
+	serving bool
+	stopped bool
+	idleTag uint64
 }
 
 // NewMailbox returns a mailbox whose blocking receive participates in
@@ -121,8 +135,29 @@ func (m *simMailbox) Name() string { return m.name }
 func (m *simMailbox) Send(v any) bool {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
+	return m.deliverLocked(v, false)
+}
+
+// deliverLocked is Send with the clock lock held. fired marks a clock
+// event firing on the goroutine that advances the clock: every tracked
+// goroutine is parked, so a served mailbox's handler runs right there.
+// A direct Send comes from a running goroutine that may hold locks of
+// its own, so there the handler gets a tracked drain goroutine.
+func (m *simMailbox) deliverLocked(v any, fired bool) bool {
 	if m.closed {
 		return false
+	}
+	if m.handle != nil {
+		switch {
+		case m.serving || m.stopped:
+			m.queue.push(v)
+		case fired:
+			m.beginServeLocked()
+			m.drainLocked(v, true)
+		default:
+			m.goDrainLocked(v, true)
+		}
+		return true
 	}
 	if w := m.popWaiterLocked(); w != nil {
 		w.item = v
@@ -132,6 +167,78 @@ func (m *simMailbox) Send(v any) bool {
 	}
 	m.queue.push(v)
 	return true
+}
+
+// Serve installs handle as mb's consumer; see Clock.Serve. Messages
+// already queued (and a close already seen) are handled first.
+func (s *Sim) Serve(mb Mailbox, handle func(v any, ok bool) (done bool)) {
+	m := s.own(mb)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m.handle != nil {
+		panic(fmt.Sprintf("vclock: mailbox %q is already served", m.name))
+	}
+	m.handle = handle
+	m.idleTag = s.tagLocked("serve:" + m.name)
+	s.waiters++
+	if m.queue.len() > 0 {
+		m.goDrainLocked(m.queue.pop(), true)
+	} else if m.closed {
+		m.goDrainLocked(nil, false)
+	}
+}
+
+// beginServeLocked turns the idle consumer into a runnable one: its
+// waiter becomes a runnable credit, held until drainLocked is through.
+func (m *simMailbox) beginServeLocked() {
+	m.serving = true
+	m.s.waiters--
+	m.s.running++
+}
+
+// goDrainLocked runs drainLocked on a tracked goroutine of its own, for
+// work that does not arrive on the advancing goroutine.
+func (m *simMailbox) goDrainLocked(v any, has bool) {
+	m.beginServeLocked()
+	go func() {
+		m.s.mu.Lock()
+		m.drainLocked(v, has)
+		m.s.maybeAdvanceLocked()
+		m.s.mu.Unlock()
+	}()
+}
+
+// drainLocked runs the consumer over v (when has) and then over
+// whatever queued up behind it, one call at a time with the clock lock
+// released around each; a close is reported once, after the queue is
+// empty. It returns the runnable credit beginServeLocked took.
+func (m *simMailbox) drainLocked(v any, has bool) {
+	s := m.s
+	for has {
+		s.mu.Unlock()
+		done := m.handle(v, true)
+		s.mu.Lock()
+		if done {
+			m.stopped = true
+			break
+		}
+		if has = m.queue.len() > 0; has {
+			v = m.queue.pop()
+		}
+	}
+	if m.closed && !m.stopped {
+		m.stopped = true
+		s.mu.Unlock()
+		m.handle(nil, false)
+		s.mu.Lock()
+	}
+	m.serving = false
+	s.running--
+	if m.stopped {
+		delete(s.waitTags, m.idleTag)
+	} else {
+		s.waiters++
+	}
 }
 
 func (m *simMailbox) Recv() (any, bool) {
@@ -201,6 +308,9 @@ func (m *simMailbox) Close() {
 		m.s.wakeLocked(w)
 	}
 	m.waitq = nil
+	if m.handle != nil && !m.serving && !m.stopped {
+		m.goDrainLocked(nil, false)
+	}
 }
 
 func (m *simMailbox) Len() int {
@@ -234,7 +344,14 @@ func (m *simMailbox) popWaiterLocked() *mbWaiter {
 	}
 	w := m.waitq[0]
 	m.waitq[0] = nil
-	m.waitq = m.waitq[1:]
+	if len(m.waitq) == 1 {
+		// The usual case is one receiver: rewind instead of slicing the
+		// capacity away, or every park would allocate a fresh backing
+		// array.
+		m.waitq = m.waitq[:0]
+	} else {
+		m.waitq = m.waitq[1:]
+	}
 	return w
 }
 

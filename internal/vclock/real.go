@@ -59,6 +59,11 @@ func (r *Real) AfterFunc(d time.Duration, f func()) *Timer {
 	return &Timer{stop: t.Stop}
 }
 
+// SendAfter sends v to mb after d of clock time.
+func (r *Real) SendAfter(d time.Duration, mb Mailbox, v any) {
+	time.AfterFunc(r.wall(d), func() { mb.Send(v) })
+}
+
 // Since returns the clock time elapsed since t.
 func (r *Real) Since(t time.Time) time.Duration { return r.Now().Sub(t) }
 
@@ -69,6 +74,18 @@ func (r *Real) Go(fn func()) {
 		defer r.wg.Done()
 		fn()
 	}()
+}
+
+// Serve consumes mb on a goroutine joined by Wait.
+func (r *Real) Serve(mb Mailbox, handle func(v any, ok bool) (done bool)) {
+	r.Go(func() {
+		for {
+			v, ok := mb.Recv()
+			if handle(v, ok) || !ok {
+				return
+			}
+		}
+	})
 }
 
 // Wait blocks until every goroutine started with Go has exited.

@@ -17,6 +17,11 @@ import (
 // while any tracked goroutine has work to do, and passes instantly when
 // none does.
 //
+// Messages need no goroutine of their own: SendAfter is a clock event
+// that hands its item to the mailbox under the clock lock, and a
+// mailbox with a Serve consumer handles such an item on the goroutine
+// that is advancing the clock (see mailbox_sim.go).
+//
 // Tracked goroutines must not block on plain Go channels or mutexes held
 // across waits; all blocking must go through the clock (Sleep, Mailbox,
 // AfterFunc). Code outside the simulation synchronizes with it through
@@ -26,8 +31,8 @@ type Sim struct {
 	done     sync.Cond // broadcast when the simulation becomes fully idle
 	now      time.Time
 	nowNanos int64 // now.UnixNano(), cached for heap-key arithmetic
-	running  int   // tracked goroutines currently runnable
-	waiters  int   // tracked goroutines blocked in clock waits
+	running  int   // tracked goroutines (and running Serve consumers) currently runnable
+	waiters  int   // tracked goroutines blocked in clock waits, plus idle Serve consumers
 	timers   timerHeap
 	seq      uint64
 	waitTags map[uint64]waitTag // active wait labels, for deadlock reports
@@ -164,6 +169,31 @@ func (s *Sim) stopAfterFunc(af *afterFuncCall) bool {
 	return true
 }
 
+// SendAfter schedules v's delivery to mb after d of simulated time: one
+// heap entry, fired under the clock lock — no goroutine, no Timer, no
+// closure.
+func (s *Sim) SendAfter(d time.Duration, mb Mailbox, v any) {
+	s.sendAfter(d, mb, v, nil)
+}
+
+func (s *Sim) sendAfter(d time.Duration, mb Mailbox, v any, label *EventLabel) {
+	m := s.own(mb)
+	s.mu.Lock()
+	s.scheduleLocked(d, timerEvent{kind: evSend, mb: m, item: v, label: label})
+	s.mu.Unlock()
+}
+
+// own asserts that mb was created by this clock: its state lives under
+// this clock's lock, so nothing else can be delivered to or served
+// here.
+func (s *Sim) own(mb Mailbox) *simMailbox {
+	m, ok := mb.(*simMailbox)
+	if !ok || m.s != s {
+		panic(fmt.Sprintf("vclock: mailbox %q does not belong to this simulated clock", mb.Name()))
+	}
+	return m
+}
+
 // scheduleLocked queues ev to fire once d has elapsed, stamping its
 // deadline and sequence number. Events at equal deadlines fire in
 // scheduling order, keeping runs reproducible.
@@ -224,7 +254,8 @@ func (s *Sim) maybeAdvanceLocked() {
 }
 
 // fireLocked runs one timer event with the clock lock held. Fire paths
-// must not block and must not re-lock the clock.
+// must not block; only a delivery to a served mailbox releases the lock
+// (around its handler), holding a runnable credit meanwhile.
 func (s *Sim) fireLocked(ev *timerEvent) {
 	switch ev.kind {
 	case evWake:
@@ -247,6 +278,8 @@ func (s *Sim) fireLocked(ev *timerEvent) {
 	case evChan:
 		s.running++ // wake credit claimed by WaitTime
 		ev.ch <- s.now
+	case evSend:
+		ev.mb.deliverLocked(ev.item, true)
 	case evFunc:
 		af := ev.af
 		if af.cancelled {
@@ -289,7 +322,7 @@ func (s *Sim) deadlockLocked() {
 		}()
 		return
 	}
-	msg := fmt.Sprintf("vclock: simulation deadlock: %d goroutines blocked with no pending timers: %v",
+	msg := fmt.Sprintf("vclock: simulation deadlock: %d waiters blocked with no pending timers: %v",
 		s.waiters, waiting)
 	// Panic without the clock lock: the unwinding goroutine's deferred
 	// exit takes it again, and holding it here turns the report into a
@@ -344,6 +377,7 @@ const (
 	evTimeout                  // expire a mailbox receive deadline
 	evChan                     // deliver on an After channel
 	evFunc                     // run an AfterFunc callback
+	evSend                     // deliver a SendAfter item to its mailbox
 )
 
 // timerEvent is one pending clock event, keyed for firing order by
@@ -354,9 +388,10 @@ type timerEvent struct {
 	kind  timerKind
 	gen   uint64         // waiter generation for evWake/evTimeout
 	w     *mbWaiter      // evWake, evTimeout
-	mb    *simMailbox    // evTimeout
+	mb    *simMailbox    // evTimeout, evSend
 	ch    chan time.Time // evChan
 	af    *afterFuncCall // evFunc
+	item  any            // evSend
 	label *EventLabel    // model-checker label; nil for unlabeled events
 }
 

@@ -7,6 +7,20 @@ import (
 	"time"
 )
 
+// startAll starts every actor from one tracked driver goroutine. A test
+// goroutine is untracked: were it to call s.Go once per actor, the
+// first actor could park (or sleep, advancing time) before the next was
+// registered, and the clock would see a half-started system as idle —
+// a deadlock report at 00:00:00.000 that only shows under CPU
+// contention.
+func startAll(s *Sim, actors ...func()) {
+	s.Go(func() {
+		for _, a := range actors {
+			s.Go(a)
+		}
+	})
+}
+
 func TestSimStartsAtEpoch(t *testing.T) {
 	s := NewSim()
 	if !s.Now().Equal(Epoch) {
@@ -44,10 +58,12 @@ func TestSimSleepZeroAndNegative(t *testing.T) {
 
 func TestSimParallelSleepersFinishAtMax(t *testing.T) {
 	s := NewSim()
+	var sleepers []func()
 	for i := 1; i <= 10; i++ {
 		d := time.Duration(i) * time.Second
-		s.Go(func() { s.Sleep(d) })
+		sleepers = append(sleepers, func() { s.Sleep(d) })
 	}
+	startAll(s, sleepers...)
 	if end := s.Wait(); !end.Equal(Epoch.Add(10 * time.Second)) {
 		t.Errorf("Wait() = %v, want epoch+10s", end)
 	}
@@ -212,14 +228,13 @@ func TestSimMailboxBlockingHandoff(t *testing.T) {
 	s := NewSim()
 	mb := s.NewMailbox("handoff")
 	var recvAt time.Time
-	s.Go(func() {
+	startAll(s, func() {
 		v, ok := mb.Recv()
 		if !ok || v.(string) != "hello" {
 			t.Errorf("Recv = %v, %v", v, ok)
 		}
 		recvAt = s.Now()
-	})
-	s.Go(func() {
+	}, func() {
 		s.Sleep(5 * time.Second)
 		mb.Send("hello")
 	})
@@ -252,10 +267,9 @@ func TestSimMailboxRecvTimeoutDelivery(t *testing.T) {
 	mb := s.NewMailbox("timely")
 	var v any
 	var ok, timedOut bool
-	s.Go(func() {
+	startAll(s, func() {
 		v, ok, timedOut = mb.RecvTimeout(10 * time.Second)
-	})
-	s.Go(func() {
+	}, func() {
 		s.Sleep(2 * time.Second)
 		mb.Send(99)
 	})
@@ -287,14 +301,15 @@ func TestSimMailboxCloseWakesReceivers(t *testing.T) {
 	s := NewSim()
 	mb := s.NewMailbox("closing")
 	var oks [3]bool
-	for i := range oks {
-		i := i
-		s.Go(func() { _, oks[i] = mb.Recv() })
-	}
-	s.Go(func() {
+	actors := []func(){func() {
 		s.Sleep(time.Second)
 		mb.Close()
-	})
+	}}
+	for i := range oks {
+		i := i
+		actors = append(actors, func() { _, oks[i] = mb.Recv() })
+	}
+	startAll(s, actors...)
 	s.Wait()
 	for i, ok := range oks {
 		if ok {
@@ -390,14 +405,13 @@ func TestSimPingPong(t *testing.T) {
 	a, b := s.NewMailbox("a"), s.NewMailbox("b")
 	const rounds = 50
 	var hops int
-	s.Go(func() {
+	startAll(s, func() {
 		for i := 0; i < rounds; i++ {
 			v, _ := a.Recv()
 			s.Sleep(time.Second)
 			b.Send(v.(int) + 1)
 		}
-	})
-	s.Go(func() {
+	}, func() {
 		a.Send(0)
 		for i := 0; i < rounds; i++ {
 			v, _ := b.Recv()
@@ -435,6 +449,7 @@ func TestSimPropertyMaxOfSums(t *testing.T) {
 		}
 		s := NewSim()
 		var max time.Duration
+		var actors []func()
 		for _, seq := range raw {
 			if len(seq) > 32 {
 				seq = seq[:32]
@@ -447,12 +462,13 @@ func TestSimPropertyMaxOfSums(t *testing.T) {
 				max = sum
 			}
 			seq := seq
-			s.Go(func() {
+			actors = append(actors, func() {
 				for _, ms := range seq {
 					s.Sleep(time.Duration(ms) * time.Millisecond)
 				}
 			})
 		}
+		startAll(s, actors...)
 		return s.Wait().Equal(Epoch.Add(max))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -472,9 +488,10 @@ func TestSimPropertyRelayChain(t *testing.T) {
 		for i := range boxes {
 			boxes[i] = s.NewMailbox("stage")
 		}
+		var actors []func()
 		for i := 0; i < stages; i++ {
 			in, out := boxes[i], boxes[i+1]
-			s.Go(func() {
+			actors = append(actors, func() {
 				for {
 					v, ok := in.Recv()
 					if !ok {
@@ -487,7 +504,7 @@ func TestSimPropertyRelayChain(t *testing.T) {
 			})
 		}
 		var got []int
-		s.Go(func() {
+		actors = append(actors, func() {
 			for i := 0; i < msgs; i++ {
 				boxes[0].Send(i)
 			}
@@ -500,6 +517,7 @@ func TestSimPropertyRelayChain(t *testing.T) {
 				got = append(got, v.(int))
 			}
 		})
+		startAll(s, actors...)
 		end := s.Wait()
 		if len(got) != msgs {
 			return false
