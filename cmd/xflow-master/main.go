@@ -1,7 +1,9 @@
 // Command xflow-master runs the coordinating node of a distributed
 // Crossflow deployment: it connects to a broker, waits for the expected
-// number of workers, streams the selected workload in, mediates
-// allocation under the chosen scheduler, and prints the run report.
+// number of workers, streams -runs workflow sessions of the selected
+// workload through one long-lived master (or, with -shards, the sharded
+// control plane), mediates allocation under the chosen scheduler, and
+// prints a report per session.
 //
 // Usage:
 //
@@ -33,8 +35,8 @@ func main() {
 		jobs       = flag.Int("jobs", 24, "number of jobs to stream")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		scale      = flag.Float64("time-scale", 100, "clock compression factor (1 = real time)")
-		runs       = flag.Int("runs", 1, "workflow runs to stream over one long-lived master (serve mode when > 1)")
-		shards     = flag.Int("shards", 0, "contest shards in serve mode (0 or 1 = single master; requires -runs > 1)")
+		runs       = flag.Int("runs", 1, "workflow sessions to stream back to back over the one long-lived master")
+		shards     = flag.Int("shards", 0, "contest shards (0 or 1 = single master)")
 	)
 	flag.Parse()
 
@@ -58,72 +60,35 @@ func main() {
 	defer port.Close()
 
 	rng := rand.New(rand.NewSource(*seed))
-	if *shards > 1 && *runs <= 1 {
-		fmt.Fprintln(os.Stderr, "xflow-master: -shards needs serve mode (-runs > 1)")
-		os.Exit(1)
-	}
-	if *runs > 1 {
+	var master *engine.Plane
+	if *shards > 1 {
 		// Each contest shard is its own broker endpoint; the frontend
 		// router keeps the MasterName port the workers already address.
-		var shardPorts []engine.Port
-		for i := 0; i < *shards; i++ {
+		shardPorts := make([]engine.Port, *shards)
+		for i := range shardPorts {
 			sp, err := transport.Dial(*brokerAddr, engine.ShardName(i), 0, clk)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "xflow-master: dial shard:", err)
 				os.Exit(1)
 			}
 			defer sp.Close()
-			shardPorts = append(shardPorts, sp)
+			shardPorts[i] = sp
 		}
-		serve(clk, port, shardPorts, pol, jc, *jobs, *seed, *workers, *runs, rng)
-		return
-	}
-
-	arrivals := workload.Generate(jc, workload.Options{Jobs: *jobs, Seed: *seed})
-	master := engine.NewMaster(clk, port, pol.NewAllocator(), workload.Workflow(),
-		arrivals, *workers, rng)
-	fmt.Printf("xflow-master: %s scheduler, %d jobs (%s), waiting for %d workers…\n",
-		pol.Name, *jobs, jc, *workers)
-
-	start := time.Now()
-	master.Start()
-	clk.Wait()
-	printReport("Run report (master view)", master.Report(), time.Since(start))
-}
-
-// serve runs a long-lived cluster master: one fleet, *runs* workflow
-// sessions streamed through it back to back, a per-session report each.
-// With shard ports it runs the sharded control plane instead: the
-// frontend router on the master port, one contest shard per shard port.
-func serve(clk vclock.Clock, port engine.Port, shardPorts []engine.Port, pol core.Policy,
-	jc workload.JobConfig, jobs int, seed int64, workers, runs int, rng *rand.Rand) {
-	var master *engine.Plane
-	if len(shardPorts) > 1 {
-		master = &engine.NewShardedClusterMaster(clk, port, shardPorts, pol.NewAllocator, workers, rng).Plane
-		fmt.Printf("xflow-master: serve mode, %s scheduler, %d contest shards, %d runs x %d jobs (%s), waiting for %d workers…\n",
-			pol.Name, len(shardPorts), runs, jobs, jc, workers)
+		master = &engine.NewShardedClusterMaster(clk, port, shardPorts, pol.NewAllocator, *workers, rng).Plane
 	} else {
-		master = &engine.NewClusterMaster(clk, port, pol.NewAllocator(), workers, rng).Plane
-		fmt.Printf("xflow-master: serve mode, %s scheduler, %d runs x %d jobs (%s), waiting for %d workers…\n",
-			pol.Name, runs, jobs, jc, workers)
+		master = &engine.NewClusterMaster(clk, port, pol.NewAllocator(), *workers, rng).Plane
 	}
+	fmt.Printf("xflow-master: %s scheduler, %d contest shard(s), %d runs x %d jobs (%s), waiting for %d workers…\n",
+		pol.Name, max(*shards, 1), *runs, *jobs, jc, *workers)
 	master.Start()
 
 	start := time.Now()
 	clk.Go(func() {
 		master.WaitReady()
-		for r := 0; r < runs; r++ {
-			arrivals := workload.Generate(jc, workload.Options{Jobs: jobs, Seed: seed + int64(r)})
+		for r := 0; r < *runs; r++ {
+			arrivals := workload.Generate(jc, workload.Options{Jobs: *jobs, Seed: *seed + int64(r)})
 			sess := master.OpenSession(fmt.Sprintf("run-%d", r), workload.Workflow())
-			var last time.Duration
-			for _, arr := range arrivals {
-				if arr.At > last {
-					clk.Sleep(arr.At - last)
-					last = arr.At
-				}
-				sess.Submit(arr.Job)
-			}
-			sess.Close()
+			sess.Schedule(arrivals)
 			if rep := sess.Wait(); rep != nil {
 				printReport(fmt.Sprintf("Session %s", sess.ID()), rep, time.Since(start))
 			}

@@ -33,6 +33,11 @@
 // wall time — or on a (optionally compressed) real-time clock, and the
 // same engine deploys as separate OS processes over TCP with the
 // cmd/xflow-broker, cmd/xflow-master and cmd/xflow-worker binaries.
+// There is one way a workflow runs: as a session on a long-lived
+// cluster plane, opened once the fleet has formed, fed a job stream,
+// and closed. Run is that with one session and a stop behind it, so the
+// simulator, the fuzzer and the model checker exercise the session
+// lifecycle the TCP deployment runs.
 //
 // Available schedulers: Bidding (the paper's contribution), BiddingTopK
 // (the scalable variant: contests target a small index-planned candidate

@@ -1,6 +1,7 @@
 package crossflow_test
 
 import (
+	"fmt"
 	"testing"
 
 	"crossflow"
@@ -33,5 +34,34 @@ func TestRealClockRaceSmoke(t *testing.T) {
 		if rep.Makespan <= 0 {
 			t.Errorf("%s: non-positive makespan %v", s.Name, rep.Makespan)
 		}
+	}
+}
+
+// TestShardedMatchmakingRace is the regression test for a data race on
+// MatchmakingAgent's strike counter: OnNoWork runs on the worker's comms
+// goroutine, OnJobFinished on its executor. A sharded plane fans one
+// pull out to every shard, so shard A's assignment is executing while
+// shard B's MsgNoWork arrives — on the real clock the two goroutines
+// touch the counter in parallel and `go test -race` reported it on every
+// run. Small jobs keep completions as frequent as empty pulls.
+func TestShardedMatchmakingRace(t *testing.T) {
+	arrivals := make([]crossflow.Arrival, 200)
+	for i := range arrivals {
+		arrivals[i].Job = &crossflow.Job{Stream: "jobs", DataKey: fmt.Sprintf("r%d", i%7), DataSizeMB: 1}
+	}
+	rep, err := crossflow.Run(crossflow.Config{
+		Clock:     crossflow.NewRealClock(50),
+		Workers:   demoWorkers(4),
+		Scheduler: crossflow.Matchmaking(),
+		Shards:    2,
+		Workflow:  demoWorkflow(),
+		Arrivals:  arrivals,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.JobsCompleted != 200 {
+		t.Errorf("JobsCompleted = %d, want 200", rep.JobsCompleted)
 	}
 }

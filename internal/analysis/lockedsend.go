@@ -16,7 +16,6 @@ var lockedBlocking = map[string]bool{
 	"Recv":        true,
 	"RecvTimeout": true,
 	"Wait":        true,
-	"WaitTime":    true,
 }
 
 // LockedSend flags blocking operations performed while a mutex is

@@ -16,15 +16,14 @@ var servedBlocking = map[string]bool{
 	"Sleep":       true,
 	"Recv":        true,
 	"RecvTimeout": true,
-	"WaitTime":    true,
 }
 
 // ServedBlock enforces Clock.Serve's no-blocking contract. Its entry
 // points are the functions handed to a Serve call — a function literal,
 // or a function or method value; from each it follows the package call
 // graph (goroutine-spawn arguments excluded: what a handler starts with
-// Clock.Go may wait as it likes) and flags every call to Clock.Sleep,
-// Mailbox.Recv/RecvTimeout or Clock.WaitTime it can reach.
+// Clock.Go may wait as it likes) and flags every call to Clock.Sleep or
+// Mailbox.Recv/RecvTimeout it can reach.
 //
 // The engine's handlers call their dispatch switch through a func-typed
 // field, which a static call graph cannot follow. The rule resolves such
@@ -33,7 +32,7 @@ var servedBlocking = map[string]bool{
 // somewhere with an identical signature.
 var ServedBlock = &Analyzer{
 	Name: "servedblock",
-	Doc:  "a handler passed to Clock.Serve must not reach Clock.Sleep, Mailbox.Recv/RecvTimeout or WaitTime",
+	Doc:  "a handler passed to Clock.Serve must not reach Clock.Sleep or Mailbox.Recv/RecvTimeout",
 	Run:  runServedBlock,
 }
 

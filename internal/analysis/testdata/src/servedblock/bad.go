@@ -10,8 +10,6 @@ type waiter struct {
 	route func(v any, hops int)
 }
 
-func (c clock) WaitTime(ch <-chan int) int { return 0 }
-
 func (*mailbox) RecvTimeout(d int) (any, bool, bool) { return nil, false, true }
 
 func (w *waiter) start() {
@@ -34,8 +32,7 @@ func (w *waiter) serve(v any, ok bool) bool {
 }
 
 func (w *waiter) settle() {
-	w.acks.RecvTimeout(10)         // want servedblock
-	w.clk.WaitTime(make(chan int)) // want servedblock
+	w.acks.RecvTimeout(10) // want servedblock
 }
 
 func (w *waiter) forward(v any, hops int) {

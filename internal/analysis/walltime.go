@@ -11,9 +11,9 @@ import (
 var wallTimeBanned = map[string]string{
 	"Now":       "Clock.Now",
 	"Sleep":     "Clock.Sleep",
-	"After":     "Clock.After",
+	"After":     "Clock.SendAfter or Clock.Sleep",
 	"AfterFunc": "Clock.AfterFunc",
-	"Tick":      "Clock.After in a loop",
+	"Tick":      "Clock.SendAfter re-armed on receipt",
 	"NewTimer":  "Clock.AfterFunc",
 	"NewTicker": "Clock.AfterFunc",
 	"Since":     "Clock.Since",

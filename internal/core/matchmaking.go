@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"crossflow/internal/engine"
@@ -72,7 +73,9 @@ func (m *MatchmakingAllocator) PendingJobs() int { return len(m.pending) }
 // empty pulls, and report cached keys with every request so the master
 // can match on locality.
 type MatchmakingAgent struct {
-	strikes int
+	// strikes is atomic: OnNoWork counts on the worker's comms
+	// goroutine while OnJobFinished resets on its executor.
+	strikes atomic.Int64
 }
 
 // NewMatchmakingAgent returns the worker-side Matchmaking policy.
@@ -87,16 +90,16 @@ func (a *MatchmakingAgent) Start(w *engine.Worker) { w.RequestWork(0) }
 // OnNoWork implements engine.Agent: idle one heartbeat, then pull again
 // with an incremented strike count.
 func (a *MatchmakingAgent) OnNoWork(w *engine.Worker, backoff time.Duration) {
-	a.strikes++
+	strikes := int(a.strikes.Add(1))
 	if backoff <= 0 {
 		backoff = w.Heartbeat()
 	}
-	w.RequestWorkAfter(backoff, a.strikes)
+	w.RequestWorkAfter(backoff, strikes)
 }
 
 // OnJobFinished implements engine.Agent: reset strikes and pull.
 func (a *MatchmakingAgent) OnJobFinished(w *engine.Worker, _ *engine.Job) {
-	a.strikes = 0
+	a.strikes.Store(0)
 	w.RequestWork(0)
 }
 

@@ -42,7 +42,7 @@ type Allocator interface {
 	// already formed — mid-run elasticity — before it can win any work.
 	// Policies that keep per-worker state (load sketches, location
 	// indexes) seed or reset the newcomer's entries here. It never fires
-	// during the initial registration wave of a batch run.
+	// during the initial registration wave.
 	WorkerJoined(ctx AllocCtx, worker string)
 	// CacheEvicted delivers a worker's cache-eviction notice (sent only
 	// when the worker's agent enabled them), for policies that maintain

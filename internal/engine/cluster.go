@@ -64,8 +64,8 @@ type clusterMember struct {
 
 // Cluster is the long-lived elastic runtime: one master, one broker,
 // and a fleet of workers that can grow (Join) and shrink (Drain, Leave)
-// while workflow sessions stream through it. The one-shot Run is a thin
-// wrapper over the same machinery with a single implicit session.
+// while workflow sessions stream through it. The one-shot Run is one
+// session on it.
 //
 // Lifecycle: NewCluster → Start → Open/Submit/Join/Drain … → Stop →
 // Wait. On a simulated clock, everything that blocks (Drain,
@@ -74,15 +74,12 @@ type Cluster struct {
 	clk vclock.Clock
 	bus *broker.Broker
 	// plane is the control-plane core of the single master or of the
-	// sharded frontend; report and digest are the two things those do
-	// differently.
-	plane  *Plane
-	report func() *Report
-	digest func() string
-	cfg    ClusterConfig
-	// defaultWF is the workflow joiners inherit when a job carries no
-	// session tag; nil outside batch mode.
-	defaultWF *Workflow
+	// sharded frontend, masters the single master or every shard part,
+	// and digest the fingerprint of whichever of the two it is.
+	plane   *Plane
+	masters []*Master
+	digest  func() string
+	cfg     ClusterConfig
 
 	mu      sync.Mutex
 	wfs     map[string]*Workflow      //xflow:owned mu=mu
@@ -91,15 +88,12 @@ type Cluster struct {
 	started bool                      //xflow:owned mu=mu
 }
 
-// newCluster assembles the shared substrate of both modes: batch is
-// Run's Config, whose Workflow, Arrivals and StaleBidBug make the plane
-// a one-shot batch run, and nil for NewCluster. The construction order
-// (clock, rng, broker, master endpoint, master, then one
-// Register+NewWorker per worker in input order) is load-bearing:
-// mailbox and endpoint creation order is part of the deterministic
-// replay surface, so batch runs built here are bit-compatible with the
-// historical Run.
-func newCluster(cfg ClusterConfig, batch *Config) (*Cluster, error) {
+// NewCluster builds a long-lived cluster runtime. Nothing runs until
+// Start. The construction order (clock, rng, broker, master endpoint,
+// master, then one Register+NewWorker per worker in input order) is
+// load-bearing: mailbox and endpoint creation order is part of the
+// deterministic replay surface.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards > 1 {
 		if cfg.NewAllocator == nil {
 			return nil, errors.New("engine: sharded cluster needs an allocator factory")
@@ -133,35 +127,21 @@ func newCluster(cfg ClusterConfig, batch *Config) (*Cluster, error) {
 		wfs:     make(map[string]*Workflow),
 		members: make(map[string]*clusterMember, len(cfg.Workers)),
 	}
-	// A batch plane forms when its fleet registers and then runs the
-	// arrival schedule; a cluster plane expecting nobody starts formed.
-	ready, staleBidBug := len(cfg.Workers) == 0, false
-	if batch != nil {
-		c.defaultWF, ready, staleBidBug = batch.Workflow, false, batch.StaleBidBug
-	}
 	if cfg.Shards > 1 {
 		// Shard endpoints register right after the master's, before any
-		// worker, so their mailbox creation order is deterministic. The
-		// frontend owns the arrival schedule and termination detection;
-		// the parts never see Arrivals — the router partitions each job
-		// as it fires.
+		// worker, so their mailbox creation order is deterministic.
 		shardPorts := make([]Port, cfg.Shards)
 		for i := range shardPorts {
 			shardPorts[i] = bus.Register(ShardName(i), cfg.MasterLink)
 		}
-		sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator, c.defaultWF,
-			len(cfg.Workers), ready, rng, cfg.Tracer, staleBidBug)
-		c.plane, c.report, c.digest = &sm.Plane, sm.Report, sm.StateDigest
+		sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator,
+			len(cfg.Workers), rng, cfg.Tracer)
+		c.plane, c.masters, c.digest = &sm.Plane, sm.parts, sm.StateDigest
 	} else {
-		m := newMaster(clk, masterEp, cfg.Allocator, c.defaultWF,
-			len(cfg.Workers), ready, rng, cfg.Tracer, staleBidBug)
-		c.plane, c.report, c.digest = &m.Plane, m.Report, m.StateDigest
+		m := newMaster(clk, masterEp, cfg.Allocator, len(cfg.Workers), rng, cfg.Tracer)
+		c.plane, c.masters, c.digest = &m.Plane, []*Master{m}, m.StateDigest
 	}
-	if batch != nil {
-		c.plane.armBatch(batch.Arrivals)
-	} else {
-		c.plane.signalReady(clk.NewMailbox(MasterName + ":ready"))
-	}
+	c.plane.signalReady(clk.NewMailbox(MasterName + ":ready"))
 	for _, st := range cfg.Workers {
 		if st == nil {
 			return nil, errors.New("engine: nil worker state")
@@ -176,7 +156,7 @@ func newCluster(cfg ClusterConfig, batch *Config) (*Cluster, error) {
 // (the caller then starts the node itself).
 func (c *Cluster) addMember(st *WorkerState) (w *Worker, running bool) {
 	ep := c.bus.Register(st.Spec.Name, st.Spec.Link)
-	w = NewWorker(c.clk, ep, c.defaultWF, st, c.cfg.Hub, c.cfg.NewAgent(st))
+	w = NewWorker(c.clk, ep, nil, st, c.cfg.Hub, c.cfg.NewAgent(st))
 	w.SetWorkflowResolver(c.workflowFor)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,20 +165,13 @@ func (c *Cluster) addMember(st *WorkerState) (w *Worker, running bool) {
 	return w, c.started
 }
 
-// NewCluster builds a long-lived cluster runtime. Nothing runs until
-// Start.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	return newCluster(cfg, nil)
-}
-
 // Clock returns the cluster's time source.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
 
 // Start launches the control plane and the initial fleet, then runs
 // driver — all on one clock-tracked start-up goroutine, so a simulated
 // clock never observes the half-built system as idle. It returns
-// immediately; a nil driver starts the fleet only (batch runs, whose
-// arrival timers keep the simulation alive).
+// immediately; a nil driver starts the fleet only.
 //
 // Rule: on a simulated clock, whatever drives the cluster (WaitReady,
 // Open/Submit, Drain, Stop) goes in driver or in goroutines driver
@@ -226,23 +199,24 @@ func (c *Cluster) Start(driver func()) {
 	})
 }
 
-// WaitReady blocks until the initial fleet has registered (cluster mode
-// only; see Plane.WaitReady). Call from a clock-tracked goroutine on a
-// simulated clock.
-func (c *Cluster) WaitReady() { c.plane.WaitReady() }
+// WaitReady blocks until the initial fleet has registered; it reports
+// false if the cluster stopped first (see Plane.WaitReady). Call from a
+// clock-tracked goroutine on a simulated clock.
+func (c *Cluster) WaitReady() bool { return c.plane.awaitFleet() }
 
 // Open starts a streaming workflow session: Submit jobs on the returned
 // feed, Close it, then Wait for the session's report. Sessions on the
 // same cluster share the fleet without cross-talk — every job is tagged
-// with its session, and workers resolve the right workflow per job.
+// with its session, and workers resolve the right workflow per job. The
+// empty id is a session like any other whose jobs travel untagged.
 func (c *Cluster) Open(id string, wf *Workflow) (*MasterSession, error) {
 	if wf == nil {
 		return nil, errors.New("engine: no workflow configured")
 	}
 	c.mu.Lock()
-	if _, dup := c.wfs[id]; dup || id == "" {
+	if _, dup := c.wfs[id]; dup {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("engine: invalid or duplicate session id %q", id)
+		return nil, fmt.Errorf("engine: duplicate session id %q", id)
 	}
 	c.wfs[id] = wf
 	c.mu.Unlock()
@@ -315,6 +289,17 @@ func (c *Cluster) forget(name string) {
 // fleet, flushes a final report to every session still waiting, and
 // exits its loop. Follow with Wait to join all goroutines.
 func (c *Cluster) Stop() { c.plane.Shutdown() }
+
+// SetStaleBidBug re-introduces the stale dead-worker-bid bug fixed in
+// the simtest PR (a dead worker's in-flight bid may win its contest) on
+// the master or every shard part. Test-only, and only before Start: it
+// exists so the model checker's counterexample machinery can be
+// demonstrated against a known-bad protocol.
+func (c *Cluster) SetStaleBidBug() {
+	for _, m := range c.masters {
+		m.staleBidBug = true
+	}
+}
 
 // Wait blocks until every tracked goroutine has finished — after Stop,
 // that is full quiescence. On a simulated clock this is also what

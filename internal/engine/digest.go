@@ -52,8 +52,8 @@ func (m *Master) StateDigest() string {
 }
 
 func writeSession(b *strings.Builder, s *session) {
-	fmt.Fprintf(b, "sess %q started=%t finished=%t feed=%t arrivals=%d out=%d done=%d fail=%d red=%d contests=%d bids=%d offers=%d rej=%d fb=%d\n",
-		s.id, s.started, s.finished, s.feedOpen, s.arrivalsLeft, s.outstanding,
+	fmt.Fprintf(b, "sess %q finished=%t feed=%t out=%d done=%d fail=%d red=%d contests=%d bids=%d offers=%d rej=%d fb=%d\n",
+		s.id, s.finished, s.feedOpen, s.outstanding,
 		s.completed, s.failures, s.redispatched, s.contests, s.bids, s.offers,
 		s.rejections, s.fallbacks)
 }
@@ -92,8 +92,7 @@ func (w *Worker) StateDigest() string {
 
 // StateDigest renders the whole cluster: master (including allocator)
 // and every member in join order. Departed-but-remembered members
-// (killed workers in batch runs) are included — their frozen state is
-// still state.
+// (killed workers) are included — their frozen state is still state.
 func (c *Cluster) StateDigest() string {
 	var b strings.Builder
 	b.WriteString(c.digest())
@@ -125,7 +124,6 @@ func (m MsgAccept) EventDetail() string      { return "accept " + m.JobID + " " 
 func (m MsgReject) EventDetail() string      { return "reject " + m.JobID + " " + m.Worker }
 func (m MsgNoWork) EventDetail() string      { return fmt.Sprintf("nowork %d", m.Backoff) }
 func (m MsgEmit) EventDetail() string        { return "emit " + m.Worker }
-func (m MsgInject) EventDetail() string      { return "inject " + m.Job.ID }
 func (m MsgTick) EventDetail() string        { return "tick " + m.Token }
 func (MsgStop) EventDetail() string          { return "stop" }
 func (MsgDrain) EventDetail() string         { return "drain" }

@@ -111,9 +111,9 @@ func dispatchWorkflow() *Workflow {
 
 // TestMasterDispatchAcceptsEveryKind drives one fresh master per
 // master-bound kind through handle and requires it not to panic. The
-// master has one registered worker and one outstanding job, so
-// non-terminal kinds must leave the loop running while the terminal
-// kinds must report it done.
+// master has one registered worker and one open session with one
+// outstanding job; non-terminal kinds must leave the loop running while
+// the terminal kinds must report it done.
 func TestMasterDispatchAcceptsEveryKind(t *testing.T) {
 	sess := func() *session {
 		return &session{id: "s1", wf: dispatchWorkflow(), feedOpen: true}
@@ -127,7 +127,6 @@ func TestMasterDispatchAcceptsEveryKind(t *testing.T) {
 		MsgReject{JobID: "j1", Worker: "w1"},
 		MsgRequestJob{Worker: "w1", CachedKeys: []string{"k"}},
 		MsgEmit{Job: &Job{ID: "e1", Stream: "jobs"}, Worker: "w1"},
-		MsgInject{Job: &Job{ID: "i1", Stream: "jobs"}},
 		MsgJobDone{JobID: "j1", Worker: "w1"},
 		MsgTick{Token: "x"},
 		MsgCacheEvict{Worker: "w1", Keys: []string{"k"}},
@@ -147,11 +146,9 @@ func TestMasterDispatchAcceptsEveryKind(t *testing.T) {
 	for _, payload := range payloads {
 		name := kindName(payload)
 		t.Run(name, func(t *testing.T) {
-			sim := vclock.NewSim()
-			bus := broker.New(sim)
-			m := NewMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, dispatchWorkflow(), nil, 1, nil)
+			m, open := openMaster(stubAlloc{}, dispatchWorkflow(), 1)
 			m.onRegister("w1")
-			m.inject(m.def, &Job{ID: "j1", Stream: "jobs", DataSizeMB: 1})
+			m.inject(open, &Job{ID: "j1", Stream: "jobs", DataSizeMB: 1})
 
 			done := m.handle(&broker.Envelope{From: "w1", To: MasterName, Payload: payload})
 			if done != terminal[name] {

@@ -193,3 +193,32 @@ func TestUnknownFaultTargetsRejected(t *testing.T) {
 		t.Error("cache shrink of unknown worker not rejected")
 	}
 }
+
+// TestFleetNeverFormsBoundedByDeadline loses every registration of one
+// worker: the quorum never completes, no session ever
+// opens, and the run must still come back at the deadline with an
+// (empty) report instead of hanging on the readiness wait.
+func TestFleetNeverFormsBoundedByDeadline(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		rep, err := engine.Run(engine.Config{
+			Workers:      testCluster(2, 20, 100, 0),
+			Allocator:    core.NewBidding(),
+			Shards:       shards,
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			Workflow:     dataWorkflow(),
+			Arrivals:     faultArrivals(3),
+			Deadline:     time.Minute,
+			DropFunc: func(env broker.Envelope, to string) bool {
+				_, isRegister := env.Payload.(engine.MsgRegister)
+				return isRegister && env.From == "w0"
+			},
+		})
+		if !errors.Is(err, engine.ErrDeadlineExceeded) {
+			t.Fatalf("shards=%d: err = %v, want ErrDeadlineExceeded", shards, err)
+		}
+		if rep == nil || rep.JobsCompleted != 0 || len(rep.Workers) != 2 {
+			t.Errorf("shards=%d: report = %+v, want an empty report over 2 workers", shards, rep)
+		}
+	}
+}

@@ -80,11 +80,10 @@ type Job struct {
 	// data-bound (e.g. a searcher streaming API results) declare it
 	// here so bids stay honest.
 	CostHint time.Duration
-	// Session names the workflow session the job belongs to on a
-	// long-lived cluster (see Cluster). Empty on batch runs, where a
-	// single implicit session owns every job. The master stamps it on
-	// injection and workers use it to pick the right workflow when
-	// several share one fleet.
+	// Session names the workflow session the job belongs to (see
+	// Cluster); empty in the empty-id session, which is Run's. The
+	// master stamps it on injection and workers use it to pick the
+	// right workflow when several share one fleet.
 	Session string
 }
 

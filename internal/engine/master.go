@@ -10,20 +10,17 @@ import (
 	"crossflow/internal/vclock"
 )
 
-// Master is the coordinating node: it injects arrivals, mediates
+// Master is the coordinating node: it takes in submitted jobs, mediates
 // allocation through its Allocator, tracks every job's status and
 // timestamps (the paper's master record), and detects workflow
 // completion. It runs as a single actor over its broker inbox — the
 // shared Plane core — and adds the job records, contests, and the
 // AllocCtx surface on top.
 //
-// A master runs in one of two modes. Batch mode (NewMaster) owns a
-// single implicit session whose arrivals are known up front; the actor
-// loop exits when that session completes. Cluster mode
-// (NewClusterMaster) has no built-in workflow: sessions are opened and
-// fed explicitly, workers join and leave while the loop runs, and the
-// loop exits only on Shutdown. All per-workflow state lives in session
-// values either way — batch mode is just the one-session special case.
+// A master has no built-in workflow: sessions are opened and fed
+// explicitly, workers join and leave while the loop runs, and the loop
+// exits only on Shutdown. All per-workflow state lives in session
+// values; a one-shot Run is one session and a Shutdown.
 type Master struct {
 	Plane
 	alloc  Allocator
@@ -31,7 +28,8 @@ type Master struct {
 	tracer Tracer
 	// staleBidBug re-introduces the PR-2 stale dead-worker-bid bug (a
 	// bid from a dead worker may win its contest). Test-only: it exists
-	// so the model checker's counterexample path stays demonstrable.
+	// so the model checker's counterexample path stays demonstrable, and
+	// only Cluster.SetStaleBidBug sets it.
 	staleBidBug bool
 	// settle, when non-nil, replaces local re-injection of downstream
 	// jobs with a notice to the sharded frontend: every terminal job is
@@ -60,77 +58,54 @@ type Master struct {
 	nextID  int                   //xflow:owned master-loop
 }
 
-// newMaster wires a cluster-mode master: no built-in workflow beyond
-// the default session's wf (set on batch masters and batch shard
-// parts), running until Shutdown. The caller owns rng's seeding — the
-// master never touches the global math/rand generator, so
-// identically-seeded runs replay identically. A nil rng falls back to a
-// seed-0 source rather than crashing. tracer may be nil; staleBidBug is
-// the test-only switch documented on the field.
+// newMaster wires a master running until Shutdown. The caller owns
+// rng's seeding — the master never touches the global math/rand
+// generator, so identically-seeded runs replay identically. A nil rng
+// falls back to a seed-0 source rather than crashing. tracer may be nil.
 //
 //xflow:goroutine master-loop
-func newMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
-	expectedWorkers int, ready bool, rng *rand.Rand, tracer Tracer, staleBidBug bool) *Master {
+func newMaster(clk vclock.Clock, port Port, alloc Allocator,
+	expectedWorkers int, rng *rand.Rand, tracer Tracer) *Master {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
 	m := &Master{
-		Plane:       newPlane(clk, port, wf, expectedWorkers, ready),
-		alloc:       alloc,
-		rng:         rng,
-		tracer:      tracer,
-		staleBidBug: staleBidBug,
-		sessions:    make(map[string]*session),
-		records:     make(map[string]*JobRecord),
+		Plane:    newPlane(clk, port, expectedWorkers),
+		alloc:    alloc,
+		rng:      rng,
+		tracer:   tracer,
+		sessions: make(map[string]*session),
+		records:  make(map[string]*JobRecord),
 	}
 	m.cur = m.def
 	m.bind(m.handle)
 	return m
 }
 
-// NewMaster wires a batch-mode master over an arbitrary Port — the
-// entry point for distributed deployments where the broker lives in
-// another process. For single-process runs prefer Run, which assembles
-// everything. The seeded rng drives every random allocation decision;
-// thread it from the deployment's experiment seed. Start the loop with
-// Start (or run it on a clock-tracked goroutine with Run).
-//
-//xflow:goroutine master-loop
-func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
-	arrivals []Arrival, expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, wf, expectedWorkers, false, rng, nil, false)
-	m.armBatch(arrivals)
-	return m
-}
-
-// NewClusterMaster wires a long-lived master with no built-in workflow:
-// open sessions with OpenSession, feed them jobs, and stop the loop with
-// Shutdown. expectedWorkers is the initial quorum to wait for before
-// sessions start flowing (zero means "ready immediately"); workers
-// registering after the quorum are mid-run joins and are announced to
-// the allocator via WorkerJoined.
+// NewClusterMaster wires a long-lived master over an arbitrary Port —
+// the entry point for distributed deployments where the broker lives in
+// another process: open sessions with OpenSession, feed them jobs, and
+// stop the loop with Shutdown. expectedWorkers is the initial quorum to
+// wait for before sessions start flowing (zero means "ready
+// immediately"); workers registering after the quorum are mid-run joins
+// and are announced to the allocator via WorkerJoined. The seeded rng
+// drives every random allocation decision.
 func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 	expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, nil, expectedWorkers, expectedWorkers == 0, rng, nil, false)
+	m := newMaster(clk, port, alloc, expectedWorkers, rng, nil)
 	m.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return m
 }
 
-// Run executes the master actor as a blocking loop until the workflow
-// completes, for a caller that owns the goroutine; it must run on a
-// clock-tracked goroutine (clk.Go). Use Start or Run, not both.
+// Run executes the master actor as a blocking loop until Shutdown, for
+// a caller that owns the goroutine; it must run on a clock-tracked
+// goroutine (clk.Go). Use Start or Run, not both.
 func (m *Master) Run() { m.run() }
 
-// Report builds the master's half of a run report (timings, statuses,
-// scheduling counters) for the batch session. Worker-side cache and
-// data-load counters are zero; distributed deployments collect those on
-// the worker processes.
-//
-//xflow:goroutine master-loop
-func (m *Master) Report() *Report { return m.report(m.def) }
-
-// report builds session s's report. The batch session owns every
-// record; a cluster session's record map is filtered to its own jobs.
+// report builds session s's report (timings, statuses, scheduling
+// counters) over the records of its own jobs. Worker-side cache and
+// data-load counters are zero: Run adds them from the fleet, and
+// distributed deployments collect them on the worker processes.
 func (m *Master) report(s *session) *Report {
 	rep := &Report{
 		Allocator:     m.alloc.Name(),
@@ -147,16 +122,13 @@ func (m *Master) report(s *session) *Report {
 		ContestMsgs:   s.contestMsgs,
 		Bids:          s.bids,
 		Fallbacks:     s.fallbacks,
-		Records:       m.records,
+		Records:       make(map[string]*JobRecord),
 		allocLatency:  s.allocLatency,
 		allocCount:    s.allocCount,
 	}
-	if s != m.def {
-		rep.Records = make(map[string]*JobRecord)
-		for _, id := range m.order {
-			if rec := m.records[id]; rec.sess == s {
-				rep.Records[id] = rec
-			}
+	for _, id := range m.order {
+		if rec := m.records[id]; rec.sess == s {
+			rep.Records[id] = rec
 		}
 	}
 	if s.allocCount > 0 {
@@ -174,9 +146,6 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	//xflow:unhandled msgShardSettled consumed only by the sharded frontend's router loop; shard parts emit it and never receive it
 	case MsgRegister:
 		m.onRegister(msg.Worker)
-	case MsgInject:
-		m.def.arrivalsLeft--
-		m.inject(m.def, msg.Job)
 	case MsgBid:
 		// An in-flight bid from a worker that has since died must not win
 		// the contest: the assignment would go to a closed endpoint and the
@@ -250,10 +219,10 @@ func (m *Master) stop(abort bool) bool {
 	return true
 }
 
-// sessFor resolves a job ID to its session (the batch session for
+// sessFor resolves a job ID to its session (the sink session for
 // unknown jobs) and records it as the current event's session context.
 func (m *Master) sessFor(jobID string) *session {
-	if rec := m.records[jobID]; rec != nil && rec.sess != nil {
+	if rec := m.records[jobID]; rec != nil {
 		m.cur = rec.sess
 	} else {
 		m.cur = m.def
@@ -261,14 +230,12 @@ func (m *Master) sessFor(jobID string) *session {
 	return m.cur
 }
 
-// sessionByID resolves an explicit session name carried on a job (an
-// emitted downstream job names its parent's session); unknown or empty
-// names fall back to the batch session.
+// sessionByID resolves the session name carried on a job (an emitted
+// downstream job names its parent's session); unknown names fall back
+// to the sink session.
 func (m *Master) sessionByID(id string) *session {
-	if id != "" {
-		if s, ok := m.sessions[id]; ok {
-			return s
-		}
+	if s, ok := m.sessions[id]; ok {
+		return s
 	}
 	return m.def
 }
@@ -279,7 +246,6 @@ func (m *Master) addSession(s *session) {
 	if _, ok := m.sessions[s.id]; !ok {
 		m.sessions[s.id] = s
 		m.sessionList = append(m.sessionList, s)
-		s.started = true
 		s.startTime = m.clk.Now()
 	}
 	m.cur = s
@@ -289,13 +255,8 @@ func (m *Master) addSession(s *session) {
 // insertion order) and releases every pending drain ack.
 func (m *Master) flushWaiters() {
 	for _, s := range m.sessionList {
-		if s.finished {
-			continue
-		}
-		s.finished = true
-		s.endTime = m.clk.Now()
-		if s.done != nil {
-			s.done.Send(m.report(s))
+		if !s.finished {
+			m.finish(s)
 		}
 	}
 	m.flushDrains()
@@ -459,25 +420,22 @@ func (m *Master) rescue(worker string, wasLive bool) {
 	}
 }
 
+// maybeFinish settles the session the event touched if that completed
+// it. The loop itself never stops on its own.
 func (m *Master) maybeFinish() bool {
-	if m.autoStop {
-		s := m.def
-		if !s.started || s.arrivalsLeft > 0 || s.outstanding > 0 {
-			return false
-		}
-		m.halt(false)
-		return true
-	}
-	// Cluster mode: the loop never stops by itself, but the session the
-	// event touched may have just completed.
-	if s := m.cur; s != nil && s != m.def && !s.finished && !s.feedOpen && s.outstanding == 0 {
-		s.finished = true
-		s.endTime = m.clk.Now()
-		if s.done != nil {
-			s.done.Send(m.report(s))
-		}
+	if s := m.cur; s != m.def && !s.finished && !s.feedOpen && s.outstanding == 0 {
+		m.finish(s)
 	}
 	return false
+}
+
+// finish closes session s's span and delivers its report.
+func (m *Master) finish(s *session) {
+	s.finished = true
+	s.endTime = m.clk.Now()
+	if s.done != nil {
+		s.done.Send(m.report(s))
+	}
 }
 
 // formatJobID renders "job-%04d" without fmt's reflection cost — the
@@ -519,7 +477,7 @@ func (m *Master) Assign(jobID, worker string, est time.Duration) {
 	if rec == nil || rec.Status == StatusFinished || rec.Status == StatusQueued {
 		return
 	}
-	s := m.sessOf(rec)
+	s := rec.sess
 	rec.Status = StatusQueued
 	rec.Worker = worker
 	rec.Queued = m.clk.Now()
@@ -540,18 +498,9 @@ func (m *Master) Offer(jobID, worker string) {
 	}
 	rec.Status = StatusOffered
 	rec.Worker = worker
-	m.sessOf(rec).offers++
+	rec.sess.offers++
 	m.trace(TraceOffered, jobID, worker)
 	m.ep.Send(worker, MsgOffer{Job: rec.Job})
-}
-
-// sessOf returns a record's owning session, defaulting to the batch
-// session for records predating the session split.
-func (m *Master) sessOf(rec *JobRecord) *session {
-	if rec != nil && rec.sess != nil {
-		return rec.sess
-	}
-	return m.def
 }
 
 // SendNoWork implements AllocCtx.
@@ -590,7 +539,7 @@ func (m *Master) PublishBidRequest(jobID string) int {
 	if rec == nil {
 		return 0
 	}
-	s := m.sessOf(rec)
+	s := rec.sess
 	s.contests++
 	m.trace(TraceContest, jobID, "")
 	req := MsgBidRequest{Job: rec.Job}
@@ -636,7 +585,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 	if len(live) == 0 {
 		return 0
 	}
-	s := m.sessOf(rec)
+	s := rec.sess
 	s.contests++
 	req := MsgBidRequest{Job: rec.Job}
 	var n int

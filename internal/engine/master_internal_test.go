@@ -12,15 +12,24 @@ type stubAlloc struct{ NopAllocator }
 func (stubAlloc) Name() string            { return "stub" }
 func (stubAlloc) JobReady(AllocCtx, *Job) {}
 
+// openMaster builds a master expecting n workers with one open session
+// consuming wf — what Run sets up, minus the fleet — for tests that call
+// the master's handlers directly.
+func openMaster(alloc Allocator, wf *Workflow, n int) (*Master, *session) {
+	sim := vclock.NewSim()
+	m := NewClusterMaster(sim, broker.New(sim).Register(MasterName, 0), alloc, n, nil)
+	s := &session{wf: wf, feedOpen: true}
+	m.addSession(s)
+	return m, s
+}
+
 // TestWorkersReturnsCopy is a regression test: Workers() used to hand
 // out the master's internal slice, which onWorkerDead splices in place —
 // an allocator holding the alias would see a snapshot it captured
 // mutate underneath it (and, worse, lose a different worker than the
 // one that died, since the splice shifts later elements left).
 func TestWorkersReturnsCopy(t *testing.T) {
-	sim := vclock.NewSim()
-	bus := broker.New(sim)
-	m := NewMaster(sim, bus.Register(MasterName, 0), stubAlloc{}, NewWorkflow("t"), nil, 3, nil)
+	m, _ := openMaster(stubAlloc{}, NewWorkflow("t"), 3)
 
 	for _, w := range []string{"w0", "w1", "w2"} {
 		m.onRegister(w)

@@ -161,13 +161,6 @@ type MsgEmit struct {
 	Worker string
 }
 
-// MsgInject is the master's self-message carrying a scheduled arrival.
-//
-//xflow:msg master
-type MsgInject struct {
-	Job *Job
-}
-
 // MsgBidWindowExpired is the master's self-message closing a contest
 // after the bidding threshold (Listing 1, line 30).
 //

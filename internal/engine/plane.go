@@ -32,12 +32,8 @@ type Plane struct {
 	// sharded frontend) one per shard part.
 	served []*Plane
 
-	// autoStop distinguishes batch mode (armBatch: the loop exits when
-	// the batch session completes) from cluster mode (run until
-	// Shutdown).
-	autoStop bool
-	// def is the batch session; in cluster mode it is a sink for events
-	// about unknown jobs and is never settled.
+	// def is the sink session for events about jobs and sessions the
+	// plane does not know; it consumes nothing and is never settled.
 	def *session
 	// muteStop suppresses the fleet-wide MsgStop publish when the plane
 	// halts. The sharded control plane sets it on every shard part: the
@@ -54,17 +50,16 @@ type Plane struct {
 	finished bool
 }
 
-// newPlane wires the core over a port. ready is the initial formation
-// state (a cluster plane expecting no workers starts formed). The
-// caller must bind the dispatch switch once the embedding value has its
-// final address.
-func newPlane(clk vclock.Clock, ep Port, wf *Workflow, expectedWorkers int, ready bool) Plane {
+// newPlane wires the core over a port; a plane expecting no workers
+// starts formed. The caller must bind the dispatch switch once the
+// embedding value has its final address.
+func newPlane(clk vclock.Clock, ep Port, expectedWorkers int) Plane {
 	return Plane{
 		clk:        clk,
 		ep:         ep,
 		labeled:    vclock.ActiveLabeled(clk),
-		def:        &session{wf: wf},
-		membership: newMembership(expectedWorkers, ready),
+		def:        &session{},
+		membership: newMembership(expectedWorkers),
 	}
 }
 
@@ -73,21 +68,6 @@ func newPlane(clk vclock.Clock, ep Port, wf *Workflow, expectedWorkers int, read
 func (p *Plane) bind(dispatch func(env *broker.Envelope) bool) {
 	p.dispatch = dispatch
 	p.served = append(p.served, p)
-}
-
-// armBatch turns the plane into a one-shot batch run: the arrival
-// schedule starts when the fleet forms, and the embedding type stops
-// the loop once the batch session completes.
-func (p *Plane) armBatch(arrivals []Arrival) {
-	p.autoStop = true
-	p.def.arrivalsLeft = len(arrivals)
-	p.onReady = func() {
-		p.def.started = true
-		p.def.startTime = p.clk.Now()
-		for _, arr := range arrivals {
-			p.injectAfter(arr.At, "arrival "+arr.Job.ID, MsgInject{Job: arr.Job})
-		}
-	}
 }
 
 // Start makes every plane's dispatch the consumer of its inbox
@@ -134,8 +114,8 @@ func (p *Plane) Inject(payload any) {
 	p.ep.Inbox().Send(p.selfEnvelope(payload))
 }
 
-// injectAfter is Inject d from now: the plane's self-timers (arrival
-// schedule, bid windows, ticks). Under a model-checking chooser the
+// injectAfter is Inject d from now: the plane's self-timers (scheduled
+// submissions, bid windows, ticks). Under a model-checking chooser the
 // event is labeled with the master as its conflict domain — a plane's
 // self-timers only ever land in its own inbox, and the whole control
 // plane (router plus parts, which only ever receive through the router
@@ -150,16 +130,20 @@ func (p *Plane) injectAfter(d time.Duration, detail string, payload any) {
 	p.clk.SendAfter(d, p.ep.Inbox(), env)
 }
 
-// WaitReady blocks until the initial worker quorum has registered. On a
-// simulated clock it must be called from a clock-tracked goroutine. It
-// is single-shot: one caller owns the readiness signal.
-func (p *Plane) WaitReady() {
-	if p.readyAck != nil {
-		p.readyAck.Recv()
-	}
+// WaitReady blocks until the initial worker quorum has registered (or
+// the plane stopped without one). On a simulated clock it must be
+// called from a clock-tracked goroutine. It is single-shot: one caller
+// owns the readiness signal.
+func (p *Plane) WaitReady() { p.awaitFleet() }
+
+// awaitFleet is WaitReady reporting whether the fleet formed: false
+// means the plane stopped first.
+func (p *Plane) awaitFleet() (formed bool) {
+	_, formed = p.readyAck.Recv()
+	return formed
 }
 
-// Shutdown stops a cluster-mode plane: the loop publishes MsgStop to
+// Shutdown stops the plane: the loop publishes MsgStop to
 // the fleet, flushes a report to every session still waiting, and exits.
 // Safe to call from any goroutine.
 func (p *Plane) Shutdown() { p.Inject(msgShutdown{}) }
@@ -175,8 +159,8 @@ func (p *Plane) Drain(worker string) vclock.Mailbox {
 	return ack
 }
 
-// OpenSession opens a streaming workflow session on a cluster-mode
-// plane. id must be unique among open sessions; wf consumes the jobs.
+// OpenSession opens a streaming workflow session on the plane. id must
+// be unique among open sessions; wf consumes the jobs.
 // On a sharded plane the session is transparently partitioned: every
 // submitted job routes to its key's shard, and Wait returns the merged
 // per-shard report. Safe to call from any goroutine.
@@ -187,14 +171,14 @@ func (p *Plane) OpenSession(id string, wf *Workflow) *MasterSession {
 }
 
 // halt ends the plane's run: it is marked finished (and aborted, when a
-// Deadline cut it short), the batch span closes, and the fleet is told
-// to stop.
+// Deadline cut it short), a WaitReady caller still waiting for a fleet
+// that never formed is released, and the fleet is told to stop.
 func (p *Plane) halt(abort bool) {
 	if abort {
 		p.aborted = true
 	}
 	p.finished = true
-	p.def.endTime = p.clk.Now()
+	p.abandonQuorum()
 	if !p.muteStop {
 		p.ep.Publish(TopicControl, MsgStop{})
 	}
@@ -227,21 +211,19 @@ type membership struct {
 	// are mid-run joins.
 	expectedWorkers int  //xflow:owned plane-loop
 	ready           bool //xflow:owned plane-loop
-	// readyAck, when non-nil, receives one value as the fleet forms.
+	// readyAck, when non-nil (shard parts have none), receives one
+	// value as the fleet forms.
 	readyAck vclock.Mailbox
-	// onReady, when non-nil, runs as the fleet forms (a batch plane
-	// starts its arrival schedule here).
-	onReady func()
 }
 
 //xflow:goroutine plane-loop
-func newMembership(expectedWorkers int, ready bool) membership {
+func newMembership(expectedWorkers int) membership {
 	return membership{
 		workerSet:       make(map[string]bool),
 		dead:            make(map[string]bool),
 		drains:          make(map[string][]vclock.Mailbox),
 		expectedWorkers: expectedWorkers,
-		ready:           ready,
+		ready:           expectedWorkers == 0,
 	}
 }
 
@@ -253,6 +235,16 @@ func (ms *membership) signalReady(ack vclock.Mailbox) {
 	ms.readyAck = ack
 	if ms.ready {
 		ack.Send(struct{}{})
+	}
+}
+
+// abandonQuorum releases a WaitReady caller still waiting for a fleet
+// that will now never form.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) abandonQuorum() {
+	if !ms.ready && ms.readyAck != nil {
+		ms.readyAck.Close()
 	}
 }
 
@@ -313,9 +305,6 @@ func (ms *membership) checkQuorum() {
 	ms.ready = true
 	if ms.readyAck != nil {
 		ms.readyAck.Send(struct{}{})
-	}
-	if ms.onReady != nil {
-		ms.onReady()
 	}
 }
 

@@ -138,9 +138,8 @@ func TestMembershipScripts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := vclock.NewSim()
-			ms := newMembership(tc.expected, false)
-			formed := 0
-			ms.onReady = func() { formed++ }
+			ms := newMembership(tc.expected)
+			ms.signalReady(sim.NewMailbox("ready"))
 			var acks []vclock.Mailbox
 			for i, st := range tc.steps {
 				var got bool
@@ -170,7 +169,7 @@ func TestMembershipScripts(t *testing.T) {
 			if got := strings.TrimSuffix(b.String(), "\n"); got != tc.digest {
 				t.Errorf("digest:\n got  %s\n want %s", got, tc.digest)
 			}
-			if formed != tc.formed {
+			if formed := ms.readyAck.Len(); formed != tc.formed {
 				t.Errorf("fleet formed %d times, want %d", formed, tc.formed)
 			}
 			acked := 0

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"crossflow/internal/broker"
-	"crossflow/internal/vclock"
-)
+import "testing"
 
 // recAlloc records the allocator callbacks the master issues, so tests
 // can assert redispatch re-enters the allocation pipeline.
@@ -43,17 +38,15 @@ func rescueWorkflow() *Workflow {
 // re-offered to the allocator — while finished and pending records are
 // left alone.
 func TestRescueStrandedRedispatches(t *testing.T) {
-	sim := vclock.NewSim()
-	bus := broker.New(sim)
 	alloc := &recAlloc{}
-	m := NewMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
+	m, sess := openMaster(alloc, rescueWorkflow(), 2)
 	trace := NewTraceLog()
 	m.tracer = trace
 
 	m.onRegister("w0")
 	m.onRegister("w1")
 	for _, id := range []string{"j-stranded", "j-done", "j-open"} {
-		m.inject(m.def, &Job{ID: id, Stream: "work"})
+		m.inject(sess, &Job{ID: id, Stream: "work"})
 	}
 
 	// w1 drains: out of the live set immediately, goodbye pending.
@@ -76,8 +69,8 @@ func TestRescueStrandedRedispatches(t *testing.T) {
 	if rec.Status != StatusPending || rec.Worker != "" {
 		t.Errorf("stranded record not rescued: status=%v worker=%q", rec.Status, rec.Worker)
 	}
-	if m.def.redispatched != 1 {
-		t.Errorf("session redispatched = %d, want 1", m.def.redispatched)
+	if sess.redispatched != 1 {
+		t.Errorf("session redispatched = %d, want 1", sess.redispatched)
 	}
 	if len(alloc.ready) != 1 || alloc.ready[0] != "j-stranded" {
 		t.Errorf("allocator JobReady calls = %v, want [j-stranded]", alloc.ready)
@@ -118,14 +111,12 @@ func TestRescueStrandedRedispatches(t *testing.T) {
 // in the live set is a voluntary immediate exit and must take the death
 // path — live-set removal, WorkerLost, and redispatch of its queue.
 func TestLeaveWithoutDrainRedispatchesAsDeath(t *testing.T) {
-	sim := vclock.NewSim()
-	bus := broker.New(sim)
 	alloc := &recAlloc{}
-	m := NewMaster(sim, bus.Register(MasterName, 0), alloc, rescueWorkflow(), nil, 2, nil)
+	m, sess := openMaster(alloc, rescueWorkflow(), 2)
 
 	m.onRegister("w0")
 	m.onRegister("w1")
-	m.inject(m.def, &Job{ID: "j0", Stream: "work"})
+	m.inject(sess, &Job{ID: "j0", Stream: "work"})
 	m.records["j0"].Worker = "w1"
 	m.records["j0"].Status = StatusStarted
 

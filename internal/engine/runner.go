@@ -74,14 +74,8 @@ type Config struct {
 	// Probe, when non-nil, receives the assembled Cluster after
 	// construction and before anything starts running. The model checker
 	// uses it to capture the cluster for state fingerprinting; tests can
-	// use it to reach nodes a batch run otherwise hides.
+	// use it to reach nodes a run otherwise hides.
 	Probe func(*Cluster)
-	// StaleBidBug re-introduces the stale dead-worker-bid bug fixed in
-	// the simtest PR (a dead worker's in-flight bid may win its
-	// contest). Test-only: it exists so the model checker's
-	// counterexample machinery can be demonstrated against a known-bad
-	// protocol. Never set it outside tests.
-	StaleBidBug bool
 	// Deadline bounds the run in simulated time: if the workflow has not
 	// completed Deadline after the run starts, the master aborts, every
 	// worker is force-stopped, and Run returns the partial report with
@@ -94,10 +88,11 @@ type Config struct {
 	Tracer Tracer
 }
 
-// Run executes one workflow to completion and returns its report. It is
-// a batch-mode wrapper over the Cluster runtime: one implicit session
-// whose arrivals are known up front, with the fault plan (including
-// elastic Joins and Drains) scheduled around it.
+// Run executes one workflow to completion and returns its report: one
+// session on a Cluster — opened once the fleet has formed, fed the
+// arrival stream as clock events, waited for, and followed by Stop —
+// with the fault plan (including elastic Joins and Drains) scheduled
+// around it.
 func Run(cfg Config) (*Report, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("engine: no workers configured")
@@ -105,7 +100,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Workflow == nil {
 		return nil, errors.New("engine: no workflow configured")
 	}
-	c, err := newCluster(ClusterConfig{
+	c, err := NewCluster(ClusterConfig{
 		Clock:        cfg.Clock,
 		Workers:      cfg.Workers,
 		Allocator:    cfg.Allocator,
@@ -119,7 +114,7 @@ func Run(cfg Config) (*Report, error) {
 		DelayFunc:    cfg.DelayFunc,
 		DropFunc:     cfg.DropFunc,
 		Tracer:       cfg.Tracer,
-	}, &cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +242,20 @@ func Run(cfg Config) (*Report, error) {
 		sim.SetDeadlockHandler(func(waiting []string) { deadlockWaiting = waiting })
 	}
 
-	// No driver: the arrival and fault timers scheduled above are what
-	// keep a simulated clock from seeing the parked fleet as deadlocked.
-	c.Start(nil)
+	// rep stays nil when the run is cut short before the fleet forms.
+	var rep *Report
+	c.Start(func() {
+		if !c.WaitReady() {
+			return
+		}
+		sess, err := c.Open("", cfg.Workflow)
+		if err != nil {
+			panic(err) // unreachable: the cluster is ours and has no session yet
+		}
+		sess.Schedule(cfg.Arrivals)
+		rep = sess.Wait()
+		c.Stop()
+	})
 	clk.Wait()
 
 	// A deadlock after the master finished (a worker's stop signal lost
@@ -260,7 +266,15 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("%w (blocked: %v)", ErrDeadlocked, deadlockWaiting)
 	}
 
-	rep := c.report()
+	if rep == nil {
+		rep = &Report{}
+	}
+	// The plane is gone. A caller that keeps the report must not keep
+	// the plane with it: each record reaches its session, the session's
+	// report mailbox its clock, and a Sim the whole finished fleet.
+	for _, rec := range rep.Records {
+		rec.sess = nil
+	}
 	rep.Workers = make([]WorkerReport, 0, len(cfg.Workers)+len(joiners))
 	addWorker := func(st *WorkerState, before workerSnapshot, w *Worker) {
 		wr := diffWorker(st, before)

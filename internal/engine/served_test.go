@@ -14,7 +14,7 @@ import (
 	"crossflow/internal/vclock"
 )
 
-// chooserTranscript runs a 2-worker, 3-job bidding batch under a
+// chooserTranscript runs a 2-worker, 3-job bidding session under a
 // chooser that alternates between the two earliest enabled events, and
 // records at every choice what a model checker fingerprints: the
 // enabled labels, the kernel's pending-event and mailbox digests, and
@@ -46,8 +46,8 @@ func chooserTranscript(t *testing.T, served bool) string {
 	bus := broker.New(sim)
 	wf := dataWorkflow()
 	arrivals := dataJobs([]string{"k0", "k1", "k0"}, 32)
-	m := engine.NewMaster(sim, bus.Register(engine.MasterName, time.Millisecond),
-		pol.NewAllocator(), wf, arrivals, 2, rand.New(rand.NewSource(1)))
+	m := engine.NewClusterMaster(sim, bus.Register(engine.MasterName, time.Millisecond),
+		pol.NewAllocator(), 2, rand.New(rand.NewSource(1)))
 	digests = append(digests, m.StateDigest)
 	workers := make([]*engine.Worker, 2)
 	for i := range workers {
@@ -63,6 +63,7 @@ func chooserTranscript(t *testing.T, served bool) string {
 		workers[i] = engine.NewWorker(sim, bus.Register(st.Spec.Name, st.Spec.Link), wf, st, nil, pol.NewAgent(st))
 		digests = append(digests, workers[i].StateDigest)
 	}
+	var rep *engine.Report
 	sim.Go(func() {
 		if served {
 			m.Start()
@@ -72,9 +73,14 @@ func chooserTranscript(t *testing.T, served bool) string {
 		for _, w := range workers {
 			w.Start()
 		}
+		m.WaitReady()
+		sess := m.OpenSession("", wf)
+		sess.Schedule(arrivals)
+		rep = sess.Wait()
+		m.Shutdown()
 	})
 	sim.Wait()
-	if rep := m.Report(); rep.JobsCompleted != len(arrivals) {
+	if rep.JobsCompleted != len(arrivals) {
 		t.Fatalf("served=%v: completed %d/%d jobs", served, rep.JobsCompleted, len(arrivals))
 	}
 	return b.String()

@@ -7,27 +7,23 @@ import (
 )
 
 // session is one workflow's state on a master: its submission feed,
-// outstanding-work accounting, results, and scheduling counters. Batch
-// runs own exactly one implicit session (id ""); a long-lived cluster
+// outstanding-work accounting, results, and scheduling counters. A
 // master multiplexes many, keyed by the Session field jobs carry. All
 // fields except the done mailbox are owned by the master's actor
 // goroutine.
 type session struct {
-	// id names the session; empty for the batch session. Jobs injected
-	// under a named session are stamped with it so workers can resolve
-	// the right workflow.
+	// id names the session. Jobs injected under a named session are
+	// stamped with it so workers can resolve the right workflow; the
+	// empty id is a session like any other whose jobs travel unstamped
+	// (Run's).
 	id string
 	// wf consumes the session's streams.
 	wf *Workflow
-	// arrivalsLeft counts scheduled batch arrivals not yet injected;
-	// cluster sessions use feedOpen instead.
-	arrivalsLeft int
 	// feedOpen reports that the session may still receive submissions.
 	feedOpen bool
 	// outstanding counts injected jobs that have not finished.
 	outstanding int
 
-	started   bool
 	finished  bool
 	startTime time.Time
 	endTime   time.Time
@@ -47,7 +43,7 @@ type session struct {
 
 	// done receives the session's *Report exactly once, when the feed is
 	// closed and the last outstanding job finishes (or the master shuts
-	// down). Nil for the batch session, whose report is pulled by Run.
+	// down). Nil only on a plane's sink session, which never settles.
 	done vclock.Mailbox
 }
 
@@ -75,6 +71,18 @@ func (ms *MasterSession) Submit(job *Job) {
 // its outstanding jobs finish.
 func (ms *MasterSession) Close() {
 	ms.m.Inject(msgCloseFeed{s: ms.s})
+}
+
+// Schedule feeds a whole arrival stream as clock events instead of
+// Submit calls from a sleeping driver: each job is submitted At from
+// now, and the feed closes behind the last one. The caller only Waits.
+func (ms *MasterSession) Schedule(arrivals []Arrival) {
+	var last time.Duration
+	for _, arr := range arrivals {
+		ms.m.injectAfter(arr.At, "submit "+arr.Job.ID, msgSubmit{s: ms.s, job: arr.Job})
+		last = max(last, arr.At)
+	}
+	ms.m.injectAfter(last, "close-feed", msgCloseFeed{s: ms.s})
 }
 
 // Wait blocks until the session completes and returns its report. On a

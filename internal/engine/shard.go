@@ -65,8 +65,8 @@ type ShardedMaster struct {
 	nextID      int                       //xflow:owned router-loop
 	sessions    map[string]*routerSession //xflow:owned router-loop
 	sessionList []*routerSession          //xflow:owned router-loop
-	// defRoute is the routed/settled accounting of the batch session
-	// (and the sink for traffic about unknown sessions, like Plane.def).
+	// defRoute is the sink for traffic about unknown sessions, like
+	// Plane.def.
 	defRoute *routerSession //xflow:owned router-loop
 }
 
@@ -74,26 +74,26 @@ type ShardedMaster struct {
 // and one contest shard per shard port. Each part is a long-lived
 // master loop with its fleet-stop publish muted (the frontend owns the
 // single broadcast) and terminal jobs reported back to the frontend
-// instead of re-injected locally; it runs wf (nil on a cluster plane)
-// on its own allocator and rng stream, drawn from rng in shard order so
-// the whole plane stays a pure function of the seed.
+// instead of re-injected locally; it runs on its own allocator and rng
+// stream, drawn from rng in shard order so the whole plane stays a pure
+// function of the seed.
 //
 // On a simulated broker the settle hook sends the notice through the
 // broker (deterministic route-skew timing, and a partitioned shard's
 // notices are lost exactly like its other sends); on any other port —
 // the TCP transport, whose wire format does not carry internal
 // messages — it injects straight into the router's inbox, which is
-// correct because parts always share the router's process. tracer and
-// staleBidBug go to every part; the router itself allocates nothing.
+// correct because parts always share the router's process. tracer goes
+// to every part; the router itself allocates nothing.
 //
 //xflow:goroutine router-loop
 func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc func() Allocator,
-	wf *Workflow, expectedWorkers int, ready bool, rng *rand.Rand, tracer Tracer, staleBidBug bool) *ShardedMaster {
+	expectedWorkers int, rng *rand.Rand, tracer Tracer) *ShardedMaster {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
 	sm := &ShardedMaster{
-		Plane:    newPlane(clk, port, nil, expectedWorkers, ready),
+		Plane:    newPlane(clk, port, expectedWorkers),
 		parts:    make([]*Master, len(shardPorts)),
 		jobShard: make(map[string]int),
 		sessions: make(map[string]*routerSession),
@@ -102,7 +102,7 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc f
 	sm.bind(sm.handle)
 	for i, sp := range shardPorts {
 		partRng := rand.New(rand.NewSource(rng.Int63()))
-		p := newMaster(clk, sp, newAlloc(), wf, expectedWorkers, ready, partRng, tracer, staleBidBug)
+		p := newMaster(clk, sp, newAlloc(), expectedWorkers, partRng, tracer)
 		p.muteStop = true
 		p.traceShard = i + 1
 		p.settle = func(jobID string, s *session, newJobs []*Job) {
@@ -125,28 +125,13 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc f
 // (conventionally ShardName(i)). newAlloc builds each shard's own
 // allocator; rng seeds each shard's independent decision stream.
 // Sessions opened on the returned plane are transparently partitioned
-// and their reports merged. cmd/xflow-master's -shards serve mode uses
-// this over the TCP transport; in-process runs go through Config.Shards.
+// and their reports merged. cmd/xflow-master -shards uses this over the
+// TCP transport; in-process runs go through Config.Shards.
 func NewShardedClusterMaster(clk vclock.Clock, port Port, shardPorts []Port,
 	newAlloc func() Allocator, expectedWorkers int, rng *rand.Rand) *ShardedMaster {
-	sm := newShardedMaster(clk, port, shardPorts, newAlloc, nil, expectedWorkers, expectedWorkers == 0, rng, nil, false)
+	sm := newShardedMaster(clk, port, shardPorts, newAlloc, expectedWorkers, rng, nil)
 	sm.signalReady(clk.NewMailbox(port.Name() + ":ready"))
 	return sm
-}
-
-// Report merges the per-shard batch reports into the plane-wide view,
-// with the frontend's own start/end times bounding the makespan (parts
-// never settle their default sessions themselves).
-func (sm *ShardedMaster) Report() *Report {
-	reports := make([]*Report, 0, len(sm.parts))
-	for _, p := range sm.parts {
-		reports = append(reports, p.Report())
-	}
-	rep := mergeReports(reports)
-	rep.Start = sm.def.startTime
-	rep.End = sm.def.endTime
-	rep.Makespan = rep.End.Sub(rep.Start)
-	return rep
 }
 
 // mergeReports combines per-shard reports into the single-master shape:
@@ -200,9 +185,6 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	//xflow:unhandled MsgBidWindowExpired,MsgTick,msgContestSized shard-local self-timers inject straight into the owning part's inbox and never transit the frontend
 	case MsgRegister:
 		sm.onRegister(env, msg)
-	case MsgInject:
-		sm.def.arrivalsLeft--
-		sm.routeJob(sm.defRoute, msg.Job)
 	case MsgBid:
 		sm.routeByJob(env, msg.JobID)
 	case MsgAccept:
@@ -258,7 +240,7 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	case msgShardSettled:
 		sm.onSettled(msg)
 	}
-	return sm.maybeFinish()
+	return false
 }
 
 // forward hands an envelope straight into a part's inbox. Worker-
@@ -372,12 +354,10 @@ func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
 }
 
 // sessionByID resolves a session name to its frontend bookkeeping,
-// falling back to the default session like Master.sessionByID.
+// falling back to the sink like Master.sessionByID.
 func (sm *ShardedMaster) sessionByID(id string) *routerSession {
-	if id != "" {
-		if rs, ok := sm.sessions[id]; ok {
-			return rs
-		}
+	if rs, ok := sm.sessions[id]; ok {
+		return rs
 	}
 	return sm.defRoute
 }
@@ -451,22 +431,13 @@ func (sm *ShardedMaster) onSettled(msg msgShardSettled) {
 // with an empty queue finish while a sibling shard's job was still
 // about to emit work for it.
 func (sm *ShardedMaster) maybeCloseParts(rs *routerSession) {
-	if rs == sm.defRoute || !rs.userClosed || rs.closed || rs.routed != rs.settled {
+	if !rs.userClosed || rs.closed || rs.routed != rs.settled {
 		return
 	}
 	rs.closed = true
 	for i, p := range sm.parts {
 		sm.forward(p, sm.control(p, msgCloseFeed{s: rs.subs[i]}))
 	}
-}
-
-// maybeFinish implements batch termination on the frontend: the arrival
-// schedule ran dry and every routed job settled, so the plane is done.
-func (sm *ShardedMaster) maybeFinish() bool {
-	if !sm.autoStop || !sm.def.started || sm.def.arrivalsLeft > 0 || sm.defRoute.routed != sm.defRoute.settled {
-		return false
-	}
-	return sm.stop(false)
 }
 
 // stop ends the frontend loop: it halts the plane (publishing the single

@@ -15,7 +15,9 @@ import (
 // opinionated node. The worker's communications goroutine translates
 // protocol messages into these calls; implementations answer through the
 // worker's helper methods (SubmitBid, AcceptOffer, RejectOffer,
-// RequestWork). Calls happen on the worker's comms goroutine.
+// RequestWork). Calls happen on the worker's comms goroutine, except
+// OnJobFinished, which the executor goroutine makes: an agent whose
+// state both touch must guard it.
 type Agent interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -30,9 +32,9 @@ type Agent interface {
 	// OnNoWork is called when a pull for work came back empty; backoff
 	// is the master's suggested wait (zero = agent's default).
 	OnNoWork(w *Worker, backoff time.Duration)
-	// OnJobFinished is called (still on the comms goroutine) after the
-	// executor completed a job, before its completion was acknowledged
-	// by the master. Pull-based agents request the next job here.
+	// OnJobFinished is called on the executor goroutine after it
+	// completed a job and sent the completion, before the master
+	// acknowledged it. Pull-based agents request the next job here.
 	OnJobFinished(w *Worker, job *Job)
 }
 
@@ -364,10 +366,10 @@ func (w *Worker) execLoop() {
 }
 
 // workflowFor resolves the workflow a job runs under: the session
-// resolver when the job names a session it knows, the worker's default
+// resolver when it knows the job's session, the worker's default
 // workflow otherwise.
 func (w *Worker) workflowFor(job *Job) *Workflow {
-	if job.Session != "" && w.wfResolve != nil {
+	if w.wfResolve != nil {
 		if wf := w.wfResolve(job.Session); wf != nil {
 			return wf
 		}

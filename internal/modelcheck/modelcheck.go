@@ -70,7 +70,7 @@ type Config struct {
 	// the reduction.
 	DisablePOR bool
 	// StaleBidBug re-introduces the stale dead-worker-bid bug for every
-	// execution (see engine.Config.StaleBidBug), to demonstrate
+	// execution (see engine.Cluster.SetStaleBidBug), to demonstrate
 	// counterexample extraction against a known-broken protocol.
 	StaleBidBug bool
 	// Progress, when non-nil, is called after every execution with the

@@ -2,10 +2,12 @@ package modelcheck
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"crossflow/internal/core"
 	"crossflow/internal/simtest"
+	"crossflow/internal/vclock"
 )
 
 // exhaustiveEnv opts in to the full sweeps. `go test ./...` stays a
@@ -13,13 +15,13 @@ import (
 // which still replays prefixes, branches, dedups and audits every run
 // against the invariant library; the CI modelcheck job sets
 // XFLOW_MODELCHECK=exhaustive and requires every state space to be
-// exhausted (minutes: the 2x3 bidding-topk space alone is 634 897 runs).
+// exhausted (minutes: the 2x3 bidding-topk space alone is 635 354 runs).
 const exhaustiveEnv = "XFLOW_MODELCHECK"
 
 func exhaustive() bool { return os.Getenv(exhaustiveEnv) == "exhaustive" }
 
 // smokeRuns caps each search of the tier-1 smoke. Most configurations
-// below exhaust well inside it (2x2 bidding is 3204 runs, the kill and
+// below exhaust well inside it (2x2 bidding is 3349 runs, the kill and
 // drain races under 2000) and so are still checked in full; the cap
 // bites on 2x2 bidding-topk, the no-POR cross-check and the 2x3 pair.
 const smokeRuns = 4000
@@ -74,6 +76,34 @@ func TestExhaustsFaultFree(t *testing.T) {
 	}
 }
 
+// TestCheckerEntersThroughTheSessionPath pins what the checker covers:
+// a scenario runs as one session on the cluster plane — opened, fed by
+// scheduled submissions, closed — so the enabled sets of a 2-worker,
+// 2-job execution must offer the submissions and the feed close as
+// schedulable events, the lifecycle a deployed master runs.
+func TestCheckerEntersThroughTheSessionPath(t *testing.T) {
+	pol := policy(t, "bidding")
+	sc := BoundedScenario(Bounds{Workers: 2, Jobs: 2}, pol)
+	seen := make(map[string]bool)
+	clk := vclock.NewSim()
+	clk.SetChooser(func(enabled []vclock.EnabledEvent) int {
+		for _, e := range enabled {
+			kind, _, _ := strings.Cut(e.Label.Detail, " ")
+			seen[kind] = true
+		}
+		return 0
+	})
+	r := simtest.ExecuteOpts(sc, pol, simtest.ExecOptions{Clock: clk})
+	if v := simtest.CheckTrace(sc, r); v != nil {
+		t.Fatalf("violation: %v", v)
+	}
+	for _, kind := range []string{"submit", "close-feed"} {
+		if !seen[kind] {
+			t.Errorf("no %q event was ever enabled; saw %v", kind, seen)
+		}
+	}
+}
+
 // TestExhaustsWithKill adds the hardest bounded fault — a worker kill
 // enabled at every point of the protocol, including before its
 // registration arrives — and still expects clean exhaustion. This
@@ -95,7 +125,7 @@ func TestExhaustsWithDrain(t *testing.T) {
 }
 
 // TestStaleBidBugCounterexample re-introduces the stale dead-worker-bid
-// bug (fixed in the simtest PR, kept behind engine.Config.StaleBidBug)
+// bug (fixed in the simtest PR, kept behind engine.Cluster.SetStaleBidBug)
 // and expects the checker to find the interleaving that fuzzing found
 // only by luck: the victim's bid is in flight when it dies, the stale
 // bid wins, and the job strands on a closed endpoint. The resulting

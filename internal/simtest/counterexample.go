@@ -25,7 +25,7 @@ type Counterexample struct {
 	// needs to pin the prefix that provokes the bug.
 	Schedule []int `json:"schedule"`
 	// StaleBidBug records that the run had the stale dead-worker-bid bug
-	// deliberately re-enabled (see engine.Config.StaleBidBug); the
+	// deliberately re-enabled (see engine.Cluster.SetStaleBidBug); the
 	// replay must break the protocol the same way.
 	StaleBidBug bool      `json:"stale_bid_bug,omitempty"`
 	Scenario    *Scenario `json:"scenario"`

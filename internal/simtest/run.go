@@ -107,7 +107,7 @@ type ExecOptions struct {
 	// Probe receives the assembled cluster before it starts.
 	Probe func(*engine.Cluster)
 	// StaleBidBug re-introduces the stale dead-worker-bid bug
-	// (test-only; see engine.Config.StaleBidBug).
+	// (test-only; see engine.Cluster.SetStaleBidBug).
 	StaleBidBug bool
 }
 
@@ -156,8 +156,14 @@ func ExecuteOpts(sc *Scenario, pol core.Policy, opts ExecOptions) *RunResult {
 		DropFunc:     sc.dropFunc(),
 		Deadline:     sc.Deadline,
 		Tracer:       trace,
-		Probe:        opts.Probe,
-		StaleBidBug:  opts.StaleBidBug,
+		Probe: func(c *engine.Cluster) {
+			if opts.StaleBidBug {
+				c.SetStaleBidBug()
+			}
+			if opts.Probe != nil {
+				opts.Probe(c)
+			}
+		},
 	})
 	return &RunResult{Policy: pol.Name, Report: rep, Events: trace.Events(), Err: err}
 }

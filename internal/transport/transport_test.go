@@ -174,7 +174,7 @@ func TestDistributedWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer masterPort.Close()
-	master := engine.NewMaster(clk, masterPort, core.NewBidding(), wf, arrivals, 2,
+	master := engine.NewClusterMaster(clk, masterPort, core.NewBidding(), 2,
 		rand.New(rand.NewSource(1)))
 	clk.Go(master.Run)
 	waitRegistered(t, srv, engine.MasterName)
@@ -196,10 +196,13 @@ func TestDistributedWorkflow(t *testing.T) {
 	}
 
 	done := make(chan *engine.Report, 1)
-	go func() {
-		clk.Wait()
-		done <- master.Report()
-	}()
+	clk.Go(func() {
+		master.WaitReady()
+		sess := master.OpenSession("", wf)
+		sess.Schedule(arrivals)
+		done <- sess.Wait()
+		master.Shutdown()
+	})
 	select {
 	case rep := <-done:
 		if rep.JobsCompleted != 6 {

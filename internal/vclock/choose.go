@@ -301,8 +301,6 @@ func (k timerKind) String() string {
 		return "sleep"
 	case evTimeout:
 		return "timeout"
-	case evChan:
-		return "after"
 	case evSend:
 		return "send"
 	default:

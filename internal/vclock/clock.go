@@ -32,11 +32,6 @@ type Clock interface {
 	// Non-positive durations yield without advancing time.
 	Sleep(d time.Duration)
 
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed. The channel has capacity 1, so the timer goroutine (or the
-	// simulated equivalent) never blocks on delivery.
-	After(d time.Duration) <-chan time.Time
-
 	// AfterFunc schedules f to run in its own goroutine after d has
 	// elapsed. The returned Timer can cancel the call before it fires.
 	// It is the primitive for callbacks that may block or must be
@@ -45,9 +40,12 @@ type Clock interface {
 
 	// SendAfter delivers v to mb once d has elapsed, exactly as
 	// mb.Send(v) would at that instant: a mailbox closed by then drops
-	// it. mb must belong to this clock. On a simulated clock the
-	// delivery is a plain clock event — no goroutine, no Timer — which
-	// is what makes it the message path's primitive.
+	// it. mb must belong to this clock. Deliveries to one mailbox
+	// happen in (deadline, call) order on either clock, so a message
+	// scheduled behind another for the same instant stays behind it. On
+	// a simulated clock the delivery is a plain clock event — no
+	// goroutine, no Timer — which is what makes it the message path's
+	// primitive.
 	SendAfter(d time.Duration, mb Mailbox, v any)
 
 	// Since returns the clock time elapsed since t.
@@ -68,8 +66,8 @@ type Clock interface {
 	// messages stay queued. Serve returns immediately, and replaces
 	// Recv on mb — a served mailbox must not also be received from.
 	//
-	// Contract: handle never blocks on the clock (no Sleep, Recv,
-	// RecvTimeout or WaitTime). On a simulated clock there is no
+	// Contract: handle never blocks on the clock (no Sleep, Recv or
+	// RecvTimeout). On a simulated clock there is no
 	// consumer goroutine to park: a message delivered by a clock event
 	// is handled run-to-completion on the goroutine advancing the
 	// clock. Work that must wait goes on a goroutine started with Go.
@@ -80,12 +78,6 @@ type Clock interface {
 	// the clock time at that point. Wait must be called from outside the
 	// tracked goroutines.
 	Wait() time.Time
-
-	// WaitTime blocks until a channel previously returned by After on
-	// this clock delivers, and returns the delivered time. On a simulated
-	// clock this is the only safe way for a tracked goroutine to consume
-	// an After channel.
-	WaitTime(ch <-chan time.Time) time.Time
 }
 
 // Mailbox is an unbounded FIFO message queue. Send never blocks; Recv

@@ -15,6 +15,10 @@ type realMailbox struct {
 	queue  []any
 	waitq  []*mbWaiter
 	closed bool
+	// later holds SendAfter items not yet delivered, keyed by (wall
+	// deadline since clk.base, call order).
+	later timerHeap
+	seq   uint64
 }
 
 // NewMailbox returns a wall-clock-backed mailbox. Timeouts honour the
@@ -28,6 +32,32 @@ func (m *realMailbox) Name() string { return m.name }
 func (m *realMailbox) Send(v any) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.sendLocked(v)
+}
+
+// sendAfter queues v for delivery wall from now and starts its timer.
+func (m *realMailbox) sendAfter(wall time.Duration, v any) {
+	m.mu.Lock()
+	m.seq++
+	ev := timerEvent{when: int64(time.Since(m.clk.base) + wall), seq: m.seq, item: v}
+	m.later.push(ev)
+	m.mu.Unlock()
+	time.AfterFunc(wall, func() { m.flushThrough(&ev) })
+}
+
+// flushThrough runs when fired's timer does: it delivers, in (deadline,
+// call) order, every item still pending up to and including fired — so
+// an item whose own timer goroutine is overtaken rides with the one
+// that overtook it, and nothing is delivered before its deadline.
+func (m *realMailbox) flushThrough(fired *timerEvent) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.later.len() > 0 && !eventBefore(fired, &m.later.evs[0]) {
+		m.sendLocked(m.later.pop().item)
+	}
+}
+
+func (m *realMailbox) sendLocked(v any) bool {
 	if m.closed {
 		return false
 	}

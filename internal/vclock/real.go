@@ -46,22 +46,19 @@ func (r *Real) Sleep(d time.Duration) {
 	time.Sleep(r.wall(d))
 }
 
-// After returns a channel delivering the clock time after d has elapsed.
-func (r *Real) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	time.AfterFunc(r.wall(d), func() { ch <- r.Now() })
-	return ch
-}
-
 // AfterFunc runs f in its own goroutine after d of clock time.
 func (r *Real) AfterFunc(d time.Duration, f func()) *Timer {
 	t := time.AfterFunc(r.wall(d), f)
 	return &Timer{stop: t.Stop}
 }
 
-// SendAfter sends v to mb after d of clock time.
+// SendAfter sends v to mb, a mailbox of a Real clock, after d of clock
+// time. Each delivery has its own runtime timer, whose goroutines may
+// overtake each other; the mailbox queues the items by deadline
+// (realMailbox.sendAfter), so deliveries to one mailbox still arrive in
+// (deadline, call) order as they do on a Sim.
 func (r *Real) SendAfter(d time.Duration, mb Mailbox, v any) {
-	time.AfterFunc(r.wall(d), func() { mb.Send(v) })
+	mb.(*realMailbox).sendAfter(r.wall(d), v)
 }
 
 // Since returns the clock time elapsed since t.
@@ -93,9 +90,6 @@ func (r *Real) Wait() time.Time {
 	r.wg.Wait()
 	return r.Now()
 }
-
-// WaitTime blocks until ch delivers and returns the delivered time.
-func (r *Real) WaitTime(ch <-chan time.Time) time.Time { return <-ch }
 
 func (r *Real) wall(d time.Duration) time.Duration {
 	if d <= 0 {

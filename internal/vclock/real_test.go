@@ -39,14 +39,6 @@ func TestRealInvalidScaleDefaultsToOne(t *testing.T) {
 	}
 }
 
-func TestRealAfterAndWaitTime(t *testing.T) {
-	r := NewScaledReal(1000)
-	got := r.WaitTime(r.After(time.Second))
-	if got.IsZero() {
-		t.Error("WaitTime returned zero time")
-	}
-}
-
 func TestRealAfterFuncAndStop(t *testing.T) {
 	r := NewReal()
 	fired := make(chan struct{})
@@ -160,3 +152,40 @@ var (
 	_ Clock = (*Sim)(nil)
 	_ Clock = (*Real)(nil)
 )
+
+// TestRealSendAfterKeepsDeadlineThenCallOrder: deliveries to one mailbox
+// arrive in (deadline, call) order, as on a Sim. With one runtime timer
+// per delivery, equal deadlines raced each other — which let a feed's
+// close overtake its last submissions and broke the in-process broker's
+// per-route FIFO on the wall clock.
+func TestRealSendAfterKeepsDeadlineThenCallOrder(t *testing.T) {
+	r := NewScaledReal(1000)
+	mb := r.NewMailbox("ordered")
+	const n = 500
+	for i := 0; i < n; i++ {
+		r.SendAfter(200*time.Second, mb, i) // 200ms of wall time, all due together
+	}
+	r.SendAfter(100*time.Second, mb, "early")
+	r.SendAfter(0, mb, "now")
+	want := append([]any{"now", "early"}, make([]any, n)...)
+	for i := 0; i < n; i++ {
+		want[2+i] = i
+	}
+	for i, w := range want {
+		v, ok, timedOut := mb.RecvTimeout(5000 * time.Second)
+		if !ok || timedOut || v != w {
+			t.Fatalf("delivery %d = %v (ok=%v timedOut=%v), want %v", i, v, ok, timedOut, w)
+		}
+	}
+}
+
+func TestRealSendAfterDropsIntoClosedMailbox(t *testing.T) {
+	r := NewScaledReal(1000)
+	mb := r.NewMailbox("closing")
+	r.SendAfter(time.Second, mb, 1)
+	mb.Close()
+	time.Sleep(5 * time.Millisecond)
+	if n := mb.Len(); n != 0 {
+		t.Errorf("closed mailbox holds %d items after a SendAfter came due", n)
+	}
+}

@@ -112,34 +112,6 @@ func (s *Sim) Sleep(d time.Duration) {
 	putWaiter(w)
 }
 
-// After returns a channel that delivers the simulated time after d.
-//
-// In simulated mode the channel must be consumed through WaitTime (or by
-// an untracked goroutine); a tracked goroutine receiving from it directly
-// would block invisibly to the clock and stall the simulation.
-func (s *Sim) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.mu.Lock()
-	s.scheduleLocked(d, timerEvent{kind: evChan, ch: ch})
-	s.mu.Unlock()
-	return ch
-}
-
-// WaitTime blocks the calling tracked goroutine until ch (obtained from
-// After on this clock) delivers, and returns the delivered time.
-func (s *Sim) WaitTime(ch <-chan time.Time) time.Time {
-	s.mu.Lock()
-	tag := s.tagLocked("wait-time")
-	s.blockLocked()
-	s.mu.Unlock()
-	t := <-ch
-	s.mu.Lock()
-	s.waiters--
-	delete(s.waitTags, tag)
-	s.mu.Unlock()
-	return t
-}
-
 // afterFuncCall is the shared state between a pending AfterFunc event
 // and the Timer that can cancel it.
 type afterFuncCall struct {
@@ -275,9 +247,6 @@ func (s *Sim) fireLocked(ev *timerEvent) {
 		ev.mb.removeWaiterLocked(w)
 		w.timedOut = true
 		s.wakeLocked(w)
-	case evChan:
-		s.running++ // wake credit claimed by WaitTime
-		ev.ch <- s.now
 	case evSend:
 		ev.mb.deliverLocked(ev.item, true)
 	case evFunc:
@@ -375,7 +344,6 @@ type timerKind uint8
 const (
 	evWake    timerKind = iota // wake a parked waiter (Sleep)
 	evTimeout                  // expire a mailbox receive deadline
-	evChan                     // deliver on an After channel
 	evFunc                     // run an AfterFunc callback
 	evSend                     // deliver a SendAfter item to its mailbox
 )
@@ -389,7 +357,6 @@ type timerEvent struct {
 	gen   uint64         // waiter generation for evWake/evTimeout
 	w     *mbWaiter      // evWake, evTimeout
 	mb    *simMailbox    // evTimeout, evSend
-	ch    chan time.Time // evChan
 	af    *afterFuncCall // evFunc
 	item  any            // evSend
 	label *EventLabel    // model-checker label; nil for unlabeled events
@@ -415,15 +382,7 @@ func eventBefore(a, b *timerEvent) bool {
 
 func (h *timerHeap) push(ev timerEvent) {
 	h.evs = append(h.evs, ev)
-	i := len(h.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventBefore(&h.evs[i], &h.evs[parent]) {
-			break
-		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
-		i = parent
-	}
+	h.siftUp(len(h.evs) - 1)
 }
 
 func (h *timerHeap) pop() timerEvent {

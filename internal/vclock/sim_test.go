@@ -111,19 +111,6 @@ func TestSimSince(t *testing.T) {
 	}
 }
 
-func TestSimAfterWaitTime(t *testing.T) {
-	s := NewSim()
-	var got time.Time
-	s.Go(func() {
-		ch := s.After(7 * time.Second)
-		got = s.WaitTime(ch)
-	})
-	s.Wait()
-	if want := Epoch.Add(7 * time.Second); !got.Equal(want) {
-		t.Errorf("WaitTime = %v, want %v", got, want)
-	}
-}
-
 func TestSimAfterFuncRunsAtDeadline(t *testing.T) {
 	s := NewSim()
 	var at time.Time

@@ -45,6 +45,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{KindSend, 1, 'x', 250})
 	f.Add(append([]byte{KindSendMulti, 1}, binary.AppendUvarint(nil, 1<<40)...))
 	f.Add([]byte{KindSend, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{KindSend, 1, 'x', vGob, 3, 1, 2, 3}) // the retired embedded-gob tag
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fr Frame

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"time"
@@ -13,9 +11,8 @@ import (
 )
 
 // Value tags. Tags 1–29 are the engine protocol (fixed encoders — the
-// hot path), 30–49 plain Go values a job payload commonly is, and 255
-// the reflective gob fallback for application types registered with
-// Register. Wire format: append-only.
+// hot path) and 30–49 plain Go values a job payload commonly is; a
+// value of any other type is an encode error. Wire format: append-only.
 const (
 	vNil byte = iota
 	vJob
@@ -46,14 +43,11 @@ const (
 	vStringSlice
 	vDuration
 
+	// vGob is retired: it tagged an embedded gob blob for application
+	// types. The tag stays reserved so it is never reassigned, and the
+	// decoder refuses it — bytes from a peer never reach gob.Decode.
 	vGob byte = 255
 )
-
-// Register makes an application payload type encodable on the wire.
-// Such values travel as embedded gob blobs (each self-describing, so no
-// per-connection state). Engine protocol messages need no registration
-// — they have fixed binary encoders.
-func Register(v any) { gob.Register(v) }
 
 // appendValue appends one tagged payload value.
 func appendValue(dst []byte, v any, depth int) ([]byte, error) {
@@ -170,8 +164,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		dst = append(dst, vDuration)
 		dst = binary.AppendVarint(dst, int64(x))
 	default:
-		dst = append(dst, vGob)
-		dst, err = appendGob(dst, v)
+		err = fmt.Errorf("wire: no encoder for payload type %T", v)
 	}
 	return dst, err
 }
@@ -202,19 +195,6 @@ func appendJob(dst []byte, j *engine.Job, depth int) ([]byte, error) {
 	dst = binary.AppendVarint(dst, int64(j.CostHint))
 	dst = appendString(dst, j.Session)
 	return appendValue(dst, j.Payload, depth+1)
-}
-
-// appendGob embeds one self-describing gob encoding of v — the
-// fallback for application payload types the binary codec has no fixed
-// encoder for. Each blob carries its own type descriptors; application
-// payloads are off the scheduling hot path, so the size cost stays
-// where it is affordable.
-func appendGob(dst []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return dst, fmt.Errorf("wire: gob fallback for %T: %w", v, err)
-	}
-	return appendBytes(dst, buf.Bytes()), nil
 }
 
 // value decodes one tagged payload value.
@@ -397,15 +377,7 @@ func (r *reader) value(depth int) (any, error) {
 	case vDuration:
 		return r.duration()
 	case vGob:
-		b, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("wire: gob fallback: %w", err)
-		}
-		return v, nil
+		return nil, fmt.Errorf("wire: value tag %d (embedded gob) is retired", tag)
 	}
 	return nil, fmt.Errorf("wire: unknown value tag %d", tag)
 }

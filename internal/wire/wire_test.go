@@ -93,15 +93,14 @@ func wireMessages() []any {
 // they are produced and consumed inside one process (feeder hooks,
 // master self-timers), so the binary codec owes them no fixed encoder.
 var localOnlyMessages = map[string]bool{
-	"MsgInject":           true,
 	"MsgBidWindowExpired": true,
 	"MsgTick":             true,
 }
 
 // TestEveryWireMessageHasFixedEncoder is the completeness half of the
 // round-trip property: parse messages.go, and require every exported
-// message kind to either appear in wireMessages (with a fixed encoder —
-// not the gob fallback) or be explicitly listed as local-only. Adding a
+// message kind to either appear in wireMessages (which round-trips
+// each through its encoder) or be explicitly listed as local-only. Adding a
 // message kind without extending the codec fails here.
 func TestEveryWireMessageHasFixedEncoder(t *testing.T) {
 	fset := token.NewFileSet()
@@ -151,24 +150,13 @@ func TestEveryWireMessageHasFixedEncoder(t *testing.T) {
 }
 
 // TestMsgRoundTripAllMessages sends every wire-crossing message kind
-// through a KindSend frame and requires byte-for-byte survival, and
-// that each uses its fixed encoder rather than the gob fallback.
+// through a KindSend frame and requires byte-for-byte survival (an
+// encoder must exist: there is no fallback).
 func TestMsgRoundTripAllMessages(t *testing.T) {
 	for _, msg := range wireMessages() {
 		name := reflect.TypeOf(msg).Name()
 		t.Run(name, func(t *testing.T) {
-			f := Frame{Kind: KindSend, To: "master", Payload: msg}
-			body, err := AppendFrame(nil, &f)
-			if err != nil {
-				t.Fatalf("AppendFrame: %v", err)
-			}
-			// Body layout for KindSend: kind byte, "master" as a
-			// uvarint-length string, then the payload's value tag.
-			tagOff := 1 + 1 + len("master")
-			if tag := body[tagOff]; tag == vGob {
-				t.Errorf("%s encoded via the gob fallback; wire-crossing kinds need fixed encoders", name)
-			}
-			roundTrip(t, f)
+			roundTrip(t, Frame{Kind: KindSend, To: "master", Payload: msg})
 		})
 	}
 }
@@ -199,26 +187,24 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestGobFallbackPayload round-trips an application payload type (one
-// the codec has no fixed encoder for) through the embedded-gob path.
+// TestUnencodablePayloadIsAnError: an application payload type the
+// codec has no encoder for fails the encode, naming the type — there is
+// no reflective fallback — and the retired embedded-gob tag is refused
+// on decode, so a peer's bytes never reach gob.Decode.
 type customPayload struct {
 	Name  string
 	Count int
 }
 
-func TestGobFallbackPayload(t *testing.T) {
-	Register(customPayload{})
+func TestUnencodablePayloadIsAnError(t *testing.T) {
 	f := Frame{Kind: KindSend, To: "master", Payload: customPayload{Name: "app", Count: 3}}
-	body, err := AppendFrame(nil, &f)
-	if err != nil {
-		t.Fatalf("AppendFrame: %v", err)
+	if _, err := AppendFrame(nil, &f); err == nil || !strings.Contains(err.Error(), "wire.customPayload") {
+		t.Fatalf("AppendFrame error = %v, want one naming wire.customPayload", err)
 	}
-	var got Frame
-	if err := ParseFrame(body, &got); err != nil {
-		t.Fatalf("ParseFrame: %v", err)
-	}
-	if !reflect.DeepEqual(f.Payload, got.Payload) {
-		t.Fatalf("payload mismatch: sent %#v got %#v", f.Payload, got.Payload)
+	// KindSend, "x", then the retired tag in front of a length-prefixed blob.
+	body := []byte{KindSend, 1, 'x', vGob, 3, 1, 2, 3}
+	if err := ParseFrame(body, &Frame{}); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("ParseFrame error = %v, want the retired-tag refusal", err)
 	}
 }
 
