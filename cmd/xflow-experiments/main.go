@@ -17,9 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"crossflow/internal/cluster"
@@ -40,7 +37,6 @@ func main() {
 		liveRepos  = flag.Int("live-repos", 100, "repositories in the live MSR catalog")
 		liveLibs   = flag.Int("live-libraries", 5, "libraries in the live MSR stream")
 		seedCount  = flag.Int("seeds", 5, "number of seeds for -run seeds")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "seeds run concurrently for -run seeds (1 = serial)")
 		csvDir     = flag.String("csv", "", "directory to also write figure/table CSVs into")
 	)
 	flag.Parse()
@@ -65,7 +61,7 @@ func main() {
 	case "tables":
 		err = runTables(liveOpts)
 	case "seeds":
-		err = runSeeds(*seedCount, *parallel, opts)
+		err = runSeeds(*seedCount, opts)
 	case "overhead":
 		err = runOverhead(opts)
 	case "cell":
@@ -99,8 +95,6 @@ func runFig2(opts experiments.SimOptions) error {
 	return nil
 }
 
-// runGrid executes the full workload × profile sweep once and renders
-// any combination of Figure 3, Figure 4 and the summary from it.
 func runOverhead(opts experiments.SimOptions) error {
 	rows, err := experiments.Overhead(opts)
 	if err != nil {
@@ -110,57 +104,22 @@ func runOverhead(opts experiments.SimOptions) error {
 	return nil
 }
 
-// runSeeds executes the full grid for n consecutive seeds, up to
-// parallel of them concurrently. Each seed's grid is an independent
-// deterministic simulation, so parallelism only changes wall time: the
-// study is assembled in seed order and renders byte-identically to a
-// -parallel 1 run, and the reported error (if any) is the one the
-// serial sweep would hit first.
-func runSeeds(n, parallel int, opts experiments.SimOptions) error {
-	if parallel < 1 {
-		parallel = 1
+// runSeeds executes the full grid for n consecutive seeds.
+func runSeeds(n int, opts experiments.SimOptions) error {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = opts.Seed + int64(i)
 	}
-	if parallel > n {
-		parallel = n
-	}
-	study := &experiments.SeedStudy{
-		Seeds:     make([]int64, n),
-		Summaries: make([]experiments.Summary, n),
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				o := opts
-				o.Seed = opts.Seed + int64(i)
-				cells, err := experiments.Grid(o)
-				if err != nil {
-					errs[i] = fmt.Errorf("seed %d: %w", o.Seed, err)
-					continue
-				}
-				study.Seeds[i] = o.Seed
-				study.Summaries[i] = experiments.Summarize(cells)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	study, err := experiments.RunSeedStudy(seeds, opts)
+	if err != nil {
+		return err
 	}
 	experiments.RenderSeedStudy(os.Stdout, study)
 	return nil
 }
 
+// runGrid executes the full workload × profile sweep once and renders
+// any combination of Figure 3, Figure 4 and the summary from it.
 func runGrid(opts experiments.SimOptions, fig3, fig4, summary bool) error {
 	cells, err := experiments.Grid(opts)
 	if err != nil {

@@ -27,12 +27,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"crossflow/internal/core"
 	"crossflow/internal/simtest"
+	"crossflow/internal/sweep"
 )
 
 func main() {
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	began := time.Now()
-	if sc, v := sweep(*scenarios, *start, opts, *parallel, *verbose); v != nil {
+	if sc, v := sweepSeeds(*scenarios, *start, opts, *parallel, *verbose); v != nil {
 		report(sc, v, *short)
 		os.Exit(1)
 	}
@@ -85,68 +84,26 @@ func main() {
 		*scenarios, *start, *start+int64(*scenarios)-1, time.Since(began).Seconds())
 }
 
-// sweep checks seeds start..start+scenarios-1 on up to parallel
-// goroutines. Each scenario is independent, so only the reporting needs
-// care: results are buffered per index and emitted in seed order, and
-// the returned violation is the one the serial loop would have hit
-// first (the lowest-seed violation, with no output past it) — the
-// output is byte-identical to -parallel 1 regardless of worker
-// interleaving.
-func sweep(scenarios int, start int64, opts simtest.Options, parallel int, verbose bool) (*simtest.Scenario, *simtest.Violation) {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > scenarios {
-		parallel = scenarios
-	}
-	type result struct {
-		sc   *simtest.Scenario
-		line string
-		v    *simtest.Violation
-	}
-	results := make([]result, scenarios)
-	var next, stop atomic.Int64 // stop: lowest violating index; scenarios = none
-	stop.Store(int64(scenarios))
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				// Indices past the lowest known violation can never be
-				// reported; skip them. stop only decreases, so nothing
-				// at or below the final value is ever skipped.
-				if i >= int64(scenarios) || i > stop.Load() {
-					return
-				}
-				s := start + i
-				sc := simtest.Generate(s, opts.Limits)
-				r := result{sc: sc}
-				if verbose {
-					r.line = fmt.Sprintf("seed %d: %d workers, %d jobs, faults=%v\n",
-						s, len(sc.Workers), len(sc.Jobs), !sc.Faults.Empty())
-				}
-				if r.v = simtest.CheckScenario(sc, opts); r.v != nil {
-					for {
-						cur := stop.Load()
-						if i >= cur || stop.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < scenarios; i++ {
-		if verbose {
-			fmt.Print(results[i].line)
+// sweepSeeds checks seeds start..start+scenarios-1 on up to parallel
+// goroutines. sweep.Each gives the serial loop's answer — the lowest-seed
+// violation and the scenarios up to it — so printing those is
+// byte-identical to -parallel 1 whatever the interleaving.
+func sweepSeeds(scenarios int, start int64, opts simtest.Options, parallel int, verbose bool) (*simtest.Scenario, *simtest.Violation) {
+	scs, err := sweep.Each(parallel, scenarios, func(i int) (*simtest.Scenario, error) {
+		sc := simtest.Generate(start+int64(i), opts.Limits)
+		if v := simtest.CheckScenario(sc, opts); v != nil {
+			return sc, v
 		}
-		if results[i].v != nil {
-			return results[i].sc, results[i].v
+		return sc, nil
+	})
+	if verbose {
+		for _, sc := range scs {
+			fmt.Printf("seed %d: %d workers, %d jobs, faults=%v\n",
+				sc.Seed, len(sc.Workers), len(sc.Jobs), !sc.Faults.Empty())
 		}
+	}
+	if err != nil {
+		return scs[len(scs)-1], err.(*simtest.Violation)
 	}
 	return nil, nil
 }

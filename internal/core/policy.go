@@ -11,12 +11,21 @@ type Policy struct {
 	NewAllocator func() engine.Allocator
 	// NewAgent builds the matching worker-side agent for one worker.
 	NewAgent func(st *engine.WorkerState) engine.Agent
+	// Concurrent says NewAllocator and NewAgent may be called from
+	// several goroutines at once, with runs of the policy overlapping:
+	// internal/experiments then runs its (cell, seed) strands in
+	// parallel, each building its own allocator and agents. The
+	// built-ins are stateless constructors and set it. A policy that
+	// leaves it unset — one closing over state of its own, like a
+	// tracing decorator that counts runs — keeps the old contract: a
+	// sweep it is part of runs back to back, one run at a time.
+	Concurrent bool
 }
 
 // Policies returns all available policies in presentation order: the
 // paper's contribution first, then its baseline, then the comparators.
 func Policies() []Policy {
-	return []Policy{
+	ps := []Policy{
 		{
 			Name:         "bidding",
 			NewAllocator: func() engine.Allocator { return NewBidding() },
@@ -58,6 +67,10 @@ func Policies() []Policy {
 			NewAgent:     func(*engine.WorkerState) engine.Agent { return NewPassiveAgent() },
 		},
 	}
+	for i := range ps {
+		ps[i].Concurrent = true
+	}
+	return ps
 }
 
 // PolicyByName resolves a policy.

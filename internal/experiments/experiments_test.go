@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"crossflow/internal/cluster"
 	"crossflow/internal/core"
+	"crossflow/internal/engine"
 	"crossflow/internal/metrics"
 	"crossflow/internal/workload"
 )
@@ -305,5 +310,187 @@ func TestOverheadExperiment(t *testing.T) {
 	RenderOverhead(&b, rows)
 	if !strings.Contains(b.String(), "bidding-fast") {
 		t.Error("overhead rendering incomplete")
+	}
+}
+
+// twoIter is small with a second, warm-cache iteration, so a strand's
+// iterations sharing worker state is part of what is compared.
+func twoIter() SimOptions {
+	o := small()
+	o.Iterations = 2
+	return o
+}
+
+// gridAt runs the grid with procs Ps and renders everything derived
+// from it.
+func gridAt(t *testing.T, procs int, opts SimOptions) ([]*Cell, string) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	cells, err := Grid(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells, renderGrid(cells)
+}
+
+func renderGrid(cells []*Cell) string {
+	rows3, rows4 := FiguresFromGrid(cells)
+	var b strings.Builder
+	RenderFigure3(&b, rows3)
+	RenderFigure4(&b, rows4)
+	RenderSummary(&b, Summarize(cells))
+	return b.String()
+}
+
+// Strands are deterministic and independent, so the number of cores
+// changes wall time only.
+func TestGridSerialParallelEquivalence(t *testing.T) {
+	serial, serialOut := gridAt(t, 1, twoIter())
+	parallel, parallelOut := gridAt(t, 4, twoIter())
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("GOMAXPROCS 1 and 4 produced different run summaries")
+	}
+	if serialOut != parallelOut {
+		t.Errorf("rendered figures differ:\n--- GOMAXPROCS=1\n%s\n--- GOMAXPROCS=4\n%s", serialOut, parallelOut)
+	}
+
+	// The seed study is the same strands, flattened over seeds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	seeds := []int64{1, 2}
+	study, err := RunSeedStudy(seeds, twoIter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		o := twoIter()
+		o.Seed = seed
+		cells, err := Grid(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := study.Summaries[i], Summarize(cells); got != want {
+			t.Errorf("seed %d: study summary %+v, its own grid %+v", seed, got, want)
+		}
+	}
+}
+
+func TestConcurrentGridsAgreeWithSerial(t *testing.T) {
+	_, want := gridAt(t, 1, twoIter())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cells, err := Grid(twoIter())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = renderGrid(cells)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("concurrent grid %d differs from the serial one", i)
+		}
+	}
+}
+
+// brokenPolicy builds no allocator, so engine.Run refuses its strand.
+func brokenPolicy(name string) core.Policy {
+	return core.Policy{
+		Name:         name,
+		NewAllocator: func() engine.Allocator { return nil },
+		NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		Concurrent:   true,
+	}
+}
+
+func TestGridReportsTheFirstFailingStrand(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	bid, _ := core.PolicyByName("bidding")
+	opts := small()
+	opts.Policies = []core.Policy{bid, brokenPolicy("broken-1"), brokenPolicy("broken-2")}
+	// Every cell has two failing strands; the serial loop stops at the
+	// first cell's first.
+	want := fmt.Sprintf("broken-1 on %s/%s", workload.JobConfigs[0], cluster.Profiles[0])
+	for round := 0; round < 20; round++ {
+		_, err := Grid(opts)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("round %d: err = %v, want the strand %q", round, err, want)
+		}
+	}
+}
+
+func TestPanickingStrandPanicsTheCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	bid, _ := core.PolicyByName("bidding")
+	bad := brokenPolicy("panics")
+	bad.NewAllocator = func() engine.Allocator { panic("allocator blew up") }
+	opts := small()
+	opts.Policies = []core.Policy{bid, bad}
+
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		_, err := Grid(opts)
+		t.Errorf("Grid returned (err = %v) past a panicking strand", err)
+	}()
+	select {
+	case p := <-done:
+		if !strings.Contains(fmt.Sprint(p), "allocator blew up") {
+			t.Errorf("recovered %v, want the strand's panic", p)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Grid hung on a panicking strand")
+	}
+}
+
+// Series is keyed by policy name: a repeated name used to lose one
+// strand's result without a word.
+func TestDuplicatePolicyNamesRejected(t *testing.T) {
+	bid, _ := core.PolicyByName("bidding")
+	opts := small()
+	opts.Policies = []core.Policy{bid, bid}
+	if _, err := RunCell(workload.AllDiffSmall, cluster.AllEqual, opts); err == nil ||
+		!strings.Contains(err.Error(), `"bidding"`) {
+		t.Errorf("err = %v, want a duplicate-name error", err)
+	}
+}
+
+// A policy that does not declare itself Concurrent keeps the contract it
+// was written under: the sweep's runs happen back to back, in the serial
+// order, on however many cores.
+func TestNonConcurrentPolicyRunsBackToBack(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var order []string // unsynchronised: -race sees any overlap
+	counting := func(name string) core.Policy {
+		pol, _ := core.PolicyByName(name)
+		inner := pol.NewAllocator
+		pol.NewAllocator = func() engine.Allocator {
+			order = append(order, name)
+			return inner()
+		}
+		pol.Concurrent = false
+		return pol
+	}
+	opts := twoIter()
+	opts.Policies = []core.Policy{counting("bidding"), counting("baseline")}
+	got, err := Grid(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for range got {
+		want = append(want, "bidding", "bidding", "baseline", "baseline")
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("allocators were built in the order %v, want two iterations per strand, strand after strand", order)
+	}
+	if plain, _ := gridAt(t, 4, twoIter()); !reflect.DeepEqual(got, plain) {
+		t.Error("the back-to-back sweep and the parallel one produced different run summaries")
 	}
 }

@@ -52,11 +52,15 @@ func Figure2(opts SimOptions) ([]Fig2Group, error) {
 		{Name: "group-4", Description: Fig2Reported[3].Description,
 			Profile: cluster.FastSlow, Workload: workload.Rep80Large},
 	}
-	for i := range groups {
-		cell, err := RunCell(groups[i].Workload, groups[i].Profile, opts)
-		if err != nil {
-			return nil, err
-		}
+	keys := make([]cellKey, len(groups))
+	for i, g := range groups {
+		keys[i] = cellKey{g.Workload, g.Profile}
+	}
+	cells, err := runCells(keys, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, cell := range cells {
 		groups[i].SparkSec = cell.Series["spark-like"].MeanSeconds()
 		groups[i].CrossSec = cell.Series["baseline"].MeanSeconds()
 	}

@@ -35,21 +35,21 @@ type OverheadRow struct {
 // bidding, bidding-fast, and baseline on an all-equal fleet, isolating
 // the cost of contesting every job.
 func Overhead(opts SimOptions) ([]OverheadRow, error) {
-	o := opts.withDefaults()
-	policies := make([]core.Policy, 0, 3)
+	opts.Policies = nil
 	for _, name := range []string{"bidding", "bidding-fast", "baseline"} {
 		p, _ := core.PolicyByName(name)
-		policies = append(policies, p)
+		opts.Policies = append(opts.Policies, p)
 	}
-	o.Policies = policies
-
+	cells, err := runCells([]cellKey{
+		{workload.AllDiffSmall, cluster.AllEqual},
+		{workload.AllDiffLarge, cluster.AllEqual},
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
 	var rows []OverheadRow
-	for _, jc := range []workload.JobConfig{workload.AllDiffSmall, workload.AllDiffLarge} {
-		cell, err := RunCell(jc, cluster.AllEqual, o)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range policies {
+	for _, cell := range cells {
+		for _, p := range opts.Policies {
 			s := cell.Series[p.Name]
 			if s == nil || s.Len() == 0 {
 				continue
@@ -63,7 +63,7 @@ func Overhead(opts SimOptions) ([]OverheadRow, error) {
 				msgs += r.ContestMsgs
 			}
 			rows = append(rows, OverheadRow{
-				Workload:    jc,
+				Workload:    cell.Workload,
 				Policy:      p.Name,
 				MakespanSec: s.MeanSeconds(),
 				AllocMS:     allocMS / float64(s.Len()),

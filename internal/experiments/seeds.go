@@ -17,18 +17,17 @@ type SeedStudy struct {
 	Summaries []Summary
 }
 
-// RunSeedStudy executes the full grid for each seed.
+// RunSeedStudy executes the full grid for each seed, as one flat list
+// of seeds × strands.
 func RunSeedStudy(seeds []int64, opts SimOptions) (*SeedStudy, error) {
-	study := &SeedStudy{}
-	for _, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		cells, err := Grid(o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: seed %d: %w", seed, err)
-		}
-		study.Seeds = append(study.Seeds, seed)
-		study.Summaries = append(study.Summaries, Summarize(cells))
+	keys := gridKeys()
+	cells, err := runCells(keys, opts, seeds...)
+	if err != nil {
+		return nil, err
+	}
+	study := &SeedStudy{Seeds: seeds}
+	for i := range seeds {
+		study.Summaries = append(study.Summaries, Summarize(cells[i*len(keys):(i+1)*len(keys)]))
 	}
 	return study, nil
 }

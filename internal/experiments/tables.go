@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"crossflow/internal/core"
@@ -11,6 +12,7 @@ import (
 	"crossflow/internal/metrics"
 	"crossflow/internal/msr"
 	"crossflow/internal/netsim"
+	"crossflow/internal/sweep"
 	"crossflow/internal/vclock"
 )
 
@@ -109,47 +111,48 @@ func liveCluster(o LiveOptions, run int) []*engine.WorkerState {
 // Tables runs the live MSR experiment: for each of the paper's three
 // runs, execute the full pipeline cold under both schedulers and record
 // end-to-end time (Table 1), data load (Table 2) and cache misses
-// (Table 3).
+// (Table 3). Each (run, scheduler) pair is a strand; they share only the
+// read-only catalog.
 func Tables(opts LiveOptions) ([]TableRow, error) {
 	o := opts.withDefaults()
 	catalog := gitsim.GenerateCatalog(o.Repos, gitsim.HugeLive, o.Seed+7)
 	hub := gitsim.NewHub(catalog, 300*time.Millisecond)
 	libs := gitsim.Libraries(o.Libraries)
+	msrCfg := msr.Config{
+		Filter:         gitsim.Filter{MinSizeMB: 500, MinStars: 5000, MinForks: 5000},
+		ResultInterval: o.ResultInterval,
+	}
 
-	rows := make([]TableRow, 0, o.Runs)
-	for run := 0; run < o.Runs; run++ {
-		row := TableRow{Run: fmt.Sprintf("run %d", run+1)}
-		for _, name := range []string{"bidding", "baseline"} {
-			pol, _ := core.PolicyByName(name)
-			msrCfg := msr.Config{
-				Filter:         gitsim.Filter{MinSizeMB: 500, MinStars: 5000, MinForks: 5000},
-				ResultInterval: o.ResultInterval,
-			}
-			rep, err := engine.Run(engine.Config{
-				Workers:   liveCluster(o, run),
-				Allocator: pol.NewAllocator(),
-				NewAgent:  pol.NewAgent,
-				Workflow:  msr.Pipeline(msrCfg),
-				Arrivals: msr.LibraryArrivals(libs, 30*time.Second, o.Seed+int64(run),
-					msrCfg.SearchCost(hub)),
-				Hub:  hub,
-				Seed: o.Seed + int64(run),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: live MSR %s run %d: %w", name, run+1, err)
-			}
-			switch name {
-			case "bidding":
-				row.BidSec = rep.Makespan.Seconds()
-				row.BidMB = rep.DataLoadMB
-				row.BidMiss = rep.CacheMisses
-			case "baseline":
-				row.BaseSec = rep.Makespan.Seconds()
-				row.BaseMB = rep.DataLoadMB
-				row.BaseMiss = rep.CacheMisses
-			}
+	sums, err := sweep.Each(runtime.GOMAXPROCS(0), 2*o.Runs, func(i int) (metrics.RunSummary, error) {
+		run, name := i/2, [...]string{"bidding", "baseline"}[i%2]
+		pol, _ := core.PolicyByName(name)
+		rep, err := engine.Run(engine.Config{
+			Workers:   liveCluster(o, run),
+			Allocator: pol.NewAllocator(),
+			NewAgent:  pol.NewAgent,
+			Workflow:  msr.Pipeline(msrCfg),
+			Arrivals: msr.LibraryArrivals(libs, 30*time.Second, o.Seed+int64(run),
+				msrCfg.SearchCost(hub)),
+			Hub:  hub,
+			Seed: o.Seed + int64(run),
+		})
+		if err != nil {
+			return metrics.RunSummary{}, fmt.Errorf("experiments: live MSR %s run %d: %w", name, run+1, err)
 		}
-		rows = append(rows, row)
+		return metrics.FromReport(rep), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]TableRow, o.Runs)
+	for run := range rows {
+		bid, base := sums[2*run], sums[2*run+1]
+		rows[run] = TableRow{
+			Run:    fmt.Sprintf("run %d", run+1),
+			BidSec: bid.Makespan.Seconds(), BaseSec: base.Makespan.Seconds(),
+			BidMB: bid.DataLoadMB, BaseMB: base.DataLoadMB,
+			BidMiss: bid.CacheMisses, BaseMiss: base.CacheMisses,
+		}
 	}
 	return rows, nil
 }

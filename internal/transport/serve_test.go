@@ -24,7 +24,12 @@ func TestServeLifecycleTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	clk := vclock.NewScaledReal(1000)
+	// 100x, not faster: the joiner must win its contests on bids, and
+	// the 1 s bid window is this many wall milliseconds. At 1000x bids
+	// under -race missed a 1 ms window about once in 80 runs, the
+	// fallback assigned the second wave at random and the joiner could
+	// end with none of it.
+	clk := vclock.NewScaledReal(100)
 
 	wf := engine.NewWorkflow("serve")
 	wf.MustAddTask(engine.TaskSpec{Name: "analyze", Input: "work"})
