@@ -12,10 +12,9 @@ import (
 // through the clock (or a sync.WaitGroup — the same hazard). Mailbox
 // Send/TryRecv are absent: they never block by contract.
 var lockedBlocking = map[string]bool{
-	"Sleep":       true,
-	"Recv":        true,
-	"RecvTimeout": true,
-	"Wait":        true,
+	"Sleep": true,
+	"Recv":  true,
+	"Wait":  true,
 }
 
 // LockedSend flags blocking operations performed while a mutex is

@@ -13,9 +13,8 @@ import (
 // itself parked in a wait — so a second wait from inside the handler
 // corrupts the clock's runnable accounting instead of merely blocking.
 var servedBlocking = map[string]bool{
-	"Sleep":       true,
-	"Recv":        true,
-	"RecvTimeout": true,
+	"Sleep": true,
+	"Recv":  true,
 }
 
 // ServedBlock enforces Clock.Serve's no-blocking contract. Its entry
@@ -23,7 +22,7 @@ var servedBlocking = map[string]bool{
 // or a function or method value; from each it follows the package call
 // graph (goroutine-spawn arguments excluded: what a handler starts with
 // Clock.Go may wait as it likes) and flags every call to Clock.Sleep or
-// Mailbox.Recv/RecvTimeout it can reach.
+// Mailbox.Recv it can reach.
 //
 // The engine's handlers call their dispatch switch through a func-typed
 // field, which a static call graph cannot follow. The rule resolves such
@@ -32,7 +31,7 @@ var servedBlocking = map[string]bool{
 // somewhere with an identical signature.
 var ServedBlock = &Analyzer{
 	Name: "servedblock",
-	Doc:  "a handler passed to Clock.Serve must not reach Clock.Sleep or Mailbox.Recv/RecvTimeout",
+	Doc:  "a handler passed to Clock.Serve must not reach Clock.Sleep or Mailbox.Recv",
 	Run:  runServedBlock,
 }
 

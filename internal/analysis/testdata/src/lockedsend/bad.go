@@ -4,7 +4,6 @@ import "sync"
 
 type mailbox interface {
 	Recv() (any, bool)
-	RecvTimeout(d int) (any, bool, bool)
 	Send(any) bool
 }
 

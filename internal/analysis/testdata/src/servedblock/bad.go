@@ -10,8 +10,6 @@ type waiter struct {
 	route func(v any, hops int)
 }
 
-func (*mailbox) RecvTimeout(d int) (any, bool, bool) { return nil, false, true }
-
 func (w *waiter) start() {
 	w.route = w.forward
 	w.clk.Serve(w.inbox, w.serve)
@@ -32,7 +30,7 @@ func (w *waiter) serve(v any, ok bool) bool {
 }
 
 func (w *waiter) settle() {
-	w.acks.RecvTimeout(10) // want servedblock
+	w.inbox.Recv() // want servedblock
 }
 
 func (w *waiter) forward(v any, hops int) {

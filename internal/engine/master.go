@@ -607,12 +607,12 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 
 // ScheduleBidWindow implements AllocCtx.
 func (m *Master) ScheduleBidWindow(jobID string, d time.Duration) {
-	m.injectAfter(d, "bidwindow "+jobID, MsgBidWindowExpired{JobID: jobID})
+	m.injectAfter(d, "bidwindow ", jobID, MsgBidWindowExpired{JobID: jobID})
 }
 
 // ScheduleTick implements AllocCtx.
 func (m *Master) ScheduleTick(token string, d time.Duration) {
-	m.injectAfter(d, "tick "+token, MsgTick{Token: token})
+	m.injectAfter(d, "tick ", token, MsgTick{Token: token})
 }
 
 // Rand implements AllocCtx.

@@ -120,11 +120,12 @@ func (p *Plane) Inject(payload any) {
 // self-timers only ever land in its own inbox, and the whole control
 // plane (router plus parts, which only ever receive through the router
 // or their own self-timers) forms one conflict domain under MasterName,
-// so they commute with deliveries to other nodes.
-func (p *Plane) injectAfter(d time.Duration, detail string, payload any) {
+// so they commute with deliveries to other nodes. The label's detail is
+// what+id, joined only where a chooser reads it.
+func (p *Plane) injectAfter(d time.Duration, what, id string, payload any) {
 	env := p.selfEnvelope(payload)
 	if p.labeled != nil {
-		p.labeled.SendAfterLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, p.ep.Inbox(), env)
+		p.labeled.SendAfterLabeled(d, vclock.EventLabel{Node: MasterName, Detail: what + id}, p.ep.Inbox(), env)
 		return
 	}
 	p.clk.SendAfter(d, p.ep.Inbox(), env)

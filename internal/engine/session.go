@@ -79,10 +79,10 @@ func (ms *MasterSession) Close() {
 func (ms *MasterSession) Schedule(arrivals []Arrival) {
 	var last time.Duration
 	for _, arr := range arrivals {
-		ms.m.injectAfter(arr.At, "submit "+arr.Job.ID, msgSubmit{s: ms.s, job: arr.Job})
+		ms.m.injectAfter(arr.At, "submit ", arr.Job.ID, msgSubmit{s: ms.s, job: arr.Job})
 		last = max(last, arr.At)
 	}
-	ms.m.injectAfter(last, "close-feed", msgCloseFeed{s: ms.s})
+	ms.m.injectAfter(last, "close-feed", "", msgCloseFeed{s: ms.s})
 }
 
 // Wait blocks until the session completes and returns its report. On a

@@ -231,7 +231,7 @@ func (w *Worker) register() {
 	}
 	w.ep.Send(MasterName, MsgRegister{Worker: w.name})
 	if w.heartbeat > 0 {
-		w.selfAfter(w.heartbeat, w.name+" register-retry", msgRegisterRetry{})
+		w.selfAfter(w.heartbeat, " register-retry", "", msgRegisterRetry{})
 	}
 }
 
@@ -240,11 +240,12 @@ func (w *Worker) register() {
 // any delivery costs and a dead worker's closed inbox drops it. The
 // event is labeled when a model-checking chooser is active; what the
 // comms loop does with it sends messages, so it conflicts with
-// everything (empty Node).
-func (w *Worker) selfAfter(d time.Duration, detail string, payload any) {
+// everything (empty Node). The label's detail is the worker's name, what
+// and id, joined only where a chooser reads it.
+func (w *Worker) selfAfter(d time.Duration, what, id string, payload any) {
 	env := &broker.Envelope{From: w.name, To: w.name, Payload: payload}
 	if w.labeled != nil {
-		w.labeled.SendAfterLabeled(d, vclock.EventLabel{Detail: detail}, w.ep.Inbox(), env)
+		w.labeled.SendAfterLabeled(d, vclock.EventLabel{Detail: w.name + what + id}, w.ep.Inbox(), env)
 		return
 	}
 	w.clk.SendAfter(d, w.ep.Inbox(), env)
@@ -584,7 +585,7 @@ func (w *Worker) SubmitBid(jobID string, estimate, jobCost time.Duration, local 
 		w.sendBid(bid)
 		return
 	}
-	w.selfAfter(w.bidDelay, w.name+" bid "+jobID, msgBidReady{bid: bid})
+	w.selfAfter(w.bidDelay, " bid ", jobID, msgBidReady{bid: bid})
 }
 
 // sendBid submits a computed bid and forgets the job's origin with it:
@@ -635,7 +636,7 @@ func (w *Worker) RequestWorkAfter(d time.Duration, strikes int) {
 	if armed {
 		return // a retry is already scheduled; don't multiply the pull rate
 	}
-	w.selfAfter(d, w.name+" pull", msgPullRetry{strikes: strikes})
+	w.selfAfter(d, " pull", "", msgPullRetry{strikes: strikes})
 }
 
 // JobsDone returns how many jobs this worker has completed.

@@ -42,6 +42,20 @@ func waitRegistered(t *testing.T, srv *Server, names ...string) {
 	t.Fatalf("endpoints %v never registered", names)
 }
 
+// recvWithin returns mb's next message, failing the test if none
+// arrives within d of wall time. It polls, so a wait that gives up
+// leaves no receiver behind to take a later message.
+func recvWithin(t *testing.T, mb vclock.Mailbox, d time.Duration) any {
+	t.Helper()
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if v, ok := mb.TryRecv(); ok {
+			return v
+		}
+	}
+	t.Fatalf("nothing arrived in %s within %v", mb.Name(), d)
+	return nil
+}
+
 func TestClientServerBasicDelivery(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -68,11 +82,7 @@ func TestClientServerBasicDelivery(t *testing.T) {
 	if !a.Send("b", engine.MsgRegister{Worker: "a"}) {
 		t.Fatal("Send failed")
 	}
-	v, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second)
-	if !ok || timedOut {
-		t.Fatal("delivery never arrived")
-	}
-	env := v.(*broker.Envelope)
+	env := recvWithin(t, b.Inbox(), 5*time.Second).(*broker.Envelope)
 	if env.From != "a" || env.Payload.(engine.MsgRegister).Worker != "a" {
 		t.Errorf("envelope = %+v", env)
 	}
@@ -110,10 +120,8 @@ func TestPublishReturnsSubscriberCount(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("Publish reached %d subscribers, want 3", n)
 	}
-	for i, c := range subs {
-		if _, ok, timedOut := c.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-			t.Errorf("subscriber %d never received", i)
-		}
+	for _, c := range subs {
+		recvWithin(t, c.Inbox(), 5*time.Second)
 	}
 	subs[0].Unsubscribe("news")
 	time.Sleep(20 * time.Millisecond)
@@ -244,13 +252,10 @@ func TestServerEndpointReconnect(t *testing.T) {
 	defer other.Close()
 	ok := false
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if other.Send("node", engine.MsgStop{}) {
-			if _, got, timedOut := c2.Inbox().RecvTimeout(200 * time.Millisecond); got && !timedOut {
-				ok = true
-				break
-			}
-		}
+	for time.Now().Before(deadline) && !ok {
+		other.Send("node", engine.MsgStop{})
+		time.Sleep(10 * time.Millisecond)
+		_, ok = c2.Inbox().TryRecv()
 	}
 	if !ok {
 		t.Error("reconnected endpoint never received")
@@ -302,19 +307,14 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 		if !a.Send("b", payload) {
 			t.Fatalf("payload %d: send failed", i)
 		}
-		v, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second)
-		if !ok || timedOut {
-			t.Fatalf("payload %d (%T): never delivered", i, payload)
-		}
-		env := v.(*broker.Envelope)
+		env := recvWithin(t, b.Inbox(), 5*time.Second).(*broker.Envelope)
 		if fmt.Sprintf("%T", env.Payload) != fmt.Sprintf("%T", payload) {
 			t.Fatalf("payload %d: type %T became %T", i, payload, env.Payload)
 		}
 	}
 	// Spot-check deep fields survive.
 	a.Send("b", engine.MsgAssign{Job: job, EstimatedCost: time.Minute})
-	v, _, _ := b.Inbox().RecvTimeout(5 * time.Second)
-	got := v.(*broker.Envelope).Payload.(engine.MsgAssign)
+	got := recvWithin(t, b.Inbox(), 5*time.Second).(*broker.Envelope).Payload.(engine.MsgAssign)
 	if got.Job.DataSizeMB != 12.5 || got.Job.CostHint != time.Second || got.EstimatedCost != time.Minute {
 		t.Errorf("MsgAssign fields lost: %+v", got)
 	}
@@ -398,9 +398,7 @@ func TestServerRefusesNonBinaryPeers(t *testing.T) {
 	defer b.Close()
 	waitRegistered(t, srv, "a", "b")
 	a.Send("b", engine.MsgStop{})
-	if _, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-		t.Error("delivery between real clients failed after refusals")
-	}
+	recvWithin(t, b.Inbox(), 5*time.Second)
 }
 
 // TestDialRejectsUnknownCodec: Options.Codec no longer selects anything;
@@ -437,10 +435,7 @@ func TestSendMultiOverWire(t *testing.T) {
 		t.Fatalf("SendMulti reached %d, want 2 (ghost skipped)", n)
 	}
 	for _, c := range []*Client{w1, w2} {
-		v, ok, timedOut := c.Inbox().RecvTimeout(5 * time.Second)
-		if !ok || timedOut {
-			t.Fatalf("%s never received the multicast", c.Name())
-		}
+		v := recvWithin(t, c.Inbox(), 5*time.Second)
 		if v.(*broker.Envelope).Payload.(engine.MsgOffer).Job.ID != "j" {
 			t.Fatalf("multicast payload mangled: %#v", v)
 		}
@@ -608,9 +603,7 @@ func TestDeferredSendArrivesBySafetyFlush(t *testing.T) {
 	if !a.Send("b", engine.MsgAccept{JobID: "j", Worker: "a"}) {
 		t.Fatal("send failed")
 	}
-	if _, ok, timedOut := b.Inbox().RecvTimeout(5 * time.Second); !ok || timedOut {
-		t.Fatal("deferred send never arrived")
-	}
+	recvWithin(t, b.Inbox(), 5*time.Second)
 	if stats := srv.WireStats(); stats.BytesIn == 0 || stats.BytesOut == 0 {
 		t.Errorf("WireStats = %+v, want nonzero traffic", stats)
 	}

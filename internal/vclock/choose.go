@@ -108,13 +108,8 @@ func ActiveLabeled(clk Clock) *Sim {
 // the state fingerprint. Unlabeled events work under a chooser too (""
 // class, maximal conflict); labels buy per-route FIFO classes, POR
 // independence, and fingerprint precision.
-func (s *Sim) AfterFuncLabeled(d time.Duration, label EventLabel, f func()) *Timer {
-	af := &afterFuncCall{fn: f}
-	l := label
-	s.mu.Lock()
-	s.scheduleLocked(d, timerEvent{kind: evFunc, af: af, label: &l})
-	s.mu.Unlock()
-	return &Timer{sim: s, af: af}
+func (s *Sim) AfterFuncLabeled(d time.Duration, label EventLabel, f func()) {
+	s.afterFunc(d, f, &label)
 }
 
 // SendAfterLabeled is SendAfter with an event label: the delivery is
@@ -126,7 +121,7 @@ func (s *Sim) SendAfterLabeled(d time.Duration, label EventLabel, mb Mailbox, v 
 
 // chooseLocked builds the enabled set and asks the chooser which event
 // fires next, releasing the clock lock around the call. The caller has
-// already purged stale events and checked the heap is non-empty.
+// checked the heap is non-empty.
 func (s *Sim) chooseLocked() timerEvent {
 	// Head (earliest (when, seq)) event per serialization class.
 	heads := make(map[string]int, 8)
@@ -169,42 +164,10 @@ func (s *Sim) chooseLocked() timerEvent {
 	if choice < 0 || choice >= len(enabled) {
 		choice = 0
 	}
-	if ev, ok := s.timers.removeSeq(enabled[choice].Seq); ok {
-		return ev
-	}
-	// The chosen event vanished (an untracked Timer.Stop raced the
-	// chooser); fall back to the earliest event.
-	return s.timers.pop()
+	return s.timers.removeSeq(enabled[choice].Seq)
 }
 
-// purgeStaleLocked drops events that can no longer fire — wake-ups and
-// timeouts whose pooled waiter moved on, cancelled AfterFuncs — so the
-// enabled set and the pending-event digest only ever show real
-// alternatives.
-func (s *Sim) purgeStaleLocked() {
-	evs := s.timers.evs
-	kept := evs[:0]
-	for _, ev := range evs {
-		switch ev.kind {
-		case evWake, evTimeout:
-			if ev.w.gen != ev.gen || ev.w.done {
-				continue
-			}
-		case evFunc:
-			if ev.af.cancelled {
-				continue
-			}
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(evs); i++ {
-		evs[i] = timerEvent{}
-	}
-	s.timers.evs = kept
-	s.timers.heapify()
-}
-
-// PendingDigest renders every pending (non-stale) event — class,
+// PendingDigest renders the heap — every pending event's class,
 // deadline offset from the current simulated time, detail — in a
 // canonical order. It is one component of the model checker's state
 // fingerprint: two states with different pending events can never
@@ -222,16 +185,6 @@ func (s *Sim) PendingDigest() string {
 	}
 	items := make([]item, 0, s.timers.len())
 	for _, ev := range s.timers.evs {
-		switch ev.kind {
-		case evWake, evTimeout:
-			if ev.w.gen != ev.gen || ev.w.done {
-				continue
-			}
-		case evFunc:
-			if ev.af.cancelled {
-				continue
-			}
-		}
 		it := item{when: ev.when, seq: ev.seq}
 		if ev.label != nil {
 			it.cls, it.detail = ev.label.Class, ev.label.Detail
@@ -299,8 +252,6 @@ func (k timerKind) String() string {
 	switch k {
 	case evWake:
 		return "sleep"
-	case evTimeout:
-		return "timeout"
 	case evSend:
 		return "send"
 	default:

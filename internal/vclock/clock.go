@@ -33,19 +33,19 @@ type Clock interface {
 	Sleep(d time.Duration)
 
 	// AfterFunc schedules f to run in its own goroutine after d has
-	// elapsed. The returned Timer can cancel the call before it fires.
-	// It is the primitive for callbacks that may block or must be
-	// cancellable; a fire-and-forget message wants SendAfter.
-	AfterFunc(d time.Duration, f func()) *Timer
+	// elapsed. It is the primitive for callbacks that may block; a
+	// message wants SendAfter. Nothing cancels a scheduled call: a
+	// deadline that may lapse is a SendAfter message its receiver
+	// ignores.
+	AfterFunc(d time.Duration, f func())
 
 	// SendAfter delivers v to mb once d has elapsed, exactly as
 	// mb.Send(v) would at that instant: a mailbox closed by then drops
 	// it. mb must belong to this clock. Deliveries to one mailbox
 	// happen in (deadline, call) order on either clock, so a message
 	// scheduled behind another for the same instant stays behind it. On
-	// a simulated clock the delivery is a plain clock event — no
-	// goroutine, no Timer — which is what makes it the message path's
-	// primitive.
+	// a simulated clock the delivery is a plain clock event, no
+	// goroutine, which is what makes it the message path's primitive.
 	SendAfter(d time.Duration, mb Mailbox, v any)
 
 	// Since returns the clock time elapsed since t.
@@ -66,11 +66,11 @@ type Clock interface {
 	// messages stay queued. Serve returns immediately, and replaces
 	// Recv on mb — a served mailbox must not also be received from.
 	//
-	// Contract: handle never blocks on the clock (no Sleep, Recv or
-	// RecvTimeout). On a simulated clock there is no
-	// consumer goroutine to park: a message delivered by a clock event
-	// is handled run-to-completion on the goroutine advancing the
-	// clock. Work that must wait goes on a goroutine started with Go.
+	// Contract: handle never blocks on the clock (no Sleep or Recv). On
+	// a simulated clock there is no consumer goroutine to park: a
+	// message delivered by a clock event is handled run-to-completion
+	// on the goroutine advancing the clock. Work that must wait goes on
+	// a goroutine started with Go.
 	Serve(mb Mailbox, handle func(v any, ok bool) (done bool))
 
 	// Wait blocks the caller until every goroutine started with Go has
@@ -96,10 +96,6 @@ type Mailbox interface {
 	// It reports false once the mailbox is closed and drained.
 	Recv() (v any, ok bool)
 
-	// RecvTimeout is Recv bounded by d of clock time. timedOut reports
-	// whether the deadline expired before a message arrived.
-	RecvTimeout(d time.Duration) (v any, ok bool, timedOut bool)
-
 	// TryRecv dequeues a message if one is immediately available.
 	TryRecv() (v any, ok bool)
 
@@ -109,32 +105,6 @@ type Mailbox interface {
 
 	// Len returns the number of queued messages.
 	Len() int
-}
-
-// Timer is a cancellable pending call created by Clock.AfterFunc.
-type Timer struct {
-	// stop attempts to cancel the pending call. It reports whether the
-	// call was cancelled before firing. Wall-clock timers use it;
-	// simulated timers carry their state directly (sim, af) so creating
-	// one costs no closure.
-	stop func() bool
-	sim  *Sim
-	af   *afterFuncCall
-}
-
-// Stop cancels the timer. It reports true if the call was prevented from
-// running, false if it already fired or was previously stopped.
-func (t *Timer) Stop() bool {
-	if t == nil {
-		return false
-	}
-	if t.sim != nil {
-		return t.sim.stopAfterFunc(t.af)
-	}
-	if t.stop == nil {
-		return false
-	}
-	return t.stop()
 }
 
 // Epoch is the instant at which every simulated clock starts. Using a

@@ -128,30 +128,3 @@ func TestSleepWakeOrderOnTiedDeadlines(t *testing.T) {
 		}
 	}
 }
-
-// TestRecvTimeoutAfterWaiterReuse guards the pooled-waiter generation
-// fence: a timeout event that outlives its receive (because a sender won)
-// must not fire into the waiter's next life.
-func TestRecvTimeoutAfterWaiterReuse(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("m")
-	startAll(s, func() {
-		// First receive: sender beats a long timeout, so the stale timeout
-		// event stays queued.
-		v, ok, timedOut := mb.RecvTimeout(time.Hour)
-		if !ok || timedOut || v.(int) != 1 {
-			t.Errorf("first recv = (%v, %v, %v), want (1, true, false)", v, ok, timedOut)
-		}
-		// Second receive on the (likely recycled) waiter: it must see the
-		// second message, not the first receive's expired deadline.
-		v, ok, timedOut = mb.RecvTimeout(2 * time.Hour)
-		if !ok || timedOut || v.(int) != 2 {
-			t.Errorf("second recv = (%v, %v, %v), want (2, true, false)", v, ok, timedOut)
-		}
-	}, func() {
-		mb.Send(1)
-		s.Sleep(90 * time.Minute) // past the first, stale deadline
-		mb.Send(2)
-	})
-	s.Wait()
-}

@@ -12,17 +12,17 @@ type realMailbox struct {
 	clk    *Real
 	name   string
 	mu     sync.Mutex
-	queue  []any
+	queue  ring
 	waitq  []*mbWaiter
 	closed bool
+	served bool // Real.Serve has started this mailbox's one consumer
 	// later holds SendAfter items not yet delivered, keyed by (wall
 	// deadline since clk.base, call order).
 	later timerHeap
 	seq   uint64
 }
 
-// NewMailbox returns a wall-clock-backed mailbox. Timeouts honour the
-// clock's scale factor.
+// NewMailbox returns a wall-clock-backed mailbox.
 func (r *Real) NewMailbox(name string) Mailbox {
 	return &realMailbox{clk: r, name: name}
 }
@@ -66,18 +66,17 @@ func (m *realMailbox) sendLocked(v any) bool {
 		m.waitq = m.waitq[1:]
 		w.item = v
 		w.ok = true
-		w.done = true
 		w.ch <- struct{}{}
 		return true
 	}
-	m.queue = append(m.queue, v)
+	m.queue.push(v)
 	return true
 }
 
 func (m *realMailbox) Recv() (any, bool) {
 	m.mu.Lock()
-	if len(m.queue) > 0 {
-		v := m.dequeueLocked()
+	if m.queue.len() > 0 {
+		v := m.queue.pop()
 		m.mu.Unlock()
 		return v, true
 	}
@@ -92,51 +91,13 @@ func (m *realMailbox) Recv() (any, bool) {
 	return w.item, w.ok
 }
 
-func (m *realMailbox) RecvTimeout(d time.Duration) (any, bool, bool) {
-	m.mu.Lock()
-	if len(m.queue) > 0 {
-		v := m.dequeueLocked()
-		m.mu.Unlock()
-		return v, true, false
-	}
-	if m.closed {
-		m.mu.Unlock()
-		return nil, false, false
-	}
-	if d <= 0 {
-		m.mu.Unlock()
-		return nil, false, true
-	}
-	w := &mbWaiter{ch: make(chan struct{}, 1)}
-	m.waitq = append(m.waitq, w)
-	m.mu.Unlock()
-
-	timer := time.NewTimer(m.clk.wall(d))
-	defer timer.Stop()
-	select {
-	case <-w.ch:
-		return w.item, w.ok, false
-	case <-timer.C:
-		m.mu.Lock()
-		if w.done {
-			// A sender (or Close) won the race; take its delivery.
-			m.mu.Unlock()
-			<-w.ch
-			return w.item, w.ok, false
-		}
-		m.removeWaiterLocked(w)
-		m.mu.Unlock()
-		return nil, false, true
-	}
-}
-
 func (m *realMailbox) TryRecv() (any, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.queue) == 0 {
+	if m.queue.len() == 0 {
 		return nil, false
 	}
-	return m.dequeueLocked(), true
+	return m.queue.pop(), true
 }
 
 func (m *realMailbox) Close() {
@@ -148,7 +109,6 @@ func (m *realMailbox) Close() {
 	m.closed = true
 	for _, w := range m.waitq {
 		w.ok = false
-		w.done = true
 		w.ch <- struct{}{}
 	}
 	m.waitq = nil
@@ -157,23 +117,5 @@ func (m *realMailbox) Close() {
 func (m *realMailbox) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue)
-}
-
-func (m *realMailbox) dequeueLocked() any {
-	v := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	return v
-}
-
-func (m *realMailbox) removeWaiterLocked(target *mbWaiter) {
-	for i, w := range m.waitq {
-		if w == target {
-			copy(m.waitq[i:], m.waitq[i+1:])
-			m.waitq[len(m.waitq)-1] = nil
-			m.waitq = m.waitq[:len(m.waitq)-1]
-			return
-		}
-	}
+	return m.queue.len()
 }

@@ -3,43 +3,34 @@ package vclock
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // mbWaiter is one goroutine parked in a mailbox receive (or a Sleep).
-// The waker (a sender, the close path, or a timeout event) fills in the
-// outcome and signals ch; ownership of the "runnable" credit transfers
-// with the signal, so simulated time can never advance past a delivery
-// in flight.
-//
-// Waiters are pooled: gen increments on every reuse, and timer events
-// that reference a waiter capture the generation they were scheduled
-// against, so a stale timeout can never wake the waiter's next life.
+// Its one waker (a sender, the close path, or the sleep's wake event)
+// fills in the outcome and signals ch; ownership of the "runnable"
+// credit transfers with the signal, so simulated time can never advance
+// past a delivery in flight.
 type mbWaiter struct {
-	ch       chan struct{}
-	item     any
-	ok       bool
-	timedOut bool
-	done     bool // set by whichever path wakes the waiter first
-	tag      uint64
-	gen      uint64
+	ch   chan struct{}
+	item any
+	ok   bool
+	tag  uint64
 }
 
 var waiterPool = sync.Pool{
 	New: func() any { return &mbWaiter{ch: make(chan struct{}, 1)} },
 }
 
-// getWaiter returns a reset waiter on a fresh generation. The signal
-// channel is reusable as-is: every use consumes exactly one signal.
+// getWaiter returns a reset waiter from the pool. The signal channel is
+// reusable as-is: every use consumes exactly one signal.
 func getWaiter() *mbWaiter {
 	w := waiterPool.Get().(*mbWaiter)
-	w.gen++
-	w.item, w.ok, w.timedOut, w.done = nil, false, false, false
+	w.item, w.ok = nil, false
 	return w
 }
 
-// putWaiter recycles w. Callers must have received w's signal (so no
-// waker still holds it) — pending timer events are fenced off by gen.
+// putWaiter recycles w. Callers must have received w's signal: the one
+// waker is then through with it, and nothing else refers to it.
 func putWaiter(w *mbWaiter) { waiterPool.Put(w) }
 
 // ring is a FIFO queue over a reusable circular buffer, so a mailbox
@@ -91,8 +82,8 @@ func (q *ring) grow() {
 }
 
 // simMailbox implements Mailbox for the simulated clock. All state is
-// guarded by the clock's global mutex, which is what allows timer events
-// (fired with that mutex held) to deliver timeouts directly.
+// guarded by the clock's global mutex, which is what allows clock events
+// (fired with that mutex held) to deliver into it directly.
 type simMailbox struct {
 	s       *Sim
 	name    string
@@ -260,33 +251,6 @@ func (m *simMailbox) Recv() (any, bool) {
 	return v, ok
 }
 
-func (m *simMailbox) RecvTimeout(d time.Duration) (any, bool, bool) {
-	m.s.mu.Lock()
-	if m.queue.len() > 0 {
-		v := m.queue.pop()
-		m.s.mu.Unlock()
-		return v, true, false
-	}
-	if m.closed {
-		m.s.mu.Unlock()
-		return nil, false, false
-	}
-	if d <= 0 {
-		m.s.mu.Unlock()
-		return nil, false, true
-	}
-	w := m.registerLocked()
-	// Schedule the timeout before releasing the runnable credit: parking
-	// with no pending wake-up would be (mis)diagnosed as a deadlock.
-	m.s.scheduleLocked(d, timerEvent{kind: evTimeout, w: w, gen: w.gen, mb: m})
-	m.s.blockLocked()
-	m.s.mu.Unlock()
-	<-w.ch
-	v, ok, timedOut := w.item, w.ok, w.timedOut
-	putWaiter(w)
-	return v, ok, timedOut
-}
-
 func (m *simMailbox) TryRecv() (any, bool) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
@@ -319,21 +283,13 @@ func (m *simMailbox) Len() int {
 	return m.queue.len()
 }
 
-// registerLocked enqueues the calling goroutine as a blocked receiver
-// without yet releasing its runnable credit; the caller must arrange any
-// wake-up timer and then call blockLocked before unlocking.
-func (m *simMailbox) registerLocked() *mbWaiter {
-	w := getWaiter()
-	w.tag = m.s.tagLocked(m.recvTag)
-	m.waitq = append(m.waitq, w)
-	return w
-}
-
 // parkLocked registers the calling goroutine as a blocked receiver and
 // releases its runnable credit. The caller must receive on the returned
 // waiter's channel after unlocking.
 func (m *simMailbox) parkLocked() *mbWaiter {
-	w := m.registerLocked()
+	w := getWaiter()
+	w.tag = m.s.tagLocked(m.recvTag)
+	m.waitq = append(m.waitq, w)
 	m.s.blockLocked()
 	return w
 }
@@ -353,15 +309,4 @@ func (m *simMailbox) popWaiterLocked() *mbWaiter {
 		m.waitq = m.waitq[1:]
 	}
 	return w
-}
-
-func (m *simMailbox) removeWaiterLocked(target *mbWaiter) {
-	for i, w := range m.waitq {
-		if w == target {
-			copy(m.waitq[i:], m.waitq[i+1:])
-			m.waitq[len(m.waitq)-1] = nil
-			m.waitq = m.waitq[:len(m.waitq)-1]
-			return
-		}
-	}
 }

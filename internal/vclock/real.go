@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -13,9 +14,7 @@ import (
 type Real struct {
 	scale float64
 	wg    sync.WaitGroup
-	mu    sync.Mutex
 	base  time.Time // wall instant at which the clock was created
-	start time.Time // reported instant corresponding to base
 }
 
 // NewReal returns a real-time clock running at normal speed.
@@ -27,15 +26,12 @@ func NewScaledReal(scale float64) *Real {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Real{scale: scale, base: time.Now(), start: Epoch}
+	return &Real{scale: scale, base: time.Now()}
 }
 
-// Now returns the scaled current time.
+// Now returns the scaled current time: Epoch at the clock's creation.
 func (r *Real) Now() time.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	elapsed := time.Since(r.base)
-	return r.start.Add(time.Duration(float64(elapsed) * r.scale))
+	return Epoch.Add(time.Duration(float64(time.Since(r.base)) * r.scale))
 }
 
 // Sleep blocks for d of clock time (d/scale of wall time).
@@ -47,18 +43,27 @@ func (r *Real) Sleep(d time.Duration) {
 }
 
 // AfterFunc runs f in its own goroutine after d of clock time.
-func (r *Real) AfterFunc(d time.Duration, f func()) *Timer {
-	t := time.AfterFunc(r.wall(d), f)
-	return &Timer{stop: t.Stop}
+func (r *Real) AfterFunc(d time.Duration, f func()) {
+	time.AfterFunc(r.wall(d), f)
 }
 
-// SendAfter sends v to mb, a mailbox of a Real clock, after d of clock
-// time. Each delivery has its own runtime timer, whose goroutines may
-// overtake each other; the mailbox queues the items by deadline
-// (realMailbox.sendAfter), so deliveries to one mailbox still arrive in
-// (deadline, call) order as they do on a Sim.
+// SendAfter sends v to mb after d of clock time. Each delivery has its
+// own runtime timer, whose goroutines may overtake each other; the
+// mailbox queues the items by deadline (realMailbox.sendAfter), so
+// deliveries to one mailbox still arrive in (deadline, call) order as
+// they do on a Sim.
 func (r *Real) SendAfter(d time.Duration, mb Mailbox, v any) {
-	mb.(*realMailbox).sendAfter(r.wall(d), v)
+	r.own(mb).sendAfter(r.wall(d), v)
+}
+
+// own asserts that mb was created by this clock, whose scale its
+// deliveries run at.
+func (r *Real) own(mb Mailbox) *realMailbox {
+	m, ok := mb.(*realMailbox)
+	if !ok || m.clk != r {
+		panic(fmt.Sprintf("vclock: mailbox %q does not belong to this wall clock", mb.Name()))
+	}
+	return m
 }
 
 // Since returns the clock time elapsed since t.
@@ -75,6 +80,14 @@ func (r *Real) Go(fn func()) {
 
 // Serve consumes mb on a goroutine joined by Wait.
 func (r *Real) Serve(mb Mailbox, handle func(v any, ok bool) (done bool)) {
+	m := r.own(mb)
+	m.mu.Lock()
+	again := m.served
+	m.served = true
+	m.mu.Unlock()
+	if again {
+		panic(fmt.Sprintf("vclock: mailbox %q is already served", m.name))
+	}
 	r.Go(func() {
 		for {
 			v, ok := mb.Recv()

@@ -39,21 +39,6 @@ func TestRealInvalidScaleDefaultsToOne(t *testing.T) {
 	}
 }
 
-func TestRealAfterFuncAndStop(t *testing.T) {
-	r := NewReal()
-	fired := make(chan struct{})
-	r.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(time.Second):
-		t.Fatal("AfterFunc never fired")
-	}
-	tm := r.AfterFunc(time.Hour, func() { t.Error("should not fire") })
-	if !tm.Stop() {
-		t.Error("Stop = false for pending timer")
-	}
-}
-
 func TestRealGoWait(t *testing.T) {
 	r := NewReal()
 	done := false
@@ -101,30 +86,6 @@ func TestRealMailboxBlockingHandoff(t *testing.T) {
 	}
 }
 
-func TestRealMailboxRecvTimeout(t *testing.T) {
-	r := NewReal()
-	mb := r.NewMailbox("timeout")
-	start := time.Now()
-	_, ok, timedOut := mb.RecvTimeout(5 * time.Millisecond)
-	if ok || !timedOut {
-		t.Errorf("RecvTimeout = ok %v timedOut %v", ok, timedOut)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("timeout took far too long")
-	}
-	go func() {
-		time.Sleep(time.Millisecond)
-		mb.Send(7)
-	}()
-	v, ok, timedOut := mb.RecvTimeout(time.Second)
-	if !ok || timedOut || v.(int) != 7 {
-		t.Errorf("RecvTimeout = %v %v %v", v, ok, timedOut)
-	}
-	if _, _, timedOut := mb.RecvTimeout(0); !timedOut {
-		t.Error("RecvTimeout(0) on empty should time out")
-	}
-}
-
 func TestRealMailboxClose(t *testing.T) {
 	r := NewReal()
 	mb := r.NewMailbox("close")
@@ -141,8 +102,8 @@ func TestRealMailboxClose(t *testing.T) {
 	if mb.Send("x") {
 		t.Error("Send after Close = true")
 	}
-	if _, ok, _ := mb.RecvTimeout(time.Millisecond); ok {
-		t.Error("RecvTimeout on closed = ok")
+	if _, ok := mb.Recv(); ok {
+		t.Error("Recv on closed = ok")
 	}
 	mb.Close() // idempotent
 }
@@ -172,9 +133,8 @@ func TestRealSendAfterKeepsDeadlineThenCallOrder(t *testing.T) {
 		want[2+i] = i
 	}
 	for i, w := range want {
-		v, ok, timedOut := mb.RecvTimeout(5000 * time.Second)
-		if !ok || timedOut || v != w {
-			t.Fatalf("delivery %d = %v (ok=%v timedOut=%v), want %v", i, v, ok, timedOut, w)
+		if v, ok := mb.Recv(); !ok || v != w {
+			t.Fatalf("delivery %d = %v (ok=%v), want %v", i, v, ok, w)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 func TestSendAfterFiresInDeadlineSeqOrder(t *testing.T) {
 	s := NewSim()
 	log := s.NewMailbox("log")
-	idle := s.NewMailbox("idle")
 	var order []string
 	startAll(s, func() {
 		// Scheduled in this order at deadline 1s; "early" is scheduled
@@ -23,12 +22,11 @@ func TestSendAfterFiresInDeadlineSeqOrder(t *testing.T) {
 		s.AfterFunc(time.Second, func() { log.Send("func-2") })
 		s.SendAfter(time.Second, log, "send-3")
 		s.Go(func() {
-			// seq 4: this goroutine's own timeout at the same deadline.
-			if _, _, timedOut := idle.RecvTimeout(time.Second); timedOut {
-				log.Send("timeout-4")
-			}
+			// seq 4: this goroutine's own wake-up at the same deadline.
+			s.Sleep(time.Second)
+			log.Send("wake-4")
 		})
-		s.Sleep(time.Millisecond) // let the receiver park; a sleep is an event too
+		s.Sleep(time.Millisecond) // let the sleeper park; a sleep is an event too
 		s.SendAfter(time.Second-time.Millisecond, log, "send-5")
 		s.SendAfter(499*time.Millisecond, log, "early")
 	}, func() {
@@ -38,7 +36,7 @@ func TestSendAfterFiresInDeadlineSeqOrder(t *testing.T) {
 		}
 	})
 	s.Wait()
-	want := []string{"early@500ms", "send-1@1s", "func-2@1s", "send-3@1s", "timeout-4@1s", "send-5@1s"}
+	want := []string{"early@500ms", "send-1@1s", "func-2@1s", "send-3@1s", "wake-4@1s", "send-5@1s"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("fire order = %v\nwant         %v", order, want)
 	}

@@ -105,45 +105,27 @@ func (s *Sim) Sleep(d time.Duration) {
 	w := getWaiter()
 	s.mu.Lock()
 	w.tag = s.tagLocked("sleep")
-	s.scheduleLocked(d, timerEvent{kind: evWake, w: w, gen: w.gen})
+	s.scheduleLocked(d, timerEvent{kind: evWake, w: w})
 	s.blockLocked()
 	s.mu.Unlock()
 	<-w.ch
 	putWaiter(w)
 }
 
-// afterFuncCall is the shared state between a pending AfterFunc event
-// and the Timer that can cancel it.
-type afterFuncCall struct {
-	fn        func()
-	cancelled bool // guarded by the clock lock
-	fired     bool // guarded by the clock lock
-}
-
 // AfterFunc schedules f to run as a new tracked goroutine after d of
-// simulated time. The returned Timer can cancel the call.
-func (s *Sim) AfterFunc(d time.Duration, f func()) *Timer {
-	af := &afterFuncCall{fn: f}
-	s.mu.Lock()
-	s.scheduleLocked(d, timerEvent{kind: evFunc, af: af})
-	s.mu.Unlock()
-	return &Timer{sim: s, af: af}
+// simulated time.
+func (s *Sim) AfterFunc(d time.Duration, f func()) {
+	s.afterFunc(d, f, nil)
 }
 
-// stopAfterFunc implements Timer.Stop for simulated timers.
-func (s *Sim) stopAfterFunc(af *afterFuncCall) bool {
+func (s *Sim) afterFunc(d time.Duration, f func(), label *EventLabel) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if af.fired || af.cancelled {
-		return false
-	}
-	af.cancelled = true
-	return true
+	s.scheduleLocked(d, timerEvent{kind: evFunc, fn: f, label: label})
+	s.mu.Unlock()
 }
 
 // SendAfter schedules v's delivery to mb after d of simulated time: one
-// heap entry, fired under the clock lock — no goroutine, no Timer, no
-// closure.
+// heap entry, fired under the clock lock — no goroutine, no closure.
 func (s *Sim) SendAfter(d time.Duration, mb Mailbox, v any) {
 	s.sendAfter(d, mb, v, nil)
 }
@@ -194,12 +176,6 @@ func (s *Sim) blockLocked() {
 // which stops the advance.
 func (s *Sim) maybeAdvanceLocked() {
 	for s.running == 0 {
-		if s.chooser != nil {
-			// Stale events are harmless no-ops on the default path, but
-			// under a chooser they would pollute the enabled set and the
-			// pending-event fingerprint.
-			s.purgeStaleLocked()
-		}
 		if s.timers.len() == 0 {
 			// Fully idle: either the simulation has finished (no waiters)
 			// or it has deadlocked. Either way, wake Wait callers.
@@ -225,48 +201,30 @@ func (s *Sim) maybeAdvanceLocked() {
 	}
 }
 
-// fireLocked runs one timer event with the clock lock held. Fire paths
-// must not block; only a delivery to a served mailbox releases the lock
-// (around its handler), holding a runnable credit meanwhile.
+// fireLocked runs one timer event with the clock lock held. Every event
+// in the heap fires: nothing cancels one. Fire paths must not block;
+// only a delivery to a served mailbox releases the lock (around its
+// handler), holding a runnable credit meanwhile.
 func (s *Sim) fireLocked(ev *timerEvent) {
 	switch ev.kind {
 	case evWake:
-		// A sleeping goroutine's wake-up. The generation check skips
-		// events that outlived their (pooled, since recycled) waiter.
-		w := ev.w
-		if w.gen != ev.gen || w.done {
-			return
-		}
-		s.wakeLocked(w)
-	case evTimeout:
-		// A mailbox receive deadline. Stale if a sender (or Close) won.
-		w := ev.w
-		if w.gen != ev.gen || w.done {
-			return
-		}
-		ev.mb.removeWaiterLocked(w)
-		w.timedOut = true
-		s.wakeLocked(w)
+		s.wakeLocked(ev.w)
 	case evSend:
 		ev.mb.deliverLocked(ev.item, true)
 	case evFunc:
-		af := ev.af
-		if af.cancelled {
-			return
-		}
-		af.fired = true
 		s.running++
+		fn := ev.fn
 		go func() {
 			defer s.exit()
-			af.fn()
+			fn()
 		}()
 	}
 }
 
 // wakeLocked hands the runnable credit back to waiter w and signals it.
-// Must be called with the clock lock held; w must not already be done.
+// Must be called with the clock lock held; each parked waiter has one
+// waker (its sleep event, or whoever pops it off a mailbox's wait queue).
 func (s *Sim) wakeLocked(w *mbWaiter) {
-	w.done = true
 	s.running++
 	s.waiters--
 	delete(s.waitTags, w.tag)
@@ -338,14 +296,13 @@ func (s *Sim) tagLocked(kind string) uint64 {
 
 // timerKind selects a timerEvent's fire path. A closed set of variants
 // instead of a fire closure keeps event scheduling allocation-free on
-// the Sleep and mailbox-timeout hot paths.
+// the Sleep and SendAfter hot paths.
 type timerKind uint8
 
 const (
-	evWake    timerKind = iota // wake a parked waiter (Sleep)
-	evTimeout                  // expire a mailbox receive deadline
-	evFunc                     // run an AfterFunc callback
-	evSend                     // deliver a SendAfter item to its mailbox
+	evWake timerKind = iota // wake a parked waiter (Sleep)
+	evFunc                  // run an AfterFunc callback
+	evSend                  // deliver a SendAfter item to its mailbox
 )
 
 // timerEvent is one pending clock event, keyed for firing order by
@@ -354,12 +311,11 @@ type timerEvent struct {
 	when  int64 // deadline, UnixNano
 	seq   uint64
 	kind  timerKind
-	gen   uint64         // waiter generation for evWake/evTimeout
-	w     *mbWaiter      // evWake, evTimeout
-	mb    *simMailbox    // evTimeout, evSend
-	af    *afterFuncCall // evFunc
-	item  any            // evSend
-	label *EventLabel    // model-checker label; nil for unlabeled events
+	w     *mbWaiter   // evWake
+	mb    *simMailbox // evSend
+	fn    func()      // evFunc
+	item  any         // evSend
+	label *EventLabel // model-checker label; nil for unlabeled events
 }
 
 // timerHeap is a binary min-heap of timerEvent values ordered by
@@ -410,34 +366,25 @@ func (h *timerHeap) siftUp(i int) {
 	}
 }
 
-// heapify restores the heap order over the whole slice, after an
-// order-disturbing bulk edit (purgeStaleLocked).
-func (h *timerHeap) heapify() {
-	for i := len(h.evs)/2 - 1; i >= 0; i-- {
+// removeSeq extracts the pending event with the given sequence number;
+// events leave the heap only by firing, so one a chooser was just shown
+// is still there. Only the model checker's choose path uses it, so the
+// linear scan costs normal runs nothing.
+func (h *timerHeap) removeSeq(seq uint64) timerEvent {
+	i := 0
+	for h.evs[i].seq != seq {
+		i++
+	}
+	ev := h.evs[i]
+	n := len(h.evs) - 1
+	h.evs[i] = h.evs[n]
+	h.evs[n] = timerEvent{}
+	h.evs = h.evs[:n]
+	if i < n {
 		h.siftDown(i)
+		h.siftUp(i)
 	}
-}
-
-// removeSeq extracts the event with the given sequence number, if still
-// pending. Only the model checker's choose path uses it, so the linear
-// scan costs normal runs nothing.
-func (h *timerHeap) removeSeq(seq uint64) (timerEvent, bool) {
-	for i := range h.evs {
-		if h.evs[i].seq != seq {
-			continue
-		}
-		ev := h.evs[i]
-		n := len(h.evs) - 1
-		h.evs[i] = h.evs[n]
-		h.evs[n] = timerEvent{}
-		h.evs = h.evs[:n]
-		if i < n {
-			h.siftDown(i)
-			h.siftUp(i)
-		}
-		return ev, true
-	}
-	return timerEvent{}, false
+	return ev
 }
 
 func (h *timerHeap) siftDown(i int) {

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,41 +123,6 @@ func TestSimAfterFuncRunsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestSimAfterFuncStop(t *testing.T) {
-	s := NewSim()
-	var fired atomic.Bool
-	var stopped bool
-	s.Go(func() {
-		tm := s.AfterFunc(30*time.Second, func() { fired.Store(true) })
-		stopped = tm.Stop()
-		s.Sleep(time.Minute)
-	})
-	s.Wait()
-	if !stopped {
-		t.Error("Stop() = false, want true")
-	}
-	if fired.Load() {
-		t.Error("cancelled AfterFunc still fired")
-	}
-	if tm := (&Timer{}); tm.Stop() {
-		t.Error("zero Timer Stop() should be false")
-	}
-}
-
-func TestSimAfterFuncStopAfterFire(t *testing.T) {
-	s := NewSim()
-	var stopped bool
-	s.Go(func() {
-		tm := s.AfterFunc(time.Second, func() {})
-		s.Sleep(5 * time.Second)
-		stopped = tm.Stop()
-	})
-	s.Wait()
-	if stopped {
-		t.Error("Stop() after fire = true, want false")
-	}
-}
-
 func TestSimEqualDeadlinesFireInScheduleOrder(t *testing.T) {
 	s := NewSim()
 	var order []int
@@ -228,59 +192,6 @@ func TestSimMailboxBlockingHandoff(t *testing.T) {
 	s.Wait()
 	if want := Epoch.Add(5 * time.Second); !recvAt.Equal(want) {
 		t.Errorf("received at %v, want %v", recvAt, want)
-	}
-}
-
-func TestSimMailboxRecvTimeoutExpires(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("timeout")
-	var timedOut bool
-	var at time.Time
-	s.Go(func() {
-		_, _, timedOut = mb.RecvTimeout(3 * time.Second)
-		at = s.Now()
-	})
-	s.Wait()
-	if !timedOut {
-		t.Error("expected timeout")
-	}
-	if want := Epoch.Add(3 * time.Second); !at.Equal(want) {
-		t.Errorf("timed out at %v, want %v", at, want)
-	}
-}
-
-func TestSimMailboxRecvTimeoutDelivery(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("timely")
-	var v any
-	var ok, timedOut bool
-	startAll(s, func() {
-		v, ok, timedOut = mb.RecvTimeout(10 * time.Second)
-	}, func() {
-		s.Sleep(2 * time.Second)
-		mb.Send(99)
-	})
-	end := s.Wait()
-	if timedOut || !ok || v.(int) != 99 {
-		t.Errorf("RecvTimeout = %v, %v, %v", v, ok, timedOut)
-	}
-	// The cancelled timeout timer still occupies the heap; time may
-	// advance to its deadline but no further.
-	if end.After(Epoch.Add(10 * time.Second)) {
-		t.Errorf("final time %v beyond the abandoned timeout", end)
-	}
-}
-
-func TestSimMailboxRecvTimeoutNonPositive(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("instant")
-	var timedOut bool
-	s.Go(func() {
-		_, _, timedOut = mb.RecvTimeout(0)
-	})
-	s.Wait()
-	if !timedOut {
-		t.Error("RecvTimeout(0) on empty mailbox should time out immediately")
 	}
 }
 

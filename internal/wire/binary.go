@@ -62,9 +62,6 @@ func (e *Encoder) EncodeRaw(body []byte) error {
 // Flush writes the buffer to the connection.
 func (e *Encoder) Flush() error { return e.bw.Flush() }
 
-// Buffered reports the bytes waiting for a Flush.
-func (e *Encoder) Buffered() int { return e.bw.Buffered() }
-
 // Decoder reads frames from one side of a connection.
 type Decoder struct {
 	r   *bufio.Reader
