@@ -6,7 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the paper's numbers (shape, not absolute seconds) alongside
-// the harness's own cost.
+// the harness's own cost. The simulator's own throughput and the layer
+// microbenches are internal/bench's suite.
 package crossflow_test
 
 import (
@@ -14,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"crossflow"
 	"crossflow/internal/cluster"
 	"crossflow/internal/core"
 	"crossflow/internal/engine"
@@ -248,45 +248,5 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 			}
 			b.ReportMetric(mean, "makespan_sec")
 		})
-	}
-}
-
-// BenchmarkEngineThroughput measures the simulator itself: simulated
-// jobs executed per second of wall time, the capacity planning number
-// for larger studies.
-func BenchmarkEngineThroughput(b *testing.B) {
-	const jobs = 120
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		workers := make([]*crossflow.Worker, 5)
-		for j := range workers {
-			workers[j] = crossflow.NewWorker(crossflow.WorkerSpec{
-				Name: fmt.Sprintf("w%d", j),
-				Net:  crossflow.Speed{BaseMBps: 25},
-				RW:   crossflow.Speed{BaseMBps: 100},
-				Seed: int64(j + 1),
-			})
-		}
-		wf := crossflow.NewWorkflow("bench")
-		wf.MustAddTask(crossflow.TaskSpec{Name: "t", Input: "jobs"})
-		arrivals := make([]crossflow.Arrival, jobs)
-		for j := range arrivals {
-			arrivals[j] = crossflow.Arrival{Job: &crossflow.Job{
-				Stream: "jobs", DataKey: fmt.Sprintf("r%d", j%40), DataSizeMB: 100,
-			}}
-		}
-		rep, err := crossflow.Run(crossflow.Config{
-			Workers: workers, Scheduler: crossflow.Bidding(), Workflow: wf, Arrivals: arrivals,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.JobsCompleted != jobs {
-			b.Fatalf("completed %d", rep.JobsCompleted)
-		}
-	}
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N*jobs)/elapsed, "sim_jobs_per_sec")
 	}
 }

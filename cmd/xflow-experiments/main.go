@@ -61,6 +61,10 @@ func main() {
 	case "tables":
 		err = runTables(liveOpts)
 	case "seeds":
+		if *seedCount < 1 {
+			fmt.Fprintf(os.Stderr, "xflow-experiments: -seeds %d: need at least 1\n", *seedCount)
+			os.Exit(2)
+		}
 		err = runSeeds(*seedCount, opts)
 	case "overhead":
 		err = runOverhead(opts)

@@ -1,70 +1,58 @@
-// Package bench defines the fixed benchmark suite cmd/xflow-bench
-// runs: the simulation kernel's hot-path microbenches plus the
-// Figure-2/Figure-3 experiment benches, each expressed as a
-// func(*testing.B) so one binary can execute them via
-// testing.Benchmark and collect ns/op, allocs/op and the custom
-// metrics uniformly.
-//
-// The suite is intentionally small and stable: CI compares every run
-// against a checked-in baseline by benchmark name, so a benchmark that
-// disappears fails the comparison. Add new entries freely; rename or
-// remove only together with the baseline.
+// Package bench holds the repo's layer benchmarks: the simulation
+// kernel's hot-path microbenches, the engine's throughput and serve
+// benches, and the fleet and shard scaling ladders, each a
+// func(*testing.B). Every body lives here once. `go test -bench
+// Suite/<name> ./internal/bench` runs one; the repository benchmark
+// (benchmark/probes.go) runs some of them by name through
+// testing.Benchmark, so rename or remove those only together with it.
+// The paper's figures are the Benchmark* functions in the root
+// package.
 package bench
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
 
 	"crossflow"
 	"crossflow/internal/broker"
-	"crossflow/internal/cluster"
 	"crossflow/internal/core"
 	"crossflow/internal/engine"
-	"crossflow/internal/experiments"
 	"crossflow/internal/netsim"
 	"crossflow/internal/storage"
 	"crossflow/internal/vclock"
-	"crossflow/internal/workload"
 )
 
-// Spec is one suite entry. Name is the identity CI diffs on; Group
-// buckets related entries for reporting ("kernel", "engine",
-// "experiment").
+// Spec is one suite entry; Name is how callers find it.
 type Spec struct {
-	Name  string
-	Group string
-	F     func(b *testing.B)
+	Name string
+	F    func(b *testing.B)
 }
 
 // Suite returns the fixed benchmark list in execution order.
 func Suite() []Spec {
 	return []Spec{
-		{"vclock_sleep_events", "kernel", benchSleepEvents},
-		{"vclock_mailbox_pingpong", "kernel", benchMailboxPingPong},
-		{"vclock_afterfunc_timers", "kernel", benchAfterFuncTimers},
-		{"vclock_sendafter", "kernel", benchSendAfter},
-		{"broker_direct_send", "kernel", benchDirectSend},
-		{"broker_publish_fanout", "kernel", benchPublishFanout},
-		{"broker_deliver_sim", "kernel", benchDeliverSim},
-		{"storage_cache_put_access", "kernel", benchCachePutAccess},
-		{"engine_throughput", "engine", benchEngineThroughput},
-		{"serve_w50", "engine", benchServeSteadyState},
-		{"fleet_w5_bidding", "scale", benchFleetScaling(5, crossflow.Bidding)},
-		{"fleet_w5_bidding_topk", "scale", benchFleetScaling(5, crossflow.BiddingTopK)},
-		{"fleet_w50_bidding", "scale", benchFleetScaling(50, crossflow.Bidding)},
-		{"fleet_w50_bidding_topk", "scale", benchFleetScaling(50, crossflow.BiddingTopK)},
-		{"fleet_w500_bidding", "scale", benchFleetScaling(500, crossflow.Bidding)},
-		{"fleet_w500_bidding_topk", "scale", benchFleetScaling(500, crossflow.BiddingTopK)},
-		{"fleet_w2000_bidding", "scale", benchFleetScaling(2000, crossflow.Bidding)},
-		{"fleet_w2000_bidding_topk", "scale", benchFleetScaling(2000, crossflow.BiddingTopK)},
-		{"fleet_shard_s1_w500", "scale", benchShardScaling(1, 500)},
-		{"fleet_shard_s2_w500", "scale", benchShardScaling(2, 500)},
-		{"fleet_shard_s4_w500", "scale", benchShardScaling(4, 500)},
-		{"figure2_group1_fastslow_large", "experiment", benchFigure2Group1},
-		{"figure3_rep80small_fastslow", "experiment", benchFigure3Cell},
+		{"vclock_sleep_events", benchSleepEvents},
+		{"vclock_mailbox_pingpong", benchMailboxPingPong},
+		{"vclock_afterfunc_timers", benchAfterFuncTimers},
+		{"vclock_sendafter", benchSendAfter},
+		{"broker_direct_send", benchDirectSend},
+		{"broker_publish_fanout", benchPublishFanout},
+		{"broker_deliver_sim", benchDeliverSim},
+		{"storage_cache_put_access", benchCachePutAccess},
+		{"engine_throughput", benchEngineThroughput},
+		{"serve_w50", benchServeSteadyState},
+		{"fleet_w5_bidding", benchFleetScaling(5, crossflow.Bidding)},
+		{"fleet_w5_bidding_topk", benchFleetScaling(5, crossflow.BiddingTopK)},
+		{"fleet_w50_bidding", benchFleetScaling(50, crossflow.Bidding)},
+		{"fleet_w50_bidding_topk", benchFleetScaling(50, crossflow.BiddingTopK)},
+		{"fleet_w500_bidding", benchFleetScaling(500, crossflow.Bidding)},
+		{"fleet_w500_bidding_topk", benchFleetScaling(500, crossflow.BiddingTopK)},
+		{"fleet_w2000_bidding", benchFleetScaling(2000, crossflow.Bidding)},
+		{"fleet_w2000_bidding_topk", benchFleetScaling(2000, crossflow.BiddingTopK)},
+		{"fleet_shard_s1_w500", benchShardScaling(1, 500)},
+		{"fleet_shard_s2_w500", benchShardScaling(2, 500)},
+		{"fleet_shard_s4_w500", benchShardScaling(4, 500)},
 	}
 }
 
@@ -235,36 +223,44 @@ func benchEngineThroughput(b *testing.B) {
 	const jobs = 120
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		workers := make([]*crossflow.Worker, 5)
-		for j := range workers {
-			workers[j] = crossflow.NewWorker(crossflow.WorkerSpec{
-				Name: fmt.Sprintf("w%d", j),
-				Net:  crossflow.Speed{BaseMBps: 25},
-				RW:   crossflow.Speed{BaseMBps: 100},
-				Seed: int64(j + 1),
-			})
-		}
-		wf := crossflow.NewWorkflow("bench")
-		wf.MustAddTask(crossflow.TaskSpec{Name: "t", Input: "jobs"})
-		arrivals := make([]crossflow.Arrival, jobs)
-		for j := range arrivals {
-			arrivals[j] = crossflow.Arrival{Job: &crossflow.Job{
-				Stream: "jobs", DataKey: fmt.Sprintf("r%d", j%40), DataSizeMB: 100,
-			}}
-		}
-		rep, err := crossflow.Run(crossflow.Config{
-			Workers: workers, Scheduler: crossflow.Bidding(), Workflow: wf, Arrivals: arrivals,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.JobsCompleted != jobs {
-			b.Fatalf("completed %d", rep.JobsCompleted)
-		}
+		runFleet(b, crossflow.Config{Scheduler: crossflow.Bidding()}, 5, jobs, 40,
+			func(int) time.Duration { return 0 })
 	}
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 		b.ReportMetric(float64(b.N*jobs)/elapsed, "sim_jobs_per_sec")
 	}
+}
+
+// runFleet runs cfg through crossflow.Run on a fleet of identical
+// workers with jobs arrivals, job j arriving at at(j) for data key
+// r<j%keys>, and fails b unless every job completes.
+func runFleet(b *testing.B, cfg crossflow.Config, fleet, jobs, keys int, at func(j int) time.Duration) *crossflow.Report {
+	workers := make([]*crossflow.Worker, fleet)
+	for j := range workers {
+		workers[j] = crossflow.NewWorker(crossflow.WorkerSpec{
+			Name: fmt.Sprintf("w%04d", j),
+			Net:  crossflow.Speed{BaseMBps: 25},
+			RW:   crossflow.Speed{BaseMBps: 100},
+			Seed: int64(j + 1),
+		})
+	}
+	wf := crossflow.NewWorkflow("bench")
+	wf.MustAddTask(crossflow.TaskSpec{Name: "t", Input: "jobs"})
+	arrivals := make([]crossflow.Arrival, jobs)
+	for j := range arrivals {
+		arrivals[j] = crossflow.Arrival{At: at(j), Job: &crossflow.Job{
+			Stream: "jobs", DataKey: fmt.Sprintf("r%d", j%keys), DataSizeMB: 100,
+		}}
+	}
+	cfg.Workers, cfg.Workflow, cfg.Arrivals = workers, wf, arrivals
+	rep, err := crossflow.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.JobsCompleted != jobs {
+		b.Fatalf("completed %d of %d", rep.JobsCompleted, jobs)
+	}
+	return rep
 }
 
 // benchServeSteadyState measures the long-lived cluster runtime in its
@@ -347,83 +343,31 @@ func benchServeSteadyState(b *testing.B) {
 
 // --- fleet scaling ----------------------------------------------------------
 
-// wireSize returns the steady-state gob encoding size of one message,
-// the broker-independent estimate of its on-the-wire cost (the TCP
-// transport frames exactly these encodings). Encoded twice so the
-// one-time type descriptor is excluded.
-func wireSize(msg any) float64 {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(msg); err != nil {
-		panic(err)
-	}
-	first := buf.Len()
-	if err := enc.Encode(msg); err != nil {
-		panic(err)
-	}
-	return float64(buf.Len() - first)
-}
-
 // benchFleetScaling measures the bidding contest protocols as the fleet
 // grows: the same 160-job, 40-key workload dispatched to W workers
 // under broadcast contests (bidding) or index-targeted contests
-// (bidding-topk). Beyond wall time it reports the scheduling wire cost
-// — contest messages and estimated KB per job, request plus returned
-// bids — and cache misses per job, the locality price of not asking
-// everyone.
+// (bidding-topk). Beyond wall time it reports the scheduling traffic —
+// contest messages per job, request plus returned bids — and cache
+// misses per job, the locality price of not asking everyone. Their
+// bytes on a real wire are the repository benchmark's
+// wire_bytes_per_job.
 func benchFleetScaling(fleet int, sched func() crossflow.Scheduler) func(b *testing.B) {
 	return func(b *testing.B) {
 		const (
 			jobs = 160
 			keys = 40
 		)
-		reqSize := wireSize(engine.MsgBidRequest{Job: &engine.Job{
-			ID: "job-0123", Stream: "jobs", DataKey: "repo-0123", DataSizeMB: 100,
-		}})
-		bidSize := wireSize(engine.MsgBid{
-			JobID: "job-0123", Worker: "w0123",
-			Estimate: 5 * time.Second, JobCost: 5 * time.Second,
-		})
-		var msgsPerJob, kbPerJob, missesPerJob float64
+		var msgsPerJob, missesPerJob float64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			workers := make([]*crossflow.Worker, fleet)
-			for j := range workers {
-				workers[j] = crossflow.NewWorker(crossflow.WorkerSpec{
-					Name: fmt.Sprintf("w%04d", j),
-					Net:  crossflow.Speed{BaseMBps: 25},
-					RW:   crossflow.Speed{BaseMBps: 100},
-					Seed: int64(j + 1),
-				})
-			}
-			wf := crossflow.NewWorkflow("bench")
-			wf.MustAddTask(crossflow.TaskSpec{Name: "t", Input: "jobs"})
-			arrivals := make([]crossflow.Arrival, jobs)
-			for j := range arrivals {
-				// 2s spacing keeps arrivals past the bid window, so the
-				// location index warms before repeat keys recur.
-				arrivals[j] = crossflow.Arrival{
-					At: time.Duration(j) * 2 * time.Second,
-					Job: &crossflow.Job{
-						Stream: "jobs", DataKey: fmt.Sprintf("r%d", j%keys), DataSizeMB: 100,
-					},
-				}
-			}
-			rep, err := crossflow.Run(crossflow.Config{
-				Workers: workers, Scheduler: sched(), Workflow: wf, Arrivals: arrivals,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.JobsCompleted != jobs {
-				b.Fatalf("completed %d of %d", rep.JobsCompleted, jobs)
-			}
+			// 2s spacing keeps arrivals past the bid window, so the
+			// location index warms before repeat keys recur.
+			rep := runFleet(b, crossflow.Config{Scheduler: sched()}, fleet, jobs, keys,
+				func(j int) time.Duration { return time.Duration(j) * 2 * time.Second })
 			msgsPerJob = float64(rep.ContestMsgs+rep.Bids) / jobs
-			kbPerJob = (float64(rep.ContestMsgs)*reqSize + float64(rep.Bids)*bidSize) / jobs / 1024
 			missesPerJob = float64(rep.CacheMisses) / jobs
 		}
 		b.ReportMetric(msgsPerJob, "contest_msgs_per_job")
-		b.ReportMetric(kbPerJob, "contest_kb_per_job")
 		b.ReportMetric(missesPerJob, "cache_misses_per_job")
 		if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 			b.ReportMetric(float64(b.N*jobs)/elapsed, "sim_jobs_per_sec")
@@ -451,85 +395,11 @@ func benchShardScaling(shards, fleet int) func(b *testing.B) {
 		)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			workers := make([]*crossflow.Worker, fleet)
-			for j := range workers {
-				workers[j] = crossflow.NewWorker(crossflow.WorkerSpec{
-					Name: fmt.Sprintf("w%04d", j),
-					Net:  crossflow.Speed{BaseMBps: 25},
-					RW:   crossflow.Speed{BaseMBps: 100},
-					Seed: int64(j + 1),
-				})
-			}
-			wf := crossflow.NewWorkflow("bench")
-			wf.MustAddTask(crossflow.TaskSpec{Name: "t", Input: "jobs"})
-			arrivals := make([]crossflow.Arrival, jobs)
-			for j := range arrivals {
-				arrivals[j] = crossflow.Arrival{
-					At: time.Duration(j/burst) * 800 * time.Millisecond,
-					Job: &crossflow.Job{
-						Stream: "jobs", DataKey: fmt.Sprintf("r%d", j%keys), DataSizeMB: 100,
-					},
-				}
-			}
-			rep, err := crossflow.Run(crossflow.Config{
-				Workers: workers, Scheduler: crossflow.Bidding(), Shards: shards,
-				Workflow: wf, Arrivals: arrivals,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.JobsCompleted != jobs {
-				b.Fatalf("completed %d of %d", rep.JobsCompleted, jobs)
-			}
+			runFleet(b, crossflow.Config{Scheduler: crossflow.Bidding(), Shards: shards}, fleet, jobs, keys,
+				func(j int) time.Duration { return time.Duration(j/burst) * 800 * time.Millisecond })
 		}
 		if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 			b.ReportMetric(float64(b.N*jobs)/elapsed, "sim_jobs_per_sec")
 		}
-	}
-}
-
-// --- experiments ------------------------------------------------------------
-
-// benchFigure2Group1 regenerates Figure 2's first column group
-// (Spark-like vs Crossflow-Baseline, fast/slow fleet, all-different
-// large jobs) and reports the headline ratio alongside simulator cost.
-func benchFigure2Group1(b *testing.B) {
-	const jobsPerOp = 2 * 120 // two policies, one iteration each
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		spark, _ := core.PolicyByName("spark-like")
-		base, _ := core.PolicyByName("baseline")
-		cell, err := experiments.RunCell(workload.AllDiffLarge, cluster.FastSlow, experiments.SimOptions{
-			Iterations: 1, Seed: 1,
-			Policies: []core.Policy{spark, base},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = cell.Series["spark-like"].MeanSeconds() / cell.Series["baseline"].MeanSeconds()
-	}
-	b.ReportMetric(ratio, "spark_over_crossflow_ratio")
-	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(b.N*jobsPerOp)/elapsed, "sim_jobs_per_sec")
-	}
-}
-
-// benchFigure3Cell regenerates one Figure-3 cell (Bidding vs Baseline,
-// repetitive-small workload on the fast/slow fleet, the paper's
-// three warm-cache iterations) and reports the speedup metric.
-func benchFigure3Cell(b *testing.B) {
-	const jobsPerOp = 2 * 3 * 120 // two policies, three iterations each
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		cell, err := experiments.RunCell(workload.Rep80Small, cluster.FastSlow,
-			experiments.SimOptions{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = cell.Series["baseline"].MeanSeconds() / cell.Series["bidding"].MeanSeconds()
-	}
-	b.ReportMetric(speedup, "speedup_ratio")
-	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(b.N*jobsPerOp)/elapsed, "sim_jobs_per_sec")
 	}
 }

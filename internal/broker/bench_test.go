@@ -7,23 +7,8 @@ import (
 	"crossflow/internal/vclock"
 )
 
-// BenchmarkDirectSend measures point-to-point delivery throughput on
-// the simulated clock with zero latency (the engine's common case for
-// co-scheduled experiments).
-func BenchmarkDirectSend(b *testing.B) {
-	sim := vclock.NewSim()
-	bus := New(sim)
-	src := bus.Register("src", 0)
-	dst := bus.Register("dst", 0)
-	b.ReportAllocs()
-	sim.Go(func() {
-		for i := 0; i < b.N; i++ {
-			src.Send("dst", i)
-			dst.Inbox().Recv()
-		}
-	})
-	sim.Wait()
-}
+// The zero-latency send and five-subscriber fanout benches are
+// internal/bench's broker_* suite entries.
 
 // BenchmarkDirectSendWithLatency includes the timer-mediated delayed
 // delivery path.
@@ -37,29 +22,6 @@ func BenchmarkDirectSendWithLatency(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			src.Send("dst", i)
 			dst.Inbox().Recv()
-		}
-	})
-	sim.Wait()
-}
-
-// BenchmarkPublishFanout measures a bid-request broadcast to a
-// five-worker fleet.
-func BenchmarkPublishFanout(b *testing.B) {
-	sim := vclock.NewSim()
-	bus := New(sim)
-	master := bus.Register("master", 0)
-	subs := make([]*Endpoint, 5)
-	for i := range subs {
-		subs[i] = bus.Register(string(rune('a'+i)), 0)
-		subs[i].Subscribe("bids")
-	}
-	b.ReportAllocs()
-	sim.Go(func() {
-		for i := 0; i < b.N; i++ {
-			master.Publish("bids", i)
-			for _, s := range subs {
-				s.Inbox().Recv()
-			}
 		}
 	})
 	sim.Wait()

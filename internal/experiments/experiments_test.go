@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +281,28 @@ func TestSeedStudy(t *testing.T) {
 	}
 	if m, s := empty.Stat(func(Summary) float64 { return 1 }); m != 0 || s != 0 {
 		t.Error("empty study stat != 0")
+	}
+}
+
+// An empty seed list used to run opts.Seed's whole grid, throw it away
+// and render an empty table with a "0% win rate".
+func TestSeedStudyRejectsNoSeeds(t *testing.T) {
+	var built atomic.Int32
+	pol, _ := core.PolicyByName("bidding")
+	inner := pol.NewAllocator
+	pol.NewAllocator = func() engine.Allocator {
+		built.Add(1)
+		return inner()
+	}
+	opts := small()
+	opts.Policies = []core.Policy{pol}
+	for _, seeds := range [][]int64{nil, {}} {
+		if study, err := RunSeedStudy(seeds, opts); err == nil || study != nil {
+			t.Errorf("RunSeedStudy(%v) = %v, %v; want no study and an error", seeds, study, err)
+		}
+	}
+	if n := built.Load(); n != 0 {
+		t.Errorf("%d strands ran for an empty seed list", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,8 +19,11 @@ type SeedStudy struct {
 }
 
 // RunSeedStudy executes the full grid for each seed, as one flat list
-// of seeds × strands.
+// of seeds × strands. An empty seed list is an error, not a study.
 func RunSeedStudy(seeds []int64, opts SimOptions) (*SeedStudy, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("experiments: seed study needs at least one seed")
+	}
 	keys := gridKeys()
 	cells, err := runCells(keys, opts, seeds...)
 	if err != nil {

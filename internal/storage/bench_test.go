@@ -5,23 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkCachePutAccess measures the hot path of worker execution:
-// one Access plus one Put per job under steady eviction pressure.
-func BenchmarkCachePutAccess(b *testing.B) {
-	c := New(1000)
-	keys := make([]string, 256)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("repo-%03d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i%len(keys)]
-		if !c.Access(k) {
-			c.Put(k, 25)
-		}
-	}
-}
+// The Access+Put hot path is internal/bench's storage_cache_put_access
+// suite entry.
 
 // BenchmarkCacheContains measures the bid-estimation peek.
 func BenchmarkCacheContains(b *testing.B) {

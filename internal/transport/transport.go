@@ -63,8 +63,8 @@ type Options struct {
 }
 
 // WireStats counts raw connection traffic on a server, hello headers and
-// length prefixes included. The wire benchmark divides deltas by jobs
-// completed to report bytes/job.
+// length prefixes included. The repository benchmark's tcp_* workloads
+// divide deltas by jobs completed to report wire_bytes_per_job.
 type WireStats struct {
 	BytesIn  uint64
 	BytesOut uint64

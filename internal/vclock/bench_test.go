@@ -5,18 +5,8 @@ import (
 	"time"
 )
 
-// BenchmarkSimSleepEvents measures raw event throughput of the
-// simulated clock: one goroutine sleeping in a tight loop.
-func BenchmarkSimSleepEvents(b *testing.B) {
-	s := NewSim()
-	b.ReportAllocs()
-	s.Go(func() {
-		for i := 0; i < b.N; i++ {
-			s.Sleep(time.Second)
-		}
-	})
-	s.Wait()
-}
+// The single-sleeper, ping-pong and AfterFunc benches are
+// internal/bench's vclock_* suite entries.
 
 // BenchmarkSimParallelSleepers measures contention on the clock's
 // global lock with many concurrent sleepers.
@@ -34,40 +24,6 @@ func BenchmarkSimParallelSleepers(b *testing.B) {
 		}
 	}
 	startAll(s, sleepers...)
-	s.Wait()
-}
-
-// BenchmarkSimMailboxPingPong measures one full handoff cycle: send,
-// wake, receive, reply.
-func BenchmarkSimMailboxPingPong(b *testing.B) {
-	s := NewSim()
-	a, c := s.NewMailbox("a"), s.NewMailbox("b")
-	b.ReportAllocs()
-	startAll(s, func() {
-		for i := 0; i < b.N; i++ {
-			v, _ := a.Recv()
-			c.Send(v)
-		}
-	}, func() {
-		for i := 0; i < b.N; i++ {
-			a.Send(i)
-			c.Recv()
-		}
-	})
-	s.Wait()
-}
-
-// BenchmarkSimAfterFunc measures timer scheduling and firing.
-func BenchmarkSimAfterFunc(b *testing.B) {
-	s := NewSim()
-	b.ReportAllocs()
-	s.Go(func() {
-		for i := 0; i < b.N; i++ {
-			done := s.NewMailbox("t")
-			s.AfterFunc(time.Second, func() { done.Send(struct{}{}) })
-			done.Recv()
-		}
-	})
 	s.Wait()
 }
 
