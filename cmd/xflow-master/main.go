@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		brokerAddr = flag.String("broker", "localhost:7070", "broker address")
-		scheduler  = flag.String("scheduler", "bidding", "allocation policy (bidding|baseline|spark-like|matchmaking|random)")
+		scheduler  = flag.String("scheduler", "bidding", "allocation policy (bidding|baseline|spark-like|bidding-fast|bidding-topk|matchmaking|delay|random)")
 		workers    = flag.Int("workers", 2, "number of workers to wait for")
 		wlName     = flag.String("workload", "all_diff_equal", "job configuration")
 		jobs       = flag.Int("jobs", 24, "number of jobs to stream")

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		scheduler  = flag.String("scheduler", "bidding", "allocation policy (bidding|baseline|spark-like|matchmaking|random)")
+		scheduler  = flag.String("scheduler", "bidding", "allocation policy (bidding|baseline|spark-like|bidding-fast|bidding-topk|matchmaking|delay|random)")
 		wlName     = flag.String("workload", "all_diff_equal", "job configuration")
 		profName   = flag.String("workers", "all-equal", "worker configuration")
 		jobs       = flag.Int("jobs", 120, "jobs per run")

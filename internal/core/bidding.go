@@ -50,17 +50,8 @@ func (b *BiddingAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
 	b.book.broadcast(ctx, job.ID, b.Window)
 }
 
-// ContestSized implements the engine's pipelined-publish hook: the
-// reached count of an open unsized contest resolved.
-func (b *BiddingAllocator) ContestSized(ctx engine.AllocCtx, jobID string, reached int) {
-	if b.book.sized(jobID, reached) {
-		b.settle(ctx, jobID)
-	}
-}
-
 // BidReceived implements engine.Allocator: receiveBid (Listing 1,
-// lines 6–15). An unsized contest can only fast-close on a local bid;
-// the full-fleet arm waits for the count.
+// lines 6–15).
 func (b *BiddingAllocator) BidReceived(ctx engine.AllocCtx, bid engine.MsgBid) {
 	if open, full := b.book.bid(bid); open && (full || (b.FastLocalClose && bid.Local)) {
 		b.settle(ctx, bid.JobID)

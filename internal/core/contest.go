@@ -24,9 +24,7 @@ type contestBook struct {
 }
 
 type contest struct {
-	// expected is how many asked workers may still answer;
-	// engine.ContestUnsized while a pipelined publish's count is in
-	// flight.
+	// expected is how many asked live workers may still answer.
 	expected int
 	// targets is the candidate set of a targeted contest; nil for a
 	// broadcast contest, which accepts bids from anyone.
@@ -36,14 +34,12 @@ type contest struct {
 	bids []engine.MsgBid
 }
 
-// broadcast opens (or reopens) a whole-fleet contest for the job. On a
-// pipelined port the reached count is engine.ContestUnsized until sized
-// delivers it; bids arriving in between are collected as usual.
+// broadcast opens (or reopens) a whole-fleet contest for the job.
 func (k *contestBook) broadcast(ctx engine.AllocCtx, jobID string, window time.Duration) {
 	k.start(ctx, jobID, ctx.PublishBidRequest(jobID), nil, window)
 }
 
-// start books a contest whose bid request reached expected workers —
+// start books a contest whose bid request asked expected live workers —
 // the named targets, or the whole fleet when targets is nil — and arms
 // its window (zero means DefaultBidWindow, here and wherever the book
 // takes one).
@@ -62,34 +58,18 @@ func (k *contestBook) start(ctx engine.AllocCtx, jobID string, expected int, tar
 	ctx.ScheduleBidWindow(jobID, cmp.Or(window, DefaultBidWindow))
 }
 
-// sized resolves the reached count of an unsized contest and reports
-// whether every reached worker has already bid. A count of 0 keeps the
-// no-fleet semantics (wait for the window, then assign arbitrarily). A
-// worker that died between the publish and this event is still counted
-// — its missing bid holds the contest open until the window expires,
-// the same guarantee the synchronous path gives for workers dying after
-// the count returned.
-func (k *contestBook) sized(jobID string, reached int) (full bool) {
-	c := k.open[jobID]
-	if c == nil {
-		return false
-	}
-	c.expected = reached
-	return reached > 0 && len(c.bids) >= reached
-}
-
 // bid records a bid. open is false for a bid no contest wants: a late
 // one, or one from outside a targeted contest's candidate set — a
 // straggler from an earlier (pre-redispatch) round must not win a
 // contest that never asked that worker. full reports that every
-// expected bidder has now answered; an unsized contest never is.
+// expected bidder has now answered.
 func (k *contestBook) bid(b engine.MsgBid) (open, full bool) {
 	c := k.open[b.JobID]
 	if c == nil || (c.targets != nil && !c.targets[b.Worker]) {
 		return false, false
 	}
 	c.bids = append(c.bids, b)
-	return true, c.expected >= 0 && len(c.bids) >= c.expected
+	return true, len(c.bids) >= c.expected
 }
 
 // scrub removes a dead worker from every open contest. Its submitted

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"crossflow/internal/broker"
 	"crossflow/internal/engine"
+	"crossflow/internal/vclock"
 )
 
 // TestContestBookBroadcastAndTargetedAgree feeds one script of bids,
@@ -87,20 +89,97 @@ func TestContestBookBroadcastAndTargetedAgree(t *testing.T) {
 	}
 }
 
-// TestOnlyBroadcastBiddingIsContestSized pins which allocators take
-// pipelined publishes: the master hands engine.ContestUnsized to
-// exactly those with a ContestSized method. The contest book both
-// policies hold has a sizing operation, so it must stay a field — as an
-// embedded type it would leak the method onto TopKAllocator, whose
-// targeted contests are sized synchronously.
-func TestOnlyBroadcastBiddingIsContestSized(t *testing.T) {
-	type sizer interface {
-		ContestSized(ctx engine.AllocCtx, jobID string, reached int)
+// asyncPort is a master port with the TCP client's non-waiting publish.
+// Its future fails the test if called: the master sizes a contest from
+// its live set and never waits for the broker's count.
+type asyncPort struct {
+	*broker.Endpoint
+	t *testing.T
+}
+
+func (p asyncPort) PublishAsync(topic string, payload any) func() int {
+	n := p.Publish(topic, payload)
+	return func() int {
+		p.t.Error("master awaited a publish future")
+		return n
 	}
-	if _, ok := any(NewBidding()).(sizer); !ok {
-		t.Error("BiddingAllocator lost ContestSized")
+}
+
+// noGoClock fails the test when the master starts a goroutine.
+type noGoClock struct {
+	vclock.Clock
+	t *testing.T
+}
+
+func (c noGoClock) Go(fn func()) {
+	c.t.Error("master started a goroutine")
+	c.Clock.Go(fn)
+}
+
+// TestMasterNeverAwaitsPublishFuture runs a bidding contest through a
+// master whose port publishes without waiting: the contest must settle
+// on the last live bid, with no goroutine started and the publish
+// future never called.
+func TestMasterNeverAwaitsPublishFuture(t *testing.T) {
+	sim := vclock.NewSim()
+	bus := broker.New(sim)
+	fleet := []string{"w0", "w1"}
+	m := engine.NewClusterMaster(noGoClock{sim, t},
+		asyncPort{bus.Register(engine.MasterName, 0), t}, NewBidding(), len(fleet), nil)
+	eps := make([]*broker.Endpoint, len(fleet))
+	for i, w := range fleet {
+		eps[i] = bus.Register(w, 0)
+		eps[i].Subscribe(engine.TopicBids)
 	}
-	if _, ok := any(NewTopK()).(sizer); ok {
-		t.Error("TopKAllocator grew ContestSized")
+	// recvBidRequest skips ep's inbox to the next bid request.
+	recvBidRequest := func(ep *broker.Endpoint) engine.MsgBidRequest {
+		for {
+			v, _ := ep.Inbox().Recv()
+			if req, ok := v.(*broker.Envelope).Payload.(engine.MsgBidRequest); ok {
+				return req
+			}
+		}
+	}
+	m.Start()
+	var rep *engine.Report
+	sim.Go(func() {
+		for i, w := range fleet {
+			eps[i].Send(engine.MasterName, engine.MsgRegister{Worker: w})
+		}
+		m.WaitReady()
+		wf := engine.NewWorkflow("async")
+		wf.MustAddTask(engine.TaskSpec{Name: "analyze", Input: "jobs"})
+		sess := m.OpenSession("async", wf)
+		sess.Submit(&engine.Job{ID: "j", Stream: "jobs", DataSizeMB: 1})
+		for i, w := range fleet {
+			req := recvBidRequest(eps[i])
+			est := time.Duration(len(fleet)-i) * time.Second // w1 bids lowest
+			eps[i].Send(engine.MasterName, engine.MsgBid{JobID: req.Job.ID, Worker: w, Estimate: est, JobCost: est})
+		}
+		for {
+			v, _ := eps[1].Inbox().Recv()
+			if a, ok := v.(*broker.Envelope).Payload.(engine.MsgAssign); ok {
+				eps[1].Send(engine.MasterName, engine.MsgJobDone{JobID: a.Job.ID, Worker: "w1"})
+				break
+			}
+		}
+		sess.Close()
+		rep = sess.Wait()
+		m.Shutdown()
+	})
+	sim.Wait()
+
+	if rep == nil {
+		t.Fatal("session report missing")
+	}
+	rec := rep.Records["j"]
+	if rec == nil || rec.Worker != "w1" {
+		t.Fatalf("record = %+v, want j won by w1", rec)
+	}
+	if wait := rec.Queued.Sub(rec.Injected); wait >= DefaultBidWindow/2 || rep.Fallbacks != 0 {
+		t.Errorf("assigned after %v with %d fallbacks, want on the last bid", wait, rep.Fallbacks)
+	}
+	if rep.ContestMsgs != len(fleet) {
+		t.Errorf("ContestMsgs = %d, want %d: one request per live worker", rep.ContestMsgs, len(fleet))
 	}
 }

@@ -70,16 +70,12 @@ type AllocCtx interface {
 	// SendNoWork answers a pulling worker that nothing is available.
 	SendNoWork(worker string, backoff time.Duration)
 	// PublishBidRequest broadcasts a contest for the job to all workers
-	// and returns the number of workers it reached — or ContestUnsized
-	// when the reached count is pipelined: that happens only when the
-	// port publishes asynchronously (a TCP client pipelining publish
-	// acks) AND the allocator implements ContestSized to receive the
-	// count when the ack lands. Allocators without that hook always get
-	// the synchronous count.
+	// and returns how many bids to expect: the number of live workers at
+	// publish. It does not wait for the broker to report whom it reached.
 	PublishBidRequest(jobID string) int
 	// PublishBidRequestTo opens a targeted contest: the bid request goes
-	// only to the named workers (dead ones are skipped) and the number
-	// actually reached is returned. Contest cost is O(len(workers))
+	// only to the named workers (ones not live are skipped) and the
+	// number of live targets is returned. Contest cost is O(len(workers))
 	// instead of O(fleet), which is what lets index-driven policies
 	// scale; the caller must fall back to PublishBidRequest (or another
 	// assignment path) when it returns 0, so no job starves on a stale
@@ -93,13 +89,6 @@ type AllocCtx interface {
 	// "assigns the job to an arbitrary node" fallback).
 	Rand() *rand.Rand
 }
-
-// ContestUnsized is the PublishBidRequest return value meaning "the
-// reached count is in flight": the bid request is on the wire, bids may
-// already be arriving, and the count will follow through the
-// allocator's ContestSized hook. A contest opened unsized can close
-// only by that hook, a fast-local bid, or its window expiring.
-const ContestUnsized = -1
 
 // NopAllocator provides no-op defaults for the optional Allocator
 // events; policy implementations embed it and override what they use.

@@ -250,6 +250,68 @@ func testClusterDrainWhileContestInFlight(t *testing.T, shards int) {
 	}
 }
 
+// TestContestDuringDrainClosesOnLastLiveBid opens a contest while a
+// worker is draining: it is still subscribed to bid requests but no
+// longer live, so the contest expects only the live workers and closes
+// on the last of their bids instead of waiting out the window.
+func TestContestDuringDrainClosesOnLastLiveBid(t *testing.T) {
+	forEachPlane(t, testContestDuringDrainClosesOnLastLiveBid)
+}
+
+func testContestDuringDrainClosesOnLastLiveBid(t *testing.T, shards int) {
+	clk := vclock.NewSim()
+	c, err := engine.NewCluster(biddingPlane(shards, engine.ClusterConfig{
+		Clock:   clk,
+		Workers: testCluster(3, 20, 100, 0),
+	}))
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	var rep *engine.Report
+	c.Start(func() {
+		c.WaitReady()
+		sess, err := c.Open("drain-probe", namedWorkflow("drain-probe", "P:"))
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
+		// Two 20 s jobs, two windows apart: w0 wins the first, w1 the
+		// second, so w1's drain stays pending while it works.
+		for i := 0; i < 2; i++ {
+			sess.Submit(&engine.Job{ID: fmt.Sprintf("big%d", i), Stream: "work",
+				DataKey: fmt.Sprintf("rb%d", i), DataSizeMB: 400})
+			clk.Sleep(2 * core.DefaultBidWindow)
+		}
+		drained := clk.NewMailbox("drained")
+		clk.Go(func() {
+			c.Drain("w1")
+			drained.Send(struct{}{})
+		})
+		clk.Sleep(10 * time.Millisecond)
+		sess.Submit(&engine.Job{ID: "probe", Stream: "work", DataKey: "rp", DataSizeMB: 1})
+		sess.Close()
+		rep = sess.Wait()
+		drained.Recv()
+		c.Stop()
+	})
+	clk.Wait()
+
+	if rep == nil {
+		t.Fatal("session report missing")
+	}
+	probe := rep.Records["probe"]
+	if probe == nil || probe.Status != engine.StatusFinished {
+		t.Fatalf("probe record = %+v, want finished", probe)
+	}
+	if probe.Worker == "w1" {
+		t.Errorf("draining w1 won the probe")
+	}
+	if wait := probe.Queued.Sub(probe.Injected); wait >= core.DefaultBidWindow/2 {
+		t.Errorf("probe waited %v for assignment, want < %v: the draining worker held the contest open",
+			wait, core.DefaultBidWindow/2)
+	}
+}
+
 // TestClusterJoinImmediatelyLeave joins a fast worker holding the hot
 // data, lets it win the wave, then yanks it with Leave while its queue
 // is full — operationally a controlled crash moments after joining.

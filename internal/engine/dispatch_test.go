@@ -122,7 +122,6 @@ func TestMasterDispatchAcceptsEveryKind(t *testing.T) {
 		MsgRegister{Worker: "w2"},
 		MsgBid{JobID: "j1", Worker: "w1", Estimate: time.Second, JobCost: time.Second},
 		MsgBidWindowExpired{JobID: "j1"},
-		msgContestSized{JobID: "j1", Count: 1},
 		MsgAccept{JobID: "j1", Worker: "w1"},
 		MsgReject{JobID: "j1", Worker: "w1"},
 		MsgRequestJob{Worker: "w1", CachedKeys: []string{"k"}},

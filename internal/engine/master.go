@@ -98,8 +98,8 @@ func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 }
 
 // Run executes the master actor as a blocking loop until Shutdown, for
-// a caller that owns the goroutine; it must run on a clock-tracked
-// goroutine (clk.Go). Use Start or Run, not both.
+// a caller that owns the goroutine; it must run on a goroutine the
+// clock tracks (started with its Go). Use Start or Run, not both.
 func (m *Master) Run() { m.run() }
 
 // report builds session s's report (timings, statuses, scheduling
@@ -158,14 +158,6 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case MsgBidWindowExpired:
 		m.sessFor(msg.JobID)
 		m.alloc.BidWindowExpired(m, msg.JobID)
-	case msgContestSized:
-		// A pipelined publish ack resolved: account the contest's fanout
-		// now (the synchronous path counts it inline) and let the
-		// allocator resize the open contest.
-		m.sessFor(msg.JobID).contestMsgs += msg.Count
-		if sizer, ok := m.alloc.(contestSizer); ok {
-			sizer.ContestSized(m, msg.JobID, msg.Count)
-		}
 	case MsgAccept:
 		m.onAccept(msg)
 	case MsgReject:
@@ -510,28 +502,18 @@ func (m *Master) SendNoWork(worker string, backoff time.Duration) {
 	m.ep.Send(worker, MsgNoWork{Backoff: backoff})
 }
 
-// asyncPublisher is the optional pipelined-publish capability a Port
-// may provide (the TCP transport client does): the publish goes on the
-// wire immediately and the returned future resolves to the subscriber
-// count when the server's ack lands.
+// asyncPublisher is the optional non-waiting publish a Port may
+// provide (the TCP transport client does). The master uses it only to
+// publish without waiting for the broker's ack, and drops the future.
 type asyncPublisher interface {
 	PublishAsync(topic string, payload any) func() int
 }
 
-// contestSizer is the optional allocator hook that receives a
-// pipelined contest's reached count once it resolves. Only allocators
-// implementing it get ContestUnsized from PublishBidRequest.
-type contestSizer interface {
-	ContestSized(ctx AllocCtx, jobID string, reached int)
-}
-
-// PublishBidRequest implements AllocCtx. On a port with pipelined
-// publishes — and an allocator able to consume a late count — the bid
-// request departs without waiting for its ack: bids can overlap the
-// ack round-trip, and the reached count re-enters the master loop as a
-// msgContestSized event. Everywhere else (the simulator's in-process
-// broker in particular) the publish stays synchronous, byte-identical
-// to previous releases.
+// PublishBidRequest implements AllocCtx. The contest's expected bidders
+// are the live workers at publish: the master already counts bids only
+// from them, so it never waits for the broker's reached count. A live
+// worker the request did not reach is a late bidder — the window closes
+// without it.
 //
 //xflow:goroutine master-loop
 func (m *Master) PublishBidRequest(jobID string) int {
@@ -544,15 +526,11 @@ func (m *Master) PublishBidRequest(jobID string) int {
 	m.trace(TraceContest, jobID, "")
 	req := MsgBidRequest{Job: rec.Job}
 	if ap, ok := m.ep.(asyncPublisher); ok {
-		if _, ok := m.alloc.(contestSizer); ok {
-			wait := ap.PublishAsync(TopicBids, req)
-			m.clk.Go(func() {
-				m.Inject(msgContestSized{JobID: jobID, Count: wait()})
-			})
-			return ContestUnsized
-		}
+		ap.PublishAsync(TopicBids, req)
+	} else {
+		m.ep.Publish(TopicBids, req)
 	}
-	n := m.ep.Publish(TopicBids, req)
+	n := m.liveCount()
 	s.contestMsgs += n
 	return n
 }
@@ -564,11 +542,11 @@ type multiSender interface {
 	SendMulti(targets []string, payload any) int
 }
 
-// PublishBidRequestTo implements AllocCtx: a targeted contest reaching
+// PublishBidRequestTo implements AllocCtx: a targeted contest asking
 // only the named workers. Targets that are not live registered workers
-// are skipped; the trace records one contest event per reached target
-// (Node = target), so trace consumers can check assignments against the
-// contested set.
+// are skipped, and the contest is sized by the live targets; the trace
+// records one contest event per live target (Node = target), so trace
+// consumers can check assignments against the contested set.
 //
 //xflow:goroutine master-loop
 func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
@@ -588,21 +566,18 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 	s := rec.sess
 	s.contests++
 	req := MsgBidRequest{Job: rec.Job}
-	var n int
 	if ms, ok := m.ep.(multiSender); ok {
-		n = ms.SendMulti(live, req)
+		ms.SendMulti(live, req)
 	} else {
 		for _, w := range live {
-			if m.ep.Send(w, req) {
-				n++
-			}
+			m.ep.Send(w, req)
 		}
 	}
-	s.contestMsgs += n
+	s.contestMsgs += len(live)
 	for _, w := range live {
 		m.trace(TraceContest, jobID, w)
 	}
-	return n
+	return len(live)
 }
 
 // ScheduleBidWindow implements AllocCtx.

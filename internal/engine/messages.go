@@ -276,20 +276,6 @@ type msgDrainStart struct {
 //xflow:msg master
 type msgShutdown struct{}
 
-// msgContestSized resolves the reached count of a pipelined bid-request
-// publish. When the port can publish asynchronously (a TCP client
-// pipelining acks), PublishBidRequest returns ContestUnsized
-// immediately and a clock-tracked goroutine waits for the server's
-// subscriber count; this message carries that count back into the
-// master loop, where the allocator's ContestSized hook resizes the open
-// contest. Master-internal: it never crosses the wire.
-//
-//xflow:msg master
-type msgContestSized struct {
-	JobID string
-	Count int
-}
-
 // msgShardSettled is a contest shard's notice to the sharded frontend
 // that one of its jobs reached a terminal state, carrying any
 // downstream jobs the task produced so the router can re-partition them

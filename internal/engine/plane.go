@@ -255,6 +255,12 @@ func (ms *membership) abandonQuorum() {
 //xflow:goroutine plane-loop
 func (ms *membership) live(worker string) bool { return ms.workerSet[worker] }
 
+// liveCount is the size of the live set: the bidders a broadcast
+// contest expects.
+//
+//xflow:goroutine plane-loop
+func (ms *membership) liveCount() int { return len(ms.workers) }
+
 // Workers returns a copy of the live set in registration order (it
 // implements AllocCtx on a Master): deaths splice the internal slice in
 // place, so handing out the alias would let one mutate a list an

@@ -369,9 +369,10 @@ type Report struct {
 	// data-load metric. Downloads counts individual transfers.
 	DataLoadMB float64
 	Downloads  int
-	// Scheduling diagnostics. ContestMsgs counts individual bid-request
-	// deliveries (broadcast reach plus targeted sends) — the wire cost
-	// that separates O(fleet) from O(K) contest policies.
+	// Scheduling diagnostics. ContestMsgs counts bid requests addressed
+	// to live workers (the live set per broadcast, the live targets per
+	// targeted contest) — the wire cost that separates O(fleet) from
+	// O(K) contest policies.
 	Offers           int
 	Rejections       int
 	Contests         int

@@ -182,7 +182,7 @@ func mergeReports(reports []*Report) *Report {
 func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
 	switch msg := env.Payload.(type) {
-	//xflow:unhandled MsgBidWindowExpired,MsgTick,msgContestSized shard-local self-timers inject straight into the owning part's inbox and never transit the frontend
+	//xflow:unhandled MsgBidWindowExpired,MsgTick shard-local self-timers inject straight into the owning part's inbox and never transit the frontend
 	case MsgRegister:
 		sm.onRegister(env, msg)
 	case MsgBid:

@@ -8,9 +8,10 @@
 // binary frames with fixed per-message encoders, behind a versioned
 // connection header both ends open with. Clients follow the header
 // with a hello frame naming their endpoint; afterwards they exchange
-// sends, publishes, subscriptions and deliveries. Publish is
-// acknowledged with the subscriber count so the bidding master knows
-// how many bids to expect, exactly as the in-process broker reports it.
+// sends, publishes, subscriptions and deliveries. Publish and multicast
+// are acknowledged with the reached count, as the in-process broker
+// reports it. The master does not wait for a publish ack: a contest
+// expects the master's live set.
 //
 // Three throughput mechanisms sit on top of the encoding. Writers are
 // buffered, and ack-bearing frames (publish, multicast, hello,
@@ -736,15 +737,16 @@ func (c *Client) Send(to string, payload any) bool {
 }
 
 // Publish implements engine.Port: it blocks for the server's subscriber
-// count (the bidding master sizes contests with it).
+// count. The master does not call it (see PublishAsync); the frozen
+// benchmark module's probes do, and wait on the count.
 func (c *Client) Publish(topic string, payload any) int {
 	return c.ackFuture(&wire.Frame{Kind: wire.KindPublish, Topic: topic, Payload: payload})()
 }
 
 // PublishAsync publishes without blocking and returns a future for the
-// subscriber count. The engine's bidding master uses it to pipeline
-// contest rounds: the bid request is on the wire immediately, bids can
-// start arriving, and the reached count lands when the ack does.
+// subscriber count. The master publishes bid requests with it and drops
+// the future; only the frozen benchmark module's probes await it. The
+// ack and both futures can go when the benchmark is next changed.
 func (c *Client) PublishAsync(topic string, payload any) func() int {
 	return c.ackFuture(&wire.Frame{Kind: wire.KindPublish, Topic: topic, Payload: payload})
 }
