@@ -13,7 +13,6 @@ package broker
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -150,7 +149,7 @@ func (b *Broker) skewLocked(from *Endpoint, to string) time.Duration {
 	if b.direct {
 		return 0
 	}
-	return from.skewLocked(to)
+	return skewFrom(from.skewSeed, to)
 }
 
 // SetDropFunc installs a delivery-loss model for fault injection.
@@ -178,11 +177,11 @@ func (b *Broker) Register(name string, link time.Duration) *Endpoint {
 		panic(fmt.Sprintf("broker: endpoint %q already registered", name))
 	}
 	ep := &Endpoint{
-		broker: b,
-		name:   name,
-		link:   link,
-		inbox:  b.clk.NewMailbox("inbox:" + name),
-		skewTo: make(map[string]time.Duration),
+		broker:   b,
+		name:     name,
+		link:     link,
+		inbox:    b.clk.NewMailbox("inbox:" + name),
+		skewSeed: routeSeed(name),
 	}
 	b.endpoints[name] = ep
 	return ep
@@ -256,38 +255,46 @@ func (b *Broker) send(from *Endpoint, to string, payload any) bool {
 	return true
 }
 
-// maxRouteSkew bounds routeSkew, in nanoseconds: under 66µs, well below
-// any configured link latency, but enough hash space that two routes
-// into the same inbox virtually never collide.
+// maxRouteSkew bounds a route skew, in nanoseconds: under 66µs, well
+// below any configured link latency, but enough hash space that two
+// routes into the same inbox virtually never collide.
 const maxRouteSkew = 0xFFFF
 
-// routeSkew returns a deterministic sub-65µs propagation skew keyed by
-// the (from, to) route. Without it, two senders handing the broker
-// messages at the same simulated instant over equal-latency links would
-// deliver at the same deadline, and equal-deadline timers fire in the
-// order the senders won the broker lock — an OS-scheduling race that
-// same-seed re-runs may resolve differently. The skew separates the
-// deadlines of distinct routes by message content alone, the way no two
-// physical paths ever share an exact propagation delay. Messages on the
-// same route keep their causal send order (same skew, monotone timer
-// sequence).
-func routeSkew(from, to string) time.Duration {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(from))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(to))
-	return time.Duration(h.Sum64() & maxRouteSkew)
+// A route skew is a deterministic sub-65µs propagation skew keyed by the
+// (from, to) route. Without it, two senders handing the broker messages
+// at the same simulated instant over equal-latency links would deliver
+// at the same deadline, and equal-deadline timers fire in the order the
+// senders won the broker lock — an OS-scheduling race that same-seed
+// re-runs may resolve differently. The skew separates the deadlines of
+// distinct routes by message content alone, the way no two physical
+// paths ever share an exact propagation delay. Messages on the same
+// route keep their causal send order (same skew, monotone timer
+// sequence). It is the low bits of 64-bit FNV-1a over from, a zero byte
+// and to: routeSeed hashes the sender's part once, at Register, and
+// skewFrom the receiver's name per delivery.
+
+// 64-bit FNV-1a parameters (as in hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// routeSeed is the FNV-1a state after from and the zero separator.
+func routeSeed(from string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(from); i++ {
+		h = (h ^ uint64(from[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // the zero separator: h ^ 0 == h
 }
 
-// skewLocked returns routeSkew(ep.name, to), memoized per route so the
-// steady-state delivery path never re-hashes. Caller holds broker.mu.
-func (ep *Endpoint) skewLocked(to string) time.Duration {
-	if d, ok := ep.skewTo[to]; ok {
-		return d
+// skewFrom finishes a route hash begun by routeSeed: the route's skew.
+func skewFrom(seed uint64, to string) time.Duration {
+	h := seed
+	for i := 0; i < len(to); i++ {
+		h = (h ^ uint64(to[i])) * fnvPrime64
 	}
-	d := routeSkew(ep.name, to)
-	ep.skewTo[to] = d
-	return d
+	return time.Duration(h & maxRouteSkew)
 }
 
 // delivery is one scheduled fanout target.
@@ -461,8 +468,9 @@ type Endpoint struct {
 	name   string
 	link   time.Duration
 	inbox  vclock.Mailbox
-	down   bool                     // guarded by broker.mu
-	skewTo map[string]time.Duration // memoized routeSkew, guarded by broker.mu
+	down   bool // guarded by broker.mu
+	// skewSeed is routeSeed(name); immutable.
+	skewSeed uint64
 }
 
 // Name returns the endpoint's registered name.

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
@@ -49,6 +50,27 @@ func TestDirectSendArrivesAfterLinkLatency(t *testing.T) {
 	}
 	if !env.SentAt.Equal(vclock.Epoch) {
 		t.Errorf("SentAt = %v, want epoch", env.SentAt)
+	}
+}
+
+// routeSkew is the broker's skew on the route from → to.
+func routeSkew(from, to string) time.Duration { return skewFrom(routeSeed(from), to) }
+
+// TestRouteSkewIsFNV1a pins the seeded route hash to hash/fnv's 64-bit
+// FNV-1a over from, a zero byte and to: every simulated delivery time,
+// and so every seeded trace, depends on it.
+func TestRouteSkewIsFNV1a(t *testing.T) {
+	names := []string{"", "a", "c", "master", "shard-1", "w0", "w499", "worker-12", "pub"}
+	for _, from := range names {
+		for _, to := range names {
+			h := fnv.New64a()
+			_, _ = h.Write([]byte(from))
+			_, _ = h.Write([]byte{0})
+			_, _ = h.Write([]byte(to))
+			if want := time.Duration(h.Sum64() & maxRouteSkew); routeSkew(from, to) != want {
+				t.Errorf("routeSkew(%q, %q) = %d, want %d", from, to, routeSkew(from, to), want)
+			}
+		}
 	}
 }
 

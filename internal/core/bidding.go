@@ -100,9 +100,9 @@ func (*BiddingAgent) Start(*engine.Worker) {}
 
 // OnBidRequest implements engine.Agent: sendBid (Listing 2, lines 1–7).
 func (*BiddingAgent) OnBidRequest(w *engine.Worker, job *engine.Job) {
-	workload := w.QueuedCost()                                          // line 2: totalCostOfUnfinishedJobs
-	jobCost := w.EstimateJob(job)                                       // lines 4–5: transfer + processing
-	w.SubmitBid(job.ID, workload+jobCost, jobCost, w.JobDataLocal(job)) // line 6
+	workload := w.QueuedCost()                            // line 2: totalCostOfUnfinishedJobs
+	jobCost, local := w.EstimateJob(job)                  // lines 4–5: transfer + processing
+	w.SubmitBid(job.ID, workload+jobCost, jobCost, local) // line 6
 }
 
 // OnOffer implements engine.Agent. The bidding protocol never offers,

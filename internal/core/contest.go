@@ -29,8 +29,8 @@ type contest struct {
 	// targets is the candidate set of a targeted contest; nil for a
 	// broadcast contest, which accepts bids from anyone.
 	targets map[string]bool
-	// bids keeps arrival order: the stable winner sort resolves ties on
-	// equal estimate and name by it.
+	// bids keeps arrival order: among bids of equal estimate and name
+	// the earliest arrival wins.
 	bids []engine.MsgBid
 }
 
@@ -47,7 +47,9 @@ func (k *contestBook) start(ctx engine.AllocCtx, jobID string, expected int, tar
 	if k.open == nil {
 		k.open = make(map[string]*contest)
 	}
-	c := &contest{expected: expected}
+	// Room for every bid the request can draw: a wide fleet's contest
+	// would otherwise regrow its slice at each doubling.
+	c := &contest{expected: expected, bids: make([]engine.MsgBid, 0, expected)}
 	if targets != nil {
 		c.targets = make(map[string]bool, len(targets))
 		for _, w := range targets {
@@ -107,7 +109,8 @@ func (k *contestBook) scrub(worker string) (full []string) {
 
 // settle concludes a contest — getPreferredWorker (Listing 1, lines
 // 17–27) — and returns whom to assign the job and at what believed
-// cost: the lowest estimate wins, ties by worker name. Without a bid,
+// cost: the lowest estimate wins, ties by worker name, then by arrival
+// (a re-broadcast straggler can bid twice under one name). Without a bid,
 // a broadcast contest falls back to an arbitrary worker (counted), or
 // retries shortly when there are no workers at all; a targeted one,
 // whose candidates all timed out or died, reopens as a broadcast
@@ -121,13 +124,15 @@ func (k *contestBook) settle(ctx engine.AllocCtx, jobID string, window time.Dura
 	}
 	delete(k.open, jobID)
 	if len(c.bids) > 0 {
-		sort.SliceStable(c.bids, func(i, j int) bool {
-			if c.bids[i].Estimate != c.bids[j].Estimate {
-				return c.bids[i].Estimate < c.bids[j].Estimate
+		// One pass; strict comparisons keep the earliest of equal bids.
+		best := &c.bids[0]
+		for i := 1; i < len(c.bids); i++ {
+			if b := &c.bids[i]; b.Estimate < best.Estimate ||
+				(b.Estimate == best.Estimate && b.Worker < best.Worker) {
+				best = b
 			}
-			return c.bids[i].Worker < c.bids[j].Worker
-		})
-		return c.bids[0].Worker, c.bids[0].JobCost, true
+		}
+		return best.Worker, best.JobCost, true
 	}
 	if c.targets != nil {
 		countFallback(ctx)

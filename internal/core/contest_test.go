@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -86,6 +89,76 @@ func TestContestBookBroadcastAndTargetedAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSettlePicksTheStableSortWinner checks the one-pass winner against
+// element 0 of a stable sort on (estimate, worker) over random bid
+// lists: heavy estimate ties, one name bidding several times (a
+// re-broadcast straggler) with distinct job costs so the earliest of
+// equal bids must win, contests of 0, 1 and 500 bids, and a scrub
+// between bidding and settling.
+func TestSettlePicksTheStableSortWinner(t *testing.T) {
+	fleet := make([]string, 500)
+	for i := range fleet {
+		fleet[i] = fmt.Sprintf("w%d", i)
+	}
+	// reference is the stable-sort settle, fallback draw included.
+	reference := func(ctx *fakeCtx, bids []engine.MsgBid) (string, time.Duration, bool) {
+		if len(bids) == 0 {
+			return ctx.workers[ctx.Rand().Intn(len(ctx.workers))], 0, true
+		}
+		sorted := append([]engine.MsgBid(nil), bids...)
+		sort.SliceStable(sorted, func(i, j int) bool {
+			if sorted[i].Estimate != sorted[j].Estimate {
+				return sorted[i].Estimate < sorted[j].Estimate
+			}
+			return sorted[i].Worker < sorted[j].Worker
+		})
+		return sorted[0].Worker, sorted[0].JobCost, true
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := []int{0, 1, 500}[trial%3]
+		if trial >= 30 {
+			n = 2 + rng.Intn(60)
+		}
+		// Few names and fewer estimates: repeated names, heavy ties.
+		names := fleet[:1+rng.Intn(len(fleet))]
+		if rng.Intn(2) == 0 {
+			names = fleet[:1+rng.Intn(4)]
+		}
+		spread := 1 + rng.Intn(4)
+		if rng.Intn(4) == 0 {
+			spread = 1000
+		}
+		ctx := newFakeCtx(fleet...)
+		var book contestBook
+		book.broadcast(ctx, "j", time.Second)
+		var bids []engine.MsgBid
+		for i := 0; i < n; i++ {
+			b := engine.MsgBid{JobID: "j", Worker: names[rng.Intn(len(names))],
+				Estimate: time.Duration(rng.Intn(spread)), JobCost: time.Duration(i)}
+			book.bid(b)
+			bids = append(bids, b)
+		}
+		if rng.Intn(4) == 0 {
+			dead := names[rng.Intn(len(names))]
+			book.scrub(dead)
+			kept := bids[:0]
+			for _, b := range bids {
+				if b.Worker != dead {
+					kept = append(kept, b)
+				}
+			}
+			bids = kept
+		}
+		wantW, wantC, wantOK := reference(ctx, bids)
+		gotW, gotC, gotOK := book.settle(ctx, "j", time.Second)
+		if gotW != wantW || gotC != wantC || gotOK != wantOK {
+			t.Fatalf("trial %d (%d bids): settle = (%s, %v, %t), stable sort = (%s, %v, %t)",
+				trial, len(bids), gotW, gotC, gotOK, wantW, wantC, wantOK)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // allocator that keeps protocol state between events renders it in a
 // canonical order so two exploration paths reaching the same state
 // produce byte-identical fingerprints. Bid lists keep arrival order —
-// it is part of the state (stable sort ties resolve by it) — while
-// map-keyed collections are emitted sorted.
+// it is part of the state (among equal estimate and name the earliest
+// arrival wins) — while map-keyed collections are emitted sorted.
 
 // StateDigest implements engine.StateDigester.
 func (b *BiddingAllocator) StateDigest() string {

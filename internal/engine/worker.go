@@ -87,8 +87,8 @@ type Worker struct {
 	// the exchange (the From of its bid request, offer, or assignment).
 	// Replies about that job go back to the same endpoint: on a sharded
 	// plane that is the owning contest shard directly — skipping a
-	// frontend hop on the hottest protocol path — while on a single
-	// master the origin is always MasterName and nothing changes.
+	// frontend hop on the hottest protocol path. MasterName, the default,
+	// is never stored, so on a single master the map stays empty.
 	jobOrigin map[string]string //xflow:owned mu=mu
 }
 
@@ -276,7 +276,7 @@ func (w *Worker) commsLoop() {
 			w.recordOrigin(msg.Job.ID, env.From)
 			est := msg.EstimatedCost
 			if est <= 0 {
-				est = w.EstimateJob(msg.Job)
+				est, _ = w.EstimateJob(msg.Job)
 			}
 			w.enqueue(msg.Job, est)
 		case MsgOffer:
@@ -494,19 +494,21 @@ func (w *Worker) QueuedCost() time.Duration {
 }
 
 // EstimateJob returns the believed data-transfer plus processing cost of
-// job on this worker (Listing 2, lines 4–5). Data counts as local if it
-// is cached or if an unfinished queued job will already fetch it — the
-// §5 estimate covers "the time to download resources and execute all
-// unfinished jobs", so a committed download is never priced twice. A
-// job's CostHint, when set, replaces the speed-derived processing
-// estimate.
-func (w *Worker) EstimateJob(job *Job) time.Duration {
-	hasData := job.DataKey == "" || w.cache.Contains(job.DataKey) || w.dataPending(job.DataKey)
-	transfer := w.costs.TransferEstimate(hasData, job.DataSizeMB)
+// job on this worker (Listing 2, lines 4–5), and whether the job's data
+// is local. Data counts as local if it is cached or if an unfinished
+// queued job will already fetch it — the §5 estimate covers "the time to
+// download resources and execute all unfinished jobs", so a committed
+// download is never priced twice. Both results come from one locality
+// read, so a bid's Local flag always agrees with the estimate it
+// carries. A job's CostHint, when set, replaces the speed-derived
+// processing estimate.
+func (w *Worker) EstimateJob(job *Job) (cost time.Duration, local bool) {
+	local = job.DataKey == "" || w.cache.Contains(job.DataKey) || w.dataPending(job.DataKey)
+	transfer := w.costs.TransferEstimate(local, job.DataSizeMB)
 	if job.CostHint > 0 {
-		return transfer + job.CostHint
+		return transfer + job.CostHint, local
 	}
-	return transfer + w.costs.ProcessEstimate(job.computeMB())
+	return transfer + w.costs.ProcessEstimate(job.computeMB()), local
 }
 
 // dataPending reports whether an unfinished queued job will fetch key.
@@ -542,23 +544,31 @@ func (w *Worker) notifyEvictions(keys []string) {
 
 // recordOrigin notes which control-plane endpoint opened an exchange
 // about a job (see the jobOrigin field). An empty from (a locally
-// injected payload) is ignored so a stale real origin survives.
+// injected payload) is ignored so a stale real origin survives;
+// MasterName only clears one.
 func (w *Worker) recordOrigin(jobID, from string) {
 	if from == "" {
 		return
 	}
 	w.mu.Lock()
-	w.jobOrigin[jobID] = from
+	if from != MasterName {
+		w.jobOrigin[jobID] = from
+	} else if len(w.jobOrigin) > 0 {
+		delete(w.jobOrigin, jobID)
+	}
 	w.mu.Unlock()
 }
 
 // originOf returns the endpoint replies about a job go to — the
-// recorded origin, or MasterName when the job has none (e.g. a pull
-// assignment raced the worker's death notice). forget drops the entry:
-// pass true on the exchange's final message.
+// recorded origin, or MasterName when the job has none (a single
+// master's, or a pull assignment that raced the worker's death notice).
+// forget drops the entry: pass true on the exchange's final message.
 func (w *Worker) originOf(jobID string, forget bool) string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if len(w.jobOrigin) == 0 {
+		return MasterName
+	}
 	to, ok := w.jobOrigin[jobID]
 	if forget {
 		delete(w.jobOrigin, jobID)
@@ -567,12 +577,6 @@ func (w *Worker) originOf(jobID string, forget bool) string {
 		return MasterName
 	}
 	return to
-}
-
-// JobDataLocal reports whether the job's data is local to this worker —
-// cached already, or committed to be fetched by a queued job.
-func (w *Worker) JobDataLocal(job *Job) bool {
-	return job.DataKey == "" || w.cache.Contains(job.DataKey) || w.dataPending(job.DataKey)
 }
 
 // SubmitBid sends a bid for job after the worker's bid-computation
@@ -598,7 +602,8 @@ func (w *Worker) sendBid(bid MsgBid) {
 // AcceptOffer takes an offered job into the local queue and notifies the
 // master.
 func (w *Worker) AcceptOffer(job *Job) {
-	w.enqueue(job, w.EstimateJob(job))
+	est, _ := w.EstimateJob(job)
+	w.enqueue(job, est)
 	// Keep the origin: the job is queued here now, and its MsgJobDone
 	// must reach the same contest shard.
 	w.ep.Send(w.originOf(job.ID, false), MsgAccept{JobID: job.ID, Worker: w.name})

@@ -37,23 +37,26 @@ func TestEstimateJobComponents(t *testing.T) {
 	w, _ := testWorker(t)
 	job := &Job{ID: "j", DataKey: "r", DataSizeMB: 100}
 	// 100MB: 10s transfer at 10MB/s + 1s processing at 100MB/s.
-	if got := w.EstimateJob(job); got != 11*time.Second {
-		t.Errorf("EstimateJob = %v, want 11s", got)
+	if got, local := w.EstimateJob(job); got != 11*time.Second || local {
+		t.Errorf("EstimateJob = %v, local %t, want 11s, remote", got, local)
 	}
 	w.cache.Put("r", 100)
-	if got := w.EstimateJob(job); got != time.Second {
-		t.Errorf("EstimateJob with cached data = %v, want 1s", got)
+	if got, local := w.EstimateJob(job); got != time.Second || !local {
+		t.Errorf("EstimateJob with cached data = %v, local %t, want 1s, local", got, local)
+	}
+	if _, local := w.EstimateJob(&Job{ID: "nodata"}); !local {
+		t.Error("a job without data is not local")
 	}
 }
 
 func TestEstimateJobCostHintOverridesProcessing(t *testing.T) {
 	w, _ := testWorker(t)
 	job := &Job{ID: "j", DataKey: "r", DataSizeMB: 100, CostHint: 30 * time.Second}
-	if got := w.EstimateJob(job); got != 40*time.Second {
+	if got, _ := w.EstimateJob(job); got != 40*time.Second {
 		t.Errorf("EstimateJob = %v, want transfer 10s + hint 30s", got)
 	}
 	hintOnly := &Job{ID: "h", CostHint: 5 * time.Second}
-	if got := w.EstimateJob(hintOnly); got != 5*time.Second {
+	if got, _ := w.EstimateJob(hintOnly); got != 5*time.Second {
 		t.Errorf("EstimateJob = %v, want bare hint", got)
 	}
 }
@@ -62,7 +65,7 @@ func TestEstimateJobComputeMBOverride(t *testing.T) {
 	w, _ := testWorker(t)
 	job := &Job{ID: "j", DataKey: "r", DataSizeMB: 100, ComputeMB: 200}
 	// 10s transfer + 2s processing of the overridden volume.
-	if got := w.EstimateJob(job); got != 12*time.Second {
+	if got, _ := w.EstimateJob(job); got != 12*time.Second {
 		t.Errorf("EstimateJob = %v, want 12s", got)
 	}
 }
@@ -70,16 +73,18 @@ func TestEstimateJobComputeMBOverride(t *testing.T) {
 func TestPendingDataCountsAsLocal(t *testing.T) {
 	w, _ := testWorker(t)
 	job := &Job{ID: "j1", DataKey: "r", DataSizeMB: 100}
-	if w.JobDataLocal(job) {
+	est, local := w.EstimateJob(job)
+	if local {
 		t.Fatal("data local before any commitment")
 	}
-	w.enqueue(job, w.EstimateJob(job))
+	w.enqueue(job, est)
 	twin := &Job{ID: "j2", DataKey: "r", DataSizeMB: 100}
-	if !w.JobDataLocal(twin) {
+	got, local := w.EstimateJob(twin)
+	if !local {
 		t.Error("queued acquisition not counted as local")
 	}
 	// A committed download is never priced twice.
-	if got := w.EstimateJob(twin); got != time.Second {
+	if got != time.Second {
 		t.Errorf("EstimateJob = %v, want processing only", got)
 	}
 }

@@ -14,7 +14,7 @@ type mbWaiter struct {
 	ch   chan struct{}
 	item any
 	ok   bool
-	tag  uint64
+	tag  waitTag
 }
 
 var waiterPool = sync.Pool{
@@ -103,7 +103,7 @@ type simMailbox struct {
 	handle  func(v any, ok bool) (done bool)
 	serving bool
 	stopped bool
-	idleTag uint64
+	idleTag waitTag
 }
 
 // NewMailbox returns a mailbox whose blocking receive participates in
@@ -170,7 +170,7 @@ func (s *Sim) Serve(mb Mailbox, handle func(v any, ok bool) (done bool)) {
 		panic(fmt.Sprintf("vclock: mailbox %q is already served", m.name))
 	}
 	m.handle = handle
-	m.idleTag = s.tagLocked("serve:" + m.name)
+	s.tagLocked(&m.idleTag, "serve:"+m.name)
 	s.waiters++
 	if m.queue.len() > 0 {
 		m.goDrainLocked(m.queue.pop(), true)
@@ -226,7 +226,7 @@ func (m *simMailbox) drainLocked(v any, has bool) {
 	m.serving = false
 	s.running--
 	if m.stopped {
-		delete(s.waitTags, m.idleTag)
+		untagLocked(&m.idleTag)
 	} else {
 		s.waiters++
 	}
@@ -288,7 +288,7 @@ func (m *simMailbox) Len() int {
 // waiter's channel after unlocking.
 func (m *simMailbox) parkLocked() *mbWaiter {
 	w := getWaiter()
-	w.tag = m.s.tagLocked(m.recvTag)
+	m.s.tagLocked(&w.tag, m.recvTag)
 	m.waitq = append(m.waitq, w)
 	m.s.blockLocked()
 	return w

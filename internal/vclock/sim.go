@@ -35,7 +35,7 @@ type Sim struct {
 	waiters  int   // tracked goroutines blocked in clock waits, plus idle Serve consumers
 	timers   timerHeap
 	seq      uint64
-	waitTags map[uint64]waitTag // active wait labels, for deadlock reports
+	waits    waitTag // sentinel of the ring of active waits, for deadlock reports
 	tagSeq   uint64
 
 	// onDeadlock, if set, is invoked (with the lock released) instead of
@@ -56,15 +56,21 @@ type Sim struct {
 
 // waitTag records where one goroutine is blocked. The human-readable
 // label is only materialized in deadlock reports, so the hot path never
-// pays for string formatting.
+// pays for string formatting. A tag lives in the waiter (or served
+// mailbox) it describes and is linked into the clock's ring of active
+// waits while the wait lasts: parking and waking touch two pointers
+// each, not a map.
 type waitTag struct {
-	kind string
-	at   time.Time
+	kind       string
+	at         time.Time
+	id         uint64
+	prev, next *waitTag
 }
 
 // NewSim returns a simulated clock positioned at Epoch.
 func NewSim() *Sim {
-	s := &Sim{now: Epoch, nowNanos: Epoch.UnixNano(), waitTags: make(map[uint64]waitTag)}
+	s := &Sim{now: Epoch, nowNanos: Epoch.UnixNano()}
+	s.waits.prev, s.waits.next = &s.waits, &s.waits
 	s.done.L = &s.mu
 	return s
 }
@@ -104,7 +110,7 @@ func (s *Sim) Sleep(d time.Duration) {
 	}
 	w := getWaiter()
 	s.mu.Lock()
-	w.tag = s.tagLocked("sleep")
+	s.tagLocked(&w.tag, "sleep")
 	s.scheduleLocked(d, timerEvent{kind: evWake, w: w})
 	s.blockLocked()
 	s.mu.Unlock()
@@ -227,7 +233,7 @@ func (s *Sim) fireLocked(ev *timerEvent) {
 func (s *Sim) wakeLocked(w *mbWaiter) {
 	s.running++
 	s.waiters--
-	delete(s.waitTags, w.tag)
+	untagLocked(&w.tag)
 	w.ch <- struct{}{}
 }
 
@@ -236,9 +242,9 @@ func (s *Sim) deadlockLocked() {
 		return // report once
 	}
 	s.deadlocked = true
-	waiting := make([]string, 0, len(s.waitTags))
-	for id, tag := range s.waitTags {
-		waiting = append(waiting, fmt.Sprintf("%s#%d@%s", tag.kind, id, tag.at.Format("15:04:05.000")))
+	var waiting []string
+	for tag := s.waits.next; tag != &s.waits; tag = tag.next {
+		waiting = append(waiting, fmt.Sprintf("%s#%d@%s", tag.kind, tag.id, tag.at.Format("15:04:05.000")))
 	}
 	sort.Strings(waiting)
 	if h := s.onDeadlock; h != nil {
@@ -288,10 +294,20 @@ func (s *Sim) Deadlocked() bool {
 	return s.deadlocked
 }
 
-func (s *Sim) tagLocked(kind string) uint64 {
+// tagLocked labels t and links it into the ring of active waits.
+func (s *Sim) tagLocked(t *waitTag, kind string) {
 	s.tagSeq++
-	s.waitTags[s.tagSeq] = waitTag{kind: kind, at: s.now}
-	return s.tagSeq
+	t.kind, t.at, t.id = kind, s.now, s.tagSeq
+	t.prev, t.next = &s.waits, s.waits.next
+	s.waits.next.prev = t
+	s.waits.next = t
+}
+
+// untagLocked unlinks t: its wait is over.
+func untagLocked(t *waitTag) {
+	t.prev.next = t.next
+	t.next.prev = t.prev
+	t.prev, t.next = nil, nil
 }
 
 // timerKind selects a timerEvent's fire path. A closed set of variants
