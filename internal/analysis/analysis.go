@@ -35,7 +35,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -197,7 +196,6 @@ func CheckDir(dir, asPath string, analyzers []*Analyzer) ([]Finding, error) {
 		fset:    fset,
 		root:    abs,
 		modpath: ModulePath,
-		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*checkedPkg),
 		loading: make(map[string]bool),
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/importer"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -167,7 +166,6 @@ func auditFindings(t *testing.T, dir, pkgPath string, analyzers []*Analyzer) []F
 		fset:    fset,
 		root:    abs,
 		modpath: ModulePath,
-		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*checkedPkg),
 		loading: make(map[string]bool),
 	}

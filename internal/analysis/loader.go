@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // loader parses and type-checks every package of one module using only
@@ -23,12 +24,21 @@ import (
 // identifier names) everywhere, and full signatures opportunistically.
 type loader struct {
 	fset    *token.FileSet
-	root    string // module root directory (contains go.mod)
-	modpath string // module path from go.mod
-	std     types.Importer
+	root    string                 // module root directory (contains go.mod)
+	modpath string                 // module path from go.mod
 	pkgs    map[string]*checkedPkg // by import path
 	loading map[string]bool        // import-cycle guard
 }
+
+// stdImporter is the process's one standard-library source importer.
+// Type-checking the standard library from source is most of a vet
+// run's cost, so every loader shares the packages it has already
+// checked. It keeps its own FileSet: no finding points into the
+// standard library. Like the source importer it wraps, it is not safe
+// for concurrent use, and loaders run one at a time.
+var stdImporter = sync.OnceValue(func() types.Importer {
+	return importer.ForCompiler(token.NewFileSet(), "source", nil)
+})
 
 // checkedPkg is one parsed, type-checked package.
 type checkedPkg struct {
@@ -53,7 +63,6 @@ func newLoader(root string) (*loader, error) {
 		fset:    fset,
 		root:    abs,
 		modpath: modpath,
-		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*checkedPkg),
 		loading: make(map[string]bool),
 	}, nil
@@ -237,7 +246,7 @@ func (l *loader) importStd(path string) (pkg *types.Package) {
 			pkg = nil
 		}
 	}()
-	pkg, err := l.std.Import(path)
+	pkg, err := stdImporter().Import(path)
 	if err != nil {
 		return nil
 	}

@@ -263,7 +263,7 @@ func TestServerEndpointReconnect(t *testing.T) {
 }
 
 // TestWireRoundTripAllMessages pushes every engine protocol message
-// through a live connection, guarding the fixed encoders end to end.
+// through a live connection, guarding the codec end to end.
 func TestWireRoundTripAllMessages(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {

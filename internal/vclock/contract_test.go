@@ -71,6 +71,9 @@ var clockContract = []struct {
 				return
 			}
 		}
+		if _, ok := mb.TryRecv(); ok || mb.Len() != 0 {
+			t.Errorf("TryRecv on a drained mailbox = %v, Len %d", ok, mb.Len())
+		}
 	}},
 
 	{"blocking hand-off", func(t *testing.T, c Clock) {

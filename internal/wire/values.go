@@ -1,16 +1,13 @@
 package wire
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 
-	"crossflow/internal/broker"
 	"crossflow/internal/engine"
 )
 
-// Value tags. Tags 1–29 are the engine protocol (fixed encoders — the
+// Value tags. Tags 1–29 are the engine protocol (fixed layouts — the
 // hot path) and 30–49 plain Go values a job payload commonly is; a
 // value of any other type is an encode error. Wire format: append-only.
 const (
@@ -49,428 +46,311 @@ const (
 	vGob byte = 255
 )
 
-// appendValue appends one tagged payload value.
-func appendValue(dst []byte, v any, depth int) ([]byte, error) {
-	if depth > maxValueDepth {
-		return dst, fmt.Errorf("wire: value nesting exceeds %d levels", maxValueDepth)
+// value walks one tagged payload value: its tag byte, then the layout
+// that tag names.
+func (c *codec) value(p *any, depth int) {
+	switch {
+	case c.err != nil:
+	case depth > maxValueDepth:
+		c.fail("value nesting exceeds %d levels", maxValueDepth)
+	case c.dec:
+		c.decodeValue(p, depth)
+	default:
+		c.encodeValue(*p, depth)
 	}
-	var err error
+}
+
+// encodeValue picks v's tag by its type and walks its layout.
+func (c *codec) encodeValue(v any, depth int) {
+	tag := func(t byte) { c.buf = append(c.buf, t) }
 	switch x := v.(type) {
 	case nil:
-		dst = append(dst, vNil)
+		tag(vNil)
 	case *engine.Job:
-		dst = append(dst, vJob)
-		dst, err = appendJob(dst, x, depth+1)
+		tag(vJob)
+		c.job(&x, depth+1)
 	case engine.MsgRegister:
-		dst = append(dst, vMsgRegister)
-		dst = appendString(dst, x.Worker)
+		tag(vMsgRegister)
+		c.msgRegister(&x)
 	case engine.MsgRegisterAck:
-		dst = append(dst, vMsgRegisterAck)
+		tag(vMsgRegisterAck)
 	case engine.MsgBidRequest:
-		dst = append(dst, vMsgBidRequest)
-		dst, err = appendJob(dst, x.Job, depth+1)
+		tag(vMsgBidRequest)
+		c.msgBidRequest(&x, depth+1)
 	case engine.MsgBid:
-		dst = append(dst, vMsgBid)
-		dst = appendString(dst, x.JobID)
-		dst = appendString(dst, x.Worker)
-		dst = binary.AppendVarint(dst, int64(x.Estimate))
-		dst = binary.AppendVarint(dst, int64(x.JobCost))
-		dst = appendBool(dst, x.Local)
+		tag(vMsgBid)
+		c.msgBid(&x)
 	case engine.MsgAssign:
-		dst = append(dst, vMsgAssign)
-		if dst, err = appendJob(dst, x.Job, depth+1); err != nil {
-			return dst, err
-		}
-		dst = binary.AppendVarint(dst, int64(x.EstimatedCost))
+		tag(vMsgAssign)
+		c.msgAssign(&x, depth+1)
 	case engine.MsgOffer:
-		dst = append(dst, vMsgOffer)
-		dst, err = appendJob(dst, x.Job, depth+1)
+		tag(vMsgOffer)
+		c.msgOffer(&x, depth+1)
 	case engine.MsgAccept:
-		dst = append(dst, vMsgAccept)
-		dst = appendString(dst, x.JobID)
-		dst = appendString(dst, x.Worker)
+		tag(vMsgAccept)
+		c.msgAccept(&x)
 	case engine.MsgReject:
-		dst = append(dst, vMsgReject)
-		dst = appendString(dst, x.JobID)
-		dst = appendString(dst, x.Worker)
+		tag(vMsgReject)
+		c.msgReject(&x)
 	case engine.MsgRequestJob:
-		dst = append(dst, vMsgRequestJob)
-		dst = appendString(dst, x.Worker)
-		dst = appendStringSlice(dst, x.CachedKeys)
-		dst = binary.AppendVarint(dst, int64(x.Strikes))
+		tag(vMsgRequestJob)
+		c.msgRequestJob(&x)
 	case engine.MsgNoWork:
-		dst = append(dst, vMsgNoWork)
-		dst = binary.AppendVarint(dst, int64(x.Backoff))
+		tag(vMsgNoWork)
+		c.msgNoWork(&x)
 	case engine.MsgCacheEvict:
-		dst = append(dst, vMsgCacheEvict)
-		dst = appendString(dst, x.Worker)
-		dst = appendStringSlice(dst, x.Keys)
+		tag(vMsgCacheEvict)
+		c.msgCacheEvict(&x)
 	case engine.MsgJobDone:
-		dst = append(dst, vMsgJobDone)
-		dst = appendString(dst, x.JobID)
-		dst = appendString(dst, x.Worker)
-		dst = binary.AppendUvarint(dst, uint64(len(x.NewJobs)))
-		for _, j := range x.NewJobs {
-			if dst, err = appendJob(dst, j, depth+1); err != nil {
-				return dst, err
-			}
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(x.Results)))
-		for _, res := range x.Results {
-			if dst, err = appendValue(dst, res, depth+1); err != nil {
-				return dst, err
-			}
-		}
-		dst = appendBool(dst, x.Failed)
-		dst = appendString(dst, x.Error)
+		tag(vMsgJobDone)
+		c.msgJobDone(&x, depth+1)
 	case engine.MsgEmit:
-		dst = append(dst, vMsgEmit)
-		if dst, err = appendJob(dst, x.Job, depth+1); err != nil {
-			return dst, err
-		}
-		dst = appendString(dst, x.Worker)
+		tag(vMsgEmit)
+		c.msgEmit(&x, depth+1)
 	case engine.MsgStop:
-		dst = append(dst, vMsgStop)
+		tag(vMsgStop)
 	case engine.MsgDrain:
-		dst = append(dst, vMsgDrain)
+		tag(vMsgDrain)
 	case engine.MsgLeave:
-		dst = append(dst, vMsgLeave)
-		dst = appendString(dst, x.Worker)
+		tag(vMsgLeave)
+		c.msgLeave(&x)
 	case engine.MsgWorkerDead:
-		dst = append(dst, vMsgWorkerDead)
-		dst = appendString(dst, x.Worker)
+		tag(vMsgWorkerDead)
+		c.msgWorkerDead(&x)
 	case string:
-		dst = append(dst, vString)
-		dst = appendString(dst, x)
+		tag(vString)
+		c.str(&x)
 	case int:
-		dst = append(dst, vInt)
-		dst = binary.AppendVarint(dst, int64(x))
+		tag(vInt)
+		c.int(&x, math.MinInt, math.MaxInt, "int")
 	case int64:
-		dst = append(dst, vInt64)
-		dst = binary.AppendVarint(dst, x)
+		tag(vInt64)
+		c.varint(&x)
 	case float64:
-		dst = append(dst, vFloat64)
-		dst = appendFloat(dst, x)
+		tag(vFloat64)
+		c.f64(&x)
 	case bool:
-		dst = append(dst, vBool)
-		dst = appendBool(dst, x)
+		tag(vBool)
+		c.boolean(&x, "bool")
 	case []byte:
-		dst = append(dst, vBytes)
-		dst = appendBytes(dst, x)
+		tag(vBytes)
+		c.bytes(&x)
 	case []string:
-		dst = append(dst, vStringSlice)
-		dst = appendStringSlice(dst, x)
+		tag(vStringSlice)
+		c.strs(&x)
 	case time.Duration:
-		dst = append(dst, vDuration)
-		dst = binary.AppendVarint(dst, int64(x))
+		tag(vDuration)
+		c.dur(&x)
 	default:
-		err = fmt.Errorf("wire: no encoder for payload type %T", v)
+		c.fail("no encoder for payload type %T", v)
 	}
-	return dst, err
 }
 
-func appendStringSlice(dst []byte, ss []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = appendString(dst, s)
-	}
-	return dst
-}
-
-// appendJob encodes a job pointer, nil included (a bid request for a
-// job can in principle carry none).
-func appendJob(dst []byte, j *engine.Job, depth int) ([]byte, error) {
-	if depth > maxValueDepth {
-		return dst, fmt.Errorf("wire: value nesting exceeds %d levels", maxValueDepth)
-	}
-	if j == nil {
-		return append(dst, 0), nil
-	}
-	dst = append(dst, 1)
-	dst = appendString(dst, j.ID)
-	dst = appendString(dst, j.Stream)
-	dst = appendString(dst, j.DataKey)
-	dst = appendFloat(dst, j.DataSizeMB)
-	dst = appendFloat(dst, j.ComputeMB)
-	dst = binary.AppendVarint(dst, int64(j.CostHint))
-	dst = appendString(dst, j.Session)
-	return appendValue(dst, j.Payload, depth+1)
-}
-
-// value decodes one tagged payload value.
-func (r *reader) value(depth int) (any, error) {
-	if depth > maxValueDepth {
-		return nil, fmt.Errorf("wire: value nesting exceeds %d levels", maxValueDepth)
-	}
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
+// decodeValue reads a tag and walks the layout it names into a fresh
+// value of that type.
+func (c *codec) decodeValue(p *any, depth int) {
+	var tag byte
+	c.u8(&tag)
+	if c.err != nil {
+		return
 	}
 	switch tag {
 	case vNil:
-		return nil, nil
+		*p = nil
 	case vJob:
-		return r.job(depth + 1)
+		var j *engine.Job
+		c.job(&j, depth+1)
+		*p = j
 	case vMsgRegister:
-		worker, err := r.str()
-		return engine.MsgRegister{Worker: worker}, err
+		var m engine.MsgRegister
+		c.msgRegister(&m)
+		*p = m
 	case vMsgRegisterAck:
-		return engine.MsgRegisterAck{}, nil
+		*p = engine.MsgRegisterAck{}
 	case vMsgBidRequest:
-		job, err := r.job(depth + 1)
-		return engine.MsgBidRequest{Job: job}, err
+		var m engine.MsgBidRequest
+		c.msgBidRequest(&m, depth+1)
+		*p = m
 	case vMsgBid:
 		var m engine.MsgBid
-		if m.JobID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Estimate, err = r.duration(); err != nil {
-			return nil, err
-		}
-		if m.JobCost, err = r.duration(); err != nil {
-			return nil, err
-		}
-		if m.Local, err = r.bool(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgBid(&m)
+		*p = m
 	case vMsgAssign:
 		var m engine.MsgAssign
-		if m.Job, err = r.job(depth + 1); err != nil {
-			return nil, err
-		}
-		if m.EstimatedCost, err = r.duration(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgAssign(&m, depth+1)
+		*p = m
 	case vMsgOffer:
-		job, err := r.job(depth + 1)
-		return engine.MsgOffer{Job: job}, err
+		var m engine.MsgOffer
+		c.msgOffer(&m, depth+1)
+		*p = m
 	case vMsgAccept:
 		var m engine.MsgAccept
-		if m.JobID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgAccept(&m)
+		*p = m
 	case vMsgReject:
 		var m engine.MsgReject
-		if m.JobID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgReject(&m)
+		*p = m
 	case vMsgRequestJob:
 		var m engine.MsgRequestJob
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.CachedKeys, err = r.strSlice(); err != nil {
-			return nil, err
-		}
-		strikes, err := r.ivarint()
-		if err != nil {
-			return nil, err
-		}
-		if strikes < math.MinInt32 || strikes > math.MaxInt32 {
-			return nil, fmt.Errorf("wire: strikes %d out of range", strikes)
-		}
-		m.Strikes = int(strikes)
-		return m, nil
+		c.msgRequestJob(&m)
+		*p = m
 	case vMsgNoWork:
-		backoff, err := r.duration()
-		return engine.MsgNoWork{Backoff: backoff}, err
+		var m engine.MsgNoWork
+		c.msgNoWork(&m)
+		*p = m
 	case vMsgCacheEvict:
 		var m engine.MsgCacheEvict
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Keys, err = r.strSlice(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgCacheEvict(&m)
+		*p = m
 	case vMsgJobDone:
 		var m engine.MsgJobDone
-		if m.JobID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.NewJobs = make([]*engine.Job, n)
-			for i := range m.NewJobs {
-				if m.NewJobs[i], err = r.job(depth + 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if n, err = r.count(); err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Results = make([]any, n)
-			for i := range m.Results {
-				if m.Results[i], err = r.value(depth + 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if m.Failed, err = r.bool(); err != nil {
-			return nil, err
-		}
-		if m.Error, err = r.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgJobDone(&m, depth+1)
+		*p = m
 	case vMsgEmit:
 		var m engine.MsgEmit
-		if m.Job, err = r.job(depth + 1); err != nil {
-			return nil, err
-		}
-		if m.Worker, err = r.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		c.msgEmit(&m, depth+1)
+		*p = m
 	case vMsgStop:
-		return engine.MsgStop{}, nil
+		*p = engine.MsgStop{}
 	case vMsgDrain:
-		return engine.MsgDrain{}, nil
+		*p = engine.MsgDrain{}
 	case vMsgLeave:
-		worker, err := r.str()
-		return engine.MsgLeave{Worker: worker}, err
+		var m engine.MsgLeave
+		c.msgLeave(&m)
+		*p = m
 	case vMsgWorkerDead:
-		worker, err := r.str()
-		return engine.MsgWorkerDead{Worker: worker}, err
+		var m engine.MsgWorkerDead
+		c.msgWorkerDead(&m)
+		*p = m
 	case vString:
-		return r.str()
+		var s string
+		c.str(&s)
+		*p = s
 	case vInt:
-		v, err := r.ivarint()
-		if err != nil {
-			return nil, err
-		}
-		if v < math.MinInt || v > math.MaxInt {
-			return nil, fmt.Errorf("wire: int %d out of range", v)
-		}
-		return int(v), nil
+		var n int
+		c.int(&n, math.MinInt, math.MaxInt, "int")
+		*p = n
 	case vInt64:
-		return r.ivarint()
+		var n int64
+		c.varint(&n)
+		*p = n
 	case vFloat64:
-		return r.float()
+		var f float64
+		c.f64(&f)
+		*p = f
 	case vBool:
-		return r.bool()
+		var b bool
+		c.boolean(&b, "bool")
+		*p = b
 	case vBytes:
-		return r.bytes()
+		var b []byte
+		c.bytes(&b)
+		*p = b
 	case vStringSlice:
-		return r.strSlice()
+		var ss []string
+		c.strs(&ss)
+		*p = ss
 	case vDuration:
-		return r.duration()
+		var d time.Duration
+		c.dur(&d)
+		*p = d
 	case vGob:
-		return nil, fmt.Errorf("wire: value tag %d (embedded gob) is retired", tag)
-	}
-	return nil, fmt.Errorf("wire: unknown value tag %d", tag)
-}
-
-func (r *reader) duration() (time.Duration, error) {
-	v, err := r.ivarint()
-	return time.Duration(v), err
-}
-
-func (r *reader) strSlice() ([]string, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		if ss[i], err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	return ss, nil
-}
-
-func (r *reader) job(depth int) (*engine.Job, error) {
-	if depth > maxValueDepth {
-		return nil, fmt.Errorf("wire: value nesting exceeds %d levels", maxValueDepth)
-	}
-	present, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch present {
-	case 0:
-		return nil, nil
-	case 1:
+		c.fail("value tag %d (embedded gob) is retired", tag)
 	default:
-		return nil, fmt.Errorf("wire: invalid job presence byte %d", present)
+		c.fail("unknown value tag %d", tag)
 	}
-	j := &engine.Job{}
-	if j.ID, err = r.str(); err != nil {
-		return nil, err
-	}
-	if j.Stream, err = r.str(); err != nil {
-		return nil, err
-	}
-	if j.DataKey, err = r.str(); err != nil {
-		return nil, err
-	}
-	if j.DataSizeMB, err = r.float(); err != nil {
-		return nil, err
-	}
-	if j.ComputeMB, err = r.float(); err != nil {
-		return nil, err
-	}
-	if j.CostHint, err = r.duration(); err != nil {
-		return nil, err
-	}
-	if j.Session, err = r.str(); err != nil {
-		return nil, err
-	}
-	if j.Payload, err = r.value(depth + 1); err != nil {
-		return nil, err
-	}
-	return j, nil
 }
 
-// envelope encoding: route fields, the broker timestamp, the payload.
-
-func appendEnvelope(dst []byte, env *broker.Envelope) ([]byte, error) {
-	dst = appendString(dst, env.From)
-	dst = appendString(dst, env.To)
-	dst = appendString(dst, env.Topic)
-	dst = appendTime(dst, env.SentAt)
-	return appendValue(dst, env.Payload, 0)
+// job walks a job pointer, nil included (a bid request for a job can
+// in principle carry none), behind a presence byte.
+func (c *codec) job(p **engine.Job, depth int) {
+	if depth > maxValueDepth {
+		c.fail("value nesting exceeds %d levels", maxValueDepth)
+		return
+	}
+	present := *p != nil
+	c.boolean(&present, "job presence")
+	if !present || c.err != nil {
+		return
+	}
+	if c.dec {
+		*p = new(engine.Job)
+	}
+	j := *p
+	c.str(&j.ID)
+	c.str(&j.Stream)
+	c.str(&j.DataKey)
+	c.f64(&j.DataSizeMB)
+	c.f64(&j.ComputeMB)
+	c.dur(&j.CostHint)
+	c.str(&j.Session)
+	c.value(&j.Payload, depth+1)
 }
 
-func (r *reader) envelope(env *broker.Envelope) error {
-	var err error
-	if env.From, err = r.str(); err != nil {
-		return err
-	}
-	if env.To, err = r.str(); err != nil {
-		return err
-	}
-	if env.Topic, err = r.str(); err != nil {
-		return err
-	}
-	if env.SentAt, err = r.time(); err != nil {
-		return err
-	}
-	env.Payload, err = r.value(0)
-	return err
+// One walk per engine message: its only field list. depth is the
+// nesting level of the jobs and values a message carries.
+
+func (c *codec) msgRegister(m *engine.MsgRegister) { c.str(&m.Worker) }
+
+func (c *codec) msgBidRequest(m *engine.MsgBidRequest, depth int) { c.job(&m.Job, depth) }
+
+func (c *codec) msgBid(m *engine.MsgBid) {
+	c.str(&m.JobID)
+	c.str(&m.Worker)
+	c.dur(&m.Estimate)
+	c.dur(&m.JobCost)
+	c.boolean(&m.Local, "bool")
 }
+
+func (c *codec) msgAssign(m *engine.MsgAssign, depth int) {
+	c.job(&m.Job, depth)
+	c.dur(&m.EstimatedCost)
+}
+
+func (c *codec) msgOffer(m *engine.MsgOffer, depth int) { c.job(&m.Job, depth) }
+
+func (c *codec) msgAccept(m *engine.MsgAccept) {
+	c.str(&m.JobID)
+	c.str(&m.Worker)
+}
+
+func (c *codec) msgReject(m *engine.MsgReject) {
+	c.str(&m.JobID)
+	c.str(&m.Worker)
+}
+
+func (c *codec) msgRequestJob(m *engine.MsgRequestJob) {
+	c.str(&m.Worker)
+	c.strs(&m.CachedKeys)
+	c.int(&m.Strikes, math.MinInt32, math.MaxInt32, "strikes")
+}
+
+func (c *codec) msgNoWork(m *engine.MsgNoWork) { c.dur(&m.Backoff) }
+
+func (c *codec) msgCacheEvict(m *engine.MsgCacheEvict) {
+	c.str(&m.Worker)
+	c.strs(&m.Keys)
+}
+
+func (c *codec) msgJobDone(m *engine.MsgJobDone, depth int) {
+	c.str(&m.JobID)
+	c.str(&m.Worker)
+	for i, n := 0, collection(c, &m.NewJobs); i < n; i++ {
+		c.job(&m.NewJobs[i], depth)
+	}
+	for i, n := 0, collection(c, &m.Results); i < n; i++ {
+		c.value(&m.Results[i], depth)
+	}
+	c.boolean(&m.Failed, "bool")
+	c.str(&m.Error)
+}
+
+func (c *codec) msgEmit(m *engine.MsgEmit, depth int) {
+	c.job(&m.Job, depth)
+	c.str(&m.Worker)
+}
+
+func (c *codec) msgLeave(m *engine.MsgLeave) { c.str(&m.Worker) }
+
+func (c *codec) msgWorkerDead(m *engine.MsgWorkerDead) { c.str(&m.Worker) }

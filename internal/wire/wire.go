@@ -2,12 +2,16 @@
 // the Frame shape both ends exchange, its length-prefixed binary
 // encoding, and the versioned connection header both ends open with.
 //
-// The encoding is hand-rolled: fixed encoders for every engine protocol
-// message, so the hot wire path (bid requests fanning out, bids
+// Each frame kind and each engine protocol message is described once,
+// as a list of field calls on a codec that both directions run:
+// encoding appends the fields, decoding reads them back in the same
+// order, so the two cannot drift apart, and testdata/frames.golden pins
+// the bytes. The hot wire path (bid requests fanning out, bids
 // streaming back, assignments going out) pays no reflection and no
 // per-connection type-descriptor state. Because frames are stateless
-// byte strings, a fanout can encode an envelope once and write the same
-// bytes to every subscriber connection.
+// byte strings and encoding only reads the frame, a fanout can encode
+// an envelope once and write the same bytes to every subscriber
+// connection.
 //
 // A client opens its connection with the 5-byte header "XFW" + version
 // + codec id before its hello frame, and the server echoes the same

@@ -91,7 +91,7 @@ func wireMessages() []any {
 
 // localOnlyMessages are exported Msg kinds that never cross the wire:
 // they are produced and consumed inside one process (feeder hooks,
-// master self-timers), so the binary codec owes them no fixed encoder.
+// master self-timers), so the binary codec owes them no field walk.
 var localOnlyMessages = map[string]bool{
 	"MsgBidWindowExpired": true,
 	"MsgTick":             true,
@@ -139,7 +139,7 @@ func TestEveryWireMessageHasFixedEncoder(t *testing.T) {
 			continue
 		}
 		if !covered[name] {
-			t.Errorf("exported message kind %s has no round-trip coverage (add a fixed encoder or mark it local-only)", name)
+			t.Errorf("exported message kind %s has no round-trip coverage (add a field walk to the codec or mark it local-only)", name)
 		}
 	}
 	for name := range covered {
@@ -149,20 +149,36 @@ func TestEveryWireMessageHasFixedEncoder(t *testing.T) {
 	}
 }
 
+// requireEveryFieldSet fails unless every exported field of v, a
+// struct or a pointer to one, is non-zero: a field left zero in the
+// wire table round-trips as zero even when the codec never writes it.
+func requireEveryFieldSet(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.Indirect(reflect.ValueOf(v))
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Type().Field(i); f.IsExported() && rv.Field(i).IsZero() {
+			t.Errorf("%s.%s is zero in the wire table; give it a value", rv.Type().Name(), f.Name)
+		}
+	}
+}
+
 // TestMsgRoundTripAllMessages sends every wire-crossing message kind
 // through a KindSend frame and requires byte-for-byte survival (an
 // encoder must exist: there is no fallback).
 func TestMsgRoundTripAllMessages(t *testing.T) {
+	requireEveryFieldSet(t, testJob())
 	for _, msg := range wireMessages() {
 		name := reflect.TypeOf(msg).Name()
 		t.Run(name, func(t *testing.T) {
+			requireEveryFieldSet(t, msg)
 			roundTrip(t, Frame{Kind: KindSend, To: "master", Payload: msg})
 		})
 	}
 }
 
-// TestFrameRoundTripAllKinds exercises every frame kind's field set.
-func TestFrameRoundTripAllKinds(t *testing.T) {
+// kindFrames is one frame per frame kind, with that kind's field set
+// populated.
+func kindFrames() map[string]Frame {
 	env := broker.Envelope{
 		From:    "master",
 		To:      "",
@@ -170,7 +186,7 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 		Payload: engine.MsgBidRequest{Job: testJob()},
 		SentAt:  time.Unix(1712345678, 987654321),
 	}
-	frames := map[string]Frame{
+	return map[string]Frame{
 		"hello":       {Kind: KindHello, Name: "w1", Link: 5 * time.Millisecond},
 		"send":        {Kind: KindSend, To: "master", Payload: engine.MsgBid{JobID: "j", Worker: "w1"}},
 		"publish":     {Kind: KindPublish, Seq: 7, Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}},
@@ -182,7 +198,11 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 		"deregister":  {Kind: KindDeregister},
 		"sendmulti":   {Kind: KindSendMulti, Seq: 9, Targets: []string{"w1", "w2", "w3"}, Payload: engine.MsgBidRequest{Job: testJob()}},
 	}
-	for name, f := range frames {
+}
+
+// TestFrameRoundTripAllKinds exercises every frame kind's field set.
+func TestFrameRoundTripAllKinds(t *testing.T) {
+	for name, f := range kindFrames() {
 		t.Run(name, func(t *testing.T) { roundTrip(t, f) })
 	}
 }
