@@ -536,7 +536,10 @@ func (c *Client) Reconnects() int {
 
 // safetyFlush bounds how long a deferred frame may sit in the write
 // buffer when adaptive batching skipped its flush and no later write
-// came along to carry it out.
+// came along to carry it out. 200 µs is what the timer asks for; an
+// otherwise idle process fires it at the runtime's timer floor of about
+// a millisecond (vclock's timerFloor), and even a busy one was measured
+// firing it 0.6–0.8 ms after arming on average (2-core host).
 const safetyFlush = 200 * time.Microsecond
 
 // encode writes one frame. Urgent (ack-bearing) frames always flush

@@ -76,6 +76,19 @@ var clockContract = []struct {
 		}
 	}},
 
+	// On the wall clock at 100x the first two waits are below the
+	// runtime's timer floor, the third is above it, and a third of a
+	// second is not a whole number of wall nanoseconds.
+	{"Sleep waits at least d", func(t *testing.T, c Clock) {
+		for _, d := range []time.Duration{time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond, time.Second / 3} {
+			start := c.Now()
+			c.Sleep(d)
+			if got := c.Since(start); !elapsedOK(c, got, d) {
+				t.Errorf("Sleep(%v) returned after %v", d, got)
+			}
+		}
+	}},
+
 	{"blocking hand-off", func(t *testing.T, c Clock) {
 		mb := c.NewMailbox("handoff")
 		start := c.Now()

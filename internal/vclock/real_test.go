@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -20,6 +21,28 @@ func TestRealScaledSleepIsFaster(t *testing.T) {
 	r.Sleep(2 * time.Second) // 2ms of wall time
 	if wall := time.Since(start); wall > 500*time.Millisecond {
 		t.Errorf("scaled sleep took %v of wall time", wall)
+	}
+}
+
+// TestRealSleepHonoursSubFloorWaits: a wall wait below the runtime's
+// timer floor ends on time, not a millisecond late. At ×1000 a 50 ms
+// sleep is 50 µs of wall time, which time.Sleep on an idle process
+// stretches to about 1 ms.
+func TestRealSleepHonoursSubFloorWaits(t *testing.T) {
+	r := NewScaledReal(1000)
+	const n, d, wall = 200, 50 * time.Millisecond, 50 * time.Microsecond
+	took := make([]time.Duration, n)
+	for i := range took {
+		start := time.Now()
+		r.Sleep(d)
+		took[i] = time.Since(start)
+		if took[i] < wall {
+			t.Fatalf("Sleep(%v) at ×1000 returned after %v of wall time, want at least %v", d, took[i], wall)
+		}
+	}
+	slices.Sort(took)
+	if p50 := took[n/2]; p50 >= 400*time.Microsecond {
+		t.Errorf("Sleep(%v) at ×1000 took %v of wall time at p50, want under 400µs", d, p50)
 	}
 }
 
@@ -50,62 +73,6 @@ func TestRealGoWait(t *testing.T) {
 	if !done {
 		t.Error("Wait returned before goroutine finished")
 	}
-}
-
-func TestRealMailboxBasics(t *testing.T) {
-	r := NewReal()
-	mb := r.NewMailbox("real")
-	if mb.Name() != "real" {
-		t.Errorf("Name = %q", mb.Name())
-	}
-	mb.Send(1)
-	mb.Send(2)
-	if mb.Len() != 2 {
-		t.Errorf("Len = %d", mb.Len())
-	}
-	if v, ok := mb.Recv(); !ok || v.(int) != 1 {
-		t.Errorf("Recv = %v, %v", v, ok)
-	}
-	if v, ok := mb.TryRecv(); !ok || v.(int) != 2 {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-	if _, ok := mb.TryRecv(); ok {
-		t.Error("TryRecv on empty = true")
-	}
-}
-
-func TestRealMailboxBlockingHandoff(t *testing.T) {
-	r := NewReal()
-	mb := r.NewMailbox("handoff")
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		mb.Send("v")
-	}()
-	if v, ok := mb.Recv(); !ok || v.(string) != "v" {
-		t.Errorf("Recv = %v, %v", v, ok)
-	}
-}
-
-func TestRealMailboxClose(t *testing.T) {
-	r := NewReal()
-	mb := r.NewMailbox("close")
-	okc := make(chan bool, 1)
-	go func() {
-		_, ok := mb.Recv()
-		okc <- ok
-	}()
-	time.Sleep(2 * time.Millisecond)
-	mb.Close()
-	if <-okc {
-		t.Error("Recv after Close returned ok=true")
-	}
-	if mb.Send("x") {
-		t.Error("Send after Close = true")
-	}
-	if _, ok := mb.Recv(); ok {
-		t.Error("Recv on closed = ok")
-	}
-	mb.Close() // idempotent
 }
 
 // Both implementations must satisfy the interfaces.
