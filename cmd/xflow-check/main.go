@@ -40,7 +40,6 @@ func main() {
 		drain    = flag.String("drain", "", "gracefully drain this worker at every explored point")
 		join     = flag.Bool("join", false, "add one worker (j0) joining at every explored point")
 		noPOR    = flag.Bool("no-por", false, "disable sleep-set partial-order reduction (cross-check mode)")
-		bug      = flag.Bool("stale-bid-bug", false, "re-introduce the stale dead-worker-bid bug (counterexample demo)")
 		out      = flag.String("o", "counterexample.json", "write the counterexample here on violation")
 		replay   = flag.String("replay", "", "replay a counterexample file and exit")
 		progress = flag.Bool("progress", false, "print running statistics during exploration")
@@ -59,7 +58,7 @@ func main() {
 
 	exit := 0
 	for _, pol := range pols {
-		if !check(pol, *workers, *jobs, *shards, *kill, *drain, *join, *depth, *maxRuns, *noPOR, *bug, *out, *progress) {
+		if !check(pol, *workers, *jobs, *shards, *kill, *drain, *join, *depth, *maxRuns, *noPOR, *out, *progress) {
 			exit = 1
 			break
 		}
@@ -70,7 +69,7 @@ func main() {
 // check explores one policy's bounded state space. It returns false on
 // an invariant violation (after writing the counterexample file).
 func check(pol core.Policy, workers, jobs, shards int, kill, drain string, join bool,
-	depth, maxRuns int, noPOR, bug bool, out string, progress bool) bool {
+	depth, maxRuns int, noPOR bool, out string, progress bool) bool {
 
 	sc := modelcheck.BoundedScenario(modelcheck.Bounds{
 		Workers: workers, Jobs: jobs, Shards: shards,
@@ -89,12 +88,11 @@ func check(pol core.Policy, workers, jobs, shards int, kill, drain string, join 
 		fmt.Printf("%s: pull policy, bounding to -depth %d -max-runs %d\n", pol.Name, depth, maxRuns)
 	}
 	cfg := modelcheck.Config{
-		Scenario:    sc,
-		Policy:      pol,
-		MaxDepth:    depth,
-		MaxRuns:     maxRuns,
-		DisablePOR:  noPOR,
-		StaleBidBug: bug,
+		Scenario:   sc,
+		Policy:     pol,
+		MaxDepth:   depth,
+		MaxRuns:    maxRuns,
+		DisablePOR: noPOR,
 	}
 	if progress {
 		last := time.Now()

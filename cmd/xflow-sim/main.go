@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -60,12 +59,14 @@ func main() {
 		// master decisions (minus the warmed cache state).
 		effSeed := *seed + int64(it-1)
 		cfg := engine.Config{
-			Workers:   states,
-			Allocator: pol.NewAllocator(),
-			NewAgent:  pol.NewAgent,
-			Workflow:  workload.Workflow(),
-			Arrivals:  workload.Generate(jc, workload.Options{Jobs: *jobs, Seed: *seed}),
-			Rand:      rand.New(rand.NewSource(effSeed)),
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      states,
+				NewAllocator: pol.NewAllocator,
+				NewAgent:     pol.NewAgent,
+				Seed:         effSeed,
+			},
+			Workflow: workload.Workflow(),
+			Arrivals: workload.Generate(jc, workload.Options{Jobs: *jobs, Seed: *seed}),
 		}
 		if *dumpTrace {
 			trace = engine.NewTraceLog()

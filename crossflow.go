@@ -182,7 +182,7 @@ func CalibratedCosts(inner CostModel, alpha float64) CostModel {
 // StaticCosts returns the perfect-knowledge cost model over nominal
 // speeds, useful as the inner model for CalibratedCosts.
 func StaticCosts(netMBps, rwMBps float64) CostModel {
-	return core.StaticCosts{NetMBps: netMBps, RWMBps: rwMBps}
+	return engine.StaticCosts{NetMBps: netMBps, RWMBps: rwMBps}
 }
 
 // NewHub builds a synthetic repository service: n repositories generated
@@ -244,18 +244,19 @@ func Run(cfg Config) (*Report, error) {
 		return nil, errors.New("crossflow: Config.Scheduler must be one of the provided schedulers")
 	}
 	ecfg := engine.Config{
-		Clock:        cfg.Clock,
-		Workers:      cfg.Workers,
-		Allocator:    cfg.Scheduler.NewAllocator(),
-		Shards:       cfg.Shards,
-		NewAllocator: cfg.Scheduler.NewAllocator,
-		NewAgent:     cfg.Scheduler.NewAgent,
-		Workflow:     cfg.Workflow,
-		Arrivals:     cfg.Arrivals,
-		Hub:          cfg.Hub,
-		MasterLink:   cfg.MasterLink,
-		Seed:         cfg.Seed,
-		Kills:        cfg.Kills,
+		ClusterConfig: engine.ClusterConfig{
+			Clock:        cfg.Clock,
+			Workers:      cfg.Workers,
+			Shards:       cfg.Shards,
+			NewAllocator: cfg.Scheduler.NewAllocator,
+			NewAgent:     cfg.Scheduler.NewAgent,
+			Hub:          cfg.Hub,
+			MasterLink:   cfg.MasterLink,
+			Seed:         cfg.Seed,
+		},
+		Workflow: cfg.Workflow,
+		Arrivals: cfg.Arrivals,
+		Kills:    cfg.Kills,
 	}
 	if cfg.Trace != nil {
 		ecfg.Tracer = cfg.Trace

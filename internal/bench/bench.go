@@ -287,10 +287,10 @@ func benchServeSteadyState(b *testing.B) {
 		}, nil)
 	}
 	c, err := engine.NewCluster(engine.ClusterConfig{
-		Clock:     clk,
-		Workers:   states,
-		Allocator: pol.NewAllocator(),
-		NewAgent:  pol.NewAgent,
+		Clock:        clk,
+		Workers:      states,
+		NewAllocator: pol.NewAllocator,
+		NewAgent:     pol.NewAgent,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -89,32 +89,3 @@ func (c *CalibratingCosts) ObserveProcess(sizeMB float64, took time.Duration) {
 	}
 	c.inner.ObserveProcess(sizeMB, took)
 }
-
-// StaticCosts returns a perfect-knowledge cost model over nominal
-// speeds, exported so calibration wrappers and tests can build on it.
-type StaticCosts struct {
-	NetMBps float64
-	RWMBps  float64
-}
-
-// TransferEstimate implements engine.CostModel.
-func (s StaticCosts) TransferEstimate(hasData bool, sizeMB float64) time.Duration {
-	if hasData || sizeMB <= 0 || s.NetMBps <= 0 {
-		return 0
-	}
-	return time.Duration(sizeMB / s.NetMBps * float64(time.Second))
-}
-
-// ProcessEstimate implements engine.CostModel.
-func (s StaticCosts) ProcessEstimate(sizeMB float64) time.Duration {
-	if sizeMB <= 0 || s.RWMBps <= 0 {
-		return 0
-	}
-	return time.Duration(sizeMB / s.RWMBps * float64(time.Second))
-}
-
-// ObserveTransfer implements engine.CostModel as a no-op.
-func (StaticCosts) ObserveTransfer(float64, time.Duration) {}
-
-// ObserveProcess implements engine.CostModel as a no-op.
-func (StaticCosts) ObserveProcess(float64, time.Duration) {}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crossflow/internal/engine"
+	"crossflow/internal/netsim"
 )
 
 func TestDelayServesLocalJobFirst(t *testing.T) {
@@ -100,7 +101,7 @@ func TestFastLocalCloseDisabledByDefault(t *testing.T) {
 }
 
 func TestCalibratingCostsLearnsRatio(t *testing.T) {
-	inner := StaticCosts{NetMBps: 10, RWMBps: 10}
+	inner := engine.StaticCosts{NetMBps: 10, RWMBps: 10}
 	c := NewCalibratingCosts(inner, 0.5)
 	// Inner estimate for 100MB = 10s; uncalibrated passes through.
 	if got := c.TransferEstimate(false, 100); got != 10*time.Second {
@@ -126,7 +127,7 @@ func TestCalibratingCostsLearnsRatio(t *testing.T) {
 }
 
 func TestCalibratingCostsIgnoresDegenerateObservations(t *testing.T) {
-	c := NewCalibratingCosts(StaticCosts{NetMBps: 10, RWMBps: 10}, 0)
+	c := NewCalibratingCosts(engine.StaticCosts{NetMBps: 10, RWMBps: 10}, 0)
 	c.ObserveTransfer(0, time.Second)
 	c.ObserveTransfer(100, 0)
 	c.ObserveProcess(-5, time.Second)
@@ -136,22 +137,31 @@ func TestCalibratingCostsIgnoresDegenerateObservations(t *testing.T) {
 	if got := c.TransferEstimate(true, 100); got != 0 {
 		t.Errorf("local estimate = %v", got)
 	}
-	if alphaDefaulted := NewCalibratingCosts(StaticCosts{}, 5); alphaDefaulted.alpha != 0.2 {
+	if alphaDefaulted := NewCalibratingCosts(engine.StaticCosts{}, 5); alphaDefaulted.alpha != 0.2 {
 		t.Errorf("alpha = %v, want clamped default", alphaDefaulted.alpha)
 	}
 }
 
 func TestStaticCostsEdges(t *testing.T) {
-	s := StaticCosts{NetMBps: 0, RWMBps: 0}
-	if s.TransferEstimate(false, 100) != 0 || s.ProcessEstimate(100) != 0 {
-		t.Error("zero-speed estimates should be zero, not panic")
+	// A zero speed saturates at the link's cap instead of dividing by
+	// zero: the transfer or step never finishes, so it must never look
+	// free or, converted from +Inf, negative.
+	s := engine.StaticCosts{NetMBps: 0, RWMBps: 0}
+	if got, want := s.TransferEstimate(false, 100), netsim.DurationFor(100, 0); got != want || got <= 0 {
+		t.Errorf("zero-speed TransferEstimate = %v, want the link's %v", got, want)
 	}
-	s = StaticCosts{NetMBps: 50, RWMBps: 25}
+	if got, want := s.ProcessEstimate(100), netsim.DurationFor(100, 0); got != want || got <= 0 {
+		t.Errorf("zero-speed ProcessEstimate = %v, want the link's %v", got, want)
+	}
+	s = engine.StaticCosts{NetMBps: 50, RWMBps: 25}
 	if got := s.TransferEstimate(false, 100); got != 2*time.Second {
 		t.Errorf("TransferEstimate = %v", got)
 	}
 	if got := s.ProcessEstimate(100); got != 4*time.Second {
 		t.Errorf("ProcessEstimate = %v", got)
+	}
+	if s.TransferEstimate(true, 100) != 0 || s.TransferEstimate(false, 0) != 0 || s.ProcessEstimate(0) != 0 {
+		t.Error("local or empty work should be free")
 	}
 	s.ObserveTransfer(1, 1) // no-ops must not panic
 	s.ObserveProcess(1, 1)

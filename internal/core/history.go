@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"time"
+
+	"crossflow/internal/engine"
 )
 
 // LearningCosts is the cost model of the non-simulated experiments
@@ -62,23 +64,20 @@ func (l *LearningCosts) rwLocked() float64 {
 // TransferEstimate implements engine.CostModel using the historic
 // average download speed.
 func (l *LearningCosts) TransferEstimate(hasData bool, sizeMB float64) time.Duration {
-	if hasData || sizeMB <= 0 {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return time.Duration(sizeMB / l.netLocked() * float64(time.Second))
+	return l.believed().TransferEstimate(hasData, sizeMB)
 }
 
 // ProcessEstimate implements engine.CostModel using the historic average
 // read/write speed.
 func (l *LearningCosts) ProcessEstimate(sizeMB float64) time.Duration {
-	if sizeMB <= 0 {
-		return 0
-	}
+	return l.believed().ProcessEstimate(sizeMB)
+}
+
+// believed is the static model at the current historic averages.
+func (l *LearningCosts) believed() engine.StaticCosts {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return time.Duration(sizeMB / l.rwLocked() * float64(time.Second))
+	return engine.StaticCosts{NetMBps: l.netLocked(), RWMBps: l.rwLocked()}
 }
 
 // ObserveTransfer implements engine.CostModel: fold one download into

@@ -12,20 +12,18 @@ import (
 	"crossflow/internal/vclock"
 )
 
-// ClusterConfig describes a long-lived cluster runtime. Compared to
-// Config it carries no workflow and no arrival stream: work enters
-// through sessions (Open/Submit) after Start, and the fleet itself is
-// elastic (Join/Drain/Leave).
+// ClusterConfig describes a long-lived cluster runtime: the fleet, the
+// policy and the control plane. Work enters through sessions
+// (Open/Submit) after Start, and the fleet itself is elastic
+// (Join/Drain/Leave); Config adds a one-shot run's plan to it.
 type ClusterConfig struct {
 	// Clock is the time source; nil defaults to a fresh simulated clock.
 	Clock vclock.Clock
 	// Workers is the initial fleet; the master waits for all of them to
-	// register before sessions start flowing. May be empty — an all-join
-	// cluster forms entirely at runtime.
+	// register before sessions start flowing. WorkerStates persist
+	// across runs, so the harness can execute warm-cache iterations. May
+	// be empty — an all-join cluster forms entirely at runtime.
 	Workers []*WorkerState
-	// Allocator is the master-side policy. Ignored when Shards > 1 —
-	// every contest shard then builds its own instance via NewAllocator.
-	Allocator Allocator
 	// Shards > 1 partitions the control plane into that many contest
 	// shards: a frontend router on the master endpoint partitions jobs
 	// by content hash of their data key across shard masters, each
@@ -33,9 +31,9 @@ type ClusterConfig struct {
 	// accounting. 0 or 1 runs the classic single master, bit-compatible
 	// with historical runs.
 	Shards int
-	// NewAllocator builds one allocator per contest shard. Required when
-	// Shards > 1 (allocators hold per-partition state and cannot be
-	// shared); ignored otherwise.
+	// NewAllocator builds the master-side policy: once for the single
+	// master, once per contest shard (allocators hold per-partition
+	// state and cannot be shared).
 	NewAllocator func() Allocator
 	// NewAgent builds the matching worker-side policy per node.
 	NewAgent func(st *WorkerState) Agent
@@ -43,12 +41,14 @@ type ClusterConfig struct {
 	Hub *gitsim.Hub
 	// MasterLink is the master's one-way broker latency.
 	MasterLink time.Duration
-	// Seed seeds the master's random source; Rand overrides it.
+	// Seed seeds the master's random source.
 	Seed int64
-	Rand *rand.Rand
-	// DelayFunc / DropFunc install broker delivery models (see Config).
+	// DelayFunc overrides the broker's delivery-delay model (latency
+	// spikes, asymmetric links). Nil keeps the default link-sum model.
 	DelayFunc broker.DelayFunc
-	DropFunc  broker.DropFunc
+	// DropFunc installs a broker delivery-loss model. Implementations
+	// must be deterministic (see broker.DropFunc).
+	DropFunc broker.DropFunc
 	// Tracer, when non-nil, receives every allocation event.
 	Tracer Tracer
 }
@@ -74,12 +74,11 @@ type Cluster struct {
 	clk vclock.Clock
 	bus *broker.Broker
 	// plane is the control-plane core of the single master or of the
-	// sharded frontend, masters the single master or every shard part,
-	// and digest the fingerprint of whichever of the two it is.
-	plane   *Plane
-	masters []*Master
-	digest  func() string
-	cfg     ClusterConfig
+	// sharded frontend, and digest the fingerprint of whichever of the
+	// two it is.
+	plane  *Plane
+	digest func() string
+	cfg    ClusterConfig
 
 	mu      sync.Mutex
 	wfs     map[string]*Workflow      //xflow:owned mu=mu
@@ -94,11 +93,7 @@ type Cluster struct {
 // load-bearing: mailbox and endpoint creation order is part of the
 // deterministic replay surface.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Shards > 1 {
-		if cfg.NewAllocator == nil {
-			return nil, errors.New("engine: sharded cluster needs an allocator factory")
-		}
-	} else if cfg.Allocator == nil {
+	if cfg.NewAllocator == nil {
 		return nil, errors.New("engine: no allocator configured")
 	}
 	if cfg.NewAgent == nil {
@@ -108,10 +103,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if clk == nil {
 		clk = vclock.NewSim()
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	bus := broker.New(clk)
 	if cfg.DelayFunc != nil {
 		bus.SetDelayFunc(cfg.DelayFunc)
@@ -136,10 +128,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		sm := newShardedMaster(clk, masterEp, shardPorts, cfg.NewAllocator,
 			len(cfg.Workers), rng, cfg.Tracer)
-		c.plane, c.masters, c.digest = &sm.Plane, sm.parts, sm.StateDigest
+		c.plane, c.digest = &sm.Plane, sm.StateDigest
 	} else {
-		m := newMaster(clk, masterEp, cfg.Allocator, len(cfg.Workers), rng, cfg.Tracer)
-		c.plane, c.masters, c.digest = &m.Plane, []*Master{m}, m.StateDigest
+		alloc := cfg.NewAllocator()
+		if alloc == nil {
+			return nil, errors.New("engine: no allocator configured")
+		}
+		m := newMaster(clk, masterEp, alloc, len(cfg.Workers), rng, cfg.Tracer)
+		c.plane, c.digest = &m.Plane, m.StateDigest
 	}
 	c.plane.signalReady(clk.NewMailbox(MasterName + ":ready"))
 	for _, st := range cfg.Workers {
@@ -289,17 +285,6 @@ func (c *Cluster) forget(name string) {
 // fleet, flushes a final report to every session still waiting, and
 // exits its loop. Follow with Wait to join all goroutines.
 func (c *Cluster) Stop() { c.plane.Shutdown() }
-
-// SetStaleBidBug re-introduces the stale dead-worker-bid bug fixed in
-// the simtest PR (a dead worker's in-flight bid may win its contest) on
-// the master or every shard part. Test-only, and only before Start: it
-// exists so the model checker's counterexample machinery can be
-// demonstrated against a known-bad protocol.
-func (c *Cluster) SetStaleBidBug() {
-	for _, m := range c.masters {
-		m.staleBidBug = true
-	}
-}
 
 // Wait blocks until every tracked goroutine has finished — after Stop,
 // that is full quiescence. On a simulated clock this is also what

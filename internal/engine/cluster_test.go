@@ -31,12 +31,8 @@ func namedWorkflow(name, prefix string) *engine.Workflow {
 // contest shards behind the frontend router.
 func biddingPlane(shards int, cfg engine.ClusterConfig) engine.ClusterConfig {
 	cfg.NewAgent = func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() }
-	if shards > 1 {
-		cfg.Shards = shards
-		cfg.NewAllocator = func() engine.Allocator { return core.NewBidding() }
-	} else {
-		cfg.Allocator = core.NewBidding()
-	}
+	cfg.Shards = shards
+	cfg.NewAllocator = func() engine.Allocator { return core.NewBidding() }
 	return cfg
 }
 
@@ -65,10 +61,10 @@ func TestClusterElasticLifecycle(t *testing.T) {
 	joiner.Cache.Put("hotJ", 50)
 
 	c, err := engine.NewCluster(engine.ClusterConfig{
-		Clock:     clk,
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		Clock:        clk,
+		Workers:      testCluster(2, 20, 100, 0),
+		NewAllocator: func() engine.Allocator { return core.NewBidding() },
+		NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -502,12 +498,14 @@ func TestRunWithJoinSchedulesMidRunScaleUp(t *testing.T) {
 		arrivals[i].At = time.Duration(i) * 2 * time.Second
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 10, 50, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arrivals,
-		Joins:     []engine.Join{{State: joiner, At: 5 * time.Second}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 10, 50, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arrivals,
+		Joins:    []engine.Join{{State: joiner, At: 5 * time.Second}},
 	})
 	if rep.JobsCompleted != 16 {
 		t.Fatalf("JobsCompleted = %d, want 16", rep.JobsCompleted)
@@ -546,12 +544,14 @@ func TestRunWithDrainLosesNoWork(t *testing.T) {
 		arrivals[i].At = time.Duration(i) * time.Second
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(3, 10, 100, 0), // ~10.5s per cold job
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arrivals,
-		Drains:    []engine.Drain{{Worker: "w1", At: 15 * time.Second}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(3, 10, 100, 0), // ~10.5s per cold job
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arrivals,
+		Drains:   []engine.Drain{{Worker: "w1", At: 15 * time.Second}},
 	})
 	if rep.JobsCompleted != 12 {
 		t.Fatalf("JobsCompleted = %d, want all 12 despite the drain", rep.JobsCompleted)
@@ -582,11 +582,13 @@ func TestRunWithDrainLosesNoWork(t *testing.T) {
 func TestRunValidatesElasticPlan(t *testing.T) {
 	base := func() engine.Config {
 		return engine.Config{
-			Workers:   testCluster(2, 10, 100, 0),
-			Allocator: core.NewBidding(),
-			NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-			Workflow:  dataWorkflow(),
-			Arrivals:  dataJobs([]string{"a"}, 10),
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      testCluster(2, 10, 100, 0),
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			},
+			Workflow: dataWorkflow(),
+			Arrivals: dataJobs([]string{"a"}, 10),
 		}
 	}
 	dup := base()

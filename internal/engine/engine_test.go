@@ -62,11 +62,13 @@ func TestBiddingSingleJobExactMakespan(t *testing.T) {
 	// One worker, 100MB at 10MB/s download + 100MB/s processing:
 	// 10s transfer + 1s process, no latencies, no noise.
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(1, 10, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"r1"}, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 10, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"r1"}, 100),
 	})
 	if rep.JobsCompleted != 1 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -94,11 +96,13 @@ func TestBiddingAllJobsComplete(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(5, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(5, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	})
 	if rep.JobsCompleted != 30 {
 		t.Fatalf("JobsCompleted = %d, want 30", rep.JobsCompleted)
@@ -132,11 +136,13 @@ func TestBiddingPrefersWorkerWithData(t *testing.T) {
 	workers := testCluster(3, 10, 100, 0)
 	workers[0].Cache.Put("hot", 200)
 	rep := runOrFail(t, engine.Config{
-		Workers:   workers,
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"hot", "hot", "hot"}, 200),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"hot", "hot", "hot"}, 200),
 	})
 	if rep.CacheMisses != 0 {
 		t.Errorf("CacheMisses = %d, want 0 (data already local on w0)", rep.CacheMisses)
@@ -162,11 +168,13 @@ func TestBiddingOffloadsWhenLocalWorkerOverloaded(t *testing.T) {
 		arrivals[i].At = time.Duration(i) * 300 * time.Millisecond
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   workers,
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arrivals,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arrivals,
 	})
 	if rep.Workers[1].JobsDone == 0 {
 		t.Error("w1 never helped despite w0's growing queue")
@@ -182,11 +190,13 @@ func TestBaselineCompletesAndRejectsOnColdCache(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(4, 20, 100, 0),
-		Allocator: core.NewBaseline(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(4, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBaseline() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	})
 	if rep.JobsCompleted != 20 {
 		t.Fatalf("JobsCompleted = %d, want 20", rep.JobsCompleted)
@@ -209,15 +219,16 @@ func TestBaselineWarmCacheUsesLocality(t *testing.T) {
 	keys := []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"}
 	workers := testCluster(4, 20, 100, 0)
 	cfg := engine.Config{
-		Workers:   workers,
-		Allocator: core.NewBaseline(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return core.NewBaseline() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	}
 	first := runOrFail(t, cfg)
 	// Iteration 2: same jobs, caches persist (fresh allocator + agents).
-	cfg.Allocator = core.NewBaseline()
 	cfg.Arrivals = dataJobs(keys, 50)
 	second := runOrFail(t, cfg)
 	if first.CacheMisses != 8 {
@@ -244,11 +255,13 @@ func TestSparkLikeRoundRobin(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(4, 20, 100, 0),
-		Allocator: core.NewSparkLike(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(4, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewSparkLike() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	})
 	if rep.JobsCompleted != 12 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -268,11 +281,13 @@ func TestMatchmakingCompletesAndMatchesLocality(t *testing.T) {
 	workers[1].Cache.Put("hot", 50)
 	keys := []string{"hot", "a", "b", "hot", "c", "hot"}
 	rep := runOrFail(t, engine.Config{
-		Workers:   workers,
-		Allocator: core.NewMatchmaking(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return core.NewMatchmaking() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	})
 	if rep.JobsCompleted != 6 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -288,12 +303,14 @@ func TestRandomAllocatorCompletes(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(3, 20, 100, 0),
-		Allocator: core.NewRandom(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 50),
-		Seed:      7,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(3, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewRandom() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
+			Seed:         7,
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	})
 	if rep.JobsCompleted != 15 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -329,11 +346,13 @@ func TestPipelineProducesDownstreamJobsAndResults(t *testing.T) {
 		arr[i] = engine.Arrival{Job: &engine.Job{Stream: "stage1", DataKey: fmt.Sprintf("r%d", i)}}
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(3, 50, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  wf,
-		Arrivals:  arr,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(3, 50, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: wf,
+		Arrivals: arr,
 	})
 	if rep.JobsCompleted != 12 {
 		t.Errorf("JobsCompleted = %d, want 12 (4 stage1 + 8 stage2)", rep.JobsCompleted)
@@ -354,11 +373,13 @@ func TestResultStreamCollectsPayloads(t *testing.T) {
 		},
 	})
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(1, 10, 10, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  wf,
-		Arrivals:  []engine.Arrival{{Job: &engine.Job{ID: "x", Stream: "in"}}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 10, 10, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: wf,
+		Arrivals: []engine.Arrival{{Job: &engine.Job{ID: "x", Stream: "in"}}},
 	})
 	if len(rep.Results) != 1 || rep.Results[0].(string) != "v:x" {
 		t.Errorf("Results = %v", rep.Results)
@@ -372,11 +393,13 @@ func TestSpacedArrivalsRespectSchedule(t *testing.T) {
 		{At: 30 * time.Second, Job: &engine.Job{Stream: "work", DataKey: "b", DataSizeMB: 1}},
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 100, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arr,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 100, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arr,
 	})
 	if rep.Makespan < 30*time.Second || rep.Makespan > 31*time.Second {
 		t.Errorf("Makespan = %v, want 30s + job time", rep.Makespan)
@@ -393,11 +416,13 @@ func TestTaskErrorCountsAsFailed(t *testing.T) {
 		},
 	})
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(1, 10, 10, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  wf,
-		Arrivals:  []engine.Arrival{{Job: &engine.Job{Stream: "work"}}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 10, 10, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: wf,
+		Arrivals: []engine.Arrival{{Job: &engine.Job{Stream: "work"}}},
 	})
 	if rep.JobsFailed != 1 {
 		t.Errorf("JobsFailed = %d, want 1", rep.JobsFailed)
@@ -410,12 +435,14 @@ func TestWorkerDeathRedispatchesJobs(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 10, 100, 0), // 10s transfer + 0.5s process per job
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 100),
-		Kills:     []engine.Kill{{Worker: "w0", At: 15 * time.Second}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 10, 100, 0), // 10s transfer + 0.5s process per job
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 100),
+		Kills:    []engine.Kill{{Worker: "w0", At: 15 * time.Second}},
 	})
 	if rep.JobsCompleted != 8 {
 		t.Fatalf("JobsCompleted = %d, want all 8 despite the crash", rep.JobsCompleted)
@@ -434,12 +461,14 @@ func TestWorkerDeathUnderBaseline(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(3, 10, 100, 0),
-		Allocator: core.NewBaseline(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 100),
-		Kills:     []engine.Kill{{Worker: "w1", At: 12 * time.Second}},
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(3, 10, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBaseline() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 100),
+		Kills:    []engine.Kill{{Worker: "w1", At: 12 * time.Second}},
 	})
 	if rep.JobsCompleted != 6 {
 		t.Fatalf("JobsCompleted = %d, want all 6 despite the crash", rep.JobsCompleted)
@@ -458,11 +487,13 @@ func TestHeterogeneousClusterBiddingFavorsFastWorker(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   []*engine.WorkerState{fast, slow},
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      []*engine.WorkerState{fast, slow},
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 100),
 	})
 	var byName = map[string]int{}
 	for _, w := range rep.Workers {
@@ -500,18 +531,22 @@ func TestBiddingBeatsSparkOnHeterogeneousLargeRepos(t *testing.T) {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	spark := runOrFail(t, engine.Config{
-		Workers:   build(),
-		Allocator: core.NewSparkLike(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 600),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      build(),
+			NewAllocator: func() engine.Allocator { return core.NewSparkLike() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 600),
 	})
 	bidding := runOrFail(t, engine.Config{
-		Workers:   build(),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 600),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      build(),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 600),
 	})
 	if bidding.Makespan >= spark.Makespan {
 		t.Errorf("bidding (%v) not faster than spark-like (%v) on heterogeneous cluster",
@@ -526,13 +561,20 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  engine.Config
 	}{
-		{"no workers", engine.Config{Allocator: core.NewBidding(), NewAgent: agent, Workflow: wf}},
-		{"no allocator", engine.Config{Workers: testCluster(1, 1, 1, 0), NewAgent: agent, Workflow: wf}},
-		{"no agent", engine.Config{Workers: testCluster(1, 1, 1, 0), Allocator: core.NewBidding(), Workflow: wf}},
-		{"no workflow", engine.Config{Workers: testCluster(1, 1, 1, 0), Allocator: core.NewBidding(), NewAgent: agent}},
-		{"nil worker", engine.Config{Workers: []*engine.WorkerState{nil}, Allocator: core.NewBidding(), NewAgent: agent, Workflow: wf}},
-		{"unknown kill target", engine.Config{Workers: testCluster(1, 1, 1, 0), Allocator: core.NewBidding(),
-			NewAgent: agent, Workflow: wf, Kills: []engine.Kill{{Worker: "ghost"}}}},
+		{"no workers", engine.Config{ClusterConfig: engine.ClusterConfig{NewAllocator: func() engine.Allocator { return core.NewBidding() }, NewAgent: agent}, Workflow: wf}},
+		{"no allocator", engine.Config{ClusterConfig: engine.ClusterConfig{Workers: testCluster(1, 1, 1, 0), NewAgent: agent}, Workflow: wf}},
+		{"no agent", engine.Config{ClusterConfig: engine.ClusterConfig{Workers: testCluster(1, 1, 1, 0), NewAllocator: func() engine.Allocator { return core.NewBidding() }}, Workflow: wf}},
+		{"no workflow", engine.Config{ClusterConfig: engine.ClusterConfig{Workers: testCluster(1, 1, 1, 0), NewAllocator: func() engine.Allocator { return core.NewBidding() }, NewAgent: agent}}},
+		{"nil worker", engine.Config{ClusterConfig: engine.ClusterConfig{Workers: []*engine.WorkerState{nil}, NewAllocator: func() engine.Allocator { return core.NewBidding() }, NewAgent: agent}, Workflow: wf}},
+		{"unknown kill target", engine.Config{
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      testCluster(1, 1, 1, 0),
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     agent,
+			},
+			Workflow: wf,
+			Kills:    []engine.Kill{{Worker: "ghost"}},
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := engine.Run(tc.cfg); err == nil {
@@ -589,12 +631,14 @@ func TestRealClockSmallRun(t *testing.T) {
 	// The same engine on a scaled wall clock: 1000x compression turns a
 	// ~21s simulated run into ~21ms.
 	rep := runOrFail(t, engine.Config{
-		Clock:     vclock.NewScaledReal(1000),
-		Workers:   testCluster(2, 10, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"a", "b"}, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Clock:        vclock.NewScaledReal(1000),
+			Workers:      testCluster(2, 10, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"a", "b"}, 100),
 	})
 	if rep.JobsCompleted != 2 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -607,12 +651,14 @@ func TestRealClockSmallRun(t *testing.T) {
 func TestTraceLogRecordsLifecycle(t *testing.T) {
 	trace := engine.NewTraceLog()
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"a", "b", "c"}, 50),
-		Tracer:    trace,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			Tracer:       trace,
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"a", "b", "c"}, 50),
 	})
 	if rep.JobsCompleted != 3 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -646,12 +692,14 @@ func TestTraceLogRecordsLifecycle(t *testing.T) {
 func TestTraceBaselineRecordsOffersAndRejections(t *testing.T) {
 	trace := engine.NewTraceLog()
 	runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBaseline(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"a", "b"}, 50),
-		Tracer:    trace,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBaseline() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() },
+			Tracer:       trace,
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"a", "b"}, 50),
 	})
 	kinds := map[engine.TraceEventKind]int{}
 	for _, ev := range trace.Events() {
@@ -666,11 +714,13 @@ func TestBiddingFastCompletesWithLocality(t *testing.T) {
 	workers := testCluster(3, 10, 100, 0)
 	workers[1].Cache.Put("hot", 100)
 	rep := runOrFail(t, engine.Config{
-		Workers:   workers,
-		Allocator: &core.BiddingAllocator{FastLocalClose: true},
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"hot", "hot", "hot", "a"}, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return &core.BiddingAllocator{FastLocalClose: true} },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"hot", "hot", "hot", "a"}, 100),
 	})
 	if rep.JobsCompleted != 4 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -690,11 +740,13 @@ func TestDelaySchedulerEndToEnd(t *testing.T) {
 	workers := testCluster(3, 20, 100, 0)
 	keys := []string{"a", "b", "c", "a", "b", "c", "a", "b"}
 	rep := runOrFail(t, engine.Config{
-		Workers:   workers,
-		Allocator: core.NewDelay(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs(keys, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      workers,
+			NewAllocator: func() engine.Allocator { return core.NewDelay() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 100),
 	})
 	if rep.JobsCompleted != 8 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -713,11 +765,13 @@ func TestMatchmakingHeartbeatRetries(t *testing.T) {
 		{At: 3 * time.Second, Job: &engine.Job{Stream: "work", DataKey: "a", DataSizeMB: 10}},
 	}
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(1, 10, 100, 0),
-		Allocator: core.NewMatchmaking(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arr,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 10, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewMatchmaking() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewMatchmakingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arr,
 	})
 	if rep.JobsCompleted != 1 {
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -750,12 +804,14 @@ func TestEmitStreamsJobsWhileTaskRuns(t *testing.T) {
 	wf.MustAddTask(engine.TaskSpec{Name: "sink", Input: "work"})
 	trace := engine.NewTraceLog()
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(2, 100, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  wf,
-		Arrivals:  []engine.Arrival{{Job: &engine.Job{ID: "seed", Stream: "seed"}}},
-		Tracer:    trace,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 100, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			Tracer:       trace,
+		},
+		Workflow: wf,
+		Arrivals: []engine.Arrival{{Job: &engine.Job{ID: "seed", Stream: "seed"}}},
 	})
 	if rep.JobsCompleted != 6 { // the source + 5 emitted jobs
 		t.Fatalf("JobsCompleted = %d", rep.JobsCompleted)
@@ -781,11 +837,13 @@ func TestEmitStreamsJobsWhileTaskRuns(t *testing.T) {
 
 func TestUtilizationReported(t *testing.T) {
 	rep := runOrFail(t, engine.Config{
-		Workers:   testCluster(1, 10, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  dataJobs([]string{"r1"}, 100),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 10, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs([]string{"r1"}, 100),
 	})
 	w := rep.Workers[0]
 	if w.BusyTime != 11*time.Second {

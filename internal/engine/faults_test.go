@@ -38,16 +38,18 @@ func faultArrivals(n int) []engine.Arrival {
 func TestDroppedCompletionsDoNotHangTermination(t *testing.T) {
 	for _, pol := range core.Policies() {
 		rep, err := engine.Run(engine.Config{
-			Workers:   testCluster(2, 20, 100, 0),
-			Allocator: pol.NewAllocator(),
-			NewAgent:  pol.NewAgent,
-			Workflow:  dataWorkflow(),
-			Arrivals:  faultArrivals(4),
-			Deadline:  5 * time.Minute,
-			DropFunc: func(env broker.Envelope, to string) bool {
-				_, isDone := env.Payload.(engine.MsgJobDone)
-				return isDone
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      testCluster(2, 20, 100, 0),
+				NewAllocator: pol.NewAllocator,
+				NewAgent:     pol.NewAgent,
+				DropFunc: func(env broker.Envelope, to string) bool {
+					_, isDone := env.Payload.(engine.MsgJobDone)
+					return isDone
+				},
 			},
+			Workflow: dataWorkflow(),
+			Arrivals: faultArrivals(4),
+			Deadline: 5 * time.Minute,
 		})
 		if err == nil {
 			t.Errorf("%s: run completed even though every MsgJobDone was dropped", pol.Name)
@@ -68,12 +70,14 @@ func TestDroppedCompletionsDoNotHangTermination(t *testing.T) {
 // at the deadline or in a detected deadlock, never hang.
 func TestPermanentPartitionBoundedByDeadline(t *testing.T) {
 	rep, err := engine.Run(engine.Config{
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  faultArrivals(6),
-		Deadline:  10 * time.Minute,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: faultArrivals(6),
+		Deadline: 10 * time.Minute,
 		Partitions: []engine.Partition{
 			{Node: "w0", At: 1500 * time.Millisecond}, // Duration 0: never heals
 		},
@@ -101,12 +105,14 @@ func TestHealedPartitionStillCompletes(t *testing.T) {
 		arr[i].At = time.Duration(i) * 10 * time.Second
 	}
 	rep, err := engine.Run(engine.Config{
-		Workers:   testCluster(2, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arr,
-		Deadline:  30 * time.Minute,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(2, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arr,
+		Deadline: 30 * time.Minute,
 		Partitions: []engine.Partition{
 			{Node: "w1", At: 14 * time.Second, Duration: 4 * time.Second},
 		},
@@ -124,12 +130,14 @@ func TestHealedPartitionStillCompletes(t *testing.T) {
 func TestCacheShrinkEvictsMidRun(t *testing.T) {
 	arr := faultArrivals(8) // keys k0..k2, 50MB each, 1s apart
 	rep, err := engine.Run(engine.Config{
-		Workers:   testCluster(1, 50, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  arr,
-		Deadline:  30 * time.Minute,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 50, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: arr,
+		Deadline: 30 * time.Minute,
 		CacheShrinks: []engine.CacheShrink{
 			{Worker: "w0", At: 5 * time.Second, CapacityMB: 60}, // fits one key
 		},
@@ -154,12 +162,14 @@ func TestCacheShrinkEvictsMidRun(t *testing.T) {
 // time and checks the partial report comes back with the error.
 func TestDeadlineReturnsPartialReport(t *testing.T) {
 	rep, err := engine.Run(engine.Config{
-		Workers:   testCluster(1, 1, 1, 0), // 50MB at 1MB/s: ~100s per job
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  faultArrivals(5),
-		Deadline:  3 * time.Minute,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 1, 1, 0), // 50MB at 1MB/s: ~100s per job
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: faultArrivals(5),
+		Deadline: 3 * time.Minute,
 	})
 	if !errors.Is(err, engine.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -176,11 +186,13 @@ func TestDeadlineReturnsPartialReport(t *testing.T) {
 // configuration errors, reported before the run starts.
 func TestUnknownFaultTargetsRejected(t *testing.T) {
 	base := engine.Config{
-		Workers:   testCluster(1, 20, 100, 0),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  dataWorkflow(),
-		Arrivals:  faultArrivals(1),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(1, 20, 100, 0),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: faultArrivals(1),
 	}
 	cfg := base
 	cfg.Partitions = []engine.Partition{{Node: "ghost", At: time.Second}}
@@ -201,18 +213,19 @@ func TestUnknownFaultTargetsRejected(t *testing.T) {
 func TestFleetNeverFormsBoundedByDeadline(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		rep, err := engine.Run(engine.Config{
-			Workers:      testCluster(2, 20, 100, 0),
-			Allocator:    core.NewBidding(),
-			Shards:       shards,
-			NewAllocator: func() engine.Allocator { return core.NewBidding() },
-			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-			Workflow:     dataWorkflow(),
-			Arrivals:     faultArrivals(3),
-			Deadline:     time.Minute,
-			DropFunc: func(env broker.Envelope, to string) bool {
-				_, isRegister := env.Payload.(engine.MsgRegister)
-				return isRegister && env.From == "w0"
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      testCluster(2, 20, 100, 0),
+				Shards:       shards,
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+				DropFunc: func(env broker.Envelope, to string) bool {
+					_, isRegister := env.Payload.(engine.MsgRegister)
+					return isRegister && env.From == "w0"
+				},
 			},
+			Workflow: dataWorkflow(),
+			Arrivals: faultArrivals(3),
+			Deadline: time.Minute,
 		})
 		if !errors.Is(err, engine.ErrDeadlineExceeded) {
 			t.Fatalf("shards=%d: err = %v, want ErrDeadlineExceeded", shards, err)

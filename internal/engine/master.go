@@ -26,11 +26,6 @@ type Master struct {
 	alloc  Allocator
 	rng    *rand.Rand
 	tracer Tracer
-	// staleBidBug re-introduces the PR-2 stale dead-worker-bid bug (a
-	// bid from a dead worker may win its contest). Test-only: it exists
-	// so the model checker's counterexample path stays demonstrable, and
-	// only Cluster.SetStaleBidBug sets it.
-	staleBidBug bool
 	// settle, when non-nil, replaces local re-injection of downstream
 	// jobs with a notice to the sharded frontend: every terminal job is
 	// reported (together with the task's NewJobs) so the router can
@@ -151,7 +146,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// the contest: the assignment would go to a closed endpoint and the
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
-		if m.live(msg.Worker) || m.staleBidBug {
+		if m.live(msg.Worker) {
 			m.sessFor(msg.JobID).bids++
 			m.alloc.BidReceived(m, msg)
 		}

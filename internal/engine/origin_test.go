@@ -79,7 +79,6 @@ func (l *routeLog) counts() (requests, bids int) {
 func baselinePlane(shards int, cfg engine.ClusterConfig) engine.ClusterConfig {
 	cfg.NewAgent = func(*engine.WorkerState) engine.Agent { return core.NewBaselineAgent() }
 	cfg.Shards = shards
-	cfg.Allocator = core.NewBaseline()
 	cfg.NewAllocator = func() engine.Allocator { return core.NewBaseline() }
 	return cfg
 }

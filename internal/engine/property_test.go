@@ -53,13 +53,15 @@ func TestPropertyAllSchedulersConserveJobs(t *testing.T) {
 			}
 		}
 		rep, err := engine.Run(engine.Config{
-			Workers:   workers,
-			Allocator: pol.NewAllocator(),
-			NewAgent:  pol.NewAgent,
-			Workflow:  dataWorkflow(),
-			Arrivals:  arrivals,
-			Seed:      seed,
-			Kills:     kills,
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      workers,
+				NewAllocator: pol.NewAllocator,
+				NewAgent:     pol.NewAgent,
+				Seed:         seed,
+			},
+			Workflow: dataWorkflow(),
+			Arrivals: arrivals,
+			Kills:    kills,
 		})
 		if err != nil {
 			t.Logf("%s: %v", pol.Name, err)
@@ -128,13 +130,15 @@ func TestPropertyBiddingNeverLosesJobsUnderCrashes(t *testing.T) {
 			}}
 		}
 		rep, err := engine.Run(engine.Config{
-			Workers:   workers,
-			Allocator: core.NewBidding(),
-			NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-			Workflow:  dataWorkflow(),
-			Arrivals:  arrivals,
-			Seed:      seed,
-			Kills:     []engine.Kill{{Worker: "w1", At: killAt}},
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      workers,
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+				Seed:         seed,
+			},
+			Workflow: dataWorkflow(),
+			Arrivals: arrivals,
+			Kills:    []engine.Kill{{Worker: "w1", At: killAt}},
 		})
 		if err != nil {
 			t.Log(err)
@@ -168,12 +172,14 @@ func TestPropertySimulationDeterministic(t *testing.T) {
 				}
 			}
 			rep, err := engine.Run(engine.Config{
-				Workers:   testCluster(3, 20, 100, 0),
-				Allocator: pol.NewAllocator(),
-				NewAgent:  pol.NewAgent,
-				Workflow:  dataWorkflow(),
-				Arrivals:  arrivals,
-				Seed:      seed,
+				ClusterConfig: engine.ClusterConfig{
+					Workers:      testCluster(3, 20, 100, 0),
+					NewAllocator: pol.NewAllocator,
+					NewAgent:     pol.NewAgent,
+					Seed:         seed,
+				},
+				Workflow: dataWorkflow(),
+				Arrivals: arrivals,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -40,17 +40,18 @@ func TestRunEqualsOneSession(t *testing.T) {
 
 		runTrace := engine.NewTraceLog()
 		runRep, err := engine.Run(engine.Config{
-			Workers:      testCluster(4, 20, 100, 0),
-			Allocator:    core.NewBidding(),
-			Shards:       shards,
-			NewAllocator: func() engine.Allocator { return core.NewBidding() },
-			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-			Workflow:     dataWorkflow(),
-			Arrivals:     arrivals(),
-			Seed:         seed,
-			Kills:        []engine.Kill{{Worker: "w3", At: killAt}},
-			Drains:       []engine.Drain{{Worker: "w1", At: drainAt}},
-			Tracer:       runTrace,
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      testCluster(4, 20, 100, 0),
+				Shards:       shards,
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+				Seed:         seed,
+				Tracer:       runTrace,
+			},
+			Workflow: dataWorkflow(),
+			Arrivals: arrivals(),
+			Kills:    []engine.Kill{{Worker: "w3", At: killAt}},
+			Drains:   []engine.Drain{{Worker: "w1", At: drainAt}},
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -151,10 +152,10 @@ func TestScheduledArrivalsSpawnNoGoroutine(t *testing.T) {
 	}
 	alloc := &sampledSpark{SparkLikeAllocator: core.NewSparkLike()}
 	c, err := engine.NewCluster(engine.ClusterConfig{
-		Clock:     vclock.NewSim(),
-		Workers:   testCluster(1, 1000, 1000, 0),
-		Allocator: alloc,
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
+		Clock:        vclock.NewSim(),
+		Workers:      testCluster(1, 1000, 1000, 0),
+		NewAllocator: func() engine.Allocator { return alloc },
+		NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewPassiveAgent() },
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -212,13 +213,14 @@ func TestRetainedReportDoesNotPinTheSimulation(t *testing.T) {
 		before := heap()
 		for i := 0; i < runs; i++ {
 			kept = append(kept, runOrFail(t, engine.Config{
-				Workers:      testCluster(200, 20, 100, 0),
-				Allocator:    core.NewBidding(),
-				Shards:       shards,
-				NewAllocator: func() engine.Allocator { return core.NewBidding() },
-				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-				Workflow:     dataWorkflow(),
-				Arrivals:     dataJobs([]string{"a", "b", "c", "d", "a", "b", "c", "d"}, 10),
+				ClusterConfig: engine.ClusterConfig{
+					Workers:      testCluster(200, 20, 100, 0),
+					Shards:       shards,
+					NewAllocator: func() engine.Allocator { return core.NewBidding() },
+					NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+				},
+				Workflow: dataWorkflow(),
+				Arrivals: dataJobs([]string{"a", "b", "c", "d", "a", "b", "c", "d"}, 10),
 			}))
 		}
 		perReport := (int64(heap()) - int64(before)) / runs

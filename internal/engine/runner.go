@@ -3,11 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"crossflow/internal/broker"
-	"crossflow/internal/gitsim"
 	"crossflow/internal/vclock"
 )
 
@@ -19,39 +16,14 @@ type Kill struct {
 	At     time.Duration
 }
 
-// Config describes one workflow run.
+// Config describes one workflow run: a cluster plus its plan — the
+// workflow, the arrival stream and the faults scheduled around them.
 type Config struct {
-	// Clock is the time source; nil defaults to a fresh simulated clock.
-	Clock vclock.Clock
-	// Workers is the cluster. WorkerStates persist across runs, so the
-	// harness can execute warm-cache iterations.
-	Workers []*WorkerState
-	// Allocator is the master-side policy. Ignored when Shards > 1 —
-	// every contest shard then builds its own instance via NewAllocator.
-	Allocator Allocator
-	// Shards > 1 shards the control plane by content hash of job data
-	// keys (see ClusterConfig.Shards). 0 or 1 runs the classic single
-	// master, bit-compatible with historical runs.
-	Shards int
-	// NewAllocator builds one allocator per contest shard; required when
-	// Shards > 1, ignored otherwise.
-	NewAllocator func() Allocator
-	// NewAgent builds the matching worker-side policy per node.
-	NewAgent func(st *WorkerState) Agent
+	ClusterConfig
 	// Workflow is the task graph.
 	Workflow *Workflow
 	// Arrivals is the input job stream.
 	Arrivals []Arrival
-	// Hub optionally provides the synthetic GitHub to task bodies.
-	Hub *gitsim.Hub
-	// MasterLink is the master's one-way broker latency.
-	MasterLink time.Duration
-	// Seed seeds the master's random source.
-	Seed int64
-	// Rand, when non-nil, supplies the master's random source directly
-	// and takes precedence over Seed — for harnesses that thread one
-	// seeded generator through a whole experiment.
-	Rand *rand.Rand
 	// Kills schedules worker crashes (fault-injection experiments).
 	Kills []Kill
 	// Partitions schedules temporary endpoint disconnects.
@@ -65,12 +37,6 @@ type Config struct {
 	// Drains schedules graceful departures (elastic scale-down): the
 	// worker finishes its queued jobs, then leaves without losing work.
 	Drains []Drain
-	// DelayFunc overrides the broker's delivery-delay model (latency
-	// spikes, asymmetric links). Nil keeps the default link-sum model.
-	DelayFunc broker.DelayFunc
-	// DropFunc installs a broker delivery-loss model. Implementations
-	// must be deterministic (see broker.DropFunc).
-	DropFunc broker.DropFunc
 	// Probe, when non-nil, receives the assembled Cluster after
 	// construction and before anything starts running. The model checker
 	// uses it to capture the cluster for state fingerprinting; tests can
@@ -84,8 +50,6 @@ type Config struct {
 	// that nothing retries would otherwise starve the master's
 	// termination detection forever.
 	Deadline time.Duration
-	// Tracer, when non-nil, receives every allocation event.
-	Tracer Tracer
 }
 
 // Run executes one workflow to completion and returns its report: one
@@ -100,21 +64,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Workflow == nil {
 		return nil, errors.New("engine: no workflow configured")
 	}
-	c, err := NewCluster(ClusterConfig{
-		Clock:        cfg.Clock,
-		Workers:      cfg.Workers,
-		Allocator:    cfg.Allocator,
-		Shards:       cfg.Shards,
-		NewAllocator: cfg.NewAllocator,
-		NewAgent:     cfg.NewAgent,
-		Hub:          cfg.Hub,
-		MasterLink:   cfg.MasterLink,
-		Seed:         cfg.Seed,
-		Rand:         cfg.Rand,
-		DelayFunc:    cfg.DelayFunc,
-		DropFunc:     cfg.DropFunc,
-		Tracer:       cfg.Tracer,
-	})
+	c, err := NewCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -176,12 +126,6 @@ func Run(cfg Config) (*Report, error) {
 	for _, st := range cfg.Workers {
 		names[st.Spec.Name] = true
 	}
-	type joinRuntime struct {
-		st     *WorkerState
-		before workerSnapshot
-		w      *Worker // nil until the join fires (or never, past deadline)
-	}
-	joiners := make([]*joinRuntime, 0, len(cfg.Joins))
 	for _, j := range cfg.Joins {
 		if j.State == nil {
 			return nil, errors.New("engine: nil worker state")
@@ -191,18 +135,15 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("engine: join duplicates worker %q", name)
 		}
 		names[name] = true
-		jr := &joinRuntime{st: j.State, before: snapshotWorker(j.State)}
-		joiners = append(joiners, jr)
 		if cfg.Deadline > 0 && j.At >= cfg.Deadline {
 			continue // would join an already-aborted run
 		}
-		j, jr := j, jr
+		j := j
 		afterFunc(j.At, "join "+name, func() {
 			w, err := c.Join(j.State)
 			if err != nil {
 				return
 			}
-			jr.w = w
 			if cfg.Deadline > 0 {
 				// Fires at the shared deadline instant, after the master's
 				// abort (whose timer was scheduled first).
@@ -275,12 +216,20 @@ func Run(cfg Config) (*Report, error) {
 	for _, rec := range rep.Records {
 		rec.sess = nil
 	}
-	rep.Workers = make([]WorkerReport, 0, len(cfg.Workers)+len(joiners))
-	addWorker := func(st *WorkerState, before workerSnapshot, w *Worker) {
-		wr := diffWorker(st, before)
-		if w != nil {
-			wr.JobsDone = w.JobsDone()
-			wr.BusyTime = w.BusyTime()
+	// Run never forgets a member, so every node it started is still one;
+	// a joiner whose join never fired is not, and reports zero.
+	rep.Workers = make([]WorkerReport, 0, len(cfg.Workers)+len(cfg.Joins))
+	addWorker := func(st *WorkerState) {
+		// The cluster is quiescent here, but members is mu-guarded
+		// state; take the lock so the ownership rule holds uniformly.
+		c.mu.Lock()
+		mem := c.members[st.Spec.Name]
+		c.mu.Unlock()
+		wr := WorkerReport{Name: st.Spec.Name}
+		if mem != nil {
+			wr = diffWorker(st, mem.before)
+			wr.JobsDone = mem.w.JobsDone()
+			wr.BusyTime = mem.w.BusyTime()
 			if rep.Makespan > 0 {
 				wr.Utilization = float64(wr.BusyTime) / float64(rep.Makespan)
 			}
@@ -293,15 +242,10 @@ func Run(cfg Config) (*Report, error) {
 		rep.Downloads += wr.Downloads
 	}
 	for _, st := range cfg.Workers {
-		// The cluster is quiescent here, but members is mu-guarded
-		// state; take the lock so the ownership rule holds uniformly.
-		c.mu.Lock()
-		mem := c.members[st.Spec.Name]
-		c.mu.Unlock()
-		addWorker(st, mem.before, mem.w)
+		addWorker(st)
 	}
-	for _, jr := range joiners {
-		addWorker(jr.st, jr.before, jr.w)
+	for _, j := range cfg.Joins {
+		addWorker(j.State)
 	}
 	if plane.aborted {
 		return rep, fmt.Errorf("%w (%v of simulated time, %d/%d jobs completed)",

@@ -17,13 +17,14 @@ func shardedConfig(shards, workers, jobs int) engine.Config {
 		keys[i] = fmt.Sprintf("r%d", i)
 	}
 	return engine.Config{
-		Workers:      testCluster(workers, 20, 100, 0),
-		Allocator:    core.NewBidding(),
-		Shards:       shards,
-		NewAllocator: func() engine.Allocator { return core.NewBidding() },
-		NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:     dataWorkflow(),
-		Arrivals:     dataJobs(keys, 50),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      testCluster(workers, 20, 100, 0),
+			Shards:       shards,
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+		},
+		Workflow: dataWorkflow(),
+		Arrivals: dataJobs(keys, 50),
 	}
 }
 

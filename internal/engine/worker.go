@@ -129,14 +129,13 @@ type WorkerState struct {
 }
 
 // NewWorkerState builds the persistent state for a spec. costs may be
-// nil, in which case a perfect-knowledge static model over the nominal
-// speeds is used.
+// nil, in which case StaticCosts over the nominal speeds is used.
 func NewWorkerState(spec WorkerSpec, costs CostModel) *WorkerState {
 	if spec.Heartbeat == 0 {
 		spec.Heartbeat = 500 * time.Millisecond
 	}
 	if costs == nil {
-		costs = staticCosts{netMBps: spec.Net.BaseMBps, rwMBps: spec.RW.BaseMBps}
+		costs = StaticCosts{NetMBps: spec.Net.BaseMBps, RWMBps: spec.RW.BaseMBps}
 	}
 	return &WorkerState{
 		Spec:  spec,
@@ -146,26 +145,33 @@ func NewWorkerState(spec WorkerSpec, costs CostModel) *WorkerState {
 	}
 }
 
-// staticCosts is the default perfect-knowledge cost model: estimates use
-// the nominal speeds and ignore observations.
-type staticCosts struct{ netMBps, rwMBps float64 }
-
-func (s staticCosts) TransferEstimate(hasData bool, sizeMB float64) time.Duration {
-	if hasData || sizeMB <= 0 {
-		return 0
-	}
-	return time.Duration(sizeMB / s.netMBps * float64(time.Second))
+// StaticCosts is the perfect-knowledge cost model: it prices a
+// transfer and a processing step at fixed nominal speeds, exactly as a
+// noise-free link times them (netsim.DurationFor), and ignores
+// observations. It is a worker's default model.
+type StaticCosts struct {
+	NetMBps float64
+	RWMBps  float64
 }
 
-func (s staticCosts) ProcessEstimate(sizeMB float64) time.Duration {
-	if sizeMB <= 0 {
+// TransferEstimate implements CostModel: free when the data is local.
+func (s StaticCosts) TransferEstimate(hasData bool, sizeMB float64) time.Duration {
+	if hasData {
 		return 0
 	}
-	return time.Duration(sizeMB / s.rwMBps * float64(time.Second))
+	return netsim.DurationFor(sizeMB, s.NetMBps)
 }
 
-func (staticCosts) ObserveTransfer(float64, time.Duration) {}
-func (staticCosts) ObserveProcess(float64, time.Duration)  {}
+// ProcessEstimate implements CostModel.
+func (s StaticCosts) ProcessEstimate(sizeMB float64) time.Duration {
+	return netsim.DurationFor(sizeMB, s.RWMBps)
+}
+
+// ObserveTransfer implements CostModel as a no-op.
+func (StaticCosts) ObserveTransfer(float64, time.Duration) {}
+
+// ObserveProcess implements CostModel as a no-op.
+func (StaticCosts) ObserveProcess(float64, time.Duration) {}
 
 // NewWorker wires a worker over existing persistent state and an
 // arbitrary Port — in-process broker endpoint or TCP client alike. hub

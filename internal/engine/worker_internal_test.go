@@ -138,9 +138,13 @@ func TestJobCloneAndComputeMB(t *testing.T) {
 }
 
 func TestStaticCostsDefaultModel(t *testing.T) {
+	// Noisy speeds: the default model prices at the nominal ones.
 	st := NewWorkerState(WorkerSpec{
-		Name: "d", Net: netsim.Speed{BaseMBps: 20}, RW: netsim.Speed{BaseMBps: 40},
+		Name: "d", Net: netsim.Speed{BaseMBps: 20, NoiseAmp: 0.5}, RW: netsim.Speed{BaseMBps: 40, NoiseAmp: 0.5},
 	}, nil)
+	if st.Link.NominalNetMBps() != 20 || st.Link.NominalRWMBps() != 40 {
+		t.Error("nominal accessors wrong")
+	}
 	if got := st.Costs.TransferEstimate(false, 100); got != 5*time.Second {
 		t.Errorf("TransferEstimate = %v", got)
 	}
@@ -154,6 +158,18 @@ func TestStaticCostsDefaultModel(t *testing.T) {
 	st.Costs.ObserveProcess(1, 1)
 	if got := st.Costs.TransferEstimate(false, 100); got != 5*time.Second {
 		t.Errorf("estimate drifted after observations: %v", got)
+	}
+}
+
+// TestZeroNetSpeedEstimatesTheLinksTime: a worker whose network speed
+// is left zero must estimate a remote job at the time its own link
+// takes to fetch it (saturated at 1e9 s), not at a negative duration
+// converted from +Inf that would win every contest.
+func TestZeroNetSpeedEstimatesTheLinksTime(t *testing.T) {
+	st := NewWorkerState(WorkerSpec{Name: "z", RW: netsim.Speed{BaseMBps: 40}}, nil)
+	got := st.Costs.TransferEstimate(false, 10)
+	if want := st.Link.TransferTime(10, vclock.Epoch); got != want || got <= 0 {
+		t.Errorf("TransferEstimate = %v, want the link's %v", got, want)
 	}
 }
 

@@ -94,12 +94,14 @@ func (s strand) run() (*metrics.Series, error) {
 			MeanInterarrival: s.o.MeanInterarrival,
 		})
 		rep, err := engine.Run(engine.Config{
-			Workers:   states,
-			Allocator: s.pol.NewAllocator(),
-			NewAgent:  s.pol.NewAgent,
-			Workflow:  workload.Workflow(),
-			Arrivals:  arrivals,
-			Seed:      s.o.Seed + int64(it),
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      states,
+				NewAllocator: s.pol.NewAllocator,
+				NewAgent:     s.pol.NewAgent,
+				Seed:         s.o.Seed + int64(it),
+			},
+			Workflow: workload.Workflow(),
+			Arrivals: arrivals,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s/%s seed %d iteration %d: %w",

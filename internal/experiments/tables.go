@@ -127,14 +127,16 @@ func Tables(opts LiveOptions) ([]TableRow, error) {
 		run, name := i/2, [...]string{"bidding", "baseline"}[i%2]
 		pol, _ := core.PolicyByName(name)
 		rep, err := engine.Run(engine.Config{
-			Workers:   liveCluster(o, run),
-			Allocator: pol.NewAllocator(),
-			NewAgent:  pol.NewAgent,
-			Workflow:  msr.Pipeline(msrCfg),
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      liveCluster(o, run),
+				NewAllocator: pol.NewAllocator,
+				NewAgent:     pol.NewAgent,
+				Hub:          hub,
+				Seed:         o.Seed + int64(run),
+			},
+			Workflow: msr.Pipeline(msrCfg),
 			Arrivals: msr.LibraryArrivals(libs, 30*time.Second, o.Seed+int64(run),
 				msrCfg.SearchCost(hub)),
-			Hub:  hub,
-			Seed: o.Seed + int64(run),
 		})
 		if err != nil {
 			return metrics.RunSummary{}, fmt.Errorf("experiments: live MSR %s run %d: %w", name, run+1, err)

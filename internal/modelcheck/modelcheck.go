@@ -69,10 +69,6 @@ type Config struct {
 	// only fingerprint deduplication — slower, useful for cross-checking
 	// the reduction.
 	DisablePOR bool
-	// StaleBidBug re-introduces the stale dead-worker-bid bug for every
-	// execution (see engine.Cluster.SetStaleBidBug), to demonstrate
-	// counterexample extraction against a known-broken protocol.
-	StaleBidBug bool
 	// Progress, when non-nil, is called after every execution with the
 	// running statistics.
 	Progress func(Stats)
@@ -254,9 +250,8 @@ func (e *explorer) runOne(ent entry) (*simtest.RunResult, []int) {
 	})
 
 	r := simtest.ExecuteOpts(e.cfg.Scenario, e.cfg.Policy, simtest.ExecOptions{
-		Clock:       clk,
-		Probe:       func(c *engine.Cluster) { cluster = c },
-		StaleBidBug: e.cfg.StaleBidBug,
+		Clock: clk,
+		Probe: func(c *engine.Cluster) { cluster = c },
 	})
 	e.stats.Runs++
 	if truncated {
@@ -339,13 +334,12 @@ func visitKey(fp string, sleep []sleeper) string {
 func (e *explorer) finishViolation(v *simtest.Violation, schedule []int, r *simtest.RunResult) *Result {
 	schedule = e.shrink(schedule, v.Invariant)
 	ce := &simtest.Counterexample{
-		Policy:      e.cfg.Policy.Name,
-		Invariant:   v.Invariant,
-		Detail:      v.Detail,
-		Schedule:    schedule,
-		StaleBidBug: e.cfg.StaleBidBug,
-		Scenario:    e.cfg.Scenario,
-		Trace:       simtest.FormatTrace(r.Events),
+		Policy:    e.cfg.Policy.Name,
+		Invariant: v.Invariant,
+		Detail:    v.Detail,
+		Schedule:  schedule,
+		Scenario:  e.cfg.Scenario,
+		Trace:     simtest.FormatTrace(r.Events),
 	}
 	return &Result{Stats: e.stats, Violation: v, Counterexample: ce}
 }
@@ -359,7 +353,7 @@ func (e *explorer) finishViolation(v *simtest.Violation, schedule []int, r *simt
 // past the schedule uninstalls the chooser and lets time advance.
 func (e *explorer) shrink(schedule []int, invariant string) []int {
 	reproduces := func(s []int) bool {
-		r := simtest.ReplaySchedule(e.cfg.Scenario, e.cfg.Policy, s, e.cfg.StaleBidBug)
+		r := simtest.ReplaySchedule(e.cfg.Scenario, e.cfg.Policy, s)
 		v := simtest.CheckTrace(e.cfg.Scenario, r)
 		return v != nil && v.Invariant == invariant
 	}

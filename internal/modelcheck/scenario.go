@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crossflow/internal/core"
+	"crossflow/internal/engine"
 	"crossflow/internal/simtest"
 )
 
@@ -84,10 +85,10 @@ func BoundedScenario(b Bounds, pol core.Policy) *simtest.Scenario {
 		})
 	}
 	if b.Kill != "" {
-		sc.Faults.Kills = append(sc.Faults.Kills, simtest.KillFault{Worker: b.Kill})
+		sc.Faults.Kills = append(sc.Faults.Kills, engine.Kill{Worker: b.Kill})
 	}
 	if b.Drain != "" {
-		sc.Faults.Drains = append(sc.Faults.Drains, simtest.DrainFault{Worker: b.Drain})
+		sc.Faults.Drains = append(sc.Faults.Drains, engine.Drain{Worker: b.Drain})
 	}
 	if b.Join {
 		sc.Faults.Joins = append(sc.Faults.Joins, simtest.JoinFault{

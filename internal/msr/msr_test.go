@@ -39,12 +39,14 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 	}
 	rep, err := engine.Run(engine.Config{
-		Workers:   msrCluster(3),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  Pipeline(Config{}),
-		Arrivals:  arrivals,
-		Hub:       hub,
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      msrCluster(3),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			Hub:          hub,
+		},
+		Workflow: Pipeline(Config{}),
+		Arrivals: arrivals,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -80,14 +82,16 @@ func TestPipelineRejectsWrongPayloads(t *testing.T) {
 	catalog := gitsim.GenerateCatalog(2, gitsim.Small, 1)
 	hub := gitsim.NewHub(catalog, 0)
 	rep, err := engine.Run(engine.Config{
-		Workers:   msrCluster(1),
-		Allocator: core.NewBidding(),
-		NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-		Workflow:  Pipeline(Config{}),
+		ClusterConfig: engine.ClusterConfig{
+			Workers:      msrCluster(1),
+			NewAllocator: func() engine.Allocator { return core.NewBidding() },
+			NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+			Hub:          hub,
+		},
+		Workflow: Pipeline(Config{}),
 		Arrivals: []engine.Arrival{{Job: &engine.Job{
 			ID: "bad", Stream: StreamLibraries, Payload: 42, // not a string
 		}}},
-		Hub: hub,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -194,12 +198,14 @@ func TestScanFractionReducesProcessing(t *testing.T) {
 	hub := gitsim.NewHub(catalog, 0)
 	run := func(frac float64) time.Duration {
 		rep, err := engine.Run(engine.Config{
-			Workers:   msrCluster(1),
-			Allocator: core.NewBidding(),
-			NewAgent:  func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
-			Workflow:  Pipeline(Config{ScanFraction: frac}),
-			Arrivals:  LibraryArrivals([]string{"lodash"}, 0, 1, 0),
-			Hub:       hub,
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      msrCluster(1),
+				NewAllocator: func() engine.Allocator { return core.NewBidding() },
+				NewAgent:     func(*engine.WorkerState) engine.Agent { return core.NewBiddingAgent() },
+				Hub:          hub,
+			},
+			Workflow: Pipeline(Config{ScanFraction: frac}),
+			Arrivals: LibraryArrivals([]string{"lodash"}, 0, 1, 0),
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)

@@ -113,7 +113,7 @@ func (l *Link) TransferTime(sizeMB float64, t time.Time) time.Duration {
 	speed := l.sample(l.net, t)
 	l.downloadedMB += sizeMB
 	l.downloads++
-	return durationFor(sizeMB, speed)
+	return DurationFor(sizeMB, speed)
 }
 
 // ProcessTime returns the time to read and process sizeMB of local data
@@ -123,7 +123,7 @@ func (l *Link) ProcessTime(sizeMB float64, t time.Time) time.Duration {
 	defer l.mu.Unlock()
 	speed := l.sample(l.rw, t)
 	l.processedMB += sizeMB
-	return durationFor(sizeMB, speed)
+	return DurationFor(sizeMB, speed)
 }
 
 // ProbeNetMBps samples the actual download speed at time t without
@@ -141,17 +141,6 @@ func (l *Link) ProbeRWMBps(t time.Time) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sample(l.rw, t)
-}
-
-// PeekTransferTime is TransferTime without accounting or noise: the time
-// a bidder with perfect knowledge of the nominal speed would estimate.
-func (l *Link) PeekTransferTime(sizeMB float64) time.Duration {
-	return durationFor(sizeMB, l.net.BaseMBps)
-}
-
-// PeekProcessTime is ProcessTime without accounting or noise.
-func (l *Link) PeekProcessTime(sizeMB float64) time.Duration {
-	return durationFor(sizeMB, l.rw.BaseMBps)
 }
 
 // DownloadedMB returns the cumulative megabytes downloaded through this
@@ -186,9 +175,11 @@ func (l *Link) ResetAccounting() {
 	l.processedMB = 0
 }
 
-// durationFor converts a size and speed to a duration, saturating rather
-// than overflowing for absurd inputs.
-func durationFor(sizeMB, mbps float64) time.Duration {
+// DurationFor is the time to move sizeMB at mbps: zero for no data,
+// saturating at 1e9 s rather than overflowing for a zero or absurdly
+// slow speed. The link times transfers and processing with it, and
+// engine.StaticCosts estimates them with it.
+func DurationFor(sizeMB, mbps float64) time.Duration {
 	if sizeMB <= 0 {
 		return 0
 	}

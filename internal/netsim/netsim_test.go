@@ -23,19 +23,6 @@ func TestTransferTimeNoNoiseIsExact(t *testing.T) {
 	}
 }
 
-func TestPeekMatchesNominal(t *testing.T) {
-	l := NewLink(Speed{BaseMBps: 50, NoiseAmp: 0.5}, Speed{BaseMBps: 25, NoiseAmp: 0.5}, 7)
-	if got := l.PeekTransferTime(100); got != 2*time.Second {
-		t.Errorf("PeekTransferTime = %v, want 2s", got)
-	}
-	if got := l.PeekProcessTime(100); got != 4*time.Second {
-		t.Errorf("PeekProcessTime = %v, want 4s", got)
-	}
-	if l.NominalNetMBps() != 50 || l.NominalRWMBps() != 25 {
-		t.Error("nominal accessors wrong")
-	}
-}
-
 func TestNoiseStaysWithinAmplitude(t *testing.T) {
 	l := NewLink(Speed{BaseMBps: 100, NoiseAmp: 0.2}, flatSpeed(100), 42)
 	for i := 0; i < 1000; i++ {
@@ -85,7 +72,7 @@ func TestNoiseStreamSeededOnFirstNoisySample(t *testing.T) {
 	ref := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		noisy.ProcessTime(50, vclock.Epoch) // noise-free channel: no draw
-		want := durationFor(50, 100*(1+0.3*(2*ref.Float64()-1)))
+		want := DurationFor(50, 100*(1+0.3*(2*ref.Float64()-1)))
 		if got := noisy.TransferTime(50, vclock.Epoch); got != want {
 			t.Fatalf("draw %d: transfer took %v, eager-seeded stream gives %v", i, got, want)
 		}

@@ -23,12 +23,8 @@ type Counterexample struct {
 	// vclock.Chooser). Decisions past the end of the schedule default to
 	// 0, the event the unguided simulator would fire, so a schedule only
 	// needs to pin the prefix that provokes the bug.
-	Schedule []int `json:"schedule"`
-	// StaleBidBug records that the run had the stale dead-worker-bid bug
-	// deliberately re-enabled (see engine.Cluster.SetStaleBidBug); the
-	// replay must break the protocol the same way.
-	StaleBidBug bool      `json:"stale_bid_bug,omitempty"`
-	Scenario    *Scenario `json:"scenario"`
+	Schedule []int     `json:"schedule"`
+	Scenario *Scenario `json:"scenario"`
 	// Trace is the violating run's formatted allocation trace, for
 	// humans; Replay regenerates it.
 	Trace string `json:"trace,omitempty"`
@@ -61,7 +57,7 @@ func (ce *Counterexample) Replay() (*RunResult, *Violation, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("simtest: counterexample policy %q unknown", ce.Policy)
 	}
-	r := ReplaySchedule(ce.Scenario, pol, ce.Schedule, ce.StaleBidBug)
+	r := ReplaySchedule(ce.Scenario, pol, ce.Schedule)
 	return r, CheckTrace(ce.Scenario, r), nil
 }
 
@@ -76,7 +72,7 @@ func (ce *Counterexample) Replay() (*RunResult, *Violation, error) {
 // and a policy with re-arming timers would then never reach its
 // deadline.) The model checker uses this both to re-verify
 // counterexamples and to shrink them.
-func ReplaySchedule(sc *Scenario, pol core.Policy, schedule []int, staleBidBug bool) *RunResult {
+func ReplaySchedule(sc *Scenario, pol core.Policy, schedule []int) *RunResult {
 	clk := vclock.NewSim()
 	step := 0
 	clk.SetChooser(func(enabled []vclock.EnabledEvent) int {
@@ -91,5 +87,5 @@ func ReplaySchedule(sc *Scenario, pol core.Policy, schedule []int, staleBidBug b
 		}
 		return c
 	})
-	return ExecuteOpts(sc, pol, ExecOptions{Clock: clk, StaleBidBug: staleBidBug})
+	return ExecuteOpts(sc, pol, ExecOptions{Clock: clk})
 }

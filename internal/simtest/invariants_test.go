@@ -90,7 +90,7 @@ func TestInvariantTable(t *testing.T) {
 
 	killSc := invScenario()
 	killSc.Faults.DropProb = 0.5
-	killSc.Faults.Kills = []KillFault{{Worker: "w0", At: time.Second}}
+	killSc.Faults.Kills = []engine.Kill{{Worker: "w0", At: time.Second}}
 
 	poisonSc := invScenario()
 	poisonSc.Faults.DropProb = 0.5

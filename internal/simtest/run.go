@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -99,16 +98,12 @@ type RunResult struct {
 
 // ExecOptions lets callers hook a scenario execution: the model checker
 // supplies a pre-configured clock (with a scheduling chooser installed)
-// and a cluster probe, and flips protocol bugs back on to demonstrate
-// counterexample extraction. The zero value is a plain run.
+// and a cluster probe. The zero value is a plain run.
 type ExecOptions struct {
 	// Clock replaces the fresh vclock.NewSim() an ordinary run uses.
 	Clock *vclock.Sim
 	// Probe receives the assembled cluster before it starts.
 	Probe func(*engine.Cluster)
-	// StaleBidBug re-introduces the stale dead-worker-bid bug
-	// (test-only; see engine.Cluster.SetStaleBidBug).
-	StaleBidBug bool
 }
 
 // Execute runs one policy over a scenario on a fresh simulated clock
@@ -125,45 +120,27 @@ func ExecuteOpts(sc *Scenario, pol core.Policy, opts ExecOptions) *RunResult {
 		clk = vclock.NewSim()
 	}
 	trace := engine.NewTraceLog()
-	var kills []engine.Kill
-	for _, k := range sc.Faults.Kills {
-		kills = append(kills, engine.Kill{Worker: k.Worker, At: k.At})
-	}
-	var parts []engine.Partition
-	for _, p := range sc.Faults.Partitions {
-		parts = append(parts, engine.Partition{Node: p.Node, At: p.At, Duration: p.Duration})
-	}
-	var shrinks []engine.CacheShrink
-	for _, s := range sc.Faults.Shrinks {
-		shrinks = append(shrinks, engine.CacheShrink{Worker: s.Worker, At: s.At, CapacityMB: s.CapacityMB})
-	}
 	rep, err := engine.Run(engine.Config{
-		Clock:        clk,
-		Workers:      sc.BuildWorkers(),
-		Allocator:    pol.NewAllocator(),
-		Shards:       sc.Shards,
-		NewAllocator: pol.NewAllocator,
-		NewAgent:     pol.NewAgent,
+		ClusterConfig: engine.ClusterConfig{
+			Clock:        clk,
+			Workers:      sc.BuildWorkers(),
+			Shards:       sc.Shards,
+			NewAllocator: pol.NewAllocator,
+			NewAgent:     pol.NewAgent,
+			Seed:         sc.Seed*7919 + 17,
+			DelayFunc:    sc.delayFunc(clk),
+			DropFunc:     sc.dropFunc(),
+			Tracer:       trace,
+		},
 		Workflow:     scenarioWorkflow(),
 		Arrivals:     sc.Arrivals(),
-		Rand:         rand.New(rand.NewSource(sc.Seed*7919 + 17)),
-		Kills:        kills,
-		Partitions:   parts,
-		CacheShrinks: shrinks,
+		Kills:        sc.Faults.Kills,
+		Partitions:   sc.Faults.Partitions,
+		CacheShrinks: sc.Faults.Shrinks,
 		Joins:        sc.BuildJoins(),
-		Drains:       sc.BuildDrains(),
-		DelayFunc:    sc.delayFunc(clk),
-		DropFunc:     sc.dropFunc(),
+		Drains:       sc.Faults.Drains,
 		Deadline:     sc.Deadline,
-		Tracer:       trace,
-		Probe: func(c *engine.Cluster) {
-			if opts.StaleBidBug {
-				c.SetStaleBidBug()
-			}
-			if opts.Probe != nil {
-				opts.Probe(c)
-			}
-		},
+		Probe:        opts.Probe,
 	})
 	return &RunResult{Policy: pol.Name, Report: rep, Events: trace.Events(), Err: err}
 }

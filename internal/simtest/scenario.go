@@ -49,20 +49,6 @@ type JobCfg struct {
 	Poison bool
 }
 
-// KillFault crashes a worker At after the run starts (engine.Kill).
-type KillFault struct {
-	Worker string
-	At     time.Duration
-}
-
-// PartitionFault disconnects a node's endpoint for a window
-// (engine.Partition). Duration <= 0 never reconnects.
-type PartitionFault struct {
-	Node     string
-	At       time.Duration
-	Duration time.Duration
-}
-
 // DelaySpike multiplies (and pads) broker delivery delays inside a
 // window — the "messaging instance under load" fault.
 type DelaySpike struct {
@@ -70,14 +56,6 @@ type DelaySpike struct {
 	Duration time.Duration
 	Factor   float64
 	Extra    time.Duration
-}
-
-// ShrinkFault cuts a worker's cache capacity mid-run
-// (engine.CacheShrink).
-type ShrinkFault struct {
-	Worker     string
-	At         time.Duration
-	CapacityMB float64
 }
 
 // JoinFault scales the fleet up mid-run: a fresh worker with its own
@@ -88,22 +66,14 @@ type JoinFault struct {
 	At     time.Duration
 }
 
-// DrainFault gracefully scales the fleet down: the worker finishes its
-// queue, deregisters, and leaves At after the run starts (engine.Drain).
-// Unlike a kill, a drain must lose no work.
-type DrainFault struct {
-	Worker string
-	At     time.Duration
-}
-
 // FaultPlan is the adversarial half of a scenario.
 type FaultPlan struct {
-	Kills      []KillFault
-	Partitions []PartitionFault
+	Kills      []engine.Kill
+	Partitions []engine.Partition
 	Spikes     []DelaySpike
-	Shrinks    []ShrinkFault
+	Shrinks    []engine.CacheShrink
 	Joins      []JoinFault
-	Drains     []DrainFault
+	Drains     []engine.Drain
 	// DropProb is the per-delivery message-loss probability (0 = lossless).
 	// Drops are decided by a deterministic hash of the envelope, never by
 	// call order, so runs stay replayable.
@@ -268,7 +238,7 @@ func Generate(seed int64, lim Limits) *Scenario {
 			span := sc.Jobs[len(sc.Jobs)-1].At
 			n := 1 + rng.Intn(2)
 			for i := 0; i < n; i++ {
-				pt := PartitionFault{
+				pt := engine.Partition{
 					Node:     engine.ShardName(rng.Intn(sc.Shards)),
 					At:       minKillAt + time.Duration(rng.Int63n(int64(span+10*time.Second))),
 					Duration: time.Duration(1+rng.Intn(30)) * time.Second,
@@ -301,7 +271,7 @@ func genFaults(rng *rand.Rand, sc *Scenario, lim Limits) FaultPlan {
 		nKills := rng.Intn(maxKills + 1)
 		perm := rng.Perm(len(sc.Workers))
 		for i := 0; i < nKills; i++ {
-			p.Kills = append(p.Kills, KillFault{
+			p.Kills = append(p.Kills, engine.Kill{
 				Worker: sc.Workers[perm[i]].Name,
 				At:     minKillAt + time.Duration(rng.Int63n(int64(span+30*time.Second))),
 			})
@@ -321,7 +291,7 @@ func genFaults(rng *rand.Rand, sc *Scenario, lim Limits) FaultPlan {
 	// Cache shrink: a worker's disk loses space mid-run.
 	if rng.Intn(3) == 0 {
 		w := sc.Workers[rng.Intn(len(sc.Workers))]
-		p.Shrinks = append(p.Shrinks, ShrinkFault{
+		p.Shrinks = append(p.Shrinks, engine.CacheShrink{
 			Worker:     w.Name,
 			At:         time.Duration(rng.Int63n(int64(span + 10*time.Second))),
 			CapacityMB: 10 + rng.Float64()*190,
@@ -337,7 +307,7 @@ func genFaults(rng *rand.Rand, sc *Scenario, lim Limits) FaultPlan {
 			if rng.Intn(8) == 0 {
 				node = engine.MasterName
 			}
-			pt := PartitionFault{
+			pt := engine.Partition{
 				Node:     node,
 				At:       time.Duration(rng.Int63n(int64(span + 10*time.Second))),
 				Duration: time.Duration(1+rng.Intn(30)) * time.Second,
@@ -410,7 +380,7 @@ func genFaults(rng *rand.Rand, sc *Scenario, lim Limits) FaultPlan {
 			}
 			perm := rng.Perm(len(candidates))
 			for i := 0; i < n; i++ {
-				p.Drains = append(p.Drains, DrainFault{
+				p.Drains = append(p.Drains, engine.Drain{
 					Worker: candidates[perm[i]],
 					At:     minKillAt + time.Duration(rng.Int63n(int64(span+30*time.Second))),
 				})
@@ -493,15 +463,6 @@ func (sc *Scenario) BuildJoins() []engine.Join {
 		joins = append(joins, engine.Join{State: buildWorker(j.Worker), At: j.At})
 	}
 	return joins
-}
-
-// BuildDrains converts the plan's graceful scale-downs.
-func (sc *Scenario) BuildDrains() []engine.Drain {
-	drains := make([]engine.Drain, 0, len(sc.Faults.Drains))
-	for _, d := range sc.Faults.Drains {
-		drains = append(drains, engine.Drain{Worker: d.Worker, At: d.At})
-	}
-	return drains
 }
 
 func buildWorker(w WorkerCfg) *engine.WorkerState {

@@ -1,6 +1,9 @@
 package simtest
 
-import "crossflow/internal/core"
+import (
+	"crossflow/internal/core"
+	"crossflow/internal/engine"
+)
 
 // Shrink greedily minimizes a failing scenario while preserving the
 // original violation's (policy, invariant) signature: it repeatedly
@@ -110,12 +113,12 @@ func (sc *Scenario) clone() *Scenario {
 	cp := *sc
 	cp.Workers = append([]WorkerCfg(nil), sc.Workers...)
 	cp.Jobs = append([]JobCfg(nil), sc.Jobs...)
-	cp.Faults.Kills = append([]KillFault(nil), sc.Faults.Kills...)
-	cp.Faults.Partitions = append([]PartitionFault(nil), sc.Faults.Partitions...)
+	cp.Faults.Kills = append([]engine.Kill(nil), sc.Faults.Kills...)
+	cp.Faults.Partitions = append([]engine.Partition(nil), sc.Faults.Partitions...)
 	cp.Faults.Spikes = append([]DelaySpike(nil), sc.Faults.Spikes...)
-	cp.Faults.Shrinks = append([]ShrinkFault(nil), sc.Faults.Shrinks...)
+	cp.Faults.Shrinks = append([]engine.CacheShrink(nil), sc.Faults.Shrinks...)
 	cp.Faults.Joins = append([]JoinFault(nil), sc.Faults.Joins...)
-	cp.Faults.Drains = append([]DrainFault(nil), sc.Faults.Drains...)
+	cp.Faults.Drains = append([]engine.Drain(nil), sc.Faults.Drains...)
 	return &cp
 }
 

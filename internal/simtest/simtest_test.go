@@ -234,13 +234,15 @@ func TestGoldenFigure3CellDeterminism(t *testing.T) {
 		trace := engine.NewTraceLog()
 		pol, _ := core.PolicyByName("bidding")
 		rep, err := engine.Run(engine.Config{
-			Workers:   states,
-			Allocator: pol.NewAllocator(),
-			NewAgent:  pol.NewAgent,
-			Workflow:  workload.Workflow(),
-			Arrivals:  arrivals,
-			Seed:      11,
-			Tracer:    trace,
+			ClusterConfig: engine.ClusterConfig{
+				Workers:      states,
+				NewAllocator: pol.NewAllocator,
+				NewAgent:     pol.NewAgent,
+				Seed:         11,
+				Tracer:       trace,
+			},
+			Workflow: workload.Workflow(),
+			Arrivals: arrivals,
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -296,8 +298,8 @@ func TestSameSeedTraceAcrossCPUs(t *testing.T) {
 			SizeMB: 40,
 		})
 	}
-	sc.Faults.Kills = []KillFault{{Worker: "w3", At: 2500 * time.Millisecond}}
-	sc.Faults.Drains = []DrainFault{{Worker: "w1", At: 1200 * time.Millisecond}}
+	sc.Faults.Kills = []engine.Kill{{Worker: "w3", At: 2500 * time.Millisecond}}
+	sc.Faults.Drains = []engine.Drain{{Worker: "w1", At: 1200 * time.Millisecond}}
 
 	for _, shards := range []int{0, 2} {
 		for _, name := range []string{"bidding", "bidding-topk", "matchmaking"} {

@@ -150,72 +150,6 @@ func TestSimEqualDeadlinesFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestSimMailboxFIFO(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("fifo")
-	var got []int
-	s.Go(func() {
-		for i := 0; i < 100; i++ {
-			mb.Send(i)
-		}
-		for i := 0; i < 100; i++ {
-			v, ok := mb.Recv()
-			if !ok {
-				t.Error("Recv reported closed")
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	s.Wait()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i)
-		}
-	}
-}
-
-func TestSimMailboxBlockingHandoff(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("handoff")
-	var recvAt time.Time
-	startAll(s, func() {
-		v, ok := mb.Recv()
-		if !ok || v.(string) != "hello" {
-			t.Errorf("Recv = %v, %v", v, ok)
-		}
-		recvAt = s.Now()
-	}, func() {
-		s.Sleep(5 * time.Second)
-		mb.Send("hello")
-	})
-	s.Wait()
-	if want := Epoch.Add(5 * time.Second); !recvAt.Equal(want) {
-		t.Errorf("received at %v, want %v", recvAt, want)
-	}
-}
-
-func TestSimMailboxCloseWakesReceivers(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("closing")
-	var oks [3]bool
-	actors := []func(){func() {
-		s.Sleep(time.Second)
-		mb.Close()
-	}}
-	for i := range oks {
-		i := i
-		actors = append(actors, func() { _, oks[i] = mb.Recv() })
-	}
-	startAll(s, actors...)
-	s.Wait()
-	for i, ok := range oks {
-		if ok {
-			t.Errorf("receiver %d got ok=true after Close", i)
-		}
-	}
-}
-
 func TestSimMailboxCloseDrainsQueued(t *testing.T) {
 	s := NewSim()
 	mb := s.NewMailbox("drain")
