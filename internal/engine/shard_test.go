@@ -7,6 +7,7 @@ import (
 
 	"crossflow/internal/core"
 	"crossflow/internal/engine"
+	"crossflow/internal/locindex"
 	"crossflow/internal/vclock"
 )
 
@@ -173,5 +174,54 @@ func TestShardedClusterSessions(t *testing.T) {
 	}
 	if len(repA.Records) != 8 || len(repB.Records) != 5 {
 		t.Errorf("record counts: a=%d b=%d, want 8/5", len(repA.Records), len(repB.Records))
+	}
+}
+
+// TestShardedDownstreamJobsCrossShards runs a two-stage session whose
+// stage-1 jobs each return three stage-2 jobs keyed to other data, so
+// completions on one shard fan work out to the other. The frontend may
+// close the parts' feeds only once every routed job has settled: a part
+// whose queue runs dry while a sibling is still about to emit work for
+// it must not finish early. One shard and two must both complete all 32
+// jobs with the 24 stage-2 results.
+func TestShardedDownstreamJobsCrossShards(t *testing.T) {
+	wf := engine.NewWorkflow("two-stage")
+	wf.MustAddTask(engine.TaskSpec{
+		Name:  "split",
+		Input: "work",
+		Fn: func(ctx *engine.TaskContext, job *engine.Job) ([]*engine.Job, []any, error) {
+			ctx.RequireData(job.DataKey, job.DataSizeMB)
+			next := make([]*engine.Job, 3)
+			for i := range next {
+				next[i] = &engine.Job{Stream: "part", DataKey: fmt.Sprintf("%s-%d", job.DataKey, i), DataSizeMB: 10}
+			}
+			return next, nil, nil
+		},
+	})
+	wf.MustAddTask(engine.TaskSpec{Name: "merge", Input: "part"})
+
+	keys := make([]string, 8)
+	crosses := false
+	for i := range keys {
+		keys[i] = fmt.Sprintf("r%d", i)
+		for j := 0; j < 3; j++ {
+			child := fmt.Sprintf("%s-%d", keys[i], j)
+			crosses = crosses || locindex.ShardOf(child, 2) != locindex.ShardOf(keys[i], 2)
+		}
+	}
+	if !crosses {
+		t.Fatal("no stage-2 key lands on another shard than its parent; pick other keys")
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := shardedConfig(shards, 4, 0)
+			cfg.Workflow = wf
+			cfg.Arrivals = dataJobs(keys, 20)
+			rep := runOrFail(t, cfg)
+			if rep.JobsCompleted != 32 || len(rep.Results) != 24 {
+				t.Errorf("completed %d jobs with %d results, want 32 with 24",
+					rep.JobsCompleted, len(rep.Results))
+			}
+		})
 	}
 }
