@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"crossflow/internal/broker"
@@ -39,10 +37,6 @@ type Master struct {
 	traceShard int
 	traceSeq   int
 
-	// sessions maps open session IDs; sessionList keeps deterministic
-	// insertion order for shutdown flushes.
-	sessions    map[string]*session //xflow:owned master-loop
-	sessionList []*session          //xflow:owned master-loop
 	// cur is the session context of the event being handled, so
 	// counters raised from inside allocator callbacks (CountFallback)
 	// land on the right session.
@@ -50,7 +44,6 @@ type Master struct {
 
 	records map[string]*JobRecord //xflow:owned master-loop
 	order   []string              //xflow:owned master-loop
-	nextID  int                   //xflow:owned master-loop
 }
 
 // newMaster wires a master running until Shutdown. The caller owns
@@ -65,12 +58,11 @@ func newMaster(clk vclock.Clock, port Port, alloc Allocator,
 		rng = rand.New(rand.NewSource(0))
 	}
 	m := &Master{
-		Plane:    newPlane(clk, port, expectedWorkers),
-		alloc:    alloc,
-		rng:      rng,
-		tracer:   tracer,
-		sessions: make(map[string]*session),
-		records:  make(map[string]*JobRecord),
+		Plane:   newPlane(clk, port, expectedWorkers),
+		alloc:   alloc,
+		rng:     rng,
+		tracer:  tracer,
+		records: make(map[string]*JobRecord),
 	}
 	m.cur = m.def
 	m.bind(m.handle)
@@ -103,31 +95,18 @@ func (m *Master) Run() { m.run() }
 // distributed deployments collect them on the worker processes.
 func (m *Master) report(s *session) *Report {
 	rep := &Report{
-		Allocator:     m.alloc.Name(),
-		Start:         s.startTime,
-		End:           s.endTime,
-		Makespan:      s.endTime.Sub(s.startTime),
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failures,
-		Redispatched:  s.redispatched,
-		Results:       s.results,
-		Offers:        s.offers,
-		Rejections:    s.rejections,
-		Contests:      s.contests,
-		ContestMsgs:   s.contestMsgs,
-		Bids:          s.bids,
-		Fallbacks:     s.fallbacks,
-		Records:       make(map[string]*JobRecord),
-		allocLatency:  s.allocLatency,
-		allocCount:    s.allocCount,
+		Allocator:        m.alloc.Name(),
+		Start:            s.startTime,
+		End:              s.endTime,
+		Makespan:         s.endTime.Sub(s.startTime),
+		Tally:            s.Tally,
+		MeanAllocLatency: s.meanAllocLatency(),
+		Records:          make(map[string]*JobRecord),
 	}
 	for _, id := range m.order {
 		if rec := m.records[id]; rec.sess == s {
 			rep.Records[id] = rec
 		}
-	}
-	if s.allocCount > 0 {
-		rep.MeanAllocLatency = s.allocLatency / time.Duration(s.allocCount)
 	}
 	return rep
 }
@@ -147,7 +126,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
 		if m.live(msg.Worker) {
-			m.sessFor(msg.JobID).bids++
+			m.sessFor(msg.JobID).Bids++
 			m.alloc.BidReceived(m, msg)
 		}
 	case MsgBidWindowExpired:
@@ -179,8 +158,9 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		m.onLeave(msg.Worker)
 	case msgOpenSession:
 		m.addSession(msg.s)
+		m.cur = msg.s
 	case msgSubmit:
-		m.addSession(msg.s)
+		m.cur = msg.s
 		if !msg.s.finished {
 			m.inject(msg.s, msg.job)
 		}
@@ -217,29 +197,10 @@ func (m *Master) sessFor(jobID string) *session {
 	return m.cur
 }
 
-// sessionByID resolves the session name carried on a job (an emitted
-// downstream job names its parent's session); unknown names fall back
-// to the sink session.
-func (m *Master) sessionByID(id string) *session {
-	if s, ok := m.sessions[id]; ok {
-		return s
-	}
-	return m.def
-}
-
-// addSession registers an explicitly-opened session; idempotent so a
-// feed's first Submit can race its Open harmlessly.
-func (m *Master) addSession(s *session) {
-	if _, ok := m.sessions[s.id]; !ok {
-		m.sessions[s.id] = s
-		m.sessionList = append(m.sessionList, s)
-		s.startTime = m.clk.Now()
-	}
-	m.cur = s
-}
-
 // flushWaiters delivers final reports to every open session (in
 // insertion order) and releases every pending drain ack.
+//
+//xflow:goroutine plane-loop
 func (m *Master) flushWaiters() {
 	for _, s := range m.sessionList {
 		if !s.finished {
@@ -266,28 +227,22 @@ func (m *Master) inject(s *session, job *Job) {
 	if s.wf == nil {
 		return // a stray job for a session this master does not know
 	}
-	if job.ID == "" {
-		job.ID = formatJobID(m.nextID)
-	}
-	m.nextID++
-	if s.id != "" {
-		job.Session = s.id
-	}
+	m.admitJob(s, job, func(id string) bool {
+		_, dup := m.records[id]
+		return dup
+	})
 	rec := &JobRecord{Job: job, Status: StatusPending, Injected: m.clk.Now(), sess: s}
-	if _, dup := m.records[job.ID]; dup {
-		rec.Job.ID = fmt.Sprintf("%s#%d", job.ID, m.nextID)
-	}
-	m.records[rec.Job.ID] = rec
-	m.order = append(m.order, rec.Job.ID)
-	m.trace(TraceInjected, rec.Job.ID, "")
+	m.records[job.ID] = rec
+	m.order = append(m.order, job.ID)
+	m.trace(TraceInjected, job.ID, "")
 	if _, consumed := s.wf.TaskFor(job.Stream); !consumed {
 		rec.Status = StatusFinished
 		rec.Finished = m.clk.Now()
 		if job.Payload != nil {
-			s.results = append(s.results, job.Payload)
+			s.Results = append(s.Results, job.Payload)
 		}
 		if m.settle != nil {
-			m.settle(rec.Job.ID, s, nil)
+			m.settle(job.ID, s, nil)
 		}
 		return
 	}
@@ -310,7 +265,7 @@ func (m *Master) onAccept(msg MsgAccept) {
 }
 
 func (m *Master) onReject(msg MsgReject) {
-	m.sessFor(msg.JobID).rejections++
+	m.sessFor(msg.JobID).Rejections++
 	rec := m.records[msg.JobID]
 	if rec == nil || rec.Status != StatusOffered || rec.Worker != msg.Worker {
 		return
@@ -330,14 +285,14 @@ func (m *Master) onJobDone(msg MsgJobDone) {
 	rec.Status = StatusFinished
 	rec.Finished = m.clk.Now()
 	s.outstanding--
-	s.completed++
+	s.JobsCompleted++
 	if msg.Failed {
-		s.failures++
+		s.JobsFailed++
 		m.trace(TraceFailed, msg.JobID, msg.Worker)
 	} else {
 		m.trace(TraceFinished, msg.JobID, msg.Worker)
 	}
-	s.results = append(s.results, msg.Results...)
+	s.Results = append(s.Results, msg.Results...)
 	if m.settle != nil {
 		// Sharded part: downstream jobs go back to the frontend for
 		// content-hash routing instead of being injected locally — their
@@ -391,7 +346,7 @@ func (m *Master) rescue(worker string, wasLive bool) {
 		if rec.Worker == worker && rec.Status != StatusFinished && rec.Status != StatusPending {
 			rec.Status = StatusPending
 			rec.Worker = ""
-			rec.sess.redispatched++
+			rec.sess.Redispatched++
 			inflight = append(inflight, rec.Job)
 		}
 	}
@@ -407,11 +362,11 @@ func (m *Master) rescue(worker string, wasLive bool) {
 	}
 }
 
-// maybeFinish settles the session the event touched if that completed
-// it. The loop itself never stops on its own.
+// maybeFinish settles the session the event touched if that ended it.
+// The loop itself never stops on its own.
 func (m *Master) maybeFinish() bool {
-	if s := m.cur; s != m.def && !s.finished && !s.feedOpen && s.outstanding == 0 {
-		m.finish(s)
+	if m.ending(m.cur) {
+		m.finish(m.cur)
 	}
 	return false
 }
@@ -423,20 +378,6 @@ func (m *Master) finish(s *session) {
 	if s.done != nil {
 		s.done.Send(m.report(s))
 	}
-}
-
-// formatJobID renders "job-%04d" without fmt's reflection cost — the
-// per-job loop calls it for every auto-assigned ID.
-func formatJobID(n int) string {
-	var buf [16]byte
-	b := strconv.AppendInt(buf[:0], int64(n), 10)
-	id := make([]byte, 0, len("job-")+4+len(b))
-	id = append(id, "job-"...)
-	for pad := 4 - len(b); pad > 0; pad-- {
-		id = append(id, '0')
-	}
-	id = append(id, b...)
-	return string(id)
 }
 
 // --- AllocCtx implementation -------------------------------------------
@@ -485,7 +426,7 @@ func (m *Master) Offer(jobID, worker string) {
 	}
 	rec.Status = StatusOffered
 	rec.Worker = worker
-	rec.sess.offers++
+	rec.sess.Offers++
 	m.trace(TraceOffered, jobID, worker)
 	m.ep.Send(worker, MsgOffer{Job: rec.Job})
 }
@@ -517,7 +458,7 @@ func (m *Master) PublishBidRequest(jobID string) int {
 		return 0
 	}
 	s := rec.sess
-	s.contests++
+	s.Contests++
 	m.trace(TraceContest, jobID, "")
 	req := MsgBidRequest{Job: rec.Job}
 	if ap, ok := m.ep.(asyncPublisher); ok {
@@ -526,7 +467,7 @@ func (m *Master) PublishBidRequest(jobID string) int {
 		m.ep.Publish(TopicBids, req)
 	}
 	n := m.liveCount()
-	s.contestMsgs += n
+	s.ContestMsgs += n
 	return n
 }
 
@@ -559,7 +500,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 		return 0
 	}
 	s := rec.sess
-	s.contests++
+	s.Contests++
 	req := MsgBidRequest{Job: rec.Job}
 	if ms, ok := m.ep.(multiSender); ok {
 		ms.SendMulti(live, req)
@@ -568,7 +509,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 			m.ep.Send(w, req)
 		}
 	}
-	s.contestMsgs += len(live)
+	s.ContestMsgs += len(live)
 	for _, w := range live {
 		m.trace(TraceContest, jobID, w)
 	}
@@ -592,4 +533,4 @@ func (m *Master) Rand() *rand.Rand { return m.rng }
 // It lands on the session of the event being handled.
 //
 //xflow:goroutine master-loop
-func (m *Master) CountFallback() { m.cur.fallbacks++ }
+func (m *Master) CountFallback() { m.cur.Fallbacks++ }

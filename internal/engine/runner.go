@@ -296,14 +296,8 @@ type Report struct {
 	Start    time.Time
 	End      time.Time
 	Makespan time.Duration
-	// JobsCompleted counts jobs executed by workers; JobsFailed those
-	// whose task returned an error.
-	JobsCompleted int
-	JobsFailed    int
-	// Redispatched counts jobs rescued from lost workers.
-	Redispatched int
-	// Results collects terminal-stream payloads and task results.
-	Results []any
+	// Tally holds the job outcomes, results and scheduling counters.
+	Tally
 	// CacheHits/CacheMisses/Evictions aggregate worker cache outcomes —
 	// CacheMisses is the paper's cache-miss metric.
 	CacheHits   int
@@ -313,22 +307,8 @@ type Report struct {
 	// data-load metric. Downloads counts individual transfers.
 	DataLoadMB float64
 	Downloads  int
-	// Scheduling diagnostics. ContestMsgs counts bid requests addressed
-	// to live workers (the live set per broadcast, the live targets per
-	// targeted contest) — the wire cost that separates O(fleet) from
-	// O(K) contest policies.
-	Offers           int
-	Rejections       int
-	Contests         int
-	ContestMsgs      int
-	Bids             int
-	Fallbacks        int
+	// MeanAllocLatency is the mean time from injection to assignment.
 	MeanAllocLatency time.Duration
-	// allocLatency and allocCount are the raw sums behind
-	// MeanAllocLatency, kept so a sharded plane can merge per-shard
-	// reports into an exact combined mean.
-	allocLatency time.Duration
-	allocCount   int
 	// Workers breaks the counters down per node.
 	Workers []WorkerReport
 	// Records exposes the master's per-job book-keeping.

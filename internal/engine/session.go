@@ -6,10 +6,10 @@ import (
 	"crossflow/internal/vclock"
 )
 
-// session is one workflow's state on a master: its submission feed,
-// outstanding-work accounting, results, and scheduling counters. A
-// master multiplexes many, keyed by the Session field jobs carry. All
-// fields except the done mailbox are owned by the master's actor
+// session is one workflow's state on a control plane: its submission
+// feed, outstanding-work accounting, results, and scheduling counters.
+// A plane multiplexes many, keyed by the Session field jobs carry. All
+// fields except the done mailbox are owned by the plane's actor
 // goroutine.
 type session struct {
 	// id names the session. Jobs injected under a named session are
@@ -21,30 +21,78 @@ type session struct {
 	wf *Workflow
 	// feedOpen reports that the session may still receive submissions.
 	feedOpen bool
-	// outstanding counts injected jobs that have not finished.
+	// outstanding counts jobs fed to the session that have not settled:
+	// on a master, injected jobs that have not finished; on the sharded
+	// frontend, routed jobs whose part has not sent back their settle
+	// notice.
 	outstanding int
+	// subs holds the sharded frontend's per-shard subsessions, one per
+	// part; nil on a master.
+	subs []*session
 
 	finished  bool
 	startTime time.Time
 	endTime   time.Time
 
-	results      []any
-	completed    int
-	failures     int
-	redispatched int
-	offers       int
-	rejections   int
-	contests     int
-	contestMsgs  int
-	bids         int
-	fallbacks    int
-	allocLatency time.Duration
-	allocCount   int
+	Tally
 
 	// done receives the session's *Report exactly once, when the feed is
 	// closed and the last outstanding job finishes (or the master shuts
 	// down). Nil only on a plane's sink session, which never settles.
 	done vclock.Mailbox
+}
+
+// Tally is a session's account of its jobs: how they ended, what they
+// produced, and what allocating them cost. A session keeps one, its
+// Report copies it, and a sharded plane's report adds up its parts'.
+type Tally struct {
+	// JobsCompleted counts jobs executed by workers; JobsFailed those
+	// whose task returned an error.
+	JobsCompleted int
+	JobsFailed    int
+	// Redispatched counts jobs rescued from lost workers.
+	Redispatched int
+	// Results collects terminal-stream payloads and task results.
+	Results []any
+	// Scheduling diagnostics. ContestMsgs counts bid requests addressed
+	// to live workers (the live set per broadcast, the live targets per
+	// targeted contest) — the wire cost that separates O(fleet) from
+	// O(K) contest policies.
+	Offers      int
+	Rejections  int
+	Contests    int
+	ContestMsgs int
+	Bids        int
+	Fallbacks   int
+	// allocLatency and allocCount are the raw sums behind
+	// Report.MeanAllocLatency, kept so a sharded plane can merge
+	// per-shard reports into an exact combined mean.
+	allocLatency time.Duration
+	allocCount   int
+}
+
+// add sums o into t; o's results follow t's.
+func (t *Tally) add(o Tally) {
+	t.JobsCompleted += o.JobsCompleted
+	t.JobsFailed += o.JobsFailed
+	t.Redispatched += o.Redispatched
+	t.Results = append(t.Results, o.Results...)
+	t.Offers += o.Offers
+	t.Rejections += o.Rejections
+	t.Contests += o.Contests
+	t.ContestMsgs += o.ContestMsgs
+	t.Bids += o.Bids
+	t.Fallbacks += o.Fallbacks
+	t.allocLatency += o.allocLatency
+	t.allocCount += o.allocCount
+}
+
+// meanAllocLatency is the mean injection-to-assignment delay.
+func (t *Tally) meanAllocLatency() time.Duration {
+	if t.allocCount == 0 {
+		return 0
+	}
+	return t.allocLatency / time.Duration(t.allocCount)
 }
 
 // MasterSession is one workflow's streaming submission feed on a

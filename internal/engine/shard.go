@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 
 	"crossflow/internal/broker"
 	"crossflow/internal/locindex"
@@ -17,27 +16,6 @@ import (
 // keeps the plain MasterName), so workers keep addressing "master" and
 // never need to know the plane is sharded.
 func ShardName(i int) string { return MasterName + "#" + strconv.Itoa(i) }
-
-// routerSession is the frontend's bookkeeping for one open session: the
-// user-facing session value, the per-shard subsessions, and the
-// routed/settled accounting that decides when the feed close may be
-// propagated to the parts.
-type routerSession struct {
-	id   string
-	user *session
-	subs []*session
-	// routed counts jobs partitioned to a shard; settled counts the
-	// terminal notices that came back. They match exactly when no job is
-	// in flight anywhere on the plane — only then is it safe to close
-	// the per-shard feeds, because an in-flight completion may still fan
-	// downstream work out to any shard.
-	routed  int
-	settled int
-	// userClosed records the user's Close; closed that the close was
-	// forwarded to the parts.
-	userClosed bool
-	closed     bool
-}
 
 // ShardedMaster is the frontend of the sharded contest control plane:
 // a thin router actor on the MasterName endpoint in front of N shard
@@ -61,13 +39,7 @@ type ShardedMaster struct {
 	Plane
 	parts []*Master
 
-	jobShard    map[string]int            //xflow:owned router-loop
-	nextID      int                       //xflow:owned router-loop
-	sessions    map[string]*routerSession //xflow:owned router-loop
-	sessionList []*routerSession          //xflow:owned router-loop
-	// defRoute is the sink for traffic about unknown sessions, like
-	// Plane.def.
-	defRoute *routerSession //xflow:owned router-loop
+	jobShard map[string]int //xflow:owned router-loop
 }
 
 // newShardedMaster wires a sharded plane: the frontend router on port
@@ -96,8 +68,6 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc f
 		Plane:    newPlane(clk, port, expectedWorkers),
 		parts:    make([]*Master, len(shardPorts)),
 		jobShard: make(map[string]int),
-		sessions: make(map[string]*routerSession),
-		defRoute: &routerSession{},
 	}
 	sm.bind(sm.handle)
 	for i, sp := range shardPorts {
@@ -152,26 +122,13 @@ func mergeReports(reports []*Report) *Report {
 		if rep.End.After(merged.End) {
 			merged.End = rep.End
 		}
-		merged.JobsCompleted += rep.JobsCompleted
-		merged.JobsFailed += rep.JobsFailed
-		merged.Redispatched += rep.Redispatched
-		merged.Results = append(merged.Results, rep.Results...)
-		merged.Offers += rep.Offers
-		merged.Rejections += rep.Rejections
-		merged.Contests += rep.Contests
-		merged.ContestMsgs += rep.ContestMsgs
-		merged.Bids += rep.Bids
-		merged.Fallbacks += rep.Fallbacks
-		merged.allocLatency += rep.allocLatency
-		merged.allocCount += rep.allocCount
+		merged.Tally.add(rep.Tally)
 		for id, rec := range rep.Records {
 			merged.Records[id] = rec
 		}
 	}
 	merged.Makespan = merged.End.Sub(merged.Start)
-	if merged.allocCount > 0 {
-		merged.MeanAllocLatency = merged.allocLatency / time.Duration(merged.allocCount)
-	}
+	merged.MeanAllocLatency = merged.meanAllocLatency()
 	return merged
 }
 
@@ -214,17 +171,17 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 		sm.leave(msg.Worker)
 		sm.releaseDrain(msg.Worker)
 	case msgOpenSession:
-		sm.addSession(msg.s)
+		if sm.addSession(msg.s) {
+			sm.openParts(msg.s)
+		}
 	case msgSubmit:
-		rs := sm.addSession(msg.s)
-		if !rs.closed {
-			sm.routeJob(rs, msg.job)
+		if s := sm.sessionByID(msg.s.id); !s.finished {
+			sm.routeJob(s, msg.job)
 		}
 	case msgCloseFeed:
-		if rs, ok := sm.sessions[msg.s.id]; ok {
-			rs.userClosed = true
-			sm.maybeCloseParts(rs)
-		}
+		s := sm.sessionByID(msg.s.id)
+		s.feedOpen = false
+		sm.maybeCloseParts(s)
 	case msgDrainStart:
 		// The frontend keeps the caller's ack and forwards an ack-less
 		// drain to every part; each part removes the worker from
@@ -270,23 +227,17 @@ func (sm *ShardedMaster) control(part *Master, payload any) *broker.Envelope {
 	return &broker.Envelope{From: sm.ep.Name(), To: part.ep.Name(), Payload: payload, SentAt: sm.clk.Now()}
 }
 
-// routeJob assigns the job an ID (mirroring Master.inject's numbering),
-// stamps its session, picks the owning shard by content hash of its
-// data key, and hands it to that part as an in-process emit.
-func (sm *ShardedMaster) routeJob(rs *routerSession, job *Job) {
-	if job.ID == "" {
-		job.ID = formatJobID(sm.nextID)
-	}
-	sm.nextID++
-	if rs.id != "" {
-		job.Session = rs.id
-	}
-	if _, dup := sm.jobShard[job.ID]; dup {
-		job.ID = fmt.Sprintf("%s#%d", job.ID, sm.nextID)
-	}
+// routeJob admits the job like Master.inject, picks the owning shard by
+// content hash of its data key, and hands it to that part as an
+// in-process emit; it is outstanding on s until the part settles it.
+func (sm *ShardedMaster) routeJob(s *session, job *Job) {
+	sm.admitJob(s, job, func(id string) bool {
+		_, dup := sm.jobShard[id]
+		return dup
+	})
 	shard := locindex.ShardOf(job.DataKey, len(sm.parts))
 	sm.jobShard[job.ID] = shard
-	rs.routed++
+	s.outstanding++
 	sm.forward(sm.parts[shard], sm.control(sm.parts[shard], MsgEmit{Job: job}))
 }
 
@@ -353,38 +304,21 @@ func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
 	}
 }
 
-// sessionByID resolves a session name to its frontend bookkeeping,
-// falling back to the sink like Master.sessionByID.
-func (sm *ShardedMaster) sessionByID(id string) *routerSession {
-	if rs, ok := sm.sessions[id]; ok {
-		return rs
-	}
-	return sm.defRoute
-}
-
-// addSession registers an explicitly-opened session on the frontend:
-// one subsession per shard is opened on the parts, and a clock-tracked
-// merger is spawned to combine their reports into the user's Wait.
-// Idempotent, so a feed's first Submit can race its Open harmlessly.
-func (sm *ShardedMaster) addSession(s *session) *routerSession {
-	if rs, ok := sm.sessions[s.id]; ok {
-		return rs
-	}
-	rs := &routerSession{id: s.id, user: s, subs: make([]*session, len(sm.parts))}
+// openParts opens a new session's subsession on every part and spawns
+// the clock-tracked merger that combines their reports into the user's
+// Wait.
+func (sm *ShardedMaster) openParts(s *session) {
+	s.subs = make([]*session, len(sm.parts))
 	for i, p := range sm.parts {
-		sub := &session{
+		s.subs[i] = &session{
 			id:       s.id,
 			wf:       s.wf,
 			feedOpen: true,
 			done:     sm.clk.NewMailbox("session:" + s.id + "#" + strconv.Itoa(i)),
 		}
-		rs.subs[i] = sub
-		sm.forward(p, sm.control(p, msgOpenSession{s: sub}))
+		sm.forward(p, sm.control(p, msgOpenSession{s: s.subs[i]}))
 	}
-	sm.sessions[s.id] = rs
-	sm.sessionList = append(sm.sessionList, rs)
-	sm.startMerger(rs)
-	return rs
+	sm.startMerger(s)
 }
 
 // startMerger spawns the clock-tracked goroutine that collects the
@@ -392,9 +326,8 @@ func (sm *ShardedMaster) addSession(s *session) *routerSession {
 // the user's Wait. Parts settle their subsessions independently — on
 // quiescence after the feed close, or on shutdown/abort — so the merger
 // only gathers and combines.
-func (sm *ShardedMaster) startMerger(rs *routerSession) {
-	subs := rs.subs
-	user := rs.user
+func (sm *ShardedMaster) startMerger(s *session) {
+	subs, done := s.subs, s.done
 	sm.clk.Go(func() {
 		reports := make([]*Report, 0, len(subs))
 		for _, sub := range subs {
@@ -406,37 +339,37 @@ func (sm *ShardedMaster) startMerger(rs *routerSession) {
 				reports = append(reports, rep)
 			}
 		}
-		if user.done != nil {
-			user.done.Send(mergeReports(reports))
+		if done != nil {
+			done.Send(mergeReports(reports))
 		}
 	})
 }
 
 // onSettled books one terminal job, routes the downstream jobs it
 // produced (each to its own key's shard), and re-checks whether the
-// session's feed close can now propagate.
+// session has now ended.
 func (sm *ShardedMaster) onSettled(msg msgShardSettled) {
-	rs := sm.sessionByID(msg.Sess)
-	rs.settled++
+	s := sm.sessionByID(msg.Sess)
+	s.outstanding--
 	for _, nj := range msg.NewJobs {
-		sm.routeJob(rs, nj)
+		sm.routeJob(s, nj)
 	}
-	sm.maybeCloseParts(rs)
+	sm.maybeCloseParts(s)
 }
 
 // maybeCloseParts propagates a session's feed close to the shard
-// subsessions once the plane has quiesced for it: the user closed the
-// feed and every routed job has settled, so no in-flight completion can
-// fan more downstream work out. Closing earlier would let a subsession
-// with an empty queue finish while a sibling shard's job was still
-// about to emit work for it.
-func (sm *ShardedMaster) maybeCloseParts(rs *routerSession) {
-	if !rs.userClosed || rs.closed || rs.routed != rs.settled {
+// subsessions once the session ends by the master's rule: its feed is
+// closed and every routed job has settled, so no in-flight completion
+// can fan more downstream work out. Closing earlier would let a
+// subsession with an empty queue finish while a sibling shard's job was
+// still about to emit work for it.
+func (sm *ShardedMaster) maybeCloseParts(s *session) {
+	if !sm.ending(s) {
 		return
 	}
-	rs.closed = true
+	s.finished = true
 	for i, p := range sm.parts {
-		sm.forward(p, sm.control(p, msgCloseFeed{s: rs.subs[i]}))
+		sm.forward(p, sm.control(p, msgCloseFeed{s: s.subs[i]}))
 	}
 }
 
@@ -464,14 +397,10 @@ func (sm *ShardedMaster) stop(abort bool) bool {
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) StateDigest() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "router finished=%t aborted=%t next=%d shards=%d\n",
-		sm.finished, sm.aborted, sm.nextID, len(sm.parts))
+	fmt.Fprintf(&b, "router finished=%t aborted=%t shards=%d\n",
+		sm.finished, sm.aborted, len(sm.parts))
 	sm.digest(&b)
-	fmt.Fprintf(&b, "rsess def routed=%d settled=%d\n", sm.defRoute.routed, sm.defRoute.settled)
-	for _, rs := range sm.sessionList {
-		fmt.Fprintf(&b, "rsess %q routed=%d settled=%d closed=%t/%t\n",
-			rs.id, rs.routed, rs.settled, rs.userClosed, rs.closed)
-	}
+	sm.digestSessions(&b)
 	for i, p := range sm.parts {
 		fmt.Fprintf(&b, "shard %d {\n%s}\n", i, p.StateDigest())
 	}

@@ -11,16 +11,18 @@ import (
 
 func TestFromReport(t *testing.T) {
 	r := &engine.Report{
-		Makespan:      90 * time.Second,
-		CacheMisses:   7,
-		CacheHits:     3,
-		DataLoadMB:    1234.5,
-		JobsCompleted: 10,
-		Contests:      10,
-		Bids:          50,
-		Offers:        2,
-		Rejections:    1,
-		Fallbacks:     1,
+		Makespan:    90 * time.Second,
+		CacheMisses: 7,
+		CacheHits:   3,
+		DataLoadMB:  1234.5,
+		Tally: engine.Tally{
+			JobsCompleted: 10,
+			Contests:      10,
+			Bids:          50,
+			Offers:        2,
+			Rejections:    1,
+			Fallbacks:     1,
+		},
 	}
 	s := FromReport(r)
 	if s.Makespan != 90*time.Second || s.CacheMisses != 7 || s.DataLoadMB != 1234.5 ||

@@ -38,10 +38,10 @@ func invScenario() *Scenario {
 // one cache miss": it satisfies cache accounting and conservation.
 func cleanReport() *engine.Report {
 	return &engine.Report{
-		JobsCompleted: 1,
-		Downloads:     1,
-		CacheMisses:   1,
-		Workers:       []engine.WorkerReport{{Name: "w0", JobsDone: 1}},
+		Tally:       engine.Tally{JobsCompleted: 1},
+		Downloads:   1,
+		CacheMisses: 1,
+		Workers:     []engine.WorkerReport{{Name: "w0", JobsDone: 1}},
 		Records: map[string]*engine.JobRecord{
 			"job-0": {
 				Status:   engine.StatusFinished,
