@@ -37,6 +37,45 @@ func (b *TopKAllocator) StateDigest() string {
 	return out.String()
 }
 
+// StateDigest implements engine.StateDigester: the pull queue and the
+// parked pulls, both in FIFO order.
+func (b *BaselineAllocator) StateDigest() string {
+	return fmt.Sprintf("pending=%s waiting=%s\n", strings.Join(b.pending, ","), strings.Join(b.waiting, ","))
+}
+
+// StateDigest implements engine.StateDigester: the jobs declined once.
+func (a *BaselineAgent) StateDigest() string {
+	ids := make([]string, 0, len(a.declined))
+	for id := range a.declined {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return "declined=" + strings.Join(ids, ",") + "\n"
+}
+
+// StateDigest implements engine.StateDigester: the pull queue in order.
+func (m *MatchmakingAllocator) StateDigest() string {
+	return "pending=" + strings.Join(m.pending, ",") + "\n"
+}
+
+// StateDigest implements engine.StateDigester: the empty pulls since
+// the last finished job.
+func (a *MatchmakingAgent) StateDigest() string {
+	return fmt.Sprintf("strikes=%d\n", a.strikes.Load())
+}
+
+// StateDigest implements engine.StateDigester: the pull queue in order,
+// with each job's skipped opportunities.
+func (d *DelayAllocator) StateDigest() string {
+	var out strings.Builder
+	out.WriteString("pending=")
+	for _, dj := range d.pending {
+		fmt.Fprintf(&out, "%s:%d,", dj.id, dj.skips)
+	}
+	out.WriteByte('\n')
+	return out.String()
+}
+
 // digest renders each open contest: expectation, target set (nil for
 // broadcast), and bids in arrival order.
 func (k *contestBook) digest(out *strings.Builder) {

@@ -54,6 +54,11 @@ var sweeps = map[string]sweepRow{
 	"bidding 2w1j drain w1":       {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 1, Drain: "w1"}, smoke: counts{1776, 1941}, full: counts{1776, 1941}},
 	"bidding 2w3j":                {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 3}, smoke: counts{4000, 3699}, full: counts{36274, 31776}},
 	"bidding-topk 2w3j":           {policy: "bidding-topk", bounds: Bounds{Workers: 2, Jobs: 3}, smoke: counts{4000, 4273}, full: counts{635354, 497563}},
+	"baseline 2w3j":               {policy: "baseline", bounds: Bounds{Workers: 2, Jobs: 3}, smoke: counts{4000, 3938}, full: counts{43665, 44072}},
+	"spark-like 2w3j":             {policy: "spark-like", bounds: Bounds{Workers: 2, Jobs: 3}, smoke: counts{217, 252}, full: counts{217, 252}},
+	"random 2w3j":                 {policy: "random", bounds: Bounds{Workers: 2, Jobs: 3}, smoke: counts{200, 222}, full: counts{200, 222}},
+	"matchmaking 2w3j":            {policy: "matchmaking", bounds: Bounds{Workers: 2, Jobs: 3}, maxRuns: 60000, maxDepth: 20, smoke: counts{4000, 3179}, full: counts{60000, 36656}},
+	"delay 2w3j":                  {policy: "delay", bounds: Bounds{Workers: 2, Jobs: 3}, maxRuns: 60000, maxDepth: 20, smoke: counts{4000, 3308}, full: counts{60000, 40573}},
 	"bidding 2w2j kill w1":        {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 2, Kill: "w1"}, smoke: counts{4000, 4390}, full: counts{139154, 117589}},
 	"bidding 2w2j drain w1":       {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 2, Drain: "w1"}, smoke: counts{4000, 4211}, full: counts{36362, 30569}},
 	"bidding 2w2j join":           {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 2, Join: true}, smoke: counts{4000, 4304}, full: counts{791298, 634599}},
@@ -258,13 +263,16 @@ func TestDepthBoundedPull(t *testing.T) {
 	}
 }
 
-// TestAcceptance23 is the headline configuration: 2 workers x 3 jobs
-// exhausted for both bidding and bidding-topk. bidding-topk's space is
-// large (hundreds of thousands of runs), so the full sweep belongs to
-// the CI modelcheck job; tier-1 smokes the same configuration under the
-// cap.
+// TestAcceptance23 is the headline configuration, 2 workers x 3 jobs,
+// for every policy but bidding-fast (bidding with an early local close,
+// swept at 2x2): exhausted for bidding, bidding-topk, baseline,
+// spark-like and random; bounded as xflow-check bounds them for the
+// pull policies matchmaking and delay, whose heartbeat chains never
+// quiesce. bidding-topk's space is large (hundreds of thousands of
+// runs), so the full sweeps belong to the CI modelcheck job; tier-1
+// smokes the same configurations under the cap.
 func TestAcceptance23(t *testing.T) {
-	for _, name := range []string{"bidding", "bidding-topk"} {
+	for _, name := range []string{"bidding", "bidding-topk", "baseline", "spark-like", "random", "matchmaking", "delay"} {
 		t.Run(name, func(t *testing.T) { sweep(t, name+" 2w3j") })
 	}
 }
