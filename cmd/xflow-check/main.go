@@ -33,7 +33,7 @@ func main() {
 		workers  = flag.Int("workers", 2, "fleet size of the bounded configuration")
 		jobs     = flag.Int("jobs", 3, "job-stream length of the bounded configuration")
 		policy   = flag.String("policy", "", "comma-separated policy names (default: all)")
-		depth    = flag.Int("depth", 0, "max scheduling decisions per run (0 = unbounded; pull policies default to 25)")
+		depth    = flag.Int("depth", 0, "max scheduling decisions per run (0 = unbounded; pull policies default to 20)")
 		maxRuns  = flag.Int("max-runs", 0, "max executions per policy (0 = unbounded)")
 		shards   = flag.Int("shards", 0, "contest shards for the sharded control plane (0 or 1 = classic single master)")
 		kill     = flag.String("kill", "", "kill this worker at every explored point (e.g. w1)")

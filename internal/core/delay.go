@@ -11,14 +11,11 @@ const DefaultMaxSkips = 3
 // DelayAllocator implements delay scheduling (Zaharia et al., cited in
 // §3 [14]): jobs wait for a worker that has their data locally, skipping
 // a bounded number of scheduling opportunities; once a job has been
-// skipped MaxSkips times it is launched on the next free worker
+// skipped DefaultMaxSkips times it is launched on the next free worker
 // regardless of locality. Like the paper's other pull policies it learns
 // locality from the cached keys workers attach to their pulls.
 type DelayAllocator struct {
 	engine.NopAllocator
-	// MaxSkips bounds how long a job holds out for locality; zero means
-	// DefaultMaxSkips.
-	MaxSkips int
 
 	pending []*delayedJob
 }
@@ -33,13 +30,6 @@ func NewDelay() *DelayAllocator { return &DelayAllocator{} }
 
 // Name implements engine.Allocator.
 func (*DelayAllocator) Name() string { return "delay" }
-
-func (d *DelayAllocator) maxSkips() int {
-	if d.MaxSkips > 0 {
-		return d.MaxSkips
-	}
-	return DefaultMaxSkips
-}
 
 // JobReady implements engine.Allocator: queue the job for pulls.
 func (d *DelayAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
@@ -66,7 +56,7 @@ func (d *DelayAllocator) WorkerIdle(ctx engine.AllocCtx, req engine.MsgRequestJo
 			return
 		}
 		local := job.DataKey == "" || cached[job.DataKey]
-		if local || dj.skips >= d.maxSkips() {
+		if local || dj.skips >= DefaultMaxSkips {
 			d.pending = append(d.pending[:i], d.pending[i+1:]...)
 			ctx.Assign(dj.id, req.Worker, 0)
 			return

@@ -28,16 +28,16 @@ func TestDelayServesLocalJobFirst(t *testing.T) {
 
 func TestDelaySkipsThenLaunchesAnywhere(t *testing.T) {
 	ctx := newFakeCtx("w0")
-	d := &DelayAllocator{MaxSkips: 2}
+	d := NewDelay()
 	d.JobReady(ctx, ctx.addJob("j1", "r1", 10))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultMaxSkips; i++ {
 		d.WorkerIdle(ctx, engine.MsgRequestJob{Worker: "w0"}) // non-local: skip
 		if len(ctx.assigns) != 0 {
 			t.Fatalf("assigned during skip %d", i)
 		}
 	}
-	if len(ctx.noWork) != 2 {
-		t.Fatalf("noWork = %v, want two empty pulls", ctx.noWork)
+	if len(ctx.noWork) != DefaultMaxSkips {
+		t.Fatalf("noWork = %v, want %d empty pulls", ctx.noWork, DefaultMaxSkips)
 	}
 	d.WorkerIdle(ctx, engine.MsgRequestJob{Worker: "w0"}) // patience exhausted
 	if len(ctx.assigns) != 1 || ctx.assigns[0].job != "j1" {
@@ -51,9 +51,6 @@ func TestDelayEmptyQueueNoWork(t *testing.T) {
 	d.WorkerIdle(ctx, engine.MsgRequestJob{Worker: "w0"})
 	if len(ctx.noWork) != 1 {
 		t.Errorf("noWork = %v", ctx.noWork)
-	}
-	if d.maxSkips() != DefaultMaxSkips {
-		t.Errorf("maxSkips = %d", d.maxSkips())
 	}
 }
 

@@ -7,10 +7,6 @@ import (
 	"crossflow/internal/engine"
 )
 
-// DefaultHeartbeat is the idle interval a Matchmaking worker waits after
-// an empty pull before trying again.
-const DefaultHeartbeat = 500 * time.Millisecond
-
 // MatchmakingAllocator implements the Matchmaking technique (He et al.,
 // referenced in §3) the paper names as future-work comparison: workers
 // request jobs when free; the master hands a worker a job whose data it

@@ -594,11 +594,8 @@ func TestWorkflowValidation(t *testing.T) {
 	if err := wf.AddTask(engine.TaskSpec{Name: "c"}); err == nil {
 		t.Error("empty input stream accepted")
 	}
-	if len(wf.Tasks()) != 1 || wf.Tasks()[0].Name != "a" {
-		t.Errorf("Tasks = %v", wf.Tasks())
-	}
-	if _, ok := wf.TaskFor("s"); !ok {
-		t.Error("TaskFor lost the task")
+	if task, ok := wf.TaskFor("s"); !ok || task.Name != "a" {
+		t.Errorf("TaskFor(s) = %v, %v, want task a", task, ok)
 	}
 	if wf.Name() != "w" {
 		t.Errorf("Name = %q", wf.Name())
@@ -616,7 +613,6 @@ func TestJobStatusStrings(t *testing.T) {
 		engine.StatusPending:  "pending",
 		engine.StatusOffered:  "offered",
 		engine.StatusQueued:   "queued",
-		engine.StatusStarted:  "started",
 		engine.StatusFinished: "finished",
 		engine.JobStatus(42):  "JobStatus(42)",
 	}
@@ -666,7 +662,12 @@ func TestTraceLogRecordsLifecycle(t *testing.T) {
 	if trace.Len() == 0 {
 		t.Fatal("trace is empty")
 	}
-	hist := trace.JobHistory("j00")
+	var hist []engine.TraceEvent
+	for _, ev := range trace.Events() {
+		if ev.JobID == "j00" {
+			hist = append(hist, ev)
+		}
+	}
 	if len(hist) < 4 {
 		t.Fatalf("job history = %v", hist)
 	}

@@ -27,8 +27,6 @@ const (
 	// StatusQueued means the job has been allocated and sits in a
 	// worker's FIFO queue.
 	StatusQueued
-	// StatusStarted means a worker is executing the job.
-	StatusStarted
 	// StatusFinished means the job completed.
 	StatusFinished
 )
@@ -42,8 +40,6 @@ func (s JobStatus) String() string {
 		return "offered"
 	case StatusQueued:
 		return "queued"
-	case StatusStarted:
-		return "started"
 	case StatusFinished:
 		return "finished"
 	default:
@@ -93,12 +89,6 @@ func (j *Job) computeMB() float64 {
 		return j.ComputeMB
 	}
 	return j.DataSizeMB
-}
-
-// Clone returns a shallow copy of the job.
-func (j *Job) Clone() *Job {
-	c := *j
-	return &c
 }
 
 // JobRecord is the master's book-keeping for one job, the analogue of

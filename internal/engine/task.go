@@ -42,9 +42,6 @@ type TaskContext struct {
 	job    *Job
 }
 
-// WorkerName returns the executing worker's name.
-func (c *TaskContext) WorkerName() string { return c.worker.name }
-
 // Clock returns the engine clock.
 func (c *TaskContext) Clock() vclock.Clock { return c.worker.clk }
 

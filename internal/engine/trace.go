@@ -109,20 +109,6 @@ func (l *TraceLog) Reset() {
 	l.events = nil
 }
 
-// JobHistory returns the events of one job in time order.
-func (l *TraceLog) JobHistory(jobID string) []TraceEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []TraceEvent
-	for _, ev := range l.events {
-		if ev.JobID == jobID {
-			out = append(out, ev)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
 // Dump writes the trace as tab-separated lines, one event per line.
 func (l *TraceLog) Dump(w io.Writer) {
 	for _, ev := range l.Events() {

@@ -8,7 +8,6 @@ import "fmt"
 type Workflow struct {
 	name  string
 	tasks map[string]*TaskSpec // keyed by input stream
-	order []string
 }
 
 // NewWorkflow returns an empty workflow.
@@ -35,7 +34,6 @@ func (w *Workflow) AddTask(spec TaskSpec) error {
 	}
 	s := spec
 	w.tasks[spec.Input] = &s
-	w.order = append(w.order, spec.Input)
 	return nil
 }
 
@@ -50,13 +48,4 @@ func (w *Workflow) MustAddTask(spec TaskSpec) {
 func (w *Workflow) TaskFor(stream string) (*TaskSpec, bool) {
 	t, ok := w.tasks[stream]
 	return t, ok
-}
-
-// Tasks returns the task specs in registration order.
-func (w *Workflow) Tasks() []*TaskSpec {
-	out := make([]*TaskSpec, 0, len(w.order))
-	for _, stream := range w.order {
-		out = append(out, w.tasks[stream])
-	}
-	return out
 }

@@ -30,8 +30,10 @@ type Bounds struct {
 	// plane: that many contest shards behind the frontend router, with
 	// jobs partitioned by content hash of their data key. 0 or 1 keeps
 	// the classic single master. Sharding multiplies the interleaving
-	// space (router→shard forwards and shard→worker sends are separate
-	// schedulable deliveries), so keep the bounds small.
+	// space, so keep the bounds small: the router writes forwards
+	// straight into a part's inbox, but each part's settle notices and
+	// its traffic with the workers are schedulable deliveries of their
+	// own.
 	Shards int
 }
 

@@ -79,18 +79,11 @@ type Chooser func(enabled []EnabledEvent) int
 // SetChooser installs (or, with nil, removes) the scheduling chooser.
 // Install it before the simulation under test is constructed: label
 // propagation and mailbox registration are decided at construction
-// time by ChooserActive.
+// time by ActiveLabeled.
 func (s *Sim) SetChooser(c Chooser) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chooser = c
-}
-
-// ChooserActive reports whether a scheduling chooser is installed.
-func (s *Sim) ChooserActive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.chooser != nil
 }
 
 // ActiveLabeled returns clk as a labeled scheduler when it is a
@@ -98,10 +91,16 @@ func (s *Sim) ChooserActive() bool {
 // will actually be consumed. Hot paths keep a nil result and skip
 // label construction entirely in normal runs.
 func ActiveLabeled(clk Clock) *Sim {
-	if s, ok := clk.(*Sim); ok && s.ChooserActive() {
-		return s
+	s, ok := clk.(*Sim)
+	if !ok {
+		return nil
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.chooser == nil {
+		return nil
+	}
+	return s
 }
 
 // AfterFuncLabeled is AfterFunc with an event label for the chooser and

@@ -150,34 +150,6 @@ func TestSimEqualDeadlinesFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestSimMailboxCloseDrainsQueued(t *testing.T) {
-	s := NewSim()
-	mb := s.NewMailbox("drain")
-	var got []int
-	var sendAfterClose bool
-	s.Go(func() {
-		mb.Send(1)
-		mb.Send(2)
-		mb.Close()
-		sendAfterClose = mb.Send(3)
-		for {
-			v, ok := mb.Recv()
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	s.Wait()
-	if sendAfterClose {
-		t.Error("Send after Close reported true")
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("drained %v, want [1 2]", got)
-	}
-	mb.Close() // double close must be a no-op
-}
-
 func TestSimMailboxTryRecv(t *testing.T) {
 	s := NewSim()
 	mb := s.NewMailbox("try")

@@ -6,14 +6,9 @@
 package workload
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"crossflow/internal/engine"
@@ -188,57 +183,6 @@ func Workflow() *engine.Workflow {
 	wf := engine.NewWorkflow("synthetic-msr")
 	wf.MustAddTask(engine.TaskSpec{Name: "analyze", Input: Stream})
 	return wf
-}
-
-// FromCSV loads an arrival stream from CSV records of the form
-//
-//	data_key,size_mb,at_seconds
-//
-// (header optional; detected by a non-numeric second column). It lets
-// users replay their own traces through the schedulers instead of the
-// synthetic configurations.
-func FromCSV(r io.Reader, stream string) ([]engine.Arrival, error) {
-	if stream == "" {
-		stream = Stream
-	}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("workload: reading CSV: %w", err)
-	}
-	arrivals := make([]engine.Arrival, 0, len(records))
-	for i, rec := range records {
-		if len(rec) < 2 {
-			return nil, fmt.Errorf("workload: CSV row %d has %d fields, want at least 2", i+1, len(rec))
-		}
-		size, err := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-		if err != nil {
-			if i == 0 {
-				continue // header row
-			}
-			return nil, fmt.Errorf("workload: CSV row %d: bad size %q", i+1, rec[1])
-		}
-		var at time.Duration
-		if len(rec) >= 3 && strings.TrimSpace(rec[2]) != "" {
-			sec, err := strconv.ParseFloat(strings.TrimSpace(rec[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: CSV row %d: bad arrival time %q", i+1, rec[2])
-			}
-			at = time.Duration(sec * float64(time.Second))
-		}
-		arrivals = append(arrivals, engine.Arrival{
-			At: at,
-			Job: &engine.Job{
-				ID:         fmt.Sprintf("csv-%03d", len(arrivals)),
-				Stream:     stream,
-				DataKey:    strings.TrimSpace(rec[0]),
-				DataSizeMB: size,
-			},
-		})
-	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
-	return arrivals, nil
 }
 
 // Stats summarizes a generated stream (for tests and reports).

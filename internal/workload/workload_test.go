@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -168,50 +167,5 @@ func TestPropertyGenerationPure(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFromCSV(t *testing.T) {
-	csv := `data_key,size_mb,at_seconds
-repo/a,150.5,0
-repo/b,20,3.5
-repo/a,150.5,1
-repo/c,500
-`
-	arr, err := FromCSV(strings.NewReader(csv), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arr) != 4 {
-		t.Fatalf("arrivals = %d", len(arr))
-	}
-	// Sorted by arrival time; missing time means t=0.
-	if arr[0].Job.DataKey != "repo/a" || arr[1].Job.DataKey != "repo/c" {
-		t.Errorf("order = %v %v", arr[0].Job.DataKey, arr[1].Job.DataKey)
-	}
-	if arr[3].At != 3500*time.Millisecond || arr[3].Job.DataSizeMB != 20 {
-		t.Errorf("last arrival = %+v", arr[3])
-	}
-	if arr[0].Job.Stream != Stream {
-		t.Errorf("default stream = %q", arr[0].Job.Stream)
-	}
-	custom, err := FromCSV(strings.NewReader("k,10\n"), "other")
-	if err != nil || custom[0].Job.Stream != "other" {
-		t.Errorf("custom stream: %v %v", err, custom)
-	}
-}
-
-func TestFromCSVErrors(t *testing.T) {
-	if _, err := FromCSV(strings.NewReader("only-one-field\n"), ""); err == nil {
-		t.Error("accepted a row with one field")
-	}
-	if _, err := FromCSV(strings.NewReader("k,10\nk,notanumber\n"), ""); err == nil {
-		t.Error("accepted a bad size mid-file")
-	}
-	if _, err := FromCSV(strings.NewReader("k,10,notatime\n"), ""); err == nil {
-		t.Error("accepted a bad arrival time")
-	}
-	if arr, err := FromCSV(strings.NewReader(""), ""); err != nil || len(arr) != 0 {
-		t.Errorf("empty input: %v %v", arr, err)
 	}
 }
