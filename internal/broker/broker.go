@@ -8,7 +8,10 @@
 // deliveries land in the receiving endpoint's inbox wrapped in an
 // *Envelope. Delivery is asynchronous with a configurable per-link
 // latency, applied through the clock so that the simulated and live
-// engines share one code path.
+// engines share one code path. On a simulated clock each route also
+// carries a deterministic sub-66µs skew (see routeSeed); on a wall clock
+// the network already provides that nondeterminism, so a zero-delay
+// message goes straight into the receiving inbox.
 package broker
 
 import (
@@ -68,31 +71,21 @@ func defaultDelay(from, to *Endpoint) time.Duration {
 }
 
 // DropFunc decides whether one delivery is lost in transit. It is
-// consulted once per direct message and once per topic-fanout target,
-// after the down/disconnect checks; returning true silently discards
-// that delivery (counted in Stats.Dropped). Implementations are called
-// under the broker lock and must not block; to keep runs repeatable
-// they should decide from the envelope's content and timestamp, never
-// from call order or an unseeded random source.
+// consulted once per direct message and once per fanout target, after
+// the down/disconnect checks; returning true silently discards that
+// delivery. Implementations are called under the broker lock and must
+// not block; to keep runs repeatable they should decide from the
+// envelope's content and timestamp, never from call order or an
+// unseeded random source.
 type DropFunc func(env Envelope, to string) bool
-
-// Stats holds message-level counters for one broker.
-type Stats struct {
-	// Direct is the number of direct messages delivered.
-	Direct int64
-	// Published is the number of Publish calls.
-	Published int64
-	// Fanout is the number of topic deliveries (one per subscriber).
-	Fanout int64
-	// Dropped counts messages addressed to missing or disconnected
-	// endpoints.
-	Dropped int64
-}
 
 // Broker routes messages between registered endpoints.
 type Broker struct {
 	clk   vclock.Clock
 	delay DelayFunc
+	// skew is whether clk is a *vclock.Sim: only simulated deliveries
+	// add the route skew.
+	skew bool
 	// labeled is non-nil only when clk is a simulated clock with a model
 	// checker's chooser installed; delivery events then carry route
 	// labels. Decided once at construction so the delivery hot path pays
@@ -101,18 +94,18 @@ type Broker struct {
 
 	mu        sync.Mutex
 	drop      DropFunc
-	direct    bool
 	endpoints map[string]*Endpoint
 	topics    map[string][]*Endpoint // topic -> subscribers, sorted by name
-	stats     Stats
 }
 
 // New returns a broker on the given clock. The default delivery delay is
 // the sum of the two endpoints' link latencies.
 func New(clk vclock.Clock) *Broker {
+	_, sim := clk.(*vclock.Sim)
 	return &Broker{
 		clk:       clk,
 		delay:     defaultDelay,
+		skew:      sim,
 		labeled:   vclock.ActiveLabeled(clk),
 		endpoints: make(map[string]*Endpoint),
 		topics:    make(map[string][]*Endpoint),
@@ -130,41 +123,12 @@ func (b *Broker) SetDelayFunc(f DelayFunc) {
 	b.delay = f
 }
 
-// SetDirectDelivery disables the deterministic route skew so zero-delay
-// messages go straight into the destination inbox instead of through a
-// timer. Simulated runs need the skew — it is what keeps equal-deadline
-// timers from firing in OS-scheduling order — but on a real-clock bus
-// fronted by actual TCP connections the network already provides the
-// propagation nondeterminism, and a sub-66µs wall timer per delivery is
-// pure scheduler churn on the hot path.
-func (b *Broker) SetDirectDelivery(on bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.direct = on
-}
-
-// skewLocked returns the route skew for from->to, or zero in direct
-// mode. Caller holds b.mu.
-func (b *Broker) skewLocked(from *Endpoint, to string) time.Duration {
-	if b.direct {
-		return 0
-	}
-	return skewFrom(from.skewSeed, to)
-}
-
 // SetDropFunc installs a delivery-loss model for fault injection.
 // Passing nil restores lossless delivery.
 func (b *Broker) SetDropFunc(f DropFunc) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.drop = f
-}
-
-// Stats returns a snapshot of the broker's message counters.
-func (b *Broker) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
 }
 
 // Register creates an endpoint with the given name and one-way link
@@ -221,35 +185,21 @@ func (b *Broker) Lookup(name string) (*Endpoint, bool) {
 	return ep, ok
 }
 
-// Endpoints returns the names of all registered endpoints.
-func (b *Broker) Endpoints() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.endpoints))
-	for n := range b.endpoints {
-		names = append(names, n)
-	}
-	return names
-}
-
 // send delivers a direct message.
 func (b *Broker) send(from *Endpoint, to string, payload any) bool {
 	b.mu.Lock()
 	dst, ok := b.endpoints[to]
 	if !ok || dst.down || from.down {
-		b.stats.Dropped++
 		b.mu.Unlock()
 		return false
 	}
 	env := &Envelope{From: from.name, To: to, Payload: payload, SentAt: b.clk.Now()}
 	if b.drop != nil && b.drop(*env, to) {
 		// Lost in transit: the sender cannot tell, so report delivered.
-		b.stats.Dropped++
 		b.mu.Unlock()
 		return true
 	}
-	d := b.delay(from, dst) + b.skewLocked(from, to)
-	b.stats.Direct++
+	d := b.routeDelay(from, dst)
 	b.mu.Unlock()
 	b.deliver(dst, env, d)
 	return true
@@ -297,97 +247,62 @@ func skewFrom(seed uint64, to string) time.Duration {
 	return time.Duration(h & maxRouteSkew)
 }
 
+// routeDelay is the delivery delay from -> to: the delay model, plus the
+// route skew on a simulated clock. Caller holds b.mu.
+func (b *Broker) routeDelay(from, to *Endpoint) time.Duration {
+	d := b.delay(from, to)
+	if b.skew {
+		d += skewFrom(from.skewSeed, to.name)
+	}
+	return d
+}
+
 // delivery is one scheduled fanout target.
 type delivery struct {
 	ep *Endpoint
 	d  time.Duration
 }
 
-// fanoutPool recycles the per-publish target scratch so steady-state
-// publishing allocates only the shared envelope.
+// fanoutPool recycles the per-fanout target scratch so steady-state
+// fanouts allocate only the shared envelope.
 var fanoutPool = sync.Pool{New: func() any { return new([]delivery) }}
 
-// publish fans a message out to every subscriber of topic.
-func (b *Broker) publish(from *Endpoint, topic string, payload any) int {
+// fanout delivers env, one shared envelope, to every subscriber of its
+// topic or, when it has none, to each endpoint named in targets, and
+// returns the number reached. Unknown, disconnected and dropped targets
+// are skipped. Deliveries are scheduled in list order, which breaks ties
+// between equal deadlines: a topic's subscribers are kept name-sorted,
+// and a multicast caller that needs replay determinism must pass a
+// deterministically-ordered list.
+func (b *Broker) fanout(from *Endpoint, env *Envelope, targets []string) int {
 	scratch := fanoutPool.Get().(*[]delivery)
-	b.mu.Lock()
-	b.stats.Published++
-	if from.down {
-		b.stats.Dropped++
-		b.mu.Unlock()
-		fanoutPool.Put(scratch)
-		return 0
-	}
-	env := &Envelope{From: from.name, Topic: topic, Payload: payload, SentAt: b.clk.Now()}
-	// The subscriber list is kept sorted by name on (un)subscribe: the
-	// order deliveries are scheduled in breaks ties between equal
-	// deadlines, so determinism requires it to be stable — and sorting
-	// once per membership change beats sorting once per publish.
-	targets := (*scratch)[:0]
-	for _, ep := range b.topics[topic] {
-		if ep.down {
-			continue
-		}
-		if b.drop != nil && b.drop(*env, ep.name) {
-			b.stats.Dropped++
-			continue
-		}
-		targets = append(targets, delivery{ep: ep, d: b.delay(from, ep) + b.skewLocked(from, ep.name)})
-	}
-	b.stats.Fanout += int64(len(targets))
-	b.mu.Unlock()
-	for _, t := range targets {
-		b.deliver(t.ep, env, t.d)
-	}
-	n := len(targets)
-	for i := range targets {
-		targets[i] = delivery{}
-	}
-	*scratch = targets[:0]
-	fanoutPool.Put(scratch)
-	return n
-}
-
-// sendMulti delivers one payload to several named endpoints, sharing a
-// single envelope across all deliveries the way a topic fanout does.
-// It returns the number of endpoints reached. Unknown or disconnected
-// targets are skipped (counted in Stats.Dropped); the drop model is
-// consulted once per target, exactly as for direct sends.
-func (b *Broker) sendMulti(from *Endpoint, targets []string, payload any) int {
-	scratch := fanoutPool.Get().(*[]delivery)
-	b.mu.Lock()
-	if from.down {
-		b.stats.Dropped += int64(len(targets))
-		b.mu.Unlock()
-		fanoutPool.Put(scratch)
-		return 0
-	}
-	env := &Envelope{From: from.name, Payload: payload, SentAt: b.clk.Now()}
-	// Deliveries are scheduled in the caller's target order; callers that
-	// need replay determinism must pass a deterministically-ordered list,
-	// the same contract the topic map keeps by sorting its subscribers.
 	outs := (*scratch)[:0]
-	for _, to := range targets {
-		dst, ok := b.endpoints[to]
-		if !ok || dst.down {
-			b.stats.Dropped++
-			continue
+	b.mu.Lock()
+	env.SentAt = b.clk.Now()
+	add := func(ep *Endpoint) {
+		if !ep.down && (b.drop == nil || !b.drop(*env, ep.name)) {
+			outs = append(outs, delivery{ep: ep, d: b.routeDelay(from, ep)})
 		}
-		if b.drop != nil && b.drop(*env, to) {
-			b.stats.Dropped++
-			continue
-		}
-		outs = append(outs, delivery{ep: dst, d: b.delay(from, dst) + b.skewLocked(from, to)})
 	}
-	b.stats.Direct += int64(len(outs))
+	switch {
+	case from.down: // a disconnected sender reaches no one
+	case env.Topic != "":
+		for _, ep := range b.topics[env.Topic] {
+			add(ep)
+		}
+	default:
+		for _, to := range targets {
+			if ep, ok := b.endpoints[to]; ok {
+				add(ep)
+			}
+		}
+	}
 	b.mu.Unlock()
 	for _, t := range outs {
 		b.deliver(t.ep, env, t.d)
 	}
 	n := len(outs)
-	for i := range outs {
-		outs[i] = delivery{}
-	}
+	clear(outs)
 	*scratch = outs[:0]
 	fanoutPool.Put(scratch)
 	return n
@@ -494,13 +409,14 @@ func (ep *Endpoint) Send(to string, payload any) bool {
 // reached. It is the targeted counterpart of Publish: a multicast to a
 // chosen candidate set instead of a whole topic.
 func (ep *Endpoint) SendMulti(targets []string, payload any) int {
-	return ep.broker.sendMulti(ep, targets, payload)
+	return ep.broker.fanout(ep, &Envelope{From: ep.name, Payload: payload}, targets)
 }
 
 // Publish fans payload out to all subscribers of topic and returns the
-// number of endpoints it was delivered to.
+// number of endpoints it was delivered to. The empty topic reaches no
+// one: an envelope without a topic is a multicast.
 func (ep *Endpoint) Publish(topic string, payload any) int {
-	return ep.broker.publish(ep, topic, payload)
+	return ep.broker.fanout(ep, &Envelope{From: ep.name, Topic: topic, Payload: payload}, nil)
 }
 
 // Subscribe starts delivering messages published on topic to this

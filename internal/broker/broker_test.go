@@ -78,14 +78,17 @@ func TestSendToUnknownEndpointDropped(t *testing.T) {
 	sim := vclock.NewSim()
 	b := New(sim)
 	a := b.Register("a", 0)
+	c := b.Register("c", 0)
 	var ok bool
 	sim.Go(func() { ok = a.Send("ghost", 1) })
 	sim.Wait()
 	if ok {
 		t.Error("Send to unknown endpoint reported true")
 	}
-	if s := b.Stats(); s.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", s.Dropped)
+	for _, ep := range []*Endpoint{a, c} {
+		if v, got := ep.Inbox().TryRecv(); got {
+			t.Errorf("%s received %+v from a send to an unknown endpoint", ep.Name(), v)
+		}
 	}
 }
 
@@ -118,8 +121,10 @@ func TestPublishFansOutToSubscribersOnly(t *testing.T) {
 	if n != 3 || len(got) != 3 {
 		t.Errorf("delivered to %d/%d subscribers", n, len(got))
 	}
-	if s := b.Stats(); s.Published != 1 || s.Fanout != 3 {
-		t.Errorf("stats = %+v", s)
+	for _, ep := range append(subs, pub) {
+		if _, dup := ep.Inbox().TryRecv(); dup {
+			t.Errorf("%s received more than its one publication", ep.Name())
+		}
 	}
 }
 
@@ -224,8 +229,12 @@ func TestLookupAndEndpoints(t *testing.T) {
 	if _, ok := b.Lookup("nope"); ok {
 		t.Error("Lookup found missing endpoint")
 	}
-	if names := b.Endpoints(); len(names) != 1 || names[0] != "node-1" {
-		t.Errorf("Endpoints = %v", names)
+	b.Deregister("node-1")
+	if _, ok := b.Lookup("node-1"); ok {
+		t.Error("Lookup found a deregistered endpoint")
+	}
+	if again := b.Register("node-1", 0); again == ep {
+		t.Error("re-registering a freed name returned the old endpoint")
 	}
 }
 
@@ -305,8 +314,8 @@ func TestDropFuncLosesDirectSends(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Errorf("received %v, want [0 2 4]", got)
 	}
-	if s := b.Stats(); s.Dropped != 3 {
-		t.Errorf("Dropped = %d, want 3", s.Dropped)
+	if v, ok := c.Inbox().TryRecv(); ok {
+		t.Errorf("c received %v beyond [0 2 4]", v.(*Envelope).Payload)
 	}
 	b.SetDropFunc(nil) // restores lossless delivery
 	var okAfter bool
@@ -333,8 +342,8 @@ func TestDropFuncPrunesFanout(t *testing.T) {
 		// with what the network really did.
 		n = pub.Publish("t", "x")
 		sim.Sleep(time.Millisecond) // deliveries land within the route skew
-		if _, ok := w1.Inbox().TryRecv(); !ok {
-			t.Error("w1 missed the publication")
+		if v, ok := w1.Inbox().TryRecv(); !ok || v.(*Envelope).Payload != "x" {
+			t.Errorf("w1 got %v, %v; want the publication", v, ok)
 		}
 		if _, ok := w2.Inbox().TryRecv(); ok {
 			t.Error("w2 received a dropped publication")
@@ -344,8 +353,8 @@ func TestDropFuncPrunesFanout(t *testing.T) {
 	if n != 1 {
 		t.Errorf("Publish reported %d deliveries, want 1", n)
 	}
-	if s := b.Stats(); s.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", s.Dropped)
+	if _, dup := w1.Inbox().TryRecv(); dup {
+		t.Error("w1 received the publication twice")
 	}
 }
 
@@ -370,13 +379,43 @@ func TestBrokerOnRealClock(t *testing.T) {
 	}
 }
 
+// TestWallClockZeroLatencyIsImmediate pins the delivery rule's clock
+// split: the route skew exists only on a simulated clock. On a wall
+// clock slowed a thousandfold a skew would last milliseconds of wall
+// time; instead a zero-latency message is in the inbox when Send returns.
+func TestWallClockZeroLatencyIsImmediate(t *testing.T) {
+	if routeSkew("a", "c") == 0 {
+		t.Fatal("route a>c has no skew; pick a route that would be delayed")
+	}
+	b := New(vclock.NewScaledReal(0.001))
+	a := b.Register("a", 0)
+	c := b.Register("c", 0)
+	if !a.Send("c", "now") {
+		t.Fatal("Send reported false")
+	}
+	v, ok := c.Inbox().TryRecv()
+	if !ok {
+		t.Fatal("zero-latency send on a wall clock was not in the inbox when Send returned")
+	}
+	if env := v.(*Envelope); env.From != "a" || env.To != "c" || env.Payload != "now" {
+		t.Errorf("envelope = %+v", env)
+	}
+	c.Subscribe("t")
+	if n := a.Publish("t", 1); n != 1 {
+		t.Fatalf("Publish reached %d, want 1", n)
+	}
+	if _, ok := c.Inbox().TryRecv(); !ok {
+		t.Error("zero-latency publication on a wall clock was not in the inbox when Publish returned")
+	}
+}
+
 func TestSendMultiReachesNamedTargetsOnly(t *testing.T) {
 	sim := vclock.NewSim()
 	b := New(sim)
 	src := b.Register("src", 0)
 	w1 := b.Register("w1", 10*time.Millisecond)
 	w2 := b.Register("w2", 20*time.Millisecond)
-	b.Register("w3", 0) // registered but not targeted
+	w3 := b.Register("w3", 0) // registered but not targeted
 
 	var n int
 	got := make(map[string]Envelope)
@@ -408,9 +447,13 @@ func TestSendMultiReachesNamedTargetsOnly(t *testing.T) {
 			t.Errorf("%s envelope = %+v", w, env)
 		}
 	}
-	s := b.Stats()
-	if s.Direct != 2 || s.Dropped != 1 {
-		t.Errorf("stats = %+v, want Direct 2, Dropped 1 for the ghost", s)
+	if v, ok := w3.Inbox().TryRecv(); ok {
+		t.Errorf("untargeted w3 received %+v", v)
+	}
+	for _, ep := range []*Endpoint{w1, w2} {
+		if _, dup := ep.Inbox().TryRecv(); dup {
+			t.Errorf("%s received the multicast twice", ep.Name())
+		}
 	}
 }
 
@@ -418,7 +461,7 @@ func TestSendMultiRespectsDownAndDrop(t *testing.T) {
 	sim := vclock.NewSim()
 	b := New(sim)
 	src := b.Register("src", 0)
-	b.Register("w1", 0)
+	w1 := b.Register("w1", 0)
 	w2 := b.Register("w2", 0)
 	w2.Disconnect()
 	b.SetDropFunc(func(env Envelope, to string) bool { return to == "w1" })
@@ -429,8 +472,10 @@ func TestSendMultiRespectsDownAndDrop(t *testing.T) {
 	if n != 0 {
 		t.Errorf("SendMulti = %d, want 0 (one down, one dropped)", n)
 	}
-	if s := b.Stats(); s.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2", s.Dropped)
+	for _, ep := range []*Endpoint{w1, w2} {
+		if _, ok := ep.Inbox().TryRecv(); ok {
+			t.Errorf("%s received a multicast it was down or dropped for", ep.Name())
+		}
 	}
 
 	// A disconnected sender reaches nobody.
@@ -440,6 +485,9 @@ func TestSendMultiRespectsDownAndDrop(t *testing.T) {
 	sim.Wait()
 	if n != 0 {
 		t.Errorf("down sender SendMulti = %d, want 0", n)
+	}
+	if _, ok := w1.Inbox().TryRecv(); ok {
+		t.Error("a down sender's multicast reached w1")
 	}
 }
 

@@ -70,53 +70,66 @@ func TestSubscriberOrderMatchesReferenceOnRandomOps(t *testing.T) {
 }
 
 // TestPublishDeliveryScheduleMatchesReference checks the full delivery
-// path on randomized link latencies: every subscriber must receive the
-// publication at exactly link-sum + routeSkew after the publish instant,
-// the schedule the pre-optimization broker (which re-derived delays and
-// hashes per publish) produced.
+// path on randomized link latencies: every target must receive the
+// message at exactly link-sum + routeSkew after the send instant, the
+// schedule the pre-optimization broker (which re-derived delays and
+// hashes per publish) produced. A topic publish and a SendMulti to the
+// same fleet share the fanout and must both reach that schedule.
 func TestPublishDeliveryScheduleMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sim := vclock.NewSim()
-		b := New(sim)
-		pub := b.Register("pub", time.Duration(rng.Intn(10))*time.Millisecond)
-		const n = 8
-		subs := make([]*Endpoint, n)
-		links := make([]time.Duration, n)
-		for i := range subs {
-			links[i] = time.Duration(rng.Intn(50)) * time.Millisecond
-			subs[i] = b.Register(fmt.Sprintf("w%d", i), links[i])
-			subs[i].Subscribe("jobs")
-		}
-		var mu sync.Mutex
-		arrivals := make(map[string]time.Time, n)
-		var count int
-		actors := []func(){func() { count = pub.Publish("jobs", "payload") }}
-		for _, s := range subs {
-			s := s
-			actors = append(actors, func() {
-				if _, ok := s.Inbox().Recv(); !ok {
-					return
-				}
-				now := sim.Now()
-				mu.Lock()
-				arrivals[s.Name()] = now
-				mu.Unlock()
-			})
-		}
-		startAll(sim, actors...)
-		sim.Wait()
-		if count != n {
-			t.Fatalf("seed %d: Publish reached %d/%d subscribers", seed, count, n)
-		}
-		for i, s := range subs {
-			want := vclock.Epoch.Add(pub.Link() + links[i] + routeSkew("pub", s.Name()))
-			got, ok := arrivals[s.Name()]
-			if !ok {
-				t.Fatalf("seed %d: %s never received the publication", seed, s.Name())
+	inputs := []struct {
+		name string
+		send func(pub *Endpoint, names []string) int
+	}{
+		{"Publish", func(pub *Endpoint, _ []string) int { return pub.Publish("jobs", "payload") }},
+		{"SendMulti", func(pub *Endpoint, names []string) int { return pub.SendMulti(names, "payload") }},
+	}
+	for _, in := range inputs {
+		input, send := in.name, in.send
+		for seed := int64(0); seed < 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			sim := vclock.NewSim()
+			b := New(sim)
+			pub := b.Register("pub", time.Duration(rng.Intn(10))*time.Millisecond)
+			const n = 8
+			subs := make([]*Endpoint, n)
+			names := make([]string, n)
+			links := make([]time.Duration, n)
+			for i := range subs {
+				links[i] = time.Duration(rng.Intn(50)) * time.Millisecond
+				names[i] = fmt.Sprintf("w%d", i)
+				subs[i] = b.Register(names[i], links[i])
+				subs[i].Subscribe("jobs")
 			}
-			if !got.Equal(want) {
-				t.Errorf("seed %d: %s delivered at %v, reference schedule %v", seed, s.Name(), got, want)
+			var mu sync.Mutex
+			arrivals := make(map[string]time.Time, n)
+			var count int
+			actors := []func(){func() { count = send(pub, names) }}
+			for _, s := range subs {
+				s := s
+				actors = append(actors, func() {
+					if _, ok := s.Inbox().Recv(); !ok {
+						return
+					}
+					now := sim.Now()
+					mu.Lock()
+					arrivals[s.Name()] = now
+					mu.Unlock()
+				})
+			}
+			startAll(sim, actors...)
+			sim.Wait()
+			if count != n {
+				t.Fatalf("%s seed %d: reached %d/%d targets", input, seed, count, n)
+			}
+			for i, s := range subs {
+				want := vclock.Epoch.Add(pub.Link() + links[i] + routeSkew("pub", s.Name()))
+				got, ok := arrivals[s.Name()]
+				if !ok {
+					t.Fatalf("%s seed %d: %s never received the message", input, seed, s.Name())
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s seed %d: %s delivered at %v, reference schedule %v", input, seed, s.Name(), got, want)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"crossflow/internal/engine"
@@ -34,6 +35,9 @@ func (s *SparkLikeAllocator) JobReady(ctx engine.AllocCtx, job *engine.Job) {
 	ctx.Assign(job.ID, workers[s.next%len(workers)], 0)
 	s.next++
 }
+
+// StateDigest implements engine.StateDigester: the round-robin cursor.
+func (s *SparkLikeAllocator) StateDigest() string { return fmt.Sprintf("next=%d\n", s.next) }
 
 // BidWindowExpired implements engine.Allocator: used only as the retry
 // timer armed above.

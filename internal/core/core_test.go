@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -463,5 +464,47 @@ func TestPolicyNames(t *testing.T) {
 		if got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestStatefulPoliciesDigestTheirState guards the model checker's
+// fingerprint, which sees an allocator's or agent's state only through
+// engine.StateDigester: every built-in allocator or agent type with a
+// field of its own (the embedded no-op NopAllocator and BiddingAgent
+// carry none) must implement it, or the checker merges states that
+// differ there.
+func TestStatefulPoliciesDigestTheirState(t *testing.T) {
+	stateless := map[reflect.Type]bool{
+		reflect.TypeOf(engine.NopAllocator{}): true,
+		reflect.TypeOf(BiddingAgent{}):        true,
+	}
+	for _, p := range Policies() {
+		for _, v := range []any{p.NewAllocator(), p.NewAgent(nil)} {
+			typ := reflect.TypeOf(v)
+			st := typ
+			if st.Kind() == reflect.Pointer {
+				st = st.Elem()
+			}
+			for i := 0; i < st.NumField(); i++ {
+				f := st.Field(i)
+				if f.Anonymous && stateless[f.Type] {
+					continue
+				}
+				if _, ok := v.(engine.StateDigester); !ok {
+					t.Errorf("policy %s: %v keeps field %s but does not implement engine.StateDigester", p.Name, typ, f.Name)
+				}
+				break
+			}
+		}
+	}
+}
+
+func TestSparkLikeDigestsCursor(t *testing.T) {
+	ctx := newFakeCtx("w1", "w2")
+	s := NewSparkLike()
+	before := s.StateDigest()
+	s.JobReady(ctx, ctx.addJob("j1", "r", 10))
+	if after := s.StateDigest(); after == before {
+		t.Errorf("digest %q unchanged after the cursor advanced", after)
 	}
 }

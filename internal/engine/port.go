@@ -30,7 +30,7 @@ type disconnecter interface {
 
 // deregisterer is the optional graceful-leave hook a Port may provide:
 // it removes the node from the substrate entirely, freeing its name for
-// a future joiner. A drained worker prefers it over Disconnect.
+// a future joiner. A drained worker calls it as it leaves.
 type deregisterer interface {
 	Deregister()
 }

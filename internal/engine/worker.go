@@ -342,8 +342,6 @@ func (w *Worker) finishDrain() {
 	w.ep.Send(MasterName, MsgLeave{Worker: w.name})
 	if d, ok := w.ep.(deregisterer); ok {
 		d.Deregister()
-	} else if d, ok := w.ep.(disconnecter); ok {
-		d.Disconnect()
 	}
 	w.ep.Inbox().Close()
 	w.execQ.Close()

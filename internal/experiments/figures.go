@@ -102,18 +102,6 @@ type Fig3Row struct {
 	BaseMsgs float64
 }
 
-// Figure3 reproduces the per-workload aggregates of Figure 3 (a, b, c):
-// average execution time, cache misses, and data load per workload per
-// algorithm, pooled over the four worker configurations and the
-// warm-cache iterations.
-func Figure3(opts SimOptions) ([]Fig3Row, error) {
-	cells, err := Grid(opts)
-	if err != nil {
-		return nil, err
-	}
-	return figure3FromCells(cells), nil
-}
-
 func figure3FromCells(cells []*Cell) []Fig3Row {
 	rows := make([]Fig3Row, 0, len(workload.JobConfigs))
 	for _, jc := range workload.JobConfigs {
@@ -183,16 +171,6 @@ type Fig4Row struct {
 	Profile  cluster.Profile
 	BidSec   float64
 	BaseSec  float64
-}
-
-// Figure4 reproduces the execution-time breakdown per workload per
-// worker configuration.
-func Figure4(opts SimOptions) ([]Fig4Row, error) {
-	cells, err := Grid(opts)
-	if err != nil {
-		return nil, err
-	}
-	return figure4FromCells(cells), nil
 }
 
 func figure4FromCells(cells []*Cell) []Fig4Row {

@@ -120,37 +120,6 @@ func (c *Cache) evictLocked() (evicted []string) {
 	return evicted
 }
 
-// Remove deletes key if present and reports whether it was.
-func (c *Cache) Remove(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.index, key)
-	c.used -= el.Value.(*entry).sizeMB
-	return true
-}
-
-// Clear empties the cache, keeping statistics.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.index = make(map[string]*list.Element)
-	c.used = 0
-}
-
-// ResetStats zeroes the hit/miss/eviction counters, keeping contents.
-// The experiment harness calls this between workflow iterations.
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

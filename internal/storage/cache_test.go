@@ -84,38 +84,6 @@ func TestRePutUpdatesSizeAndRecency(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New(100)
-	c.Put("a", 25)
-	if !c.Remove("a") {
-		t.Error("Remove existing = false")
-	}
-	if c.Remove("a") {
-		t.Error("Remove missing = true")
-	}
-	if c.UsedMB() != 0 || c.Len() != 0 {
-		t.Error("Remove left residue")
-	}
-}
-
-func TestClearKeepsStats(t *testing.T) {
-	c := New(100)
-	c.Put("a", 25)
-	c.Access("a")
-	c.Access("b")
-	c.Clear()
-	if c.Len() != 0 || c.UsedMB() != 0 {
-		t.Error("Clear left entries")
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("Clear wiped stats: %+v", s)
-	}
-	c.ResetStats()
-	if s := c.Stats(); s != (Stats{}) {
-		t.Errorf("ResetStats left %+v", s)
-	}
-}
-
 func TestUnboundedCapacity(t *testing.T) {
 	c := New(0)
 	for i := 0; i < 1000; i++ {

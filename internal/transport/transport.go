@@ -132,10 +132,6 @@ func Serve(addr string) (*Server, error) {
 		seats:    make(map[string]*seat),
 		encCache: make(map[*broker.Envelope][]byte),
 	}
-	// The TCP links in front of this bus already provide propagation
-	// nondeterminism; the simulated route skew would only put a wall
-	// timer on every delivery.
-	s.bus.SetDirectDelivery(true)
 	go s.acceptLoop()
 	return s, nil
 }
