@@ -162,7 +162,7 @@ func (m MsgJobDone) EventDetail() string {
 }
 
 // EventDetail describes a job queued in a worker's exec mailbox.
-func (j *Job) EventDetail() string { return "job " + j.ID }
+func (e execEntry) EventDetail() string { return "job " + e.job.ID }
 
 // EventDetail marks a queued drain sentinel.
 func (drainSentinel) EventDetail() string { return "drain-sentinel" }

@@ -219,10 +219,13 @@ type MsgWorkerDead struct {
 type msgRegisterRetry struct{}
 
 // msgBidReady ends the worker's bid-computation delay (§5's bidding
-// thread): the bid it carries is submitted.
+// thread): the bid it carries goes to the endpoint that asked for it.
 //
 //xflow:msg worker
-type msgBidReady struct{ bid MsgBid }
+type msgBidReady struct {
+	bid MsgBid
+	to  string
+}
 
 // msgPullRetry re-pulls for work after an empty pull's backoff.
 //

@@ -14,17 +14,18 @@ import (
 // ShardName returns the endpoint name of contest shard i of a sharded
 // control plane. Shard endpoints sit next to the frontend router (which
 // keeps the plain MasterName), so workers keep addressing "master" and
-// never need to know the plane is sharded.
+// answer whoever asked, never needing to know the plane is sharded.
 func ShardName(i int) string { return MasterName + "#" + strconv.Itoa(i) }
 
 // ShardedMaster is the frontend of the sharded contest control plane:
 // a thin router actor on the MasterName endpoint in front of N shard
 // parts, each a full (muted) Master owning the contests, the locindex
 // slice, and the per-worker load accounting of its content-hash
-// partition. Workers are unchanged — they talk to "master" as ever; the
-// router partitions submissions by locindex.ShardOf over the job's
-// DataKey, forwards job-keyed protocol traffic (bids, accepts, rejects,
-// completions) to the owning shard, fans membership events out to every
+// partition. Workers are unchanged — they talk to "master" as ever and
+// reply to the sender, so bids, accepts, rejects and completions go
+// straight to the shard that asked. The router handles only what is
+// addressed to "master": it partitions submissions by locindex.ShardOf
+// over the job's DataKey, fans membership events and pulls out to every
 // shard, and merges the per-shard Reports back into the single view
 // callers of an unsharded master would have seen. The actor shell and
 // the membership state machine are the same Plane core the parts run.
@@ -39,7 +40,9 @@ type ShardedMaster struct {
 	Plane
 	parts []*Master
 
-	jobShard map[string]int //xflow:owned router-loop
+	// admitted holds every job ID the router has routed, for
+	// admitJob's duplicate check.
+	admitted map[string]bool //xflow:owned router-loop
 }
 
 // newShardedMaster wires a sharded plane: the frontend router on port
@@ -67,7 +70,7 @@ func newShardedMaster(clk vclock.Clock, port Port, shardPorts []Port, newAlloc f
 	sm := &ShardedMaster{
 		Plane:    newPlane(clk, port, expectedWorkers),
 		parts:    make([]*Master, len(shardPorts)),
-		jobShard: make(map[string]int),
+		admitted: make(map[string]bool),
 	}
 	sm.bind(sm.handle)
 	for i, sp := range shardPorts {
@@ -140,22 +143,15 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
 	switch msg := env.Payload.(type) {
 	//xflow:unhandled MsgBidWindowExpired,MsgTick shard-local self-timers inject straight into the owning part's inbox and never transit the frontend
+	//xflow:unhandled MsgBid,MsgAccept,MsgReject,MsgJobDone a worker answers the sender, and only shard parts send job-keyed requests
 	case MsgRegister:
 		sm.onRegister(env, msg)
-	case MsgBid:
-		sm.routeByJob(env, msg.JobID)
-	case MsgAccept:
-		sm.routeByJob(env, msg.JobID)
-	case MsgReject:
-		sm.routeByJob(env, msg.JobID)
 	case MsgRequestJob:
 		sm.onRequestJob(env, msg)
 	case MsgEmit:
 		if msg.Job != nil {
 			sm.routeJob(sm.sessionByID(msg.Job.Session), msg.Job)
 		}
-	case MsgJobDone:
-		sm.routeByJob(env, msg.JobID)
 	case MsgCacheEvict:
 		sm.onCacheEvict(env, msg)
 	case MsgWorkerDead:
@@ -231,26 +227,11 @@ func (sm *ShardedMaster) control(part *Master, payload any) *broker.Envelope {
 // content hash of its data key, and hands it to that part as an
 // in-process emit; it is outstanding on s until the part settles it.
 func (sm *ShardedMaster) routeJob(s *session, job *Job) {
-	sm.admitJob(s, job, func(id string) bool {
-		_, dup := sm.jobShard[id]
-		return dup
-	})
+	sm.admitJob(s, job, func(id string) bool { return sm.admitted[id] })
 	shard := locindex.ShardOf(job.DataKey, len(sm.parts))
-	sm.jobShard[job.ID] = shard
+	sm.admitted[job.ID] = true
 	s.outstanding++
 	sm.forward(sm.parts[shard], sm.control(sm.parts[shard], MsgEmit{Job: job}))
-}
-
-// routeByJob forwards job-keyed worker traffic (bids, accepts, rejects,
-// completions) to the job's owning shard; traffic about jobs the plane
-// never routed is dropped, like an unsharded master ignoring an unknown
-// job ID.
-func (sm *ShardedMaster) routeByJob(env *broker.Envelope, jobID string) {
-	shard, ok := sm.jobShard[jobID]
-	if !ok {
-		return
-	}
-	sm.forward(sm.parts[shard], env)
 }
 
 // onRegister runs the shared admission protocol and fans the

@@ -15,9 +15,11 @@ import (
 // opinionated node. The worker's communications goroutine translates
 // protocol messages into these calls; implementations answer through the
 // worker's helper methods (SubmitBid, AcceptOffer, RejectOffer,
-// RequestWork). Calls happen on the worker's comms goroutine, except
-// OnJobFinished, which the executor goroutine makes: an agent whose
-// state both touch must guard it.
+// RequestWork). SubmitBid, AcceptOffer and RejectOffer answer the
+// message being handled, so call them from OnBidRequest and OnOffer.
+// Calls happen on the worker's comms goroutine, except OnJobFinished,
+// which the executor goroutine makes: an agent whose state both touch
+// must guard it.
 type Agent interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -56,7 +58,7 @@ type Worker struct {
 	// vclock.ActiveLabeled); the worker's own timers then carry labels.
 	labeled *vclock.Sim
 
-	execQ vclock.Mailbox // *Job, FIFO local queue
+	execQ vclock.Mailbox // execEntry, FIFO local queue
 
 	// wfResolve, when set, maps a job's Session to its workflow for
 	// multi-workflow fleets; jobs it cannot resolve run under wf.
@@ -83,13 +85,19 @@ type Worker struct {
 	// by the shard count each round. On a single master at most one
 	// retry is ever in flight, so coalescing changes nothing there.
 	pullArmed bool //xflow:owned mu=mu
-	// jobOrigin remembers, per job, which control-plane endpoint opened
-	// the exchange (the From of its bid request, offer, or assignment).
-	// Replies about that job go back to the same endpoint: on a sharded
-	// plane that is the owning contest shard directly — skipping a
-	// frontend hop on the hottest protocol path. MasterName, the default,
-	// is never stored, so on a single master the map stays empty.
-	jobOrigin map[string]string //xflow:owned mu=mu
+
+	// replyTo is the sender of the message the comms loop is handling,
+	// empty between messages. The agent helpers answer it: on a sharded
+	// plane that is the contest shard that asked, so replies skip the
+	// frontend.
+	replyTo string //xflow:owned comms-loop
+}
+
+// execEntry is one job in the executor's queue with the endpoint that
+// assigned or offered it, where its completion goes.
+type execEntry struct {
+	job     *Job
+	replyTo string
 }
 
 // WorkerSpec configures one worker node.
@@ -194,7 +202,6 @@ func NewWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
 		execQ:       clk.NewMailbox("exec:" + st.Spec.Name),
 		queuedCosts: make(map[string]time.Duration),
 		pendingData: make(map[string]int),
-		jobOrigin:   make(map[string]string),
 	}
 }
 
@@ -257,6 +264,7 @@ func (w *Worker) selfAfter(d time.Duration, what, id string, payload any) {
 	w.clk.SendAfter(d, w.ep.Inbox(), env)
 }
 
+//xflow:goroutine comms-loop
 func (w *Worker) commsLoop() {
 	for {
 		v, ok := w.ep.Inbox().Recv()
@@ -268,6 +276,7 @@ func (w *Worker) commsLoop() {
 		if !ok {
 			continue
 		}
+		w.replyTo = env.From
 		//xflow:dispatch worker
 		switch msg := env.Payload.(type) {
 		case MsgRegisterAck:
@@ -279,17 +288,14 @@ func (w *Worker) commsLoop() {
 				w.agent.Start(w)
 			}
 		case MsgAssign:
-			w.recordOrigin(msg.Job.ID, env.From)
 			est := msg.EstimatedCost
 			if est <= 0 {
 				est, _ = w.EstimateJob(msg.Job)
 			}
 			w.enqueue(msg.Job, est)
 		case MsgOffer:
-			w.recordOrigin(msg.Job.ID, env.From)
 			w.agent.OnOffer(w, msg.Job)
 		case MsgBidRequest:
-			w.recordOrigin(msg.Job.ID, env.From)
 			w.agent.OnBidRequest(w, msg.Job)
 		case MsgNoWork:
 			w.agent.OnNoWork(w, msg.Backoff)
@@ -298,7 +304,7 @@ func (w *Worker) commsLoop() {
 		case msgRegisterRetry:
 			w.register()
 		case msgBidReady:
-			w.sendBid(msg.bid)
+			w.ep.Send(msg.to, msg.bid)
 		case msgPullRetry:
 			w.mu.Lock()
 			w.pullArmed = false
@@ -308,7 +314,17 @@ func (w *Worker) commsLoop() {
 			w.shutdown()
 			return
 		}
+		w.replyTo = ""
 	}
+}
+
+// reply is the endpoint the agent helpers answer: the sender of the
+// message being handled, MasterName outside a handler.
+func (w *Worker) reply() string {
+	if w.replyTo == "" {
+		return MasterName
+	}
+	return w.replyTo
 }
 
 // drainSentinel marks the end of a draining worker's queue: everything
@@ -365,8 +381,8 @@ func (w *Worker) execLoop() {
 			w.finishDrain()
 			return
 		}
-		job := v.(*Job)
-		w.execute(job)
+		e := v.(execEntry)
+		w.execute(e.job, e.replyTo)
 	}
 }
 
@@ -382,7 +398,7 @@ func (w *Worker) workflowFor(job *Job) *Workflow {
 	return w.wf
 }
 
-func (w *Worker) execute(job *Job) {
+func (w *Worker) execute(job *Job, replyTo string) {
 	w.mu.Lock()
 	w.currentJob = job.ID
 	w.currentEst = w.queuedCosts[job.ID]
@@ -425,12 +441,12 @@ func (w *Worker) execute(job *Job) {
 	}
 	w.mu.Unlock()
 
-	w.ep.Send(w.originOf(job.ID, true), done)
+	w.ep.Send(replyTo, done)
 	w.agent.OnJobFinished(w, job)
 }
 
 // enqueue accepts a job into the local FIFO queue with the given
-// believed cost.
+// believed cost; its completion answers the message being handled.
 func (w *Worker) enqueue(job *Job, est time.Duration) {
 	w.mu.Lock()
 	if prev, dup := w.queuedCosts[job.ID]; dup {
@@ -442,7 +458,7 @@ func (w *Worker) enqueue(job *Job, est time.Duration) {
 		w.pendingData[job.DataKey]++
 	}
 	w.mu.Unlock()
-	w.execQ.Send(job)
+	w.execQ.Send(execEntry{job: job, replyTo: w.reply()})
 }
 
 // kill simulates a crash: the node drops off the broker and stops
@@ -546,76 +562,36 @@ func (w *Worker) notifyEvictions(keys []string) {
 	}
 }
 
-// recordOrigin notes which control-plane endpoint opened an exchange
-// about a job (see the jobOrigin field). An empty from (a locally
-// injected payload) is ignored so a stale real origin survives;
-// MasterName only clears one.
-func (w *Worker) recordOrigin(jobID, from string) {
-	if from == "" {
-		return
-	}
-	w.mu.Lock()
-	if from != MasterName {
-		w.jobOrigin[jobID] = from
-	} else if len(w.jobOrigin) > 0 {
-		delete(w.jobOrigin, jobID)
-	}
-	w.mu.Unlock()
-}
-
-// originOf returns the endpoint replies about a job go to — the
-// recorded origin, or MasterName when the job has none (a single
-// master's, or a pull assignment that raced the worker's death notice).
-// forget drops the entry: pass true on the exchange's final message.
-func (w *Worker) originOf(jobID string, forget bool) string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.jobOrigin) == 0 {
-		return MasterName
-	}
-	to, ok := w.jobOrigin[jobID]
-	if forget {
-		delete(w.jobOrigin, jobID)
-	}
-	if !ok {
-		return MasterName
-	}
-	return to
-}
-
 // SubmitBid sends a bid for job after the worker's bid-computation
 // delay, modelling the separate bidding thread of §5. jobCost is the
 // job-only component of the estimate (see MsgBid.JobCost); local flags a
 // data-local bid (see MsgBid.Local).
+//
+//xflow:goroutine comms-loop
 func (w *Worker) SubmitBid(jobID string, estimate, jobCost time.Duration, local bool) {
 	bid := MsgBid{JobID: jobID, Worker: w.name, Estimate: estimate, JobCost: jobCost, Local: local}
 	if w.bidDelay <= 0 {
-		w.sendBid(bid)
+		w.ep.Send(w.reply(), bid)
 		return
 	}
-	w.selfAfter(w.bidDelay, " bid ", jobID, msgBidReady{bid: bid})
-}
-
-// sendBid submits a computed bid and forgets the job's origin with it:
-// a losing worker hears nothing more about the job, and a winning one
-// gets an MsgAssign that re-records it.
-func (w *Worker) sendBid(bid MsgBid) {
-	w.ep.Send(w.originOf(bid.JobID, true), bid)
+	w.selfAfter(w.bidDelay, " bid ", jobID, msgBidReady{bid: bid, to: w.reply()})
 }
 
 // AcceptOffer takes an offered job into the local queue and notifies the
 // master.
+//
+//xflow:goroutine comms-loop
 func (w *Worker) AcceptOffer(job *Job) {
 	est, _ := w.EstimateJob(job)
 	w.enqueue(job, est)
-	// Keep the origin: the job is queued here now, and its MsgJobDone
-	// must reach the same contest shard.
-	w.ep.Send(w.originOf(job.ID, false), MsgAccept{JobID: job.ID, Worker: w.name})
+	w.ep.Send(w.reply(), MsgAccept{JobID: job.ID, Worker: w.name})
 }
 
 // RejectOffer returns an offered job to the master.
+//
+//xflow:goroutine comms-loop
 func (w *Worker) RejectOffer(job *Job) {
-	w.ep.Send(w.originOf(job.ID, true), MsgReject{JobID: job.ID, Worker: w.name})
+	w.ep.Send(w.reply(), MsgReject{JobID: job.ID, Worker: w.name})
 }
 
 // RequestWork pulls for a job, reporting the worker's cached keys and
