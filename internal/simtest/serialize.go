@@ -39,8 +39,8 @@ func FormatReport(rep *engine.Report) string {
 	fmt.Fprintf(&b, "cache hits %d misses %d evictions %d\n",
 		rep.CacheHits, rep.CacheMisses, rep.Evictions)
 	fmt.Fprintf(&b, "data %.6f MB downloads %d\n", rep.DataLoadMB, rep.Downloads)
-	fmt.Fprintf(&b, "offers %d rejections %d contests %d bids %d fallbacks %d\n",
-		rep.Offers, rep.Rejections, rep.Contests, rep.Bids, rep.Fallbacks)
+	fmt.Fprintf(&b, "offers %d rejections %d contests %d contest-msgs %d bids %d fallbacks %d\n",
+		rep.Offers, rep.Rejections, rep.Contests, rep.ContestMsgs, rep.Bids, rep.Fallbacks)
 	fmt.Fprintf(&b, "alloc latency %d\n", rep.MeanAllocLatency.Nanoseconds())
 
 	workers := append([]engine.WorkerReport(nil), rep.Workers...)
@@ -58,8 +58,8 @@ func FormatReport(rep *engine.Report) string {
 	sort.Strings(ids)
 	for _, id := range ids {
 		rec := rep.Records[id]
-		fmt.Fprintf(&b, "record %s status %s worker %s injected %d queued %d started %d finished %d\n",
-			id, rec.Status, rec.Worker, ns(rec.Injected), ns(rec.Queued), ns(rec.Started), ns(rec.Finished))
+		fmt.Fprintf(&b, "record %s status %s worker %s injected %d queued %d finished %d\n",
+			id, rec.Status, rec.Worker, ns(rec.Injected), ns(rec.Queued), ns(rec.Finished))
 	}
 
 	fmt.Fprintf(&b, "results %d\n", len(rep.Results))
