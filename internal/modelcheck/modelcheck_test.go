@@ -44,7 +44,9 @@ type sweepRow struct {
 
 // sweeps pins every search's size. The searches are deterministic, so
 // a change that moves a count changed which interleavings or states the
-// protocol reaches: it updates the row and says why.
+// protocol reaches: it updates the row and says why. For the same
+// reason the sweep subtests run in parallel: no count depends on how
+// many searches share the cores.
 var sweeps = map[string]sweepRow{
 	"bidding 2w2j":                {policy: "bidding", bounds: Bounds{Workers: 2, Jobs: 2}, smoke: counts{3349, 3551}, full: counts{3349, 3551}},
 	"bidding-fast 2w2j":           {policy: "bidding-fast", bounds: Bounds{Workers: 2, Jobs: 2}, smoke: counts{3349, 3551}, full: counts{3349, 3551}},
@@ -119,7 +121,7 @@ func policy(t *testing.T, name string) core.Policy {
 // invariant violations, zero truncations.
 func TestExhaustsFaultFree(t *testing.T) {
 	for _, name := range []string{"bidding", "bidding-fast", "bidding-topk"} {
-		t.Run(name, func(t *testing.T) { sweep(t, name+" 2w2j") })
+		t.Run(name, func(t *testing.T) { t.Parallel(); sweep(t, name+" 2w2j") })
 	}
 }
 
@@ -273,7 +275,7 @@ func TestDepthBoundedPull(t *testing.T) {
 // smokes the same configurations under the cap.
 func TestAcceptance23(t *testing.T) {
 	for _, name := range []string{"bidding", "bidding-topk", "baseline", "spark-like", "random", "matchmaking", "delay"} {
-		t.Run(name, func(t *testing.T) { sweep(t, name+" 2w3j") })
+		t.Run(name, func(t *testing.T) { t.Parallel(); sweep(t, name+" 2w3j") })
 	}
 }
 
@@ -285,6 +287,6 @@ func TestAcceptance23(t *testing.T) {
 func TestRacingFaultsAndShards(t *testing.T) {
 	for _, name := range []string{"bidding 2w2j kill w1", "bidding 2w2j drain w1",
 		"bidding 2w2j join", "bidding 2w3j 2 shards"} {
-		t.Run(name, func(t *testing.T) { sweep(t, name) })
+		t.Run(name, func(t *testing.T) { t.Parallel(); sweep(t, name) })
 	}
 }
