@@ -99,7 +99,6 @@ type JobRecord struct {
 	Worker   string // the worker the job was allocated to
 	Injected time.Time
 	Queued   time.Time
-	Started  time.Time
 	Finished time.Time
 
 	// sess is the workflow session the job belongs to; the master uses

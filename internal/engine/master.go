@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"crossflow/internal/broker"
@@ -126,7 +127,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
 		if m.live(msg.Worker) {
-			m.sessFor(msg.JobID).Bids++
+			m.emit(m.sessFor(msg.JobID), decision{kind: decBid, job: msg.JobID, worker: msg.Worker})
 			m.alloc.BidReceived(m, msg)
 		}
 	case MsgBidWindowExpired:
@@ -174,40 +175,38 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case msgAbort:
 		return m.stop(true)
 	}
-	return m.maybeFinish()
-}
-
-// stop ends a master on shutdown or abort: halt, then flush a final
-// report to every open session and pending drain ack so no caller
-// blocks across it.
-func (m *Master) stop(abort bool) bool {
-	m.halt(abort)
-	m.flushWaiters()
-	return true
-}
-
-// sessFor resolves a job ID to its session (the sink session for
-// unknown jobs) and records it as the current event's session context.
-func (m *Master) sessFor(jobID string) *session {
-	if rec := m.records[jobID]; rec != nil {
-		m.cur = rec.sess
-	} else {
-		m.cur = m.def
+	// Settle the session the event touched if that ended it; the loop
+	// itself never stops on its own.
+	if m.ending(m.cur) {
+		m.finish(m.cur)
 	}
-	return m.cur
+	return false
 }
 
-// flushWaiters delivers final reports to every open session (in
-// insertion order) and releases every pending drain ack.
+// stop ends a master on shutdown or abort: halt, then deliver a final
+// report to every open session (in insertion order) and release every
+// pending drain ack, so no caller blocks across it.
 //
 //xflow:goroutine plane-loop
-func (m *Master) flushWaiters() {
+func (m *Master) stop(abort bool) bool {
+	m.halt(abort)
 	for _, s := range m.sessionList {
 		if !s.finished {
 			m.finish(s)
 		}
 	}
 	m.flushDrains()
+	return true
+}
+
+// sessFor resolves a job ID to its session (the sink session for
+// unknown jobs) and records it as the current event's session context.
+func (m *Master) sessFor(jobID string) *session {
+	m.cur = m.def
+	if rec := m.records[jobID]; rec != nil {
+		m.cur = rec.sess
+	}
+	return m.cur
 }
 
 func (m *Master) onRegister(worker string) {
@@ -234,13 +233,15 @@ func (m *Master) inject(s *session, job *Job) {
 	rec := &JobRecord{Job: job, Status: StatusPending, Injected: m.clk.Now(), sess: s}
 	m.records[job.ID] = rec
 	m.order = append(m.order, job.ID)
-	m.trace(TraceInjected, job.ID, "")
-	if _, consumed := s.wf.TaskFor(job.Stream); !consumed {
+	_, consumed := s.wf.TaskFor(job.Stream)
+	var collected []any // a job no task consumes is a result
+	if !consumed && job.Payload != nil {
+		collected = []any{job.Payload}
+	}
+	m.emit(s, decision{kind: TraceInjected, job: job.ID, results: collected})
+	if !consumed {
 		rec.Status = StatusFinished
 		rec.Finished = m.clk.Now()
-		if job.Payload != nil {
-			s.Results = append(s.Results, job.Payload)
-		}
 		if m.settle != nil {
 			m.settle(job.ID, s, nil)
 		}
@@ -251,28 +252,26 @@ func (m *Master) inject(s *session, job *Job) {
 }
 
 func (m *Master) onAccept(msg MsgAccept) {
-	s := m.sessFor(msg.JobID)
+	m.sessFor(msg.JobID)
 	rec := m.records[msg.JobID]
 	if rec == nil || rec.Status != StatusOffered || rec.Worker != msg.Worker {
 		return
 	}
-	rec.Status = StatusQueued
-	rec.Queued = m.clk.Now()
-	rec.Started = rec.Queued // Listing 1 line 25: stamped at allocation
-	s.allocLatency += rec.Queued.Sub(rec.Injected)
-	s.allocCount++
-	m.trace(TraceAssigned, msg.JobID, msg.Worker)
+	m.assign(rec, msg.Worker)
 }
 
+// onReject returns an offered job to allocation. A stale reject (the
+// offer was since settled or withdrawn) still counts as a rejection.
 func (m *Master) onReject(msg MsgReject) {
-	m.sessFor(msg.JobID).Rejections++
+	s := m.sessFor(msg.JobID)
 	rec := m.records[msg.JobID]
 	if rec == nil || rec.Status != StatusOffered || rec.Worker != msg.Worker {
+		m.emit(s, decision{kind: decStaleReject, job: msg.JobID, worker: msg.Worker})
 		return
 	}
 	rec.Status = StatusPending
 	rec.Worker = ""
-	m.trace(TraceRejected, msg.JobID, msg.Worker)
+	m.emit(s, decision{kind: TraceRejected, job: msg.JobID, worker: msg.Worker})
 	m.alloc.OfferRejected(m, msg.JobID, msg.Worker)
 }
 
@@ -285,14 +284,11 @@ func (m *Master) onJobDone(msg MsgJobDone) {
 	rec.Status = StatusFinished
 	rec.Finished = m.clk.Now()
 	s.outstanding--
-	s.JobsCompleted++
+	kind := TraceFinished
 	if msg.Failed {
-		s.JobsFailed++
-		m.trace(TraceFailed, msg.JobID, msg.Worker)
-	} else {
-		m.trace(TraceFinished, msg.JobID, msg.Worker)
+		kind = TraceFailed
 	}
-	s.Results = append(s.Results, msg.Results...)
+	m.emit(s, decision{kind: kind, job: msg.JobID, worker: msg.Worker, results: msg.Results})
 	if m.settle != nil {
 		// Sharded part: downstream jobs go back to the frontend for
 		// content-hash routing instead of being injected locally — their
@@ -346,12 +342,9 @@ func (m *Master) rescue(worker string, wasLive bool) {
 		if rec.Worker == worker && rec.Status != StatusFinished && rec.Status != StatusPending {
 			rec.Status = StatusPending
 			rec.Worker = ""
-			rec.sess.Redispatched++
+			m.emit(rec.sess, decision{kind: TraceRedispatch, job: id, worker: worker})
 			inflight = append(inflight, rec.Job)
 		}
-	}
-	for _, job := range inflight {
-		m.trace(TraceRedispatch, job.ID, worker)
 	}
 	if wasLive {
 		m.alloc.WorkerLost(m, worker, inflight)
@@ -360,15 +353,6 @@ func (m *Master) rescue(worker string, wasLive bool) {
 		m.sessFor(job.ID)
 		m.alloc.JobReady(m, job)
 	}
-}
-
-// maybeFinish settles the session the event touched if that ended it.
-// The loop itself never stops on its own.
-func (m *Master) maybeFinish() bool {
-	if m.ending(m.cur) {
-		m.finish(m.cur)
-	}
-	return false
 }
 
 // finish closes session s's span and delivers its report.
@@ -405,15 +389,18 @@ func (m *Master) Assign(jobID, worker string, est time.Duration) {
 	if rec == nil || rec.Status == StatusFinished || rec.Status == StatusQueued {
 		return
 	}
-	s := rec.sess
+	m.assign(rec, worker)
+	m.ep.Send(worker, MsgAssign{Job: rec.Job, EstimatedCost: est})
+}
+
+// assign allocates rec's job to worker, stamping it queued (Listing 1
+// line 25): the one assignment path of Assign and an accepted offer.
+func (m *Master) assign(rec *JobRecord, worker string) {
 	rec.Status = StatusQueued
 	rec.Worker = worker
 	rec.Queued = m.clk.Now()
-	rec.Started = rec.Queued
-	s.allocLatency += rec.Queued.Sub(rec.Injected)
-	s.allocCount++
-	m.trace(TraceAssigned, jobID, worker)
-	m.ep.Send(worker, MsgAssign{Job: rec.Job, EstimatedCost: est})
+	m.emit(rec.sess, decision{kind: TraceAssigned, job: rec.Job.ID, worker: worker,
+		latency: rec.Queued.Sub(rec.Injected)})
 }
 
 // Offer implements AllocCtx: propose a job, worker may decline.
@@ -426,8 +413,7 @@ func (m *Master) Offer(jobID, worker string) {
 	}
 	rec.Status = StatusOffered
 	rec.Worker = worker
-	rec.sess.Offers++
-	m.trace(TraceOffered, jobID, worker)
+	m.emit(rec.sess, decision{kind: TraceOffered, job: jobID, worker: worker})
 	m.ep.Send(worker, MsgOffer{Job: rec.Job})
 }
 
@@ -457,9 +443,6 @@ func (m *Master) PublishBidRequest(jobID string) int {
 	if rec == nil {
 		return 0
 	}
-	s := rec.sess
-	s.Contests++
-	m.trace(TraceContest, jobID, "")
 	req := MsgBidRequest{Job: rec.Job}
 	if ap, ok := m.ep.(asyncPublisher); ok {
 		ap.PublishAsync(TopicBids, req)
@@ -467,7 +450,7 @@ func (m *Master) PublishBidRequest(jobID string) int {
 		m.ep.Publish(TopicBids, req)
 	}
 	n := m.liveCount()
-	s.ContestMsgs += n
+	m.emit(rec.sess, decision{kind: TraceContest, job: jobID, msgs: n})
 	return n
 }
 
@@ -490,17 +473,10 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 	if rec == nil || len(workers) == 0 {
 		return 0
 	}
-	live := workers[:0:0]
-	for _, w := range workers {
-		if m.live(w) {
-			live = append(live, w)
-		}
-	}
+	live := slices.DeleteFunc(slices.Clone(workers), func(w string) bool { return !m.live(w) })
 	if len(live) == 0 {
 		return 0
 	}
-	s := rec.sess
-	s.Contests++
 	req := MsgBidRequest{Job: rec.Job}
 	if ms, ok := m.ep.(multiSender); ok {
 		ms.SendMulti(live, req)
@@ -509,10 +485,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 			m.ep.Send(w, req)
 		}
 	}
-	s.ContestMsgs += len(live)
-	for _, w := range live {
-		m.trace(TraceContest, jobID, w)
-	}
+	m.emit(rec.sess, decision{kind: TraceContest, job: jobID, msgs: len(live), targets: live})
 	return len(live)
 }
 
@@ -533,4 +506,4 @@ func (m *Master) Rand() *rand.Rand { return m.rng }
 // It lands on the session of the event being handled.
 //
 //xflow:goroutine master-loop
-func (m *Master) CountFallback() { m.cur.Fallbacks++ }
+func (m *Master) CountFallback() { m.emit(m.cur, decision{kind: decFallback}) }

@@ -87,6 +87,35 @@ func (t *Tally) add(o Tally) {
 	t.allocCount += o.allocCount
 }
 
+// fold counts one plane decision into t. It is the one writer of a
+// session's counters and results; add only merges whole tallies.
+func (t *Tally) fold(d decision) {
+	switch d.kind {
+	case TraceContest:
+		t.Contests++
+		t.ContestMsgs += d.msgs
+	case decBid:
+		t.Bids++
+	case TraceOffered:
+		t.Offers++
+	case TraceRejected, decStaleReject:
+		t.Rejections++
+	case TraceAssigned:
+		t.allocLatency += d.latency
+		t.allocCount++
+	case TraceFailed:
+		t.JobsFailed++
+		t.JobsCompleted++
+	case TraceFinished:
+		t.JobsCompleted++
+	case TraceRedispatch:
+		t.Redispatched++
+	case decFallback:
+		t.Fallbacks++
+	}
+	t.Results = append(t.Results, d.results...)
+}
+
 // meanAllocLatency is the mean injection-to-assignment delay.
 func (t *Tally) meanAllocLatency() time.Duration {
 	if t.allocCount == 0 {

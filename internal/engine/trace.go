@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -21,6 +22,11 @@ const (
 	TraceFinished   TraceEventKind = "finished"
 	TraceFailed     TraceEventKind = "failed"
 	TraceRedispatch TraceEventKind = "redispatched"
+
+	// Decision kinds a session's Tally counts and the trace leaves out.
+	decBid         TraceEventKind = "bid"
+	decFallback    TraceEventKind = "fallback"
+	decStaleReject TraceEventKind = "stale-reject"
 )
 
 // TraceEvent is one entry in a run's allocation trace.
@@ -74,22 +80,9 @@ func (l *TraceLog) Events() []TraceEvent {
 	defer l.mu.Unlock()
 	out := make([]TraceEvent, len(l.events))
 	copy(out, l.events)
-	sharded := false
-	for i := range out {
-		if out[i].shard > 0 {
-			sharded = true
-			break
-		}
-	}
-	if sharded {
-		sort.SliceStable(out, func(i, j int) bool {
-			if !out[i].At.Equal(out[j].At) {
-				return out[i].At.Before(out[j].At)
-			}
-			if out[i].shard != out[j].shard {
-				return out[i].shard < out[j].shard
-			}
-			return out[i].seq < out[j].seq
+	if slices.ContainsFunc(out, func(ev TraceEvent) bool { return ev.shard > 0 }) {
+		slices.SortStableFunc(out, func(a, b TraceEvent) int {
+			return cmp.Or(a.At.Compare(b.At), cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq))
 		})
 	}
 	return out
@@ -117,14 +110,33 @@ func (l *TraceLog) Dump(w io.Writer) {
 	}
 }
 
-// trace emits an event if the master has a tracer attached.
-func (m *Master) trace(kind TraceEventKind, jobID, node string) {
-	if m.tracer == nil {
+// decision is one allocation decision of a master. kind is a trace
+// kind or one of the untraced dec kinds; the other fields are set where
+// the kind uses them.
+type decision struct {
+	kind        TraceEventKind
+	job, worker string
+	msgs        int           // contest: bid requests sent
+	targets     []string      // targeted contest: the live workers asked
+	latency     time.Duration // assigned: injection to allocation
+	results     []any         // finished, failed, or injected on a terminal stream
+}
+
+// emit records one decision of the master: it folds into session s's
+// Tally and, with a tracer installed, goes to the trace as one event,
+// or one per target of a targeted contest. Every decision site calls it
+// once; no handler writes a Tally counter or calls the tracer itself.
+func (m *Master) emit(s *session, d decision) {
+	s.fold(d)
+	if m.tracer == nil || d.kind == decBid || d.kind == decFallback || d.kind == decStaleReject {
 		return
 	}
-	m.traceSeq++
-	m.tracer.Trace(TraceEvent{
-		At: m.clk.Now(), Kind: kind, JobID: jobID, Node: node,
-		shard: m.traceShard, seq: m.traceSeq,
-	})
+	if d.targets == nil {
+		d.targets = []string{d.worker}
+	}
+	for _, node := range d.targets {
+		m.traceSeq++
+		m.tracer.Trace(TraceEvent{At: m.clk.Now(), Kind: d.kind, JobID: d.job, Node: node,
+			shard: m.traceShard, seq: m.traceSeq})
+	}
 }
