@@ -55,24 +55,22 @@ func writeSession(b *strings.Builder, s *session) {
 }
 
 // StateDigest renders one worker's protocol state: lifecycle flags,
-// queued work and its believed costs, pending data acquisitions, cache
-// contents in (deterministic) MRU order, and the agent's own digest. Called only at quiescent
-// points; the mutex still guards against nothing in particular then,
-// but keeps the access pattern uniform.
+// the running job and its believed cost, pending data acquisitions,
+// cache contents in (deterministic) MRU order, and the agent's own
+// digest. Queued jobs and their costs are the exec mailbox's items (see
+// execEntry.EventDetail). Called only at quiescent points; the mutex
+// still guards against nothing in particular then, but keeps the access
+// pattern uniform.
 func (w *Worker) StateDigest() string {
 	w.mu.Lock()
 	var b strings.Builder
+	cur := ""
+	if w.running.job != nil {
+		cur = w.running.job.ID
+	}
 	fmt.Fprintf(&b, "worker %s reg=%t killed=%t stopped=%t draining=%t done=%d cur=%s est=%d\n",
 		w.name, w.registered, w.killed, w.stopped, w.draining, w.jobsDone,
-		w.currentJob, w.currentEst)
-	ids := make([]string, 0, len(w.queuedCosts))
-	for id := range w.queuedCosts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "q %s=%d\n", id, w.queuedCosts[id])
-	}
+		cur, w.running.est)
 	keys := make([]string, 0, len(w.pendingData))
 	for k := range w.pendingData {
 		keys = append(keys, k)
@@ -161,8 +159,9 @@ func (m MsgJobDone) EventDetail() string {
 	return fmt.Sprintf("done %s %s failed=%t new=%d res=%d", m.JobID, m.Worker, m.Failed, len(m.NewJobs), len(m.Results))
 }
 
-// EventDetail describes a job queued in a worker's exec mailbox.
-func (e execEntry) EventDetail() string { return "job " + e.job.ID }
+// EventDetail describes a job queued in a worker's exec mailbox with
+// its believed cost.
+func (e execEntry) EventDetail() string { return fmt.Sprintf("job %s est=%d", e.job.ID, e.est) }
 
 // EventDetail marks a queued drain sentinel.
 func (drainSentinel) EventDetail() string { return "drain-sentinel" }

@@ -11,6 +11,8 @@ package engine
 import (
 	"fmt"
 	"time"
+
+	"crossflow/internal/vclock"
 )
 
 // JobStatus tracks a job through its lifecycle, mirroring the status
@@ -92,7 +94,8 @@ func (j *Job) computeMB() float64 {
 }
 
 // JobRecord is the master's book-keeping for one job, the analogue of
-// the paper's JobStatus map with its timestamps.
+// the paper's JobStatus map with its timestamps. Its fold is the one
+// writer of every exported field but Job.
 type JobRecord struct {
 	Job      *Job
 	Status   JobStatus
@@ -104,6 +107,28 @@ type JobRecord struct {
 	// sess is the workflow session the job belongs to; the master uses
 	// it to route completions and counters on multi-workflow clusters.
 	sess *session
+}
+
+// fold applies one decision about the job to its record, reading the
+// clock only for the kinds that stamp. An injected job no task consumes
+// is finished at its injection instant; a reject or a redispatch
+// returns the job to allocation.
+func (r *JobRecord) fold(d decision, clk vclock.Clock) {
+	switch d.kind {
+	case TraceInjected:
+		r.Injected = clk.Now()
+		if d.terminal {
+			r.Status, r.Finished = StatusFinished, r.Injected
+		}
+	case TraceOffered:
+		r.Status, r.Worker = StatusOffered, d.worker
+	case TraceRejected, TraceRedispatch:
+		r.Status, r.Worker = StatusPending, ""
+	case TraceAssigned:
+		r.Status, r.Worker, r.Queued = StatusQueued, d.worker, clk.Now()
+	case TraceFinished, TraceFailed:
+		r.Status, r.Finished = StatusFinished, clk.Now()
+	}
 }
 
 // Arrival schedules one job's injection into the workflow, At after the

@@ -25,11 +25,11 @@ type Master struct {
 	alloc  Allocator
 	rng    *rand.Rand
 	tracer Tracer
-	// settle, when non-nil, replaces local re-injection of downstream
-	// jobs with a notice to the sharded frontend: every terminal job is
-	// reported (together with the task's NewJobs) so the router can
+	// settle takes every terminal job with the downstream jobs its task
+	// produced. A single master injects them locally; a shard part sends
+	// them to the sharded frontend instead, so the router can
 	// re-partition downstream work by content hash and track plane-wide
-	// completion. Nil on an unsharded master — behavior is unchanged.
+	// completion.
 	settle func(jobID string, s *session, newJobs []*Job)
 	// traceShard and traceSeq stamp emitted trace events with this
 	// master's shard ordinal (1-based; 0 = unsharded) and a per-master
@@ -66,6 +66,11 @@ func newMaster(clk vclock.Clock, port Port, alloc Allocator,
 		records: make(map[string]*JobRecord),
 	}
 	m.cur = m.def
+	m.settle = func(_ string, s *session, newJobs []*Job) {
+		for _, nj := range newJobs {
+			m.inject(s, nj)
+		}
+	}
 	m.bind(m.handle)
 	return m
 }
@@ -127,7 +132,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
 		if m.live(msg.Worker) {
-			m.emit(m.sessFor(msg.JobID), decision{kind: decBid, job: msg.JobID, worker: msg.Worker})
+			m.emit(m.sessFor(msg.JobID), decision{kind: decBid, worker: msg.Worker})
 			m.alloc.BidReceived(m, msg)
 		}
 	case MsgBidWindowExpired:
@@ -230,7 +235,7 @@ func (m *Master) inject(s *session, job *Job) {
 		_, dup := m.records[id]
 		return dup
 	})
-	rec := &JobRecord{Job: job, Status: StatusPending, Injected: m.clk.Now(), sess: s}
+	rec := &JobRecord{Job: job, sess: s}
 	m.records[job.ID] = rec
 	m.order = append(m.order, job.ID)
 	_, consumed := s.wf.TaskFor(job.Stream)
@@ -238,16 +243,11 @@ func (m *Master) inject(s *session, job *Job) {
 	if !consumed && job.Payload != nil {
 		collected = []any{job.Payload}
 	}
-	m.emit(s, decision{kind: TraceInjected, job: job.ID, results: collected})
+	m.emit(s, decision{kind: TraceInjected, rec: rec, results: collected, terminal: !consumed})
 	if !consumed {
-		rec.Status = StatusFinished
-		rec.Finished = m.clk.Now()
-		if m.settle != nil {
-			m.settle(job.ID, s, nil)
-		}
+		m.settle(job.ID, s, nil)
 		return
 	}
-	s.outstanding++
 	m.alloc.JobReady(m, job)
 }
 
@@ -257,7 +257,7 @@ func (m *Master) onAccept(msg MsgAccept) {
 	if rec == nil || rec.Status != StatusOffered || rec.Worker != msg.Worker {
 		return
 	}
-	m.assign(rec, msg.Worker)
+	m.emit(rec.sess, decision{kind: TraceAssigned, rec: rec, worker: msg.Worker})
 }
 
 // onReject returns an offered job to allocation. A stale reject (the
@@ -266,12 +266,10 @@ func (m *Master) onReject(msg MsgReject) {
 	s := m.sessFor(msg.JobID)
 	rec := m.records[msg.JobID]
 	if rec == nil || rec.Status != StatusOffered || rec.Worker != msg.Worker {
-		m.emit(s, decision{kind: decStaleReject, job: msg.JobID, worker: msg.Worker})
+		m.emit(s, decision{kind: decStaleReject, worker: msg.Worker})
 		return
 	}
-	rec.Status = StatusPending
-	rec.Worker = ""
-	m.emit(s, decision{kind: TraceRejected, job: msg.JobID, worker: msg.Worker})
+	m.emit(s, decision{kind: TraceRejected, rec: rec, worker: msg.Worker})
 	m.alloc.OfferRejected(m, msg.JobID, msg.Worker)
 }
 
@@ -281,24 +279,12 @@ func (m *Master) onJobDone(msg MsgJobDone) {
 		return // stale completion from a lost worker
 	}
 	s := m.sessFor(msg.JobID)
-	rec.Status = StatusFinished
-	rec.Finished = m.clk.Now()
-	s.outstanding--
 	kind := TraceFinished
 	if msg.Failed {
 		kind = TraceFailed
 	}
-	m.emit(s, decision{kind: kind, job: msg.JobID, worker: msg.Worker, results: msg.Results})
-	if m.settle != nil {
-		// Sharded part: downstream jobs go back to the frontend for
-		// content-hash routing instead of being injected locally — their
-		// data keys may belong to other shards.
-		m.settle(msg.JobID, s, msg.NewJobs)
-	} else {
-		for _, nj := range msg.NewJobs {
-			m.inject(s, nj)
-		}
-	}
+	m.emit(s, decision{kind: kind, rec: rec, worker: msg.Worker, results: msg.Results})
+	m.settle(msg.JobID, s, msg.NewJobs)
 	m.alloc.JobFinished(m, msg.JobID, msg.Worker)
 }
 
@@ -340,9 +326,7 @@ func (m *Master) rescue(worker string, wasLive bool) {
 	for _, id := range m.order {
 		rec := m.records[id]
 		if rec.Worker == worker && rec.Status != StatusFinished && rec.Status != StatusPending {
-			rec.Status = StatusPending
-			rec.Worker = ""
-			m.emit(rec.sess, decision{kind: TraceRedispatch, job: id, worker: worker})
+			m.emit(rec.sess, decision{kind: TraceRedispatch, rec: rec, worker: worker})
 			inflight = append(inflight, rec.Job)
 		}
 	}
@@ -389,18 +373,8 @@ func (m *Master) Assign(jobID, worker string, est time.Duration) {
 	if rec == nil || rec.Status == StatusFinished || rec.Status == StatusQueued {
 		return
 	}
-	m.assign(rec, worker)
+	m.emit(rec.sess, decision{kind: TraceAssigned, rec: rec, worker: worker})
 	m.ep.Send(worker, MsgAssign{Job: rec.Job, EstimatedCost: est})
-}
-
-// assign allocates rec's job to worker, stamping it queued (Listing 1
-// line 25): the one assignment path of Assign and an accepted offer.
-func (m *Master) assign(rec *JobRecord, worker string) {
-	rec.Status = StatusQueued
-	rec.Worker = worker
-	rec.Queued = m.clk.Now()
-	m.emit(rec.sess, decision{kind: TraceAssigned, job: rec.Job.ID, worker: worker,
-		latency: rec.Queued.Sub(rec.Injected)})
 }
 
 // Offer implements AllocCtx: propose a job, worker may decline.
@@ -411,9 +385,7 @@ func (m *Master) Offer(jobID, worker string) {
 	if rec == nil || rec.Status == StatusFinished {
 		return
 	}
-	rec.Status = StatusOffered
-	rec.Worker = worker
-	m.emit(rec.sess, decision{kind: TraceOffered, job: jobID, worker: worker})
+	m.emit(rec.sess, decision{kind: TraceOffered, rec: rec, worker: worker})
 	m.ep.Send(worker, MsgOffer{Job: rec.Job})
 }
 
@@ -450,7 +422,7 @@ func (m *Master) PublishBidRequest(jobID string) int {
 		m.ep.Publish(TopicBids, req)
 	}
 	n := m.liveCount()
-	m.emit(rec.sess, decision{kind: TraceContest, job: jobID, msgs: n})
+	m.emit(rec.sess, decision{kind: TraceContest, rec: rec, msgs: n})
 	return n
 }
 
@@ -485,7 +457,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 			m.ep.Send(w, req)
 		}
 	}
-	m.emit(rec.sess, decision{kind: TraceContest, job: jobID, msgs: len(live), targets: live})
+	m.emit(rec.sess, decision{kind: TraceContest, rec: rec, msgs: len(live), targets: live})
 	return len(live)
 }
 
@@ -502,8 +474,8 @@ func (m *Master) ScheduleTick(token string, d time.Duration) {
 // Rand implements AllocCtx.
 func (m *Master) Rand() *rand.Rand { return m.rng }
 
-// CountFallback lets allocators record an arbitrary (no-bid) assignment.
-// It lands on the session of the event being handled.
+// CountFallback implements AllocCtx. It lands on the session of the
+// event being handled.
 //
 //xflow:goroutine master-loop
 func (m *Master) CountFallback() { m.emit(m.cur, decision{kind: decFallback}) }

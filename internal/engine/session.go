@@ -87,33 +87,42 @@ func (t *Tally) add(o Tally) {
 	t.allocCount += o.allocCount
 }
 
-// fold counts one plane decision into t. It is the one writer of a
-// session's counters and results; add only merges whole tallies.
-func (t *Tally) fold(d decision) {
+// fold counts one master decision into s: its Tally's counters and
+// results, and its outstanding jobs, which a consumed injection opens
+// and a completion settles. On a master it is the one writer of all
+// three; Tally.add only merges whole tallies. An assignment's latency
+// reads the stamps its record just took.
+func (s *session) fold(d decision) {
 	switch d.kind {
+	case TraceInjected:
+		if !d.terminal {
+			s.outstanding++
+		}
 	case TraceContest:
-		t.Contests++
-		t.ContestMsgs += d.msgs
+		s.Contests++
+		s.ContestMsgs += d.msgs
 	case decBid:
-		t.Bids++
+		s.Bids++
 	case TraceOffered:
-		t.Offers++
+		s.Offers++
 	case TraceRejected, decStaleReject:
-		t.Rejections++
+		s.Rejections++
 	case TraceAssigned:
-		t.allocLatency += d.latency
-		t.allocCount++
+		s.allocLatency += d.rec.Queued.Sub(d.rec.Injected)
+		s.allocCount++
 	case TraceFailed:
-		t.JobsFailed++
-		t.JobsCompleted++
+		s.JobsFailed++
+		s.JobsCompleted++
+		s.outstanding--
 	case TraceFinished:
-		t.JobsCompleted++
+		s.JobsCompleted++
+		s.outstanding--
 	case TraceRedispatch:
-		t.Redispatched++
+		s.Redispatched++
 	case decFallback:
-		t.Fallbacks++
+		s.Fallbacks++
 	}
-	t.Results = append(t.Results, d.results...)
+	s.Results = append(s.Results, d.results...)
 }
 
 // meanAllocLatency is the mean injection-to-assignment delay.

@@ -114,19 +114,25 @@ func (l *TraceLog) Dump(w io.Writer) {
 // kind or one of the untraced dec kinds; the other fields are set where
 // the kind uses them.
 type decision struct {
-	kind        TraceEventKind
-	job, worker string
-	msgs        int           // contest: bid requests sent
-	targets     []string      // targeted contest: the live workers asked
-	latency     time.Duration // assigned: injection to allocation
-	results     []any         // finished, failed, or injected on a terminal stream
+	kind     TraceEventKind
+	rec      *JobRecord // the job's record; nil only on the untraced kinds
+	worker   string
+	msgs     int      // contest: bid requests sent
+	targets  []string // targeted contest: the live workers asked
+	results  []any    // finished, failed, or injected on a terminal stream
+	terminal bool     // injected: no task consumes the job's stream
 }
 
-// emit records one decision of the master: it folds into session s's
-// Tally and, with a tracer installed, goes to the trace as one event,
-// or one per target of a targeted contest. Every decision site calls it
-// once; no handler writes a Tally counter or calls the tracer itself.
+// emit records one decision of the master. It folds into the job's
+// record first, then into session s, whose counters read the stamps
+// the record just took; with a tracer installed it goes to the trace
+// as one event, or one per target of a targeted contest. Every
+// decision site calls it once; no handler writes a record, a counter
+// or the trace itself.
 func (m *Master) emit(s *session, d decision) {
+	if d.rec != nil {
+		d.rec.fold(d, m.clk)
+	}
 	s.fold(d)
 	if m.tracer == nil || d.kind == decBid || d.kind == decFallback || d.kind == decStaleReject {
 		return
@@ -136,7 +142,7 @@ func (m *Master) emit(s *session, d decision) {
 	}
 	for _, node := range d.targets {
 		m.traceSeq++
-		m.tracer.Trace(TraceEvent{At: m.clk.Now(), Kind: d.kind, JobID: d.job, Node: node,
+		m.tracer.Trace(TraceEvent{At: m.clk.Now(), Kind: d.kind, JobID: d.rec.Job.ID, Node: node,
 			shard: m.traceShard, seq: m.traceSeq})
 	}
 }

@@ -65,19 +65,17 @@ type Worker struct {
 	wfResolve func(session string) *Workflow
 
 	mu           sync.Mutex
-	queuedCosts  map[string]time.Duration //xflow:owned mu=mu
-	queuedTotal  time.Duration            //xflow:owned mu=mu (running sum of queuedCosts)
-	pendingData  map[string]int           //xflow:owned mu=mu (data keys unfinished queued jobs will fetch)
-	currentJob   string                   //xflow:owned mu=mu
-	currentEst   time.Duration            //xflow:owned mu=mu
-	currentStart time.Time                //xflow:owned mu=mu
-	jobsDone     int                      //xflow:owned mu=mu
-	busy         time.Duration            //xflow:owned mu=mu
-	killed       bool                     //xflow:owned mu=mu
-	stopped      bool                     //xflow:owned mu=mu
-	draining     bool                     //xflow:owned mu=mu
-	registered   bool                     //xflow:owned mu=mu
-	evictNotify  bool                     //xflow:owned mu=mu
+	queuedTotal  time.Duration  //xflow:owned mu=mu (believed cost of the entries in execQ)
+	pendingData  map[string]int //xflow:owned mu=mu (data keys unfinished queued jobs will fetch)
+	running      execEntry      //xflow:owned mu=mu (the executing entry; zero when idle)
+	currentStart time.Time      //xflow:owned mu=mu
+	jobsDone     int            //xflow:owned mu=mu
+	busy         time.Duration  //xflow:owned mu=mu
+	killed       bool           //xflow:owned mu=mu
+	stopped      bool           //xflow:owned mu=mu
+	draining     bool           //xflow:owned mu=mu
+	registered   bool           //xflow:owned mu=mu
+	evictNotify  bool           //xflow:owned mu=mu
 	// pullArmed coalesces scheduled pull retries: on a sharded control
 	// plane one pull fans out to every shard, and each shard with
 	// nothing to offer replies NoWork — without coalescing, every reply
@@ -93,10 +91,12 @@ type Worker struct {
 	replyTo string //xflow:owned comms-loop
 }
 
-// execEntry is one job in the executor's queue with the endpoint that
-// assigned or offered it, where its completion goes.
+// execEntry is one job in the executor's queue with the believed cost
+// it was enqueued with and the endpoint that assigned or offered it,
+// where its completion goes.
 type execEntry struct {
 	job     *Job
+	est     time.Duration
 	replyTo string
 }
 
@@ -200,7 +200,6 @@ func NewWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
 		bidDelay:    st.Spec.BidDelay,
 		heartbeat:   st.Spec.Heartbeat,
 		execQ:       clk.NewMailbox("exec:" + st.Spec.Name),
-		queuedCosts: make(map[string]time.Duration),
 		pendingData: make(map[string]int),
 	}
 }
@@ -381,8 +380,7 @@ func (w *Worker) execLoop() {
 			w.finishDrain()
 			return
 		}
-		e := v.(execEntry)
-		w.execute(e.job, e.replyTo)
+		w.execute(v.(execEntry))
 	}
 }
 
@@ -398,14 +396,19 @@ func (w *Worker) workflowFor(job *Job) *Workflow {
 	return w.wf
 }
 
-func (w *Worker) execute(job *Job, replyTo string) {
+// begin makes e the running entry: its believed cost leaves the queued
+// total and decays from now on (see QueuedCost).
+func (w *Worker) begin(e execEntry) {
 	w.mu.Lock()
-	w.currentJob = job.ID
-	w.currentEst = w.queuedCosts[job.ID]
+	w.running = e
 	w.currentStart = w.clk.Now()
-	w.queuedTotal -= w.currentEst
-	delete(w.queuedCosts, job.ID)
+	w.queuedTotal -= e.est
 	w.mu.Unlock()
+}
+
+func (w *Worker) execute(e execEntry) {
+	w.begin(e)
+	job := e.job
 
 	var task *TaskSpec
 	var ok bool
@@ -428,8 +431,7 @@ func (w *Worker) execute(job *Job, replyTo string) {
 	}
 
 	w.mu.Lock()
-	w.currentJob = ""
-	w.currentEst = 0
+	w.running = execEntry{}
 	w.jobsDone++
 	w.busy += w.clk.Since(w.currentStart)
 	if job.DataKey != "" {
@@ -441,7 +443,7 @@ func (w *Worker) execute(job *Job, replyTo string) {
 	}
 	w.mu.Unlock()
 
-	w.ep.Send(replyTo, done)
+	w.ep.Send(e.replyTo, done)
 	w.agent.OnJobFinished(w, job)
 }
 
@@ -449,16 +451,12 @@ func (w *Worker) execute(job *Job, replyTo string) {
 // believed cost; its completion answers the message being handled.
 func (w *Worker) enqueue(job *Job, est time.Duration) {
 	w.mu.Lock()
-	if prev, dup := w.queuedCosts[job.ID]; dup {
-		w.queuedTotal -= prev
-	}
-	w.queuedCosts[job.ID] = est
 	w.queuedTotal += est
 	if job.DataKey != "" {
 		w.pendingData[job.DataKey]++
 	}
 	w.mu.Unlock()
-	w.execQ.Send(execEntry{job: job, replyTo: w.reply()})
+	w.execQ.Send(execEntry{job: job, est: est, replyTo: w.reply()})
 }
 
 // kill simulates a crash: the node drops off the broker and stops
@@ -504,8 +502,8 @@ func (w *Worker) QueuedCost() time.Duration {
 	// Maintained incrementally on enqueue/dequeue: bid estimation calls
 	// this for every contest, so it must not scan the queue.
 	total := w.queuedTotal
-	if w.currentJob != "" {
-		remaining := w.currentEst - w.clk.Since(w.currentStart)
+	if w.running.job != nil {
+		remaining := w.running.est - w.clk.Since(w.currentStart)
 		if remaining > 0 {
 			total += remaining
 		}

@@ -99,15 +99,13 @@ func TestQueuedCostSumsUnfinishedWork(t *testing.T) {
 	if got := w.QueuedCost(); got != 15*time.Second {
 		t.Errorf("QueuedCost = %v, want 15s", got)
 	}
-	// Simulate execution start of "a": its remaining share decays with
+	// The executor starts "a": its remaining share decays with
 	// simulated time.
-	w.mu.Lock()
-	w.currentJob = "a"
-	w.currentEst = w.queuedCosts["a"]
-	w.currentStart = sim.Now()
-	w.queuedTotal -= w.currentEst
-	delete(w.queuedCosts, "a")
-	w.mu.Unlock()
+	v, ok := w.execQ.TryRecv()
+	if !ok {
+		t.Fatal("exec queue empty after two enqueues")
+	}
+	w.begin(v.(execEntry))
 	sim.Go(func() { sim.Sleep(4 * time.Second) })
 	sim.Wait()
 	if got := w.QueuedCost(); got != 11*time.Second { // 6s remaining + 5s queued
