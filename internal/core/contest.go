@@ -135,7 +135,7 @@ func (k *contestBook) settle(ctx engine.AllocCtx, jobID string, window time.Dura
 		return best.Worker, best.JobCost, true
 	}
 	if c.targets != nil {
-		countFallback(ctx)
+		ctx.CountFallback()
 		k.broadcast(ctx, jobID, window)
 		return "", 0, false
 	}
@@ -144,16 +144,8 @@ func (k *contestBook) settle(ctx engine.AllocCtx, jobID string, window time.Dura
 		k.start(ctx, jobID, 0, nil, window)
 		return "", 0, false
 	}
-	countFallback(ctx)
+	ctx.CountFallback()
 	return workers[ctx.Rand().Intn(len(workers))], 0, true
-}
-
-// countFallback records a no-bid decision on contexts that count them
-// (the master does, on the session of the event being handled).
-func countFallback(ctx engine.AllocCtx) {
-	if m, ok := ctx.(interface{ CountFallback() }); ok {
-		m.CountFallback()
-	}
 }
 
 // ids returns the open contests' job IDs in sorted order.

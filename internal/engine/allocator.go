@@ -88,6 +88,9 @@ type AllocCtx interface {
 	// Rand returns the master's seeded random source (for the paper's
 	// "assigns the job to an arbitrary node" fallback).
 	Rand() *rand.Rand
+	// CountFallback records a no-bid decision: a contest that settled
+	// without a bid.
+	CountFallback()
 }
 
 // NopAllocator provides no-op defaults for the optional Allocator
