@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"slices"
+
 	"crossflow/internal/core"
 	"crossflow/internal/engine"
 )
@@ -40,53 +42,15 @@ func Shrink(sc *Scenario, v *Violation) *Scenario {
 // shrinkStep returns the first single-removal reduction that still
 // fails, or nil when the scenario is minimal.
 func shrinkStep(sc *Scenario, sameFailure func(*Scenario) bool) *Scenario {
-	for i := range sc.Jobs {
-		cand := sc.clone()
-		cand.Jobs = append(cand.Jobs[:i:i], cand.Jobs[i+1:]...)
-		if len(cand.Jobs) > 0 && sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Kills {
-		cand := sc.clone()
-		cand.Faults.Kills = append(cand.Faults.Kills[:i:i], cand.Faults.Kills[i+1:]...)
-		if sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Partitions {
-		cand := sc.clone()
-		cand.Faults.Partitions = append(cand.Faults.Partitions[:i:i], cand.Faults.Partitions[i+1:]...)
-		if sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Spikes {
-		cand := sc.clone()
-		cand.Faults.Spikes = append(cand.Faults.Spikes[:i:i], cand.Faults.Spikes[i+1:]...)
-		if sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Shrinks {
-		cand := sc.clone()
-		cand.Faults.Shrinks = append(cand.Faults.Shrinks[:i:i], cand.Faults.Shrinks[i+1:]...)
-		if sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Joins {
-		cand := sc.clone()
-		cand.Faults.Joins = append(cand.Faults.Joins[:i:i], cand.Faults.Joins[i+1:]...)
-		if sameFailure(cand) {
-			return cand
-		}
-	}
-	for i := range sc.Faults.Drains {
-		cand := sc.clone()
-		cand.Faults.Drains = append(cand.Faults.Drains[:i:i], cand.Faults.Drains[i+1:]...)
-		if sameFailure(cand) {
-			return cand
+	for _, drop := range droppable {
+		for i := 0; ; i++ {
+			cand := sc.clone()
+			if !drop(cand, i) {
+				break
+			}
+			if sameFailure(cand) {
+				return cand
+			}
 		}
 	}
 	if sc.Faults.DropProb > 0 {
@@ -105,6 +69,28 @@ func shrinkStep(sc *Scenario, sameFailure func(*Scenario) bool) *Scenario {
 		}
 	}
 	return nil
+}
+
+// droppable holds the scenario's lists in shrink order, jobs first:
+// each entry removes element i of its list from s, reporting false
+// when there is none. The last job is never dropped.
+var droppable = []func(s *Scenario, i int) bool{
+	func(s *Scenario, i int) bool { return len(s.Jobs) > 1 && dropAt(&s.Jobs, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Kills, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Partitions, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Spikes, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Shrinks, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Joins, i) },
+	func(s *Scenario, i int) bool { return dropAt(&s.Faults.Drains, i) },
+}
+
+// dropAt removes element i of list, reporting false past its end.
+func dropAt[T any](list *[]T, i int) bool {
+	if i >= len(*list) {
+		return false
+	}
+	*list = slices.Delete(*list, i, i+1)
+	return true
 }
 
 // clone deep-copies the scenario's slices so candidate edits never
