@@ -18,7 +18,8 @@ import (
 // check: every message kind declared in messages.go (and annotated with
 // its //xflow:msg role) must be accepted without panic by the matching
 // dispatch path — Master.handle for master-bound kinds, the worker
-// comms loop for worker-bound ones. The payload tables below are
+// comms loop for worker-bound ones, the worker's served timer handler
+// for its timers. The payload tables below are
 // checked for completeness against the parsed source of messages.go, so
 // adding a kind without extending this test fails loudly, just like
 // adding one without a dispatch case fails xflow-vet.
@@ -180,9 +181,6 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 		MsgOffer{Job: &Job{ID: "o1", Stream: "jobs", DataSizeMB: 1}},
 		MsgNoWork{Backoff: time.Second},
 		MsgDrain{},
-		msgRegisterRetry{},
-		msgBidReady{bid: MsgBid{JobID: "b1", Worker: "w1", Estimate: time.Second}},
-		msgPullRetry{strikes: 1},
 		MsgStop{},
 	}
 	checkTableComplete(t, declaredKinds(t), "worker", payloads)
@@ -216,6 +214,61 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 			w.mu.Unlock()
 			if !stopped {
 				t.Errorf("comms loop did not stop after processing %s", name)
+			}
+		})
+	}
+}
+
+// TestWorkerTimerDispatchAcceptsEveryKind delivers each timer kind
+// through the worker's served timer mailbox, as selfAfter does, and
+// requires the handler to act on it — each kind sends the master one
+// message — and the consumer to end with the mailbox's close.
+func TestWorkerTimerDispatchAcceptsEveryKind(t *testing.T) {
+	payloads := []any{
+		msgRegisterRetry{},
+		msgBidReady{bid: MsgBid{JobID: "b1", Worker: "w1", Estimate: time.Second}, to: MasterName},
+		msgPullRetry{strikes: 1},
+	}
+	checkTableComplete(t, declaredKinds(t), "worker-timer", payloads)
+	sends := map[string]string{
+		"msgRegisterRetry": "MsgRegister",
+		"msgBidReady":      "MsgBid",
+		"msgPullRetry":     "MsgRequestJob",
+	}
+
+	for _, payload := range payloads {
+		name := kindName(payload)
+		t.Run(name, func(t *testing.T) {
+			sim := vclock.NewSim()
+			bus := broker.New(sim)
+			master := bus.Register(MasterName, 0)
+			st := NewWorkerState(WorkerSpec{
+				Name:      "w1",
+				Net:       netsim.Speed{BaseMBps: 10},
+				RW:        netsim.Speed{BaseMBps: 100},
+				Heartbeat: -1,
+				Seed:      1,
+			}, nil)
+			w := NewWorker(sim, bus.Register("w1", 0), dispatchWorkflow(), st, nil, idleAgent{})
+
+			sim.Go(func() {
+				sim.Serve(w.timers, w.onTimer)
+				w.selfAfter(time.Millisecond, " dispatch", "", payload)
+				sim.Sleep(time.Second)
+				w.timers.Close()
+			})
+			sim.Wait()
+
+			var got []string
+			for {
+				v, ok := master.Inbox().TryRecv()
+				if !ok {
+					break
+				}
+				got = append(got, kindName(v.(*broker.Envelope).Payload))
+			}
+			if len(got) != 1 || got[0] != sends[name] {
+				t.Errorf("handling %s sent the master %v, want [%s]", name, got, sends[name])
 			}
 		})
 	}

@@ -209,19 +209,19 @@ type MsgWorkerDead struct {
 }
 
 // The three kinds below are a worker's timers: self-messages scheduled
-// into its own inbox (Worker.selfAfter) and handled by the comms loop
-// like any delivery. They never cross the broker.
+// into its timer mailbox (Worker.selfAfter) and handled by
+// Worker.onTimer. They never cross the broker.
 
 // msgRegisterRetry re-announces an unacknowledged worker on its
 // heartbeat.
 //
-//xflow:msg worker
+//xflow:msg worker-timer
 type msgRegisterRetry struct{}
 
 // msgBidReady ends the worker's bid-computation delay (§5's bidding
 // thread): the bid it carries goes to the endpoint that asked for it.
 //
-//xflow:msg worker
+//xflow:msg worker-timer
 type msgBidReady struct {
 	bid MsgBid
 	to  string
@@ -229,7 +229,7 @@ type msgBidReady struct {
 
 // msgPullRetry re-pulls for work after an empty pull's backoff.
 //
-//xflow:msg worker
+//xflow:msg worker-timer
 type msgPullRetry struct{ strikes int }
 
 // msgAbort is the master's self-message injected when a run's Deadline

@@ -194,6 +194,78 @@ func TestScheduledArrivalsSpawnNoGoroutine(t *testing.T) {
 	}
 }
 
+// sampledBidding is the bidding allocator sampling the goroutine count
+// whenever a bid reaches the master.
+type sampledBidding struct {
+	engine.Allocator
+	bids, peak int
+}
+
+func (a *sampledBidding) BidReceived(ctx engine.AllocCtx, bid engine.MsgBid) {
+	a.bids++
+	a.peak = max(a.peak, runtime.NumGoroutine())
+	a.Allocator.BidReceived(ctx, bid)
+}
+
+// TestWorkerTimersSpawnNoGoroutine: a worker's bid delay is a timer on
+// its served timer mailbox. Its firing sends the bid on the goroutine
+// advancing the clock, so contests with a bid delay start nothing: the
+// goroutine count whenever a bid lands is what it was before the jobs
+// were scheduled.
+func TestWorkerTimersSpawnNoGoroutine(t *testing.T) {
+	const jobs = 200
+	arrivals := make([]engine.Arrival, jobs)
+	for i := range arrivals {
+		arrivals[i] = engine.Arrival{
+			At:  time.Duration(i) * 50 * time.Millisecond,
+			Job: &engine.Job{Stream: "work", DataKey: fmt.Sprintf("k%d", i%3), DataSizeMB: 0.001},
+		}
+	}
+	ws := testCluster(3, 1000, 1000, 0)
+	for _, st := range ws {
+		st.Spec.BidDelay = 10 * time.Millisecond
+	}
+	pol, _ := core.PolicyByName("bidding")
+	alloc := &sampledBidding{Allocator: pol.NewAllocator()}
+	c, err := engine.NewCluster(engine.ClusterConfig{
+		Clock:        vclock.NewSim(),
+		Workers:      ws,
+		NewAllocator: func() engine.Allocator { return alloc },
+		NewAgent:     pol.NewAgent,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	var before int
+	var rep *engine.Report
+	c.Start(func() {
+		c.WaitReady()
+		before = runtime.NumGoroutine()
+		sess, err := c.Open("", dataWorkflow())
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			c.Stop()
+			return
+		}
+		// Let Open's drain goroutine finish, as in
+		// TestScheduledArrivalsSpawnNoGoroutine.
+		c.Clock().Sleep(time.Millisecond)
+		sess.Schedule(arrivals)
+		rep = sess.Wait()
+		c.Stop()
+	})
+	c.Wait()
+	if rep == nil || rep.JobsCompleted != jobs {
+		t.Fatalf("report = %+v, want %d jobs completed", rep, jobs)
+	}
+	if alloc.bids < jobs*len(ws) {
+		t.Fatalf("%d bids reached the master, want at least %d", alloc.bids, jobs*len(ws))
+	}
+	if alloc.peak > before {
+		t.Errorf("delayed bids raised the goroutine count from %d to %d", before, alloc.peak)
+	}
+}
+
 // TestRetainedReportDoesNotPinTheSimulation: a caller may keep Reports
 // (the benchmark keeps every run's). A record reaches its session, and
 // the session's report mailbox would pin the simulated clock and

@@ -59,6 +59,9 @@ type Worker struct {
 	labeled *vclock.Sim
 
 	execQ vclock.Mailbox // execEntry, FIFO local queue
+	// timers receives the worker's own timers (selfAfter), served by
+	// onTimer; it closes with the inbox.
+	timers vclock.Mailbox
 
 	// wfResolve, when set, maps a job's Session to its workflow for
 	// multi-workflow fleets; jobs it cannot resolve run under wf.
@@ -200,6 +203,7 @@ func NewWorker(clk vclock.Clock, ep Port, wf *Workflow, st *WorkerState,
 		bidDelay:    st.Spec.BidDelay,
 		heartbeat:   st.Spec.Heartbeat,
 		execQ:       clk.NewMailbox("exec:" + st.Spec.Name),
+		timers:      clk.NewMailbox("timers:" + st.Spec.Name),
 		pendingData: make(map[string]int),
 	}
 }
@@ -218,14 +222,15 @@ func (w *Worker) Registered() bool {
 	return w.registered
 }
 
-// Start registers with the master and launches the comms and executor
-// goroutines. It returns immediately; the goroutines run until a stop
-// message arrives or the port's inbox closes. The policy agent starts
-// once the master acknowledges the registration, so its first pull
-// cannot be lost to start-up ordering.
+// Start registers with the master, serves the worker's timers and
+// launches the comms and executor goroutines. It returns immediately;
+// the goroutines run until a stop message arrives or the port's inbox
+// closes. The policy agent starts once the master acknowledges the
+// registration, so its first pull cannot be lost to start-up ordering.
 func (w *Worker) Start() {
 	w.ep.Subscribe(TopicBids)
 	w.ep.Subscribe(TopicControl)
+	w.clk.Serve(w.timers, w.onTimer)
 	w.register()
 	w.clk.Go(w.commsLoop)
 	w.clk.Go(w.execLoop)
@@ -247,20 +252,40 @@ func (w *Worker) register() {
 	}
 }
 
-// selfAfter delivers payload to the worker's own inbox after d: its
-// timers are messages to the comms loop, so a timer firing costs what
-// any delivery costs and a dead worker's closed inbox drops it. The
-// event is labeled when a model-checking chooser is active; what the
-// comms loop does with it sends messages, so it conflicts with
-// everything (empty Node). The label's detail is the worker's name, what
-// and id, joined only where a chooser reads it.
+// selfAfter delivers payload to the worker's timer mailbox after d. On
+// a simulated clock onTimer handles it on the goroutine advancing the
+// clock, so a timer costs one heap entry and no goroutine switch; a
+// dead, stopped or drained worker's closed timer mailbox drops it. The
+// event is labeled when a model-checking chooser is active; what
+// onTimer does with it sends messages, so it conflicts with everything
+// (empty Node). The label's detail is the worker's name, what and id,
+// joined only where a chooser reads it.
 func (w *Worker) selfAfter(d time.Duration, what, id string, payload any) {
-	env := &broker.Envelope{From: w.name, To: w.name, Payload: payload}
 	if w.labeled != nil {
-		w.labeled.SendAfterLabeled(d, vclock.EventLabel{Detail: w.name + what + id}, w.ep.Inbox(), env)
+		w.labeled.SendAfterLabeled(d, vclock.EventLabel{Detail: w.name + what + id}, w.timers, payload)
 		return
 	}
-	w.clk.SendAfter(d, w.ep.Inbox(), env)
+	w.clk.SendAfter(d, w.timers, payload)
+}
+
+// onTimer is the timer mailbox's served handler; the close ends it
+// with nothing to do. It must not block on the clock, and it runs
+// beside the comms loop and the executor, so it touches only mu-guarded
+// fields, the cache and the port.
+func (w *Worker) onTimer(v any, _ bool) (done bool) {
+	//xflow:dispatch worker-timer
+	switch msg := v.(type) {
+	case msgRegisterRetry:
+		w.register()
+	case msgBidReady:
+		w.ep.Send(msg.to, msg.bid)
+	case msgPullRetry:
+		w.mu.Lock()
+		w.pullArmed = false
+		w.mu.Unlock()
+		w.RequestWork(msg.strikes)
+	}
+	return false
 }
 
 //xflow:goroutine comms-loop
@@ -300,15 +325,6 @@ func (w *Worker) commsLoop() {
 			w.agent.OnNoWork(w, msg.Backoff)
 		case MsgDrain:
 			w.beginDrain()
-		case msgRegisterRetry:
-			w.register()
-		case msgBidReady:
-			w.ep.Send(msg.to, msg.bid)
-		case msgPullRetry:
-			w.mu.Lock()
-			w.pullArmed = false
-			w.mu.Unlock()
-			w.RequestWork(msg.strikes)
 		case MsgStop:
 			w.shutdown()
 			return
@@ -359,14 +375,17 @@ func (w *Worker) finishDrain() {
 		d.Deregister()
 	}
 	w.ep.Inbox().Close()
+	w.timers.Close()
 	w.execQ.Close()
 }
 
-// shutdown marks the worker stopped and closes the executor queue.
+// shutdown marks the worker stopped and closes its timers and the
+// executor queue.
 func (w *Worker) shutdown() {
 	w.mu.Lock()
 	w.stopped = true
 	w.mu.Unlock()
+	w.timers.Close()
 	w.execQ.Close()
 }
 
@@ -474,6 +493,7 @@ func (w *Worker) kill() {
 		d.Disconnect()
 	}
 	w.ep.Inbox().Close()
+	w.timers.Close()
 }
 
 // --- Agent-facing API ----------------------------------------------------

@@ -82,17 +82,25 @@ type strand struct {
 
 // run gives the strand a fresh, identically seeded cluster (cold
 // caches); its iterations then share worker state so caches warm up. A
-// strand builds all it touches, arrivals included (the master stamps
-// Job.Session on injection), so strands share nothing mutable.
+// strand builds all it touches, arrivals included, so strands share
+// nothing mutable. Every iteration replays the same arrivals: they are
+// generated once, and each iteration runs on its own copy of the jobs,
+// because the master stamps Job.Session on injection.
 func (s strand) run() (*metrics.Series, error) {
 	states := cluster.Build(s.cell.Profile, s.o.Cluster, nil)
 	series := &metrics.Series{Name: s.pol.Name}
+	template := workload.Generate(s.cell.Workload, workload.Options{
+		Jobs:             s.o.Jobs,
+		Seed:             s.o.Seed,
+		MeanInterarrival: s.o.MeanInterarrival,
+	})
 	for it := 0; it < s.o.Iterations; it++ {
-		arrivals := workload.Generate(s.cell.Workload, workload.Options{
-			Jobs:             s.o.Jobs,
-			Seed:             s.o.Seed,
-			MeanInterarrival: s.o.MeanInterarrival,
-		})
+		jobs := make([]engine.Job, len(template))
+		arrivals := make([]engine.Arrival, len(template))
+		for i, a := range template {
+			jobs[i] = *a.Job
+			arrivals[i] = engine.Arrival{At: a.At, Job: &jobs[i]}
+		}
 		rep, err := engine.Run(engine.Config{
 			ClusterConfig: engine.ClusterConfig{
 				Workers:      states,

@@ -121,16 +121,16 @@ func (s *Sim) SendAfterLabeled(d time.Duration, label EventLabel, mb Mailbox, v 
 // chooseLocked builds the enabled set and asks the chooser which event
 // fires next, releasing the clock lock around the call. The caller has
 // checked the heap is non-empty.
-func (s *Sim) chooseLocked() timerEvent {
+func (s *Sim) chooseLocked() (timerKey, timerEvent) {
 	// Head (earliest (when, seq)) event per serialization class.
 	heads := make(map[string]int, 8)
-	evs := s.timers.evs
-	for i := range evs {
+	keys := s.timers.keys
+	for i := range keys {
 		cls := ""
-		if evs[i].label != nil {
-			cls = evs[i].label.Class
+		if l := s.timers.event(&keys[i]).label; l != nil {
+			cls = l.Class
 		}
-		if j, ok := heads[cls]; !ok || eventBefore(&evs[i], &evs[j]) {
+		if j, ok := heads[cls]; !ok || keys[i].before(&keys[j]) {
 			heads[cls] = i
 		}
 	}
@@ -141,11 +141,12 @@ func (s *Sim) chooseLocked() timerEvent {
 	for _, i := range heads {
 		idxs = append(idxs, i)
 	}
-	sort.Slice(idxs, func(a, b int) bool { return eventBefore(&evs[idxs[a]], &evs[idxs[b]]) })
+	sort.Slice(idxs, func(a, b int) bool { return keys[idxs[a]].before(&keys[idxs[b]]) })
 	enabled := make([]EnabledEvent, len(idxs))
 	for n, i := range idxs {
-		ev := &evs[i]
-		e := EnabledEvent{Delay: time.Duration(ev.when - s.nowNanos), Seq: ev.seq}
+		k := &keys[i]
+		ev := s.timers.event(k)
+		e := EnabledEvent{Delay: time.Duration(k.when - s.nowNanos), Seq: k.seq}
 		if ev.label != nil {
 			e.Label = *ev.label
 		} else {
@@ -183,8 +184,10 @@ func (s *Sim) PendingDigest() string {
 		detail string
 	}
 	items := make([]item, 0, s.timers.len())
-	for _, ev := range s.timers.evs {
-		it := item{when: ev.when, seq: ev.seq}
+	for i := range s.timers.keys {
+		k := &s.timers.keys[i]
+		ev := s.timers.event(k)
+		it := item{when: k.when, seq: k.seq}
 		if ev.label != nil {
 			it.cls, it.detail = ev.label.Class, ev.label.Detail
 		} else {

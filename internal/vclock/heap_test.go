@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -11,60 +13,148 @@ import (
 // stable priority list ordered by (when, seq) — exactly what the
 // container/heap implementation this package used to have produced.
 type referenceScheduler struct {
-	evs []timerEvent
+	keys []timerKey
 }
 
-func (r *referenceScheduler) push(ev timerEvent) {
-	i := sort.Search(len(r.evs), func(i int) bool {
-		return !eventBefore(&r.evs[i], &ev)
+func (r *referenceScheduler) push(k timerKey) {
+	i := sort.Search(len(r.keys), func(i int) bool {
+		return !r.keys[i].before(&k)
 	})
-	r.evs = append(r.evs, timerEvent{})
-	copy(r.evs[i+1:], r.evs[i:])
-	r.evs[i] = ev
+	r.keys = append(r.keys, timerKey{})
+	copy(r.keys[i+1:], r.keys[i:])
+	r.keys[i] = k
 }
 
-func (r *referenceScheduler) pop() timerEvent {
-	ev := r.evs[0]
-	r.evs = r.evs[1:]
-	return ev
+func (r *referenceScheduler) pop() timerKey {
+	k := r.keys[0]
+	r.keys = r.keys[1:]
+	return k
+}
+
+func (r *referenceScheduler) removeSeq(seq uint64) timerKey {
+	i := 0
+	for r.keys[i].seq != seq {
+		i++
+	}
+	k := r.keys[i]
+	r.keys = append(r.keys[:i], r.keys[i+1:]...)
+	return k
 }
 
 // TestTimerHeapMatchesReferenceOrder is the determinism guardrail for
 // the optimized timer heap: over randomized schedules (many deadline
-// ties, interleaved push/pop), the heap must yield events in the exact
-// (when, seq) order of the reference implementation.
+// ties; pushes interleaved with pops and with removeSeq, as the model
+// checker's choose path calls it), the heap must yield events in the
+// exact (when, seq) order of the reference implementation. Each event
+// carries its own seq, so a slab slot reused for the wrong event, or
+// read through a stale key, shows up as a mismatch; the slab must not
+// outgrow the most events ever pending at once.
 func TestTimerHeapMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var h timerHeap
 		var ref referenceScheduler
 		var seq uint64
+		peak := 0
+		check := func(op string, got timerKey, ev timerEvent, want timerKey) {
+			t.Helper()
+			if got.when != want.when || got.seq != want.seq {
+				t.Fatalf("seed %d %s: heap gave (when=%d seq=%d), reference (when=%d seq=%d)",
+					seed, op, got.when, got.seq, want.when, want.seq)
+			}
+			if ev.item != want.seq {
+				t.Fatalf("seed %d %s: key seq %d came with the event of seq %v", seed, op, want.seq, ev.item)
+			}
+		}
 		const ops = 3000
 		for i := 0; i < ops; i++ {
-			if h.len() > 0 && rng.Intn(3) == 0 {
-				got, want := h.pop(), ref.pop()
-				if got.when != want.when || got.seq != want.seq {
-					t.Fatalf("seed %d op %d: heap popped (when=%d seq=%d), reference (when=%d seq=%d)",
-						seed, i, got.when, got.seq, want.when, want.seq)
-				}
-				continue
+			op := fmt.Sprintf("op %d", i)
+			switch r := rng.Intn(6); {
+			case h.len() > 0 && r < 2:
+				k, ev := h.pop()
+				check(op+" pop", k, ev, ref.pop())
+			case h.len() > 0 && r == 2:
+				victim := ref.keys[rng.Intn(len(ref.keys))].seq
+				k, ev := h.removeSeq(victim)
+				check(op+" removeSeq", k, ev, ref.removeSeq(victim))
+			default:
+				seq++
+				// A narrow deadline range forces heavy tie-breaking on seq.
+				when := int64(rng.Intn(16))
+				h.push(when, seq, timerEvent{item: seq})
+				ref.push(timerKey{when: when, seq: seq})
+				peak = max(peak, h.len())
 			}
-			seq++
-			// A narrow deadline range forces heavy tie-breaking on seq.
-			ev := timerEvent{when: int64(rng.Intn(16)), seq: seq}
-			h.push(ev)
-			ref.push(ev)
+			if len(h.slab) > peak {
+				t.Fatalf("seed %d %s: slab holds %d slots, at most %d events were ever pending", seed, op, len(h.slab), peak)
+			}
 		}
 		for h.len() > 0 {
-			got, want := h.pop(), ref.pop()
-			if got.when != want.when || got.seq != want.seq {
-				t.Fatalf("seed %d drain: heap popped (when=%d seq=%d), reference (when=%d seq=%d)",
-					seed, got.when, got.seq, want.when, want.seq)
+			k, ev := h.pop()
+			check("drain", k, ev, ref.pop())
+		}
+		if len(ref.keys) != 0 {
+			t.Fatalf("seed %d: reference retained %d events after heap drained", seed, len(ref.keys))
+		}
+		for slot, ev := range h.slab {
+			if ev.item != nil {
+				t.Fatalf("seed %d: freed slot %d still holds event %v", seed, slot, ev.item)
 			}
 		}
-		if len(ref.evs) != 0 {
-			t.Fatalf("seed %d: reference retained %d events after heap drained", seed, len(ref.evs))
+	}
+}
+
+// TestTimerHeapSteadyStateDoesNotAllocate: once the keys, slab and free
+// list have grown to the pending high-water mark, scheduling and firing
+// an event allocates nothing.
+func TestTimerHeapSteadyStateDoesNotAllocate(t *testing.T) {
+	var h timerHeap
+	w := &mbWaiter{}
+	var seq uint64
+	for i := 0; i < 64; i++ {
+		seq++
+		h.push(int64(i%8), seq, timerEvent{kind: evWake, w: w})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		h.push(int64(seq%8), seq, timerEvent{kind: evWake, w: w})
+		h.pop()
+	})
+	if allocs != 0 {
+		t.Errorf("push+pop allocated %.1f times per event after warm-up, want 0", allocs)
+	}
+}
+
+// TestTimerKeyHoldsNoPointers: the heap's sift loops move keys, and a
+// pointer in one would bring back the write barriers the slab layout
+// exists to avoid.
+func TestTimerKeyHoldsNoPointers(t *testing.T) {
+	var holds func(reflect.Type) bool
+	holds = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holds(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return holds(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		default:
+			return true
 		}
+	}
+	typ := reflect.TypeOf(timerKey{})
+	if holds(typ) {
+		t.Errorf("%v holds a pointer", typ)
+	}
+	if size := typ.Size(); size != 24 {
+		t.Errorf("%v is %d bytes, want 24", typ, size)
 	}
 }
 

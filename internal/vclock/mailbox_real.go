@@ -39,21 +39,22 @@ func (m *realMailbox) Send(v any) bool {
 func (m *realMailbox) sendAfter(wall time.Duration, v any) {
 	m.mu.Lock()
 	m.seq++
-	ev := timerEvent{when: int64(time.Since(m.clk.base) + wall), seq: m.seq, item: v}
-	m.later.push(ev)
+	due := timerKey{when: int64(time.Since(m.clk.base) + wall), seq: m.seq}
+	m.later.push(due.when, due.seq, timerEvent{item: v})
 	m.mu.Unlock()
-	time.AfterFunc(wall, func() { m.flushThrough(&ev) })
+	time.AfterFunc(wall, func() { m.flushThrough(due) })
 }
 
 // flushThrough runs when fired's timer does: it delivers, in (deadline,
 // call) order, every item still pending up to and including fired — so
 // an item whose own timer goroutine is overtaken rides with the one
 // that overtook it, and nothing is delivered before its deadline.
-func (m *realMailbox) flushThrough(fired *timerEvent) {
+func (m *realMailbox) flushThrough(fired timerKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.later.len() > 0 && !eventBefore(fired, &m.later.evs[0]) {
-		m.sendLocked(m.later.pop().item)
+	for m.later.len() > 0 && !fired.before(&m.later.keys[0]) {
+		_, ev := m.later.pop()
+		m.sendLocked(ev.item)
 	}
 }
 

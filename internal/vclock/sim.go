@@ -154,17 +154,15 @@ func (s *Sim) own(mb Mailbox) *simMailbox {
 	return m
 }
 
-// scheduleLocked queues ev to fire once d has elapsed, stamping its
-// deadline and sequence number. Events at equal deadlines fire in
+// scheduleLocked queues ev to fire once d has elapsed, keyed by its
+// deadline and a fresh sequence number. Events at equal deadlines fire in
 // scheduling order, keeping runs reproducible.
 func (s *Sim) scheduleLocked(d time.Duration, ev timerEvent) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	ev.when = s.nowNanos + int64(d)
-	ev.seq = s.seq
-	s.timers.push(ev)
+	s.timers.push(s.nowNanos+int64(d), s.seq, ev)
 }
 
 // blockLocked transitions the calling goroutine from runnable to waiting
@@ -191,17 +189,18 @@ func (s *Sim) maybeAdvanceLocked() {
 			}
 			return
 		}
+		var k timerKey
 		var ev timerEvent
 		if s.chooser != nil {
-			ev = s.chooseLocked()
+			k, ev = s.chooseLocked()
 		} else {
-			ev = s.timers.pop()
+			k, ev = s.timers.pop()
 		}
 		// Under a chooser, time is frozen: commuting event orders then
 		// reach literally identical states (see choose.go).
-		if ev.when > s.nowNanos && s.chooser == nil {
-			s.now = s.now.Add(time.Duration(ev.when - s.nowNanos))
-			s.nowNanos = ev.when
+		if k.when > s.nowNanos && s.chooser == nil {
+			s.now = s.now.Add(time.Duration(k.when - s.nowNanos))
+			s.nowNanos = k.when
 		}
 		s.fireLocked(&ev)
 	}
@@ -321,11 +320,9 @@ const (
 	evSend                  // deliver a SendAfter item to its mailbox
 )
 
-// timerEvent is one pending clock event, keyed for firing order by
-// (when, seq): earliest deadline first, scheduling order breaking ties.
+// timerEvent is one pending clock event's payload; its place in the
+// firing order is its timerKey's.
 type timerEvent struct {
-	when  int64 // deadline, UnixNano
-	seq   uint64
 	kind  timerKind
 	w     *mbWaiter   // evWake
 	mb    *simMailbox // evSend
@@ -334,91 +331,118 @@ type timerEvent struct {
 	label *EventLabel // model-checker label; nil for unlabeled events
 }
 
-// timerHeap is a binary min-heap of timerEvent values ordered by
-// (when, seq). Storing values in a plain slice (instead of pointers
-// through container/heap's interface methods) removes one allocation
-// and one interface conversion per scheduled event.
-type timerHeap struct {
-	evs []timerEvent
+// timerKey orders one pending event by (when, seq): earliest deadline
+// first, scheduling order breaking ties. slot is the event's index in
+// the heap's slab.
+type timerKey struct {
+	when int64 // deadline, UnixNano
+	seq  uint64
+	slot int
 }
 
-func (h *timerHeap) len() int { return len(h.evs) }
-
-// before reports whether event a fires before event b.
-func eventBefore(a, b *timerEvent) bool {
+// before reports whether key a fires before key b.
+func (a *timerKey) before(b *timerKey) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
 }
 
-func (h *timerHeap) push(ev timerEvent) {
-	h.evs = append(h.evs, ev)
-	h.siftUp(len(h.evs) - 1)
+// timerHeap is a binary min-heap of timerKeys over a slab of
+// timerEvents. The keys hold no pointers, so sifting moves 24-byte
+// values with no write barriers; an event stays in its slab slot until
+// it leaves the heap, and freed slots are reused, so a long-lived clock
+// stops allocating once the slab has grown to its high-water mark.
+type timerHeap struct {
+	keys []timerKey
+	slab []timerEvent
+	free []int // slab slots not holding a pending event
 }
 
-func (h *timerHeap) pop() timerEvent {
-	evs := h.evs
-	root := evs[0]
-	n := len(evs) - 1
-	evs[0] = evs[n]
-	evs[n] = timerEvent{} // release pointers for the GC
-	h.evs = evs[:n]
-	if n > 1 {
-		h.siftDown(0)
+func (h *timerHeap) len() int { return len(h.keys) }
+
+// event returns the pending event k orders. The pointer is good until
+// the heap next changes.
+func (h *timerHeap) event(k *timerKey) *timerEvent { return &h.slab[k.slot] }
+
+// push queues ev to fire at (when, seq).
+func (h *timerHeap) push(when int64, seq uint64, ev timerEvent) {
+	var slot int
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = ev
+	} else {
+		slot = len(h.slab)
+		h.slab = append(h.slab, ev)
 	}
-	return root
+	h.keys = append(h.keys, timerKey{when: when, seq: seq, slot: slot})
+	h.siftUp(len(h.keys) - 1)
 }
 
-func (h *timerHeap) siftUp(i int) {
-	evs := h.evs
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventBefore(&evs[i], &evs[parent]) {
-			return
-		}
-		evs[i], evs[parent] = evs[parent], evs[i]
-		i = parent
-	}
+// pop removes the earliest event.
+func (h *timerHeap) pop() (timerKey, timerEvent) {
+	return h.removeAt(0)
 }
 
 // removeSeq extracts the pending event with the given sequence number;
 // events leave the heap only by firing, so one a chooser was just shown
 // is still there. Only the model checker's choose path uses it, so the
 // linear scan costs normal runs nothing.
-func (h *timerHeap) removeSeq(seq uint64) timerEvent {
+func (h *timerHeap) removeSeq(seq uint64) (timerKey, timerEvent) {
 	i := 0
-	for h.evs[i].seq != seq {
+	for h.keys[i].seq != seq {
 		i++
 	}
-	ev := h.evs[i]
-	n := len(h.evs) - 1
-	h.evs[i] = h.evs[n]
-	h.evs[n] = timerEvent{}
-	h.evs = h.evs[:n]
+	return h.removeAt(i)
+}
+
+// removeAt takes the key at heap index i out of the heap and its event
+// out of the slab, freeing the slot.
+func (h *timerHeap) removeAt(i int) (timerKey, timerEvent) {
+	keys := h.keys
+	k := keys[i]
+	n := len(keys) - 1
+	keys[i] = keys[n]
+	h.keys = keys[:n]
 	if i < n {
 		h.siftDown(i)
 		h.siftUp(i)
 	}
-	return ev
+	ev := h.slab[k.slot]
+	h.slab[k.slot] = timerEvent{} // release pointers for the GC
+	h.free = append(h.free, k.slot)
+	return k, ev
+}
+
+func (h *timerHeap) siftUp(i int) {
+	keys := h.keys
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !keys[i].before(&keys[parent]) {
+			return
+		}
+		keys[i], keys[parent] = keys[parent], keys[i]
+		i = parent
+	}
 }
 
 func (h *timerHeap) siftDown(i int) {
-	evs := h.evs
-	n := len(evs)
+	keys := h.keys
+	n := len(keys)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			return
 		}
 		least := left
-		if right := left + 1; right < n && eventBefore(&evs[right], &evs[left]) {
+		if right := left + 1; right < n && keys[right].before(&keys[left]) {
 			least = right
 		}
-		if !eventBefore(&evs[least], &evs[i]) {
+		if !keys[least].before(&keys[i]) {
 			return
 		}
-		evs[i], evs[least] = evs[least], evs[i]
+		keys[i], keys[least] = keys[least], keys[i]
 		i = least
 	}
 }
