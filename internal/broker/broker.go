@@ -26,6 +26,8 @@ import (
 // Envelope wraps every message delivered to an endpoint's inbox.
 // Deliveries arrive as *Envelope: a topic fanout shares one envelope
 // across all subscribers, so receivers must treat it as read-only.
+// Only From and Payload travel over the TCP transport; To and Topic
+// route a delivery inside the broker and arrive empty from the wire.
 type Envelope struct {
 	// From is the name of the sending endpoint.
 	From string
@@ -37,9 +39,6 @@ type Envelope struct {
 	Topic string
 	// Payload is the application message.
 	Payload any
-	// SentAt is the clock time at which the sender handed the message to
-	// the broker.
-	SentAt time.Time
 }
 
 // EventDetail renders a queued envelope for vclock.MailboxDigest: its
@@ -75,7 +74,7 @@ func defaultDelay(from, to *Endpoint) time.Duration {
 // the down/disconnect checks; returning true silently discards that
 // delivery. Implementations are called under the broker lock and must
 // not block; to keep runs repeatable they should decide from the
-// envelope's content and timestamp, never from call order or an
+// envelope's content and the clock, never from call order or an
 // unseeded random source.
 type DropFunc func(env Envelope, to string) bool
 
@@ -193,7 +192,7 @@ func (b *Broker) send(from *Endpoint, to string, payload any) bool {
 		b.mu.Unlock()
 		return false
 	}
-	env := &Envelope{From: from.name, To: to, Payload: payload, SentAt: b.clk.Now()}
+	env := &Envelope{From: from.name, To: to, Payload: payload}
 	if b.drop != nil && b.drop(*env, to) {
 		// Lost in transit: the sender cannot tell, so report delivered.
 		b.mu.Unlock()
@@ -278,7 +277,6 @@ func (b *Broker) fanout(from *Endpoint, env *Envelope, targets []string) int {
 	scratch := fanoutPool.Get().(*[]delivery)
 	outs := (*scratch)[:0]
 	b.mu.Lock()
-	env.SentAt = b.clk.Now()
 	add := func(ep *Endpoint) {
 		if !ep.down && (b.drop == nil || !b.drop(*env, ep.name)) {
 			outs = append(outs, delivery{ep: ep, d: b.routeDelay(from, ep)})

@@ -189,16 +189,52 @@ func (c noGoClock) Go(fn func()) {
 	c.Clock.Go(fn)
 }
 
+// asyncMultiPort is a master port with the TCP client's non-waiting
+// multicast. Its blocking SendMulti and its future both fail the test:
+// a targeted contest, like a broadcast one, is sized by the live
+// targets and never waits for the broker's count.
+type asyncMultiPort struct {
+	*broker.Endpoint
+	t *testing.T
+}
+
+func (p asyncMultiPort) SendMulti(targets []string, payload any) int {
+	p.t.Error("master waited on a blocking multicast")
+	return p.Endpoint.SendMulti(targets, payload)
+}
+
+func (p asyncMultiPort) SendMultiAsync(targets []string, payload any) func() int {
+	n := p.Endpoint.SendMulti(targets, payload)
+	return func() int {
+		p.t.Error("master awaited a multicast future")
+		return n
+	}
+}
+
 // TestMasterNeverAwaitsPublishFuture runs a bidding contest through a
 // master whose port publishes without waiting: the contest must settle
 // on the last live bid, with no goroutine started and the publish
 // future never called.
 func TestMasterNeverAwaitsPublishFuture(t *testing.T) {
+	runAsyncContest(t, NewBidding(), func(ep *broker.Endpoint) engine.Port { return asyncPort{ep, t} })
+}
+
+// TestMasterNeverAwaitsMulticastFuture is the same contest run by
+// bidding-topk, which asks its candidates with a targeted multicast:
+// the master must take the non-waiting multicast and drop its future.
+func TestMasterNeverAwaitsMulticastFuture(t *testing.T) {
+	runAsyncContest(t, NewTopK(), func(ep *broker.Endpoint) engine.Port { return asyncMultiPort{ep, t} })
+}
+
+// runAsyncContest runs one job's contest between two workers through a
+// master on the port that wrap makes of its endpoint, and requires it
+// to settle on the last live bid without a goroutine or a fallback.
+func runAsyncContest(t *testing.T, alloc engine.Allocator, wrap func(*broker.Endpoint) engine.Port) {
+	t.Helper()
 	sim := vclock.NewSim()
 	bus := broker.New(sim)
 	fleet := []string{"w0", "w1"}
-	m := engine.NewClusterMaster(noGoClock{sim, t},
-		asyncPort{bus.Register(engine.MasterName, 0), t}, NewBidding(), len(fleet), nil)
+	m := engine.NewClusterMaster(noGoClock{sim, t}, wrap(bus.Register(engine.MasterName, 0)), alloc, len(fleet), nil)
 	eps := make([]*broker.Endpoint, len(fleet))
 	for i, w := range fleet {
 		eps[i] = bus.Register(w, 0)

@@ -433,6 +433,13 @@ type multiSender interface {
 	SendMulti(targets []string, payload any) int
 }
 
+// asyncMultiSender is the optional non-waiting multicast (the TCP
+// transport client's): like asyncPublisher, the master drops the
+// future.
+type asyncMultiSender interface {
+	SendMultiAsync(targets []string, payload any) func() int
+}
+
 // PublishBidRequestTo implements AllocCtx: a targeted contest asking
 // only the named workers. Targets that are not live registered workers
 // are skipped, and the contest is sized by the live targets; the trace
@@ -450,9 +457,12 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 		return 0
 	}
 	req := MsgBidRequest{Job: rec.Job}
-	if ms, ok := m.ep.(multiSender); ok {
-		ms.SendMulti(live, req)
-	} else {
+	switch ep := m.ep.(type) {
+	case asyncMultiSender:
+		ep.SendMultiAsync(live, req)
+	case multiSender:
+		ep.SendMulti(live, req)
+	default:
 		for _, w := range live {
 			m.ep.Send(w, req)
 		}

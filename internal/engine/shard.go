@@ -220,7 +220,7 @@ func (sm *ShardedMaster) fanOut(env *broker.Envelope) {
 
 // control wraps a frontend-originated payload for forwarding to part.
 func (sm *ShardedMaster) control(part *Master, payload any) *broker.Envelope {
-	return &broker.Envelope{From: sm.ep.Name(), To: part.ep.Name(), Payload: payload, SentAt: sm.clk.Now()}
+	return &broker.Envelope{From: sm.ep.Name(), To: part.ep.Name(), Payload: payload}
 }
 
 // routeJob admits the job like Master.inject, picks the owning shard by
@@ -279,7 +279,7 @@ func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
 		// Keep the worker as the sender so a partitioned shard loses the
 		// notice exactly like a direct send to it.
 		sm.forward(sm.parts[i], &broker.Envelope{
-			From: env.From, To: sm.parts[i].ep.Name(), SentAt: env.SentAt,
+			From: env.From, To: sm.parts[i].ep.Name(),
 			Payload: MsgCacheEvict{Worker: msg.Worker, Keys: keys},
 		})
 	}

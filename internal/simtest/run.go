@@ -41,8 +41,7 @@ func scenarioWorkflow() *engine.Workflow {
 
 // delayFunc builds the broker delay model: link-sum, amplified inside
 // every spike window. It reads the clock under the broker lock, which
-// is the established lock order (the broker already stamps SentAt
-// there).
+// is the established lock order (dropFunc reads it there too).
 func (sc *Scenario) delayFunc(clk vclock.Clock) broker.DelayFunc {
 	spikes := sc.Faults.Spikes
 	if len(spikes) == 0 {
@@ -67,12 +66,14 @@ func (sc *Scenario) delayFunc(clk vclock.Clock) broker.DelayFunc {
 }
 
 // dropFunc builds the message-loss model: a deterministic hash of the
-// envelope's route, payload type, and timestamp against DropProb.
+// envelope's route, payload type, and send time against DropProb. The
+// send time is the clock read under the broker lock, where the sender
+// hands the message over; a fanout's targets all see the same instant.
 // Deciding from content rather than call order keeps same-seed runs
 // byte-identical even though concurrent senders race for the broker
 // lock. MsgStop is exempt: a lost stop strands a worker forever, which
 // models a process that outlives the run, not a scheduling failure.
-func (sc *Scenario) dropFunc() broker.DropFunc {
+func (sc *Scenario) dropFunc(clk vclock.Clock) broker.DropFunc {
 	p := sc.Faults.DropProb
 	if p <= 0 {
 		return nil
@@ -83,7 +84,7 @@ func (sc *Scenario) dropFunc() broker.DropFunc {
 			return false
 		}
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%s|%T|%d|%d", env.From, to, env.Payload, env.SentAt.UnixNano(), salt)
+		fmt.Fprintf(h, "%s|%s|%T|%d|%d", env.From, to, env.Payload, clk.Now().UnixNano(), salt)
 		return float64(h.Sum64()>>11)/(1<<53) < p
 	}
 }
@@ -129,7 +130,7 @@ func ExecuteOpts(sc *Scenario, pol core.Policy, opts ExecOptions) *RunResult {
 			NewAgent:     pol.NewAgent,
 			Seed:         sc.Seed*7919 + 17,
 			DelayFunc:    sc.delayFunc(clk),
-			DropFunc:     sc.dropFunc(),
+			DropFunc:     sc.dropFunc(clk),
 			Tracer:       trace,
 		},
 		Workflow:     scenarioWorkflow(),

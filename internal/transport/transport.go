@@ -10,8 +10,8 @@
 // with a hello frame naming their endpoint; afterwards they exchange
 // sends, publishes, subscriptions and deliveries. Publish and multicast
 // are acknowledged with the reached count, as the in-process broker
-// reports it. The master does not wait for a publish ack: a contest
-// expects the master's live set.
+// reports it. The master waits for neither ack: a contest expects the
+// master's live set.
 //
 // Three throughput mechanisms sit on top of the encoding. Writers are
 // buffered, and ack-bearing frames (publish, multicast, hello,
@@ -752,9 +752,18 @@ func (c *Client) PublishAsync(topic string, payload any) func() int {
 
 // SendMulti implements the engine's targeted-multicast capability over
 // the wire: one frame up, one shared envelope fanned out server-side,
-// the reached count acked back like a publish.
+// the reached count acked back like a publish. It blocks for the count;
+// the master does not call it (see SendMultiAsync), the frozen
+// benchmark module's probes do.
 func (c *Client) SendMulti(targets []string, payload any) int {
-	return c.ackFuture(&wire.Frame{Kind: wire.KindSendMulti, Targets: targets, Payload: payload})()
+	return c.SendMultiAsync(targets, payload)()
+}
+
+// SendMultiAsync multicasts without blocking and returns a future for
+// the reached count. The master opens targeted contests with it and
+// drops the future, as it does PublishAsync's.
+func (c *Client) SendMultiAsync(targets []string, payload any) func() int {
+	return c.ackFuture(&wire.Frame{Kind: wire.KindSendMulti, Targets: targets, Payload: payload})
 }
 
 // Subscribe implements engine.Port and records the topic for replay

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -442,6 +443,61 @@ func TestSendMultiOverWire(t *testing.T) {
 	}
 	if v, ok := w3.Inbox().TryRecv(); ok {
 		t.Fatalf("untargeted w3 received %#v", v)
+	}
+}
+
+// TestDeliveryCarriesSenderAndPayload: a delivery crosses the wire as
+// its sender and payload only. A worker receives one topic publish and
+// one direct send from the master, each with From and the payload
+// intact and the broker's routing fields left behind, and its reply to
+// From reaches the master.
+func TestDeliveryCarriesSenderAndPayload(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	clk := vclock.NewReal()
+	master, err := Dial(srv.Addr(), engine.MasterName, 0, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	w, err := Dial(srv.Addr(), "w1", 0, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.Subscribe(engine.TopicBids)
+	waitRegistered(t, srv, engine.MasterName, "w1")
+
+	job := &engine.Job{ID: "j1", Stream: "jobs", DataKey: "k", DataSizeMB: 2}
+	// The subscription races the publish; retry until it reaches w1.
+	deadline := time.Now().Add(5 * time.Second)
+	for master.Publish(engine.TopicBids, engine.MsgBidRequest{Job: job}) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("publish never reached the subscriber")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !master.Send("w1", engine.MsgAssign{Job: job, EstimatedCost: time.Second}) {
+		t.Fatal("Send failed")
+	}
+	for _, want := range []any{engine.MsgBidRequest{Job: job}, engine.MsgAssign{Job: job, EstimatedCost: time.Second}} {
+		env := recvWithin(t, w.Inbox(), 5*time.Second).(*broker.Envelope)
+		if env.From != engine.MasterName || !reflect.DeepEqual(env.Payload, want) {
+			t.Fatalf("delivery = %+v, want From %q and payload %#v", env, engine.MasterName, want)
+		}
+		if env.To != "" || env.Topic != "" {
+			t.Fatalf("delivery carried routing fields To=%q Topic=%q", env.To, env.Topic)
+		}
+		if !w.Send(env.From, engine.MsgJobDone{JobID: job.ID, Worker: "w1"}) {
+			t.Fatal("reply Send failed")
+		}
+		reply := recvWithin(t, master.Inbox(), 5*time.Second).(*broker.Envelope)
+		if reply.From != "w1" || reply.Payload.(engine.MsgJobDone).JobID != job.ID {
+			t.Fatalf("reply = %+v, want MsgJobDone from w1", reply)
+		}
 	}
 }
 

@@ -206,22 +206,6 @@ func (c *codec) boolean(p *bool, what string) {
 	*p = b == 1
 }
 
-// time walks a time as Unix seconds and a nanosecond field in
-// [0, 1e9).
-func (c *codec) time(p *time.Time) {
-	sec, nsec := p.Unix(), int64(p.Nanosecond())
-	c.varint(&sec)
-	c.varint(&nsec)
-	if !c.decoded() {
-		return
-	}
-	if nsec < 0 || nsec > 999_999_999 {
-		c.fail("nanosecond field %d out of range", nsec)
-		return
-	}
-	*p = time.Unix(sec, nsec)
-}
-
 // frame walks one frame body: the kind byte, then that kind's fields.
 func (c *codec) frame(f *Frame) {
 	c.u8(&f.Kind)
@@ -242,10 +226,9 @@ func (c *codec) frame(f *Frame) {
 	case KindSubscribe, KindUnsubscribe:
 		c.str(&f.Topic)
 	case KindDelivery:
+		// The broker's routing fields stay on the server: a receiver
+		// answers From, whichever route brought the payload.
 		c.str(&f.Env.From)
-		c.str(&f.Env.To)
-		c.str(&f.Env.Topic)
-		c.time(&f.Env.SentAt)
 		c.value(&f.Env.Payload, 0)
 	case KindDeregister:
 		// kind byte only

@@ -26,7 +26,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: KindPubAck, Seq: 7, Count: 32},
 		{Kind: KindSubscribe, Topic: "xflow.control"},
 		{Kind: KindUnsubscribe, Topic: "xflow.control"},
-		{Kind: KindDelivery, Env: broker.Envelope{From: "master", Topic: "xflow.bids", Payload: engine.MsgStop{}, SentAt: time.Unix(1712345678, 987654321)}},
+		{Kind: KindDelivery, Env: broker.Envelope{From: "master", Topic: "xflow.bids", Payload: engine.MsgStop{}}},
 		{Kind: KindDeregister},
 		{Kind: KindSendMulti, Seq: 9, Targets: []string{"w1", "w2"}, Payload: engine.MsgJobDone{JobID: "j1", Worker: "w1", Results: []any{"ok", 42, nil}}},
 	}

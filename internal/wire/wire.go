@@ -57,6 +57,8 @@ type Frame struct {
 	Link    time.Duration
 	Count   int
 	Targets []string
+	// Env is a delivery's envelope. Only its From and Payload travel:
+	// a decoded delivery has To and Topic empty.
 	Env     broker.Envelope
 	Payload any
 }
@@ -67,10 +69,11 @@ const (
 	// codec id.
 	headerLen = 5
 	// Version is the wire-protocol version named in the header. A peer
-	// refuses a header with a version it does not know, so a future
+	// refuses a header with a version it does not know, so an
 	// incompatible format change fails loudly at connect instead of
-	// corrupting a stream.
-	Version byte = 1
+	// corrupting a stream. Version 2 cut a delivery to its sender and
+	// payload.
+	Version byte = 2
 
 	codecIDBinary byte = 'b'
 )

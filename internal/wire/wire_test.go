@@ -179,12 +179,12 @@ func TestMsgRoundTripAllMessages(t *testing.T) {
 // kindFrames is one frame per frame kind, with that kind's field set
 // populated.
 func kindFrames() map[string]Frame {
+	// The routing fields are set only to show that they stay behind.
 	env := broker.Envelope{
 		From:    "master",
-		To:      "",
+		To:      "w1",
 		Topic:   "xflow.bids",
 		Payload: engine.MsgBidRequest{Job: testJob()},
-		SentAt:  time.Unix(1712345678, 987654321),
 	}
 	return map[string]Frame{
 		"hello":       {Kind: KindHello, Name: "w1", Link: 5 * time.Millisecond},
@@ -201,9 +201,37 @@ func kindFrames() map[string]Frame {
 }
 
 // TestFrameRoundTripAllKinds exercises every frame kind's field set.
+// A delivery carries only its sender and payload: the broker's routing
+// fields do not cross the wire.
 func TestFrameRoundTripAllKinds(t *testing.T) {
 	for name, f := range kindFrames() {
-		t.Run(name, func(t *testing.T) { roundTrip(t, f) })
+		t.Run(name, func(t *testing.T) {
+			if f.Kind != KindDelivery {
+				roundTrip(t, f)
+				return
+			}
+			var got Frame
+			body, err := AppendFrame(nil, &f)
+			if err == nil {
+				err = ParseFrame(body, &got)
+			}
+			if err != nil {
+				t.Fatalf("delivery: %v", err)
+			}
+			requireDeliveryOnWire(t, f.Env, got.Env)
+		})
+	}
+}
+
+// requireDeliveryOnWire checks a decoded delivery envelope against the
+// one sent: From and the payload arrive, To and Topic do not.
+func requireDeliveryOnWire(t *testing.T, sent, got broker.Envelope) {
+	t.Helper()
+	if got.From != sent.From || !reflect.DeepEqual(got.Payload, sent.Payload) {
+		t.Fatalf("delivery lost its sender or payload:\n sent %#v\n got  %#v", sent, got)
+	}
+	if got.To != "" || got.Topic != "" {
+		t.Fatalf("delivery carried routing fields To=%q Topic=%q", got.To, got.Topic)
 	}
 }
 
@@ -265,10 +293,10 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 // TestEncodeRawSharedBody checks the fanout path: one AppendFrame body
-// written through EncodeRaw on two encoders decodes identically on
-// both.
+// written through EncodeRaw on two encoders decodes on both to the
+// sender and payload, without the topic it was published on.
 func TestEncodeRawSharedBody(t *testing.T) {
-	env := broker.Envelope{From: "master", Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}, SentAt: time.Unix(100, 0)}
+	env := broker.Envelope{From: "master", Topic: "xflow.bids", Payload: engine.MsgBidRequest{Job: testJob()}}
 	body, err := AppendFrame(nil, &Frame{Kind: KindDelivery, Env: env})
 	if err != nil {
 		t.Fatalf("AppendFrame: %v", err)
@@ -286,9 +314,7 @@ func TestEncodeRawSharedBody(t *testing.T) {
 		if err := NewDecoder(bufio.NewReader(&buf)).Decode(&got); err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
-		if !reflect.DeepEqual(got.Env, env) {
-			t.Fatalf("envelope mismatch: %#v", got.Env)
-		}
+		requireDeliveryOnWire(t, env, got.Env)
 	}
 }
 
@@ -347,6 +373,7 @@ func TestExpectHeader(t *testing.T) {
 		ok      bool
 	}{
 		{"header", []byte{'X', 'F', 'W', Version, codecIDBinary}, true},
+		{"version 1 header", []byte{'X', 'F', 'W', 1, codecIDBinary}, false},
 		{"legacy gob stream", legacy.Bytes(), false},
 		{"http request", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), false},
 		{"two bytes then EOF", []byte{'X', 'F'}, false},
